@@ -17,8 +17,8 @@ a decimal string; --csv emits just the length table. Exit codes: 0 for
 success or a passing verification, 2 for a failing verification, 1 for
 any error (reported as a structured ``error`` object).
 
-Output is byte-identical across runs and worker counts for the same
-input; nothing time- or path-dependent is ever serialized.
+Output is byte-identical across runs for the same input; nothing time-
+or path-dependent is ever serialized.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from .fields import FieldError, PrimeField, QQ, RationalField
 from .filtration import check_filtration_inclusions
 from .modules import (
     CutoffExceeded,
-    DEFAULT_CUTOFF,
     FreeModuleSpec,
     HilbertProbeError,
     ModulePresentation,
@@ -48,12 +46,10 @@ from .multiplicity import (
     br_multiplicities,
     generalized_samuel_report,
     mixed_br_multiplicities,
-    mixed_table,
     pure_table,
     resolve_r,
 )
 from .polyfit import (
-    DEFAULT_WINDOW,
     DegreeExceedsError,
     GridTooSmallError,
     LengthTable,
@@ -71,7 +67,8 @@ from .verify import (
 
 __all__ = ["ParseError", "InstanceFile", "parse_instance", "run", "main"]
 
-COMMANDS = ("dims", "lambda", "br", "mixed", "samuel", "spread", "verify")
+# Instance settings that the queries take as keyword arguments.
+SETTINGS = ("r", "grid", "cutoff", "window")
 CHECK_NAMES = (
     "operator",
     "telescoping",
@@ -161,11 +158,7 @@ class _PolyScanner:
         value = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            exp = self.integer("exponent")
-            out = self.ring.one
-            for _ in range(exp):
-                out = out * value
-            return out
+            return value ** self.integer("exponent")
         return value
 
     def atom(self) -> Polynomial:
@@ -388,9 +381,7 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
             seen_names.add(name)
             submodules.append((name, sub))
         elif head == "set":
-            if len(tokens) != 3 or tokens[1] not in (
-                "r", "grid", "cutoff", "window",
-            ):
+            if len(tokens) != 3 or tokens[1] not in SETTINGS:
                 raise ParseError(
                     line_no, indent + 1,
                     "expected 'set r|grid|cutoff|window <int>'",
@@ -489,14 +480,8 @@ def _emit(doc) -> str:
 
 def _csv(table: LengthTable) -> str:
     lines = [",".join(table.axes) + ",value"]
-    strides = table.strides()
     for flat, value in enumerate(table.values):
-        point = []
-        rem = flat
-        for stride in strides:
-            point.append(rem // stride)
-            rem %= stride
-        coords = [o + c for o, c in zip(table.origin, point)]
+        coords = table.point(flat)
         lines.append(",".join(_s(c) for c in coords) + "," + _s(value))
     return "\n".join(lines) + "\n"
 
@@ -527,7 +512,25 @@ def _error_doc(exc) -> dict:
     return {"error": {"kind": kind, "message": str(exc)}}
 
 
-def _cmd_dims(inst, settings, workers):
+def _query_kwargs(settings) -> dict:
+    """The settings given, as query keyword arguments."""
+    return {key: settings[key] for key in SETTINGS if key in settings}
+
+
+def _used(inst, count) -> tuple:
+    return tuple(name for name, _ in inst.submodules[:count])
+
+
+def _certificates(leading, enlarged, **extra) -> dict:
+    return {
+        "stabilization_base": [_s(v) for v in leading.base_point],
+        "window": _s(leading.window),
+        "grid_enlarged": enlarged,
+        **extra,
+    }
+
+
+def _cmd_dims(command, inst, settings, check_name):
     gmax = settings.get("grid", 6)
     values = []
     for a in range(gmax + 1):
@@ -535,32 +538,18 @@ def _cmd_dims(inst, settings, workers):
             values.append(piece_dimension(inst.module, (a, n)))
     table = LengthTable(("a", "n"), (0, 0), (gmax + 1, gmax + 1), tuple(values))
     doc = {
-        "query": _query_block("dims", inst, ()),
+        "query": _query_block(command, inst, ()),
         "table": _table_block(table),
     }
     return 0, doc, table
 
 
-def _cmd_lambda(inst, settings, workers):
-    h = inst.submodule(0)
-    query = PureQuery(
-        inst.module, h,
-        r=settings.get("r"),
-        cutoff=settings.get("cutoff", DEFAULT_CUTOFF),
-        window=settings.get("window", DEFAULT_WINDOW),
-        workers=workers,
-    )
-    if "grid" in settings:
-        gmax = settings["grid"]
-        r, r_source = settings.get("r"), "explicit"
-        if r is None:
-            r, r_source = resolve_r(inst.module, None)
-    else:
-        r, r_source = resolve_r(inst.module, settings.get("r"))
-        gmax = r + 4
-    table, stops = pure_table(query, gmax)
+def _cmd_lambda(command, inst, settings, check_name):
+    query = PureQuery(inst.module, inst.submodule(0), **_query_kwargs(settings))
+    r, r_source = resolve_r(inst.module, settings.get("r"))
+    table, stops = pure_table(query, settings.get("grid", r + 4))
     doc = {
-        "query": _query_block("lambda", inst, (inst.submodules[0][0],)),
+        "query": _query_block(command, inst, _used(inst, 1)),
         "r": _s(r),
         "r_source": r_source,
         "table": _table_block(table),
@@ -569,105 +558,57 @@ def _cmd_lambda(inst, settings, workers):
     return 0, doc, table
 
 
-def _cmd_br(inst, settings, workers):
-    h = inst.submodule(0)
-    query = PureQuery(
-        inst.module, h,
-        r=settings.get("r"),
-        grid=settings.get("grid"),
-        cutoff=settings.get("cutoff", DEFAULT_CUTOFF),
-        window=settings.get("window", DEFAULT_WINDOW),
-        workers=workers,
-    )
-    report = br_multiplicities(query)
+def _cmd_fit(command, inst, settings, check_name):
+    """``br`` on the first submodule, ``mixed`` on the first two."""
+    count = 2 if command == "mixed" else 1
+    subs = [inst.submodule(i) for i in range(count)]
+    if count == 2:
+        make_query, fit = MixedQuery, mixed_br_multiplicities
+    else:
+        make_query, fit = PureQuery, br_multiplicities
+    report = fit(make_query(inst.module, *subs, **_query_kwargs(settings)))
     doc = {
-        "query": _query_block("br", inst, (inst.submodules[0][0],)),
+        "query": _query_block(command, inst, _used(inst, count)),
         "r": _s(report.r),
         "r_source": report.r_source,
         "table": _table_block(report.table),
         "leading_form": _leading_block(report.leading),
         "degree_estimate": _s(report.degree_estimate),
-        "certificates": {
-            "stabilization_base": [_s(v) for v in report.leading.base_point],
-            "window": _s(report.leading.window),
-            "finiteness_stops": [_s(v) for v in report.stops],
-            "grid_enlarged": report.enlarged,
-        },
+        "certificates": _certificates(
+            report.leading,
+            report.enlarged,
+            finiteness_stops=[_s(v) for v in report.stops],
+        ),
     }
     return 0, doc, report.table
 
 
-def _cmd_mixed(inst, settings, workers):
-    h1, h2 = inst.submodule(0), inst.submodule(1)
-    query = MixedQuery(
-        inst.module, h1, h2,
-        r=settings.get("r"),
-        grid=settings.get("grid"),
-        cutoff=settings.get("cutoff", DEFAULT_CUTOFF),
-        window=settings.get("window", DEFAULT_WINDOW),
-        workers=workers,
+def _cmd_samuel(command, inst, settings, check_name):
+    """``samuel`` reports e(I, M) with its fit, ``spread`` whether e > 0."""
+    query = LocalQuery(
+        inst.module, inst.submodule(0), **_query_kwargs(settings)
     )
-    report = mixed_br_multiplicities(query)
-    used = (inst.submodules[0][0], inst.submodules[1][0])
+    report = generalized_samuel_report(query)
     doc = {
-        "query": _query_block("mixed", inst, used),
-        "r": _s(report.r),
-        "r_source": report.r_source,
-        "table": _table_block(report.table),
-        "leading_form": _leading_block(report.leading),
-        "degree_estimate": _s(report.degree_estimate),
-        "certificates": {
-            "stabilization_base": [_s(v) for v in report.leading.base_point],
-            "window": _s(report.leading.window),
-            "finiteness_stops": [_s(v) for v in report.stops],
-            "grid_enlarged": report.enlarged,
-        },
-    }
-    return 0, doc, report.table
-
-
-def _local_query(inst, settings, workers):
-    return LocalQuery(
-        inst.module, inst.submodule(0),
-        k=settings.get("k"),
-        r=settings.get("r"),
-        grid=settings.get("grid"),
-        cutoff=settings.get("cutoff", DEFAULT_CUTOFF),
-        window=settings.get("window", DEFAULT_WINDOW),
-        workers=workers,
-    )
-
-
-def _cmd_samuel(inst, settings, workers):
-    report = generalized_samuel_report(_local_query(inst, settings, workers))
-    doc = {
-        "query": _query_block("samuel", inst, (inst.submodules[0][0],)),
+        "query": _query_block(command, inst, _used(inst, 1)),
         "e": _s(report.e),
-        "r": _s(report.r),
-        "r_source": report.r_source,
-        "k": _s(report.k),
-        "table": _table_block(report.table),
-        "leading_form": _leading_block(report.leading),
-        "certificates": {
-            "stabilization_base": [_s(v) for v in report.leading.base_point],
-            "window": _s(report.leading.window),
-            "k_agreement": [_s(report.e), _s(report.e_next_k)],
-            "grid_enlarged": report.enlarged,
-        },
-    }
-    return 0, doc, report.table
-
-
-def _cmd_spread(inst, settings, workers):
-    report = generalized_samuel_report(_local_query(inst, settings, workers))
-    doc = {
-        "query": _query_block("spread", inst, (inst.submodules[0][0],)),
-        "e": _s(report.e),
-        "spread_positive": report.e > 0,
         "r": _s(report.r),
         "k": _s(report.k),
     }
-    return 0, doc, None
+    if command == "spread":
+        doc["spread_positive"] = report.e > 0
+        return 0, doc, None
+    doc.update(
+        r_source=report.r_source,
+        table=_table_block(report.table),
+        leading_form=_leading_block(report.leading),
+        certificates=_certificates(
+            report.leading,
+            report.enlarged,
+            k_agreement=[_s(report.e), _s(report.e_next_k)],
+        ),
+    )
+    return 0, doc, report.table
 
 
 def _inclusion_report(inst, grid) -> VerificationReport:
@@ -697,102 +638,71 @@ def _inclusion_report(inst, grid) -> VerificationReport:
     )
 
 
-def _run_checks(inst, names, settings, workers):
+def _pair(inst) -> tuple:
+    h1, h2 = inst.submodule(0), inst.submodule(1)
+    return inst.module, h1, h1.fiber_degree, h2, h2.fiber_degree
+
+
+def _run_checks(inst, names, settings):
+    kwargs = _query_kwargs(settings)
+    grid = settings.get("grid", 3)
     reports = []
-    nsubs = len(inst.submodules)
-    grid = settings.get("grid")
     for name in names:
         if name == "telescoping":
             h = inst.submodule(0)
-            reports.append(
-                check_telescoping(
-                    inst.module, h, h.fiber_degree, grid=grid if grid is not None else 3
-                )
-            )
+            report = check_telescoping(inst.module, h, h.fiber_degree, grid=grid)
         elif name == "degree-bound":
-            h = inst.submodule(0)
-            query = PureQuery(
-                inst.module, h,
-                r=settings.get("r"),
-                grid=grid,
-                cutoff=settings.get("cutoff", DEFAULT_CUTOFF),
-                window=settings.get("window", DEFAULT_WINDOW),
-                workers=workers,
-            )
-            reports.append(check_degree_bound(br_multiplicities(query)))
+            query = PureQuery(inst.module, inst.submodule(0), **kwargs)
+            report = check_degree_bound(br_multiplicities(query))
         elif name == "operator":
-            h1, h2 = inst.submodule(0), inst.submodule(1)
-            reports.append(
-                check_mixed_operator_formula(
-                    inst.module, h1, h1.fiber_degree, h2, h2.fiber_degree,
-                    r=settings.get("r"), grid=grid,
-                    cutoff=settings.get("cutoff", DEFAULT_CUTOFF),
-                    window=settings.get("window", DEFAULT_WINDOW),
-                    workers=workers,
-                )
-            )
+            report = check_mixed_operator_formula(*_pair(inst), **kwargs)
         elif name == "factor-sum":
-            h1, h2 = inst.submodule(0), inst.submodule(1)
-            reports.append(
-                check_mixed_factor_sum(
-                    inst.module, h1, h1.fiber_degree, h2, h2.fiber_degree,
-                    grid=grid if grid is not None else 3,
-                )
-            )
+            report = check_mixed_factor_sum(*_pair(inst), grid=grid)
         elif name == "symmetry":
-            h1, h2 = inst.submodule(0), inst.submodule(1)
-            reports.append(
-                check_symmetry(
-                    inst.module, h1, h1.fiber_degree, h2, h2.fiber_degree,
-                    r=settings.get("r"), grid=grid,
-                    cutoff=settings.get("cutoff", DEFAULT_CUTOFF),
-                    window=settings.get("window", DEFAULT_WINDOW),
-                    workers=workers,
-                )
-            )
+            report = check_symmetry(*_pair(inst), **kwargs)
         elif name == "inclusions":
-            reports.append(
-                _inclusion_report(inst, grid if grid is not None else 3)
-            )
+            report = _inclusion_report(inst, grid)
         else:
             raise ValueError(
                 f"unknown check {name!r}; choose from"
                 f" {', '.join(CHECK_NAMES)} or all"
             )
-    if not reports:
-        raise ValueError("no applicable checks for this instance")
+        reports.append(report)
     return reports
 
 
-def _cmd_verify(inst, check_name, settings, workers):
+def _cmd_verify(command, inst, settings, check_name):
     if check_name == "all":
         names = ["telescoping", "degree-bound"]
         if len(inst.submodules) >= 2:
-            names = [
-                "operator", "telescoping", "factor-sum",
-                "degree-bound", "symmetry", "inclusions",
-            ]
+            names = list(CHECK_NAMES)
     else:
         names = [check_name]
-    reports = _run_checks(inst, names, settings, workers)
-    used = tuple(
-        name for name, _ in inst.submodules[: 2 if len(inst.submodules) > 1 else 1]
-    )
+    reports = _run_checks(inst, names, settings)
     doc = {
-        "query": _query_block("verify", inst, used),
+        "query": _query_block(command, inst, _used(inst, 2)),
         "verification": [_verification_block(rep) for rep in reports],
         "passed": all(rep.passed for rep in reports),
     }
     return (0 if doc["passed"] else 2), doc, None
 
 
-def run(argv, workers: int = 1):
-    """Execute one CLI command; returns (exit_code, output_text).
+# Command name -> handler(command, inst, settings, check_name), which
+# returns (exit code, JSON document, table for --csv or None).
+_HANDLERS = {
+    "dims": _cmd_dims,
+    "lambda": _cmd_lambda,
+    "br": _cmd_fit,
+    "mixed": _cmd_fit,
+    "samuel": _cmd_samuel,
+    "spread": _cmd_samuel,
+    "verify": _cmd_verify,
+}
+COMMANDS = tuple(_HANDLERS)
 
-    ``workers`` sets the degree of parallelism of the grid maps; it is an
-    API knob rather than a flag because the output contract is
-    worker-independent.
-    """
+
+def run(argv):
+    """Execute one CLI command; returns (exit_code, output_text)."""
     try:
         args = list(argv)
         flags = {"csv": False}
@@ -805,7 +715,7 @@ def run(argv, workers: int = 1):
                 flags["csv"] = True
             elif arg == "--json":
                 pass
-            elif arg in ("--grid", "--cutoff", "--window", "--r", "--modp"):
+            elif arg.startswith("--") and arg[2:] in SETTINGS + ("modp",):
                 if i + 1 >= len(args):
                     raise ValueError(f"{arg} needs a value")
                 try:
@@ -853,20 +763,8 @@ def run(argv, workers: int = 1):
         settings = dict(inst.settings)
         settings.update(overrides)
 
-        if command == "dims":
-            code, doc, table = _cmd_dims(inst, settings, workers)
-        elif command == "lambda":
-            code, doc, table = _cmd_lambda(inst, settings, workers)
-        elif command == "br":
-            code, doc, table = _cmd_br(inst, settings, workers)
-        elif command == "mixed":
-            code, doc, table = _cmd_mixed(inst, settings, workers)
-        elif command == "samuel":
-            code, doc, table = _cmd_samuel(inst, settings, workers)
-        elif command == "spread":
-            code, doc, table = _cmd_spread(inst, settings, workers)
-        else:
-            code, doc, table = _cmd_verify(inst, check_name, settings, workers)
+        handler = _HANDLERS[command]
+        code, doc, table = handler(command, inst, settings, check_name)
 
         if flags["csv"]:
             if table is None:

@@ -39,6 +39,7 @@ from .rings import (
     GradingError,
     Polynomial,
     SubmoduleSpec,
+    _dedup_monic,
     power_generators,
     product_generators,
 )
@@ -72,15 +73,6 @@ class MixedFiltrationLevel:
         )
 
 
-def _dedup_monic_sorted(polys) -> tuple:
-    seen = {}
-    for g in polys:
-        if not g.is_zero():
-            gm = g.monic()
-            seen[gm.terms] = gm
-    return tuple(sorted(seen.values(), key=lambda g: g.terms, reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _level_generators(
     h1: SubmoduleSpec, h2: SubmoduleSpec, p: int, q: int, min_total: int
@@ -93,7 +85,7 @@ def _level_generators(
             gens.extend(
                 product_generators(power_generators(h1, i), power_generators(h2, j)).gens
             )
-    return _dedup_monic_sorted(gens)
+    return _dedup_monic(gens)
 
 
 def mixed_level(
@@ -158,7 +150,7 @@ def check_filtration_inclusions(
         lower = mixed_level(h1, h2, p, q, nu - 1)
         ok = True
         witness = None
-        for g in _dedup_monic_sorted(
+        for g in _dedup_monic(
             a * b for a in h1h2.gens for b in level_nu.gens
         ):
             if not _contains(ring_pres, lower.gens, g):

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import FieldError
-
 
 class ShapeError(ValueError):
     pass
@@ -122,8 +120,3 @@ def subspace_dim(rows, field, ncols=None) -> int:
         pivots[lead] = [f.mul(inv, x) for x in row]
         dim += 1
     return dim
-
-
-def check_same_field(a: Matrix, b: Matrix) -> None:
-    if a.field != b.field:
-        raise FieldError(f"mixed fields {a.field!r} and {b.field!r}")

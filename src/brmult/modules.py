@@ -24,6 +24,7 @@ silently truncating.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -384,6 +385,30 @@ class LengthResult:
     stop_degree: int
 
 
+def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom):
+    """Dims of (T / B) at base degrees 0, 1, 2, ... of one fiber degree.
+
+    ``top`` and ``bottom`` are validated items; ``top`` None is the full
+    free slice. T must contain B; a negative dimension trips an assertion
+    rather than lying.
+    """
+    top_items = None if top is None else [SliceSpan(g, n) for g, n, _ in top]
+    bottom_items = [SliceSpan(g, n) for g, n, _ in bottom]
+    for a in itertools.count():
+        deg = (a, fiber_deg)
+        if top is None:
+            top_dim = free_piece_dim(pres.free, deg)
+        else:
+            top_dim = span_dim(pres, deg, top_items)
+        bottom_dim = span_dim(pres, deg, bottom_items)
+        if top_dim < bottom_dim:
+            raise AssertionError(
+                f"spanning sets not nested at bidegree {deg}:"
+                f" {top_dim} < {bottom_dim}"
+            )
+        yield top_dim - bottom_dim
+
+
 def graded_slice_length(
     pres: ModulePresentation,
     fiber_deg: int,
@@ -395,13 +420,11 @@ def graded_slice_length(
 
     B is K plus the span of ``bottom_items``. T is the full free slice
     when ``top_items`` is None, otherwise K plus the span of
-    ``top_items`` (which must contain B; a negative summand trips an
-    assertion rather than lying).
+    ``top_items`` (which must contain B).
     """
     top = None if top_items is None else _validated_items(top_items, fiber_deg)
     bottom = _validated_items(bottom_items, fiber_deg)
-    shifts = pres.free.shifts
-    max_shift = max((a for a, _ in shifts), default=0)
+    max_shift = max((a for a, _ in pres.free.shifts), default=0)
     if top is None:
         certificate = max_shift
     elif top:
@@ -410,27 +433,11 @@ def graded_slice_length(
         certificate = 0
 
     per_degree = []
-    total = 0
-    a = 0
-    while True:
-        deg = (a, fiber_deg)
-        if top is None:
-            top_dim = free_piece_dim(pres.free, deg)
-        else:
-            top_dim = span_dim(pres, deg, [SliceSpan(g, n) for g, n, _ in top])
-        bottom_dim = span_dim(pres, deg, [SliceSpan(g, n) for g, n, _ in bottom])
-        summand = top_dim - bottom_dim
-        if summand < 0:
-            raise AssertionError(
-                f"spanning sets not nested at bidegree {deg}:"
-                f" {top_dim} < {bottom_dim}"
-            )
+    for a, summand in enumerate(_slice_dims(pres, fiber_deg, top, bottom)):
         per_degree.append(summand)
-        total += summand
         if summand == 0 and a >= certificate:
-            return LengthResult(total, tuple(per_degree), a)
-        a += 1
-        if a > cutoff:
+            return LengthResult(sum(per_degree), tuple(per_degree), a)
+        if a >= cutoff:
             raise CutoffExceeded(fiber_deg, cutoff)
 
 
@@ -450,21 +457,8 @@ def slice_dims_up_to(
     """
     top = None if top_items is None else _validated_items(top_items, fiber_deg)
     bottom = _validated_items(bottom_items, fiber_deg)
-    dims = []
-    for a in range(max_degree + 1):
-        deg = (a, fiber_deg)
-        if top is None:
-            top_dim = free_piece_dim(pres.free, deg)
-        else:
-            top_dim = span_dim(pres, deg, [SliceSpan(g, n) for g, n, _ in top])
-        bottom_dim = span_dim(pres, deg, [SliceSpan(g, n) for g, n, _ in bottom])
-        if top_dim < bottom_dim:
-            raise AssertionError(
-                f"spanning sets not nested at bidegree {deg}:"
-                f" {top_dim} < {bottom_dim}"
-            )
-        dims.append(top_dim - bottom_dim)
-    return tuple(dims)
+    walk = _slice_dims(pres, fiber_deg, top, bottom)
+    return tuple(dim for _, dim in zip(range(max_degree + 1), walk))
 
 
 def quotient_fiber_length(

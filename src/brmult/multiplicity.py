@@ -12,18 +12,14 @@ tabulate the function on an integer grid, extract the total-degree-r
 leading form by exact finite differences, and report the integer e-values
 (Buchsbaum-Rim, mixed Buchsbaum-Rim, and generalized Samuel
 multiplicities). Grids default to [0, r+4] per axis and are enlarged once
-by 2 per axis if the differences have not stabilized, after which the
-failure is raised.
-
-Grid cells are filled through a deterministic order-preserving map, so
-the same query yields the same report bit for bit regardless of the
-worker count.
+by 2 per axis if the fit fails, after which the failure is raised. All
+three pipelines share one grid builder and one fit driver.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -110,13 +106,6 @@ def _module_nonzero(module: ModulePresentation) -> bool:
     return any(piece_dimension(module, shift) > 0 for shift in module.free.shifts)
 
 
-def _grid_map(fn, points, workers: int):
-    if workers <= 1:
-        return [fn(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 @dataclass(frozen=True)
 class PureQuery:
     """Everything needed for lambda(p, n) and its leading form."""
@@ -128,7 +117,6 @@ class PureQuery:
     grid: Optional[int] = None
     cutoff: int = DEFAULT_CUTOFF
     window: int = DEFAULT_WINDOW
-    workers: int = 1
 
     def __post_init__(self):
         if self.h.ring != self.module.ring:
@@ -156,7 +144,6 @@ class MixedQuery:
     grid: Optional[int] = None
     cutoff: int = DEFAULT_CUTOFF
     window: int = DEFAULT_WINDOW
-    workers: int = 1
 
     def __post_init__(self):
         for h in (self.h1, self.h2):
@@ -186,7 +173,6 @@ class LocalQuery:
     grid: Optional[int] = None
     cutoff: int = DEFAULT_CUTOFF
     window: int = DEFAULT_WINDOW
-    workers: int = 1
 
     def __post_init__(self):
         if self.module.ring.fiber:
@@ -210,7 +196,6 @@ class MultiplicityReport:
     degree_estimate: int
     stops: tuple  # finiteness certificate: stop base degree per cell
     enlarged: bool
-    wall_time: float  # informational only, never serialized
 
 
 @dataclass(frozen=True)
@@ -225,13 +210,14 @@ class LocalReport:
     k: int
     e_next_k: int
     enlarged: bool
-    wall_time: float
 
 
 @lru_cache(maxsize=None)
 def _pure_length(
     module: ModulePresentation, h: SubmoduleSpec, p: int, n: int, cutoff: int
 ) -> LengthResult:
+    if p >= 1 and not h.gens and _module_nonzero(module):
+        raise SupportConditionError("H has no generators but M is nonzero")
     items = [SliceSpan(g, n) for g in power_generators(h, p).gens]
     return quotient_fiber_length(module, items, h.fiber_degree * p + n, cutoff)
 
@@ -240,11 +226,6 @@ def lambda_pure(query: PureQuery, p: int, n: int) -> int:
     """Exact length of M_{pd+n} / H^p M_n."""
     if p < 0 or n < 0:
         raise ValueError("p and n must be nonnegative")
-    if p >= 1 and not query.h.gens and _module_nonzero(query.module):
-        raise SupportConditionError(
-            "H has no generators but M is nonzero: H^p M_n has infinite"
-            " colength, the support condition cannot hold"
-        )
     return _pure_length(query.module, query.h, p, n, query.cutoff).total
 
 
@@ -258,6 +239,11 @@ def _mixed_length(
     n: int,
     cutoff: int,
 ) -> LengthResult:
+    starved = (p >= 1 and not h1.gens) or (q >= 1 and not h2.gens)
+    if starved and _module_nonzero(module):
+        raise SupportConditionError(
+            "a power of a generatorless H acts on a nonzero M"
+        )
     gens = product_generators(power_generators(h1, p), power_generators(h2, q))
     items = [SliceSpan(g, n) for g in gens.gens]
     fiber = h1.fiber_degree * p + h2.fiber_degree * q + n
@@ -268,131 +254,119 @@ def lambda_mixed(query: MixedQuery, p: int, q: int, n: int) -> int:
     """Exact length of M_{d1 p + d2 q + n} / H1^p H2^q M_n."""
     if p < 0 or q < 0 or n < 0:
         raise ValueError("p, q and n must be nonnegative")
-    starved = (p >= 1 and not query.h1.gens) or (q >= 1 and not query.h2.gens)
-    if starved and _module_nonzero(query.module):
-        raise SupportConditionError(
-            "a power of a generatorless H acts on a nonzero M: the quotient"
-            " has infinite colength"
-        )
     return _mixed_length(
         query.module, query.h1, query.h2, p, q, n, query.cutoff
     ).total
 
 
-def _fit_with_retry(build_table, r: int, window: int, grid_max: int):
-    """Fit a leading form, enlarging the grid once on stabilization failure."""
-    table, stops = build_table(grid_max)
-    try:
-        return table, stops, leading_form(table, r, window), False
-    except (StabilizationError, GridTooSmallError, DegreeExceedsError):
-        table, stops = build_table(grid_max + 2)
-        try:
-            return table, stops, leading_form(table, r, window), True
-        except StabilizationError as err:
-            _raise_if_degree_exceeds(table, r, window, err)
-            raise
+def _grid_table(axes: tuple, gmax: int, cell) -> tuple:
+    """``cell`` on [0, gmax]^arity in row-major order: (table, stops).
+
+    ``cell`` maps a grid point to its LengthResult; the table holds the
+    totals and ``stops`` the finiteness certificates.
+    """
+    arity = len(axes)
+    results = [
+        cell(*point)
+        for point in itertools.product(range(gmax + 1), repeat=arity)
+    ]
+    table = LengthTable(
+        axes,
+        (0,) * arity,
+        (gmax + 1,) * arity,
+        tuple(res.total for res in results),
+    )
+    return table, tuple(res.stop_degree for res in results)
 
 
-def _raise_if_degree_exceeds(table, r, window, err):
-    """Rewrite a stabilization failure as a degree overshoot when provable."""
-    try:
-        estimate = total_degree_estimate(table, window)
-    except (StabilizationError, GridTooSmallError):
-        return
+_REFIT = (StabilizationError, GridTooSmallError, DegreeExceedsError)
+
+
+def _check_degree(table: LengthTable, r: int, window: int, cause=None) -> int:
+    """The table's degree estimate, which must not exceed r."""
+    estimate = total_degree_estimate(table, window)
     if estimate > r:
         raise DegreeExceedsError(
             f"table degree estimate {estimate} exceeds r = {r}"
-        ) from err
+        ) from cause
+    return estimate
+
+
+def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
+    """Build and fit tables at one grid bound, enlarging it once on failure.
+
+    Each of ``builds`` maps a grid bound to (table, stops); its table is
+    fitted before the next one is built. The bound is ``grid``, by
+    default r + 4. Any fit failure rebuilds every table at the bound plus
+    2. A stabilization failure there is rewritten as DegreeExceedsError
+    when the first table's degree estimate provably exceeds r, and that
+    estimate is checked against r after a successful fit too.
+
+    Returns ([(table, stops, leading form), ...], estimate, enlarged).
+    """
+    gmax = r + 4 if grid is None else grid
+    tables = []
+
+    def attempt(bound):
+        tables.clear()
+        fits = []
+        for build in builds:
+            table, stops = build(bound)
+            tables.append(table)
+            fits.append((table, stops, leading_form(table, r, window)))
+        return fits
+
+    try:
+        fits, enlarged = attempt(gmax), False
+    except _REFIT:
+        enlarged = True
+        try:
+            fits = attempt(gmax + 2)
+        except StabilizationError as err:
+            with suppress(StabilizationError, GridTooSmallError):
+                _check_degree(tables[0], r, window, err)
+            raise
+    return fits, _check_degree(fits[0][0], r, window), enlarged
+
+
+def _multiplicity_report(query, tabulate) -> MultiplicityReport:
+    r, r_source = resolve_r(query.module, query.r)
+    [(table, stops, lf)], estimate, enlarged = _fit(
+        [lambda gmax: tabulate(query, gmax)], r, query.window, query.grid
+    )
+    return MultiplicityReport(
+        table, lf, r, r_source, estimate, stops, enlarged
+    )
 
 
 def pure_table(query: PureQuery, gmax: int) -> tuple:
     """The lambda(p, n) table on [0, gmax]^2 with its finiteness stops."""
-    points = [(p, n) for p in range(gmax + 1) for n in range(gmax + 1)]
-
-    def cell(pt):
-        p, n = pt
-        if p >= 1 and not query.h.gens and _module_nonzero(query.module):
-            raise SupportConditionError("H has no generators but M is nonzero")
-        return _pure_length(query.module, query.h, p, n, query.cutoff)
-
-    results = _grid_map(cell, points, query.workers)
-    table = LengthTable(
+    return _grid_table(
         ("p", "n"),
-        (0, 0),
-        (gmax + 1, gmax + 1),
-        tuple(res.total for res in results),
+        gmax,
+        lambda p, n: _pure_length(query.module, query.h, p, n, query.cutoff),
     )
-    return table, tuple(res.stop_degree for res in results)
 
 
 def br_multiplicities(query: PureQuery) -> MultiplicityReport:
     """All Buchsbaum-Rim multiplicities e^{i,k} with i + k = r for H on M."""
-    start = time.perf_counter()
-    r, r_source = resolve_r(query.module, query.r)
-    grid_max = query.grid if query.grid is not None else r + 4
-
-    def build(gmax):
-        return pure_table(query, gmax)
-
-    table, stops, lf, enlarged = _fit_with_retry(build, r, query.window, grid_max)
-    estimate = total_degree_estimate(table, query.window)
-    if estimate > r:
-        raise DegreeExceedsError(
-            f"table degree estimate {estimate} exceeds r = {r}"
-        )
-    return MultiplicityReport(
-        table, lf, r, r_source, estimate, stops, enlarged,
-        time.perf_counter() - start,
-    )
+    return _multiplicity_report(query, pure_table)
 
 
 def mixed_table(query: MixedQuery, gmax: int) -> tuple:
     """The lambda(p, q, n) table on [0, gmax]^3 with its finiteness stops."""
-    rng = range(gmax + 1)
-    points = [(p, q, n) for p in rng for q in rng for n in rng]
-
-    def cell(pt):
-        p, q, n = pt
-        starved = (p >= 1 and not query.h1.gens) or (
-            q >= 1 and not query.h2.gens
-        )
-        if starved and _module_nonzero(query.module):
-            raise SupportConditionError(
-                "a power of a generatorless H acts on a nonzero M"
-            )
-        return _mixed_length(
-            query.module, query.h1, query.h2, p, q, n, query.cutoff
-        )
-
-    results = _grid_map(cell, points, query.workers)
-    table = LengthTable(
+    return _grid_table(
         ("p", "q", "n"),
-        (0, 0, 0),
-        (gmax + 1,) * 3,
-        tuple(res.total for res in results),
+        gmax,
+        lambda p, q, n: _mixed_length(
+            query.module, query.h1, query.h2, p, q, n, query.cutoff
+        ),
     )
-    return table, tuple(res.stop_degree for res in results)
 
 
 def mixed_br_multiplicities(query: MixedQuery) -> MultiplicityReport:
     """All mixed multiplicities e^{i,j,k} with i + j + k = r."""
-    start = time.perf_counter()
-    r, r_source = resolve_r(query.module, query.r)
-    grid_max = query.grid if query.grid is not None else r + 4
-
-    def build(gmax):
-        return mixed_table(query, gmax)
-
-    table, stops, lf, enlarged = _fit_with_retry(build, r, query.window, grid_max)
-    estimate = total_degree_estimate(table, query.window)
-    if estimate > r:
-        raise DegreeExceedsError(
-            f"table degree estimate {estimate} exceeds r = {r}"
-        )
-    return MultiplicityReport(
-        table, lf, r, r_source, estimate, stops, enlarged,
-        time.perf_counter() - start,
-    )
+    return _multiplicity_report(query, mixed_table)
 
 
 @lru_cache(maxsize=None)
@@ -430,36 +404,20 @@ def lambda_local(query: LocalQuery, n: int, k: Optional[int] = None) -> int:
 
 def local_table(query: LocalQuery, k: int, gmax: int) -> LengthTable:
     """The lambda(n) table on [0, gmax] at neighborhood order k."""
-    points = list(range(gmax + 1))
-    values = _grid_map(lambda n: lambda_local(query, n, k), points, query.workers)
-    return LengthTable(("n",), (0,), (gmax + 1,), tuple(values))
+    values = tuple(lambda_local(query, n, k) for n in range(gmax + 1))
+    return LengthTable(("n",), (0,), (gmax + 1,), values)
 
 
 def generalized_samuel_report(query: LocalQuery) -> LocalReport:
     """e(I, M) with the k versus k+1 stability check and the fitted table."""
-    start = time.perf_counter()
     r, r_source = resolve_r(query.module, query.r)
     k = query.k if query.k is not None else r + 2
-    grid_max = query.grid if query.grid is not None else r + 4
-
-    def fit(k_used, gmax):
-        table = local_table(query, k_used, gmax)
-        return table, leading_form(table, r, query.window)
-
-    enlarged = False
-    try:
-        table, lf = fit(k, grid_max)
-        _, lf_next = fit(k + 1, grid_max)
-    except (StabilizationError, GridTooSmallError):
-        enlarged = True
-        try:
-            table, lf = fit(k, grid_max + 2)
-            _, lf_next = fit(k + 1, grid_max + 2)
-        except StabilizationError as err:
-            _raise_if_degree_exceeds(
-                local_table(query, k, grid_max + 2), r, query.window, err
-            )
-            raise
+    builds = [
+        lambda gmax, kk=kk: (local_table(query, kk, gmax), ())
+        for kk in (k, k + 1)
+    ]
+    fits, _, enlarged = _fit(builds, r, query.window, query.grid)
+    (table, _, lf), (_, _, lf_next) = fits
     e = lf.entries[0][1]
     e_next = lf_next.entries[0][1]
     if e != e_next:
@@ -467,10 +425,7 @@ def generalized_samuel_report(query: LocalQuery) -> LocalReport:
             f"leading coefficient differs between k = {k} ({e}) and"
             f" k = {k + 1} ({e_next}); increase k"
         )
-    return LocalReport(
-        table, lf, e, r, r_source, k, e_next, enlarged,
-        time.perf_counter() - start,
-    )
+    return LocalReport(table, lf, e, r, r_source, k, e_next, enlarged)
 
 
 def generalized_samuel(query: LocalQuery) -> int:

@@ -108,6 +108,14 @@ class LengthTable:
             flat += j * s
         return self.values[flat]
 
+    def point(self, flat: int) -> tuple:
+        """The lattice point of the flat value index ``flat``."""
+        coords = []
+        for stride in self.strides():
+            coords.append(flat // stride)
+            flat %= stride
+        return tuple(o + c for o, c in zip(self.origin, coords))
+
     def points(self):
         return itertools.product(*(range(e) for e in self.extents))
 

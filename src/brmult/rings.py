@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import QQ, FieldError
+from .fields import QQ  # re-exported; the doctest above uses it
 
 __all__ = [
     "GradingError",
@@ -288,11 +288,6 @@ def monomial_basis(ring: RingSpec, bidegree) -> tuple:
     return tuple(basis)
 
 
-@lru_cache(maxsize=None)
-def _basis_index(ring: RingSpec, bidegree) -> dict:
-    return {m: i for i, m in enumerate(monomial_basis(ring, bidegree))}
-
-
 @dataclass(frozen=True)
 class SubmoduleSpec:
     """Generators of H as a submodule of the fiber-degree-d part of the ring.
@@ -340,16 +335,14 @@ class SubmoduleSpec:
         return f"SubmoduleSpec(d={self.fiber_degree}, <{inner}>)"
 
 
-def _dedup_monic(ring: RingSpec, polys) -> tuple:
+def _dedup_monic(polys) -> tuple:
+    """Nonzero polys made monic, without repeats, by descending terms."""
     seen = {}
     for g in polys:
-        if g.is_zero():
-            continue
-        gm = g.monic()
-        seen[gm.terms] = gm
-    out = list(seen.values())
-    out.sort(key=lambda g: g.terms, reverse=True)
-    return tuple(out)
+        if not g.is_zero():
+            gm = g.monic()
+            seen[gm.terms] = gm
+    return tuple(sorted(seen.values(), key=lambda g: g.terms, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +362,7 @@ def power_generators(h: SubmoduleSpec, p: int) -> SubmoduleSpec:
         for g in combo[1:]:
             prod = prod * g
         products.append(prod)
-    return SubmoduleSpec(h.ring, p * h.fiber_degree, _dedup_monic(h.ring, products))
+    return SubmoduleSpec(h.ring, p * h.fiber_degree, _dedup_monic(products))
 
 
 @lru_cache(maxsize=None)
@@ -379,16 +372,5 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
         raise GradingError("product of submodules over different rings")
     products = [g1 * g2 for g1 in h1.gens for g2 in h2.gens]
     return SubmoduleSpec(
-        h1.ring, h1.fiber_degree + h2.fiber_degree, _dedup_monic(h1.ring, products)
+        h1.ring, h1.fiber_degree + h2.fiber_degree, _dedup_monic(products)
     )
-
-
-def coerce_field_check(ring: RingSpec, scalar):
-    try:
-        return ring.field.coerce(scalar)
-    except FieldError:
-        raise
-
-
-# re-exported so callers building rings do not need brmult.fields for Q
-QQ = QQ

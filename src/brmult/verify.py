@@ -35,7 +35,12 @@ from .multiplicity import (
     br_multiplicities,
     mixed_br_multiplicities,
 )
-from .polyfit import DEFAULT_WINDOW, finite_difference, total_degree_estimate
+from .polyfit import (
+    DEFAULT_WINDOW,
+    _alphas,
+    _difference_tables,
+    total_degree_estimate,
+)
 from .rings import SubmoduleSpec, power_generators, product_generators
 
 __all__ = [
@@ -100,7 +105,6 @@ def check_mixed_operator_formula(
     grid: Optional[int] = None,
     cutoff: int = DEFAULT_CUTOFF,
     window: int = DEFAULT_WINDOW,
-    workers: int = 1,
 ) -> VerificationReport:
     """e-values of the product submodule against binomial sums of mixed ones.
 
@@ -109,15 +113,9 @@ def check_mixed_operator_formula(
     multiplicity in slot (i, j, k). Declared fiber degrees are validated
     up front; a mismatch is a precondition error, never a fail verdict.
     """
-    mixed_q = MixedQuery(
-        module, h1, h2, d1, d2, r=r, grid=grid, cutoff=cutoff,
-        window=window, workers=workers,
-    )
-    product = product_generators(h1, h2)
-    pure_q = PureQuery(
-        module, product, d1 + d2, r=r, grid=grid, cutoff=cutoff,
-        window=window, workers=workers,
-    )
+    fit = dict(r=r, grid=grid, cutoff=cutoff, window=window)
+    mixed_q = MixedQuery(module, h1, h2, d1, d2, **fit)
+    pure_q = PureQuery(module, product_generators(h1, h2), d1 + d2, **fit)
     mixed_rep = mixed_br_multiplicities(mixed_q)
     pure_rep = br_multiplicities(pure_q)
     rr = pure_rep.r
@@ -304,44 +302,20 @@ def check_degree_bound(report: MultiplicityReport) -> VerificationReport:
     polynomial.
     """
     table = report.table
-    arity = table.arity
     r = report.r
     estimate = total_degree_estimate(table, report.leading.window)
     passed = estimate <= r
     witness = None
     if not passed:
-
-        def alphas(total):
-            if arity == 1:
-                yield (total,)
-                return
-            for first in range(total, -1, -1):
-                rest = total - first
-                if arity == 2:
-                    yield (first, rest)
-                else:
-                    for second in range(rest, -1, -1):
-                        yield (first, second, rest - second)
-
         deepest = None
-        for alpha in alphas(r + 1):
-            diff = table
-            for axis_pos, order in enumerate(alpha):
-                for _ in range(order):
-                    diff = finite_difference(diff, table.axes[axis_pos])
+        diffs = _difference_tables(table, r + 1)
+        for alpha in _alphas(table.arity, r + 1):
+            diff = diffs[alpha]
             for idx in range(len(diff.values) - 1, -1, -1):
                 if diff.values[idx] == 0:
                     continue
                 if deepest is None or idx > deepest[0]:
-                    point = []
-                    rem = idx
-                    for stride in diff.strides():
-                        point.append(rem // stride)
-                        rem %= stride
-                    point = tuple(
-                        o + c for o, c in zip(diff.origin, point)
-                    )
-                    deepest = (idx, alpha, point, diff.values[idx])
+                    deepest = (idx, alpha, diff.point(idx), diff.values[idx])
                 break
         if deepest is not None:
             _, alpha, point, value = deepest
@@ -370,21 +344,11 @@ def check_symmetry(
     grid: Optional[int] = None,
     cutoff: int = DEFAULT_CUTOFF,
     window: int = DEFAULT_WINDOW,
-    workers: int = 1,
 ) -> VerificationReport:
     """Swapping the two submodules transposes the mixed e-values."""
-    fwd = mixed_br_multiplicities(
-        MixedQuery(
-            module, h1, h2, d1, d2, r=r, grid=grid, cutoff=cutoff,
-            window=window, workers=workers,
-        )
-    )
-    rev = mixed_br_multiplicities(
-        MixedQuery(
-            module, h2, h1, d2, d1, r=r, grid=grid, cutoff=cutoff,
-            window=window, workers=workers,
-        )
-    )
+    fit = dict(r=r, grid=grid, cutoff=cutoff, window=window)
+    fwd = mixed_br_multiplicities(MixedQuery(module, h1, h2, d1, d2, **fit))
+    rev = mixed_br_multiplicities(MixedQuery(module, h2, h1, d2, d1, **fit))
     left = []
     right = []
     for alpha, value in fwd.leading.entries:

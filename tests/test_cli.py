@@ -251,8 +251,7 @@ def test_output_is_byte_deterministic(tmp_path):
     path = write(tmp_path, BLOCK)
     _, serial = run(["br", path])
     _, again = run(["br", path])
-    _, parallel = run(["br", path], workers=4)
-    assert serial == again == parallel
+    assert serial == again
 
 
 def test_mixed_command(tmp_path):

@@ -149,7 +149,6 @@ def test_degree_bound_fails_on_understated_r():
         2,
         honest.stops,
         honest.enlarged,
-        0.0,
     )
     outcome = check_degree_bound(fake)
     assert not outcome.passed
@@ -168,7 +167,7 @@ def test_degree_bound_tolerates_transients():
     leading = LeadingForm(
         1, ("p", "n"), (((1, 0), 6), ((0, 1), 0)), (4, 0), 2
     )
-    report = MultiplicityReport(table, leading, 1, "explicit", 1, (), False, 0.0)
+    report = MultiplicityReport(table, leading, 1, "explicit", 1, (), False)
     assert check_degree_bound(report).passed
 
 
