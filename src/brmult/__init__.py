@@ -8,7 +8,7 @@ checks the underlying identities on concrete instances.
 """
 
 from .fields import FieldError, PrimeField, QQ, RationalField
-from .linalg import Matrix, ShapeError, rref, subspace_dim
+from .linalg import ShapeError, subspace_dim
 from .rings import (
     GradingError,
     Polynomial,
@@ -31,7 +31,6 @@ from .modules import (
     krull_dimension,
     piece_basis,
     piece_dimension,
-    piece_subspace,
     quotient_fiber_length,
     slice_dims_up_to,
 )
@@ -75,6 +74,7 @@ from .multiplicity import (
 )
 from .verify import (
     VerificationReport,
+    check_br_degree_bound,
     check_degree_bound,
     check_mixed_factor_sum,
     check_mixed_operator_formula,

@@ -58,7 +58,7 @@ from .polyfit import (
 from .rings import GradingError, Polynomial, RingSpec, SubmoduleSpec
 from .verify import (
     VerificationReport,
-    check_degree_bound,
+    check_br_degree_bound,
     check_mixed_factor_sum,
     check_mixed_operator_formula,
     check_symmetry,
@@ -653,7 +653,7 @@ def _run_checks(inst, names, settings):
             report = check_telescoping(inst.module, h, h.fiber_degree, grid=grid)
         elif name == "degree-bound":
             query = PureQuery(inst.module, inst.submodule(0), **kwargs)
-            report = check_degree_bound(br_multiplicities(query))
+            report = check_br_degree_bound(query)
         elif name == "operator":
             report = check_mixed_operator_formula(*_pair(inst), **kwargs)
         elif name == "factor-sum":

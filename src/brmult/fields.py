@@ -91,9 +91,11 @@ class RationalField:
 class PrimeField:
     """The prime field F_p; scalars are int residues in [0, p).
 
-    Intended as a speed option. Lengths computed over small characteristic
-    can differ from the true characteristic-zero values when p divides an
-    elimination pivot, so results over small p are not authoritative.
+    Lengths over F_p are those of the characteristic-p problem; they can
+    differ from the characteristic-zero values when p divides a minor, so
+    they are not authoritative for Q. Ranks over Q need no such field:
+    ``linalg.subspace_dim`` computes them mod 2^31 - 1 itself, certifies
+    them and falls back to exact arithmetic.
     """
 
     p: int

@@ -1,122 +1,107 @@
-"""Dense exact linear algebra over Q or F_p.
+"""Exact ranks of spanning sets over Q or F_p.
 
-Matrices are immutable row-major tuples of field scalars. The only
-operations the rest of the package needs are the canonical reduced row
-echelon form and ranks of spanning sets; both are implemented with plain
-Gauss-Jordan elimination in exact field arithmetic.
+One sparse elimination kernel computes every rank. Rows are
+``{column: value}`` dicts, each pivot is kept under its leading column,
+and elimination stops as soon as the rank reaches the column count.
+
+Over F_p the kernel runs on residues. Over Q it first runs on the image
+mod ``MODULUS`` = 2^31 - 1: each row is scaled by the lcm of its
+denominators to an integer row, then reduced mod p, so no denominator
+is ever inverted mod p. For an integer matrix, rank mod p <= rank over
+Q <= min(rows, cols), so a modular rank equal to min(rows, cols) is the
+exact rank. Otherwise the kernel runs again in exact ``Fraction``
+arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from math import lcm
+
+from .fields import PrimeField
+
+MODULUS = 2**31 - 1
 
 
 class ShapeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """An nrows x ncols matrix with entries in a fixed field."""
+def _rank(rows, ncols: int, modulus) -> int:
+    """Rank of sparse ``rows``, mod ``modulus`` or exactly when it is None.
 
-    field: object
-    nrows: int
-    ncols: int
-    rows: tuple = dc_field(default=())
-
-    def __post_init__(self):
-        if self.nrows < 0 or self.ncols < 0:
-            raise ShapeError("negative matrix dimensions")
-        if len(self.rows) != self.nrows:
-            raise ShapeError(f"expected {self.nrows} rows, got {len(self.rows)}")
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ShapeError(f"ragged row of length {len(row)}")
-
-    @classmethod
-    def from_rows(cls, field, rows) -> "Matrix":
-        coerced = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        ncols = len(coerced[0]) if coerced else 0
-        return cls(field, len(coerced), ncols, coerced)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def row(self, i):
-        return self.rows[i]
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Canonical reduced row echelon form of ``m`` and its rank.
-
-    Pivot selection is deterministic: leftmost candidate column first, and
-    within a column the not-yet-used row of lowest index. Pivots are
-    normalized to 1 and cleared above and below, so the result is the
-    unique RREF of the row space.
+    Each row's entries must be nonzero: a zero-valued leading entry
+    could not be inverted.
     """
-    f = m.field
-    rows = [list(r) for r in m.rows]
-    pivot_row = 0
-    for col in range(m.ncols):
-        src = None
-        for i in range(pivot_row, m.nrows):
-            if not f.is_zero(rows[i][col]):
-                src = i
+    pivots: dict[int, list] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
                 break
-        if src is None:
+            c = row.pop(lead)
+            for j, v in pivot:
+                x = row.get(j, 0) - c * v
+                if modulus is not None:
+                    x %= modulus
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        if not row:
             continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        inv = f.div(f.one, rows[pivot_row][col])
-        rows[pivot_row] = [f.mul(inv, x) for x in rows[pivot_row]]
-        for i in range(m.nrows):
-            if i == pivot_row:
-                continue
-            c = rows[i][col]
-            if f.is_zero(c):
-                continue
-            prow = rows[pivot_row]
-            rows[i] = [f.sub(x, f.mul(c, px)) for x, px in zip(rows[i], prow)]
-        pivot_row += 1
-        if pivot_row == m.nrows:
+        lead_value = row.pop(lead)
+        if modulus is None:
+            inv = 1 / lead_value
+            pivots[lead] = [(j, inv * v) for j, v in row.items()]
+        else:
+            inv = pow(lead_value, -1, modulus)
+            pivots[lead] = [(j, inv * v % modulus) for j, v in row.items()]
+        if len(pivots) == ncols:
             break
-    out = Matrix(f, m.nrows, m.ncols, tuple(tuple(r) for r in rows))
-    return out, pivot_row
+    return len(pivots)
 
 
-def rank(m: Matrix) -> int:
-    return rref(m)[1]
+def _nonzero(row, coerce) -> list:
+    return [(j, coerce(x)) for j, x in enumerate(row) if x]
+
+
+def _residues(row, field: PrimeField) -> dict:
+    """``row`` over F_p, with the entries that vanish mod p dropped."""
+    return {j: x for j, x in _nonzero(row, field.coerce) if x}
+
+
+def _integer_residues(row, field) -> dict:
+    """``row`` over Q, scaled to an integer row and reduced mod MODULUS."""
+    entries = _nonzero(row, field.coerce)
+    scale = lcm(*(x.denominator for _, x in entries))
+    out = {}
+    for j, x in entries:
+        v = x.numerator * (scale // x.denominator) % MODULUS
+        if v:
+            out[j] = v
+    return out
 
 
 def subspace_dim(rows, field, ncols=None) -> int:
-    """Dimension of the span of ``rows`` (iterable of scalar sequences).
+    """Dimension of the span of ``rows``, a list of scalar sequences.
 
-    Incremental forward elimination: each row is reduced against the
-    pivots found so far and kept if anything survives. Returns the same
-    number as ``rank(Matrix.from_rows(...))`` but skips the back
-    substitution, which is the common hot path for the span engines.
+    Every row must have ``ncols`` entries (by default the length of the
+    first row), or ShapeError is raised. Ranks over Q are certified mod
+    ``MODULUS`` and recomputed exactly only when the certificate fails.
     """
-    f = field
-    pivots: dict[int, list] = {}
-    dim = 0
-    for raw in rows:
-        row = [f.coerce(x) for x in raw]
-        if ncols is not None and len(row) != ncols:
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != ncols:
             raise ShapeError(f"row of length {len(row)}, expected {ncols}")
-        for col in sorted(pivots):
-            c = row[col]
-            if f.is_zero(c):
-                continue
-            prow = pivots[col]
-            row = [f.sub(x, f.mul(c, px)) for x, px in zip(row, prow)]
-        lead = None
-        for j, x in enumerate(row):
-            if not f.is_zero(x):
-                lead = j
-                break
-        if lead is None:
-            continue
-        inv = f.div(f.one, row[lead])
-        pivots[lead] = [f.mul(inv, x) for x in row]
-        dim += 1
-    return dim
+    if isinstance(field, PrimeField):
+        return _rank((_residues(row, field) for row in rows), ncols, field.p)
+    rank = _rank(
+        (_integer_residues(row, field) for row in rows), ncols, MODULUS
+    )
+    if rank == min(len(rows), ncols):
+        return rank
+    return _rank(
+        (dict(_nonzero(row, field.coerce)) for row in rows), ncols, None
+    )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import subspace_dim, rref, Matrix
+from .linalg import subspace_dim
 from .rings import GradingError, Polynomial, RingSpec, monomial_basis
 
 __all__ = [
@@ -37,13 +37,11 @@ __all__ = [
     "ModulePresentation",
     "SliceSpan",
     "LengthResult",
-    "PieceSubspace",
     "CutoffExceeded",
     "ZeroModuleError",
     "HilbertProbeError",
     "piece_dimension",
     "span_dim",
-    "piece_subspace",
     "quotient_fiber_length",
     "graded_slice_length",
     "slice_dims_up_to",
@@ -315,60 +313,6 @@ def span_dim(pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()) -> 
 def piece_dimension(pres: ModulePresentation, deg) -> int:
     """dim_k of the bidegree piece M_deg = (F/K)_deg."""
     return free_piece_dim(pres.free, deg) - span_dim(pres, deg)
-
-
-@dataclass(frozen=True)
-class PieceSubspace:
-    """A bidegree piece of a spanning subspace, in canonical RREF form."""
-
-    bidegree: tuple
-    basis: tuple  # ordered (generator index, monomial) pairs
-    matrix: Matrix  # RREF of the dense spanning matrix
-    dim: int
-
-
-def piece_subspace(pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()) -> PieceSubspace:
-    """Dense route to the same subspace ``span_dim`` measures.
-
-    Materializes every spanning vector (relation multiples and slice
-    spans) as a dense row and row reduces with the canonical pivot rule.
-    Slower than ``span_dim`` but returns the actual reduced basis; the two
-    agree on dimension and the tests lean on that.
-    """
-    a, nn = deg
-    free = pres.free
-    ring = free.ring
-    basis, _ = piece_basis(free, deg)
-    index = _piece_index(free, deg)
-    field = ring.field
-    rows = []
-
-    def dense_from(row_dict):
-        row = [field.zero] * len(basis)
-        for p, c in row_dict.items():
-            row[p] = c
-        return row
-
-    for g, n_src, gb in _validated_items(items, nn):
-        for i, (ai, ni) in enumerate(free.shifts):
-            for fm in monomial_basis(ring, (a - gb - ai, n_src - ni)):
-                row = {}
-                for gm, c in g.terms:
-                    prod = tuple(x + y for x, y in zip(gm, fm))
-                    row[index[(i, prod)]] = c
-                rows.append(dense_from(row))
-    for rel, (tb, tf) in zip(pres.relations, pres.relation_targets()):
-        for mu in monomial_basis(ring, (a - tb, nn - tf)):
-            row = {}
-            for i, entry in enumerate(rel):
-                for pm, c in entry.terms:
-                    prod = tuple(x + y for x, y in zip(pm, mu))
-                    row[index[(i, prod)]] = c
-            rows.append(dense_from(row))
-
-    m = Matrix.from_rows(field, rows) if rows else Matrix(field, 0, len(basis), ())
-    reduced, rank = rref(m)
-    return PieceSubspace((a, nn), basis, reduced, rank)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,7 @@ __all__ = [
     "lambda_local",
     "local_table",
     "resolve_r",
+    "grid_bounds",
     "generalized_samuel",
     "generalized_samuel_report",
     "has_maximal_analytic_spread",
@@ -292,19 +293,26 @@ def _check_degree(table: LengthTable, r: int, window: int, cause=None) -> int:
     return estimate
 
 
+def grid_bounds(r: int, grid: Optional[int]) -> tuple:
+    """The grid bound a fit tries first (``grid``, by default r + 4), and
+    the enlarged bound it retries at."""
+    first = r + 4 if grid is None else grid
+    return first, first + 2
+
+
 def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
     """Build and fit tables at one grid bound, enlarging it once on failure.
 
     Each of ``builds`` maps a grid bound to (table, stops); its table is
-    fitted before the next one is built. The bound is ``grid``, by
-    default r + 4. Any fit failure rebuilds every table at the bound plus
-    2. A stabilization failure there is rewritten as DegreeExceedsError
+    fitted before the next one is built. Any fit failure at the first of
+    the ``grid_bounds`` rebuilds every table at the enlarged one. A
+    stabilization failure there is rewritten as DegreeExceedsError
     when the first table's degree estimate provably exceeds r, and that
     estimate is checked against r after a successful fit too.
 
     Returns ([(table, stops, leading form), ...], estimate, enlarged).
     """
-    gmax = r + 4 if grid is None else grid
+    gmax, enlarged_gmax = grid_bounds(r, grid)
     tables = []
 
     def attempt(bound):
@@ -321,7 +329,7 @@ def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
     except _REFIT:
         enlarged = True
         try:
-            fits = attempt(gmax + 2)
+            fits = attempt(enlarged_gmax)
         except StabilizationError as err:
             with suppress(StabilizationError, GridTooSmallError):
                 _check_degree(tables[0], r, window, err)

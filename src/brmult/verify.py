@@ -33,10 +33,14 @@ from .multiplicity import (
     MultiplicityReport,
     PureQuery,
     br_multiplicities,
+    grid_bounds,
     mixed_br_multiplicities,
+    pure_table,
+    resolve_r,
 )
 from .polyfit import (
     DEFAULT_WINDOW,
+    DegreeExceedsError,
     _alphas,
     _difference_tables,
     total_degree_estimate,
@@ -49,6 +53,7 @@ __all__ = [
     "check_telescoping",
     "check_mixed_factor_sum",
     "check_degree_bound",
+    "check_br_degree_bound",
     "check_symmetry",
 ]
 
@@ -301,9 +306,26 @@ def check_degree_bound(report: MultiplicityReport) -> VerificationReport:
     i.e. one from the region where the table should already be
     polynomial.
     """
-    table = report.table
-    r = report.r
-    estimate = total_degree_estimate(table, report.leading.window)
+    return _degree_bound(report.table, report.r, report.leading.window)
+
+
+def check_br_degree_bound(query: PureQuery) -> VerificationReport:
+    """``check_degree_bound`` on the Buchsbaum-Rim report of ``query``.
+
+    When the fit itself fails with DegreeExceedsError there is no report,
+    so the check runs on the table at the fit's enlarged grid bound, and
+    fails with a difference witness rather than an error.
+    """
+    try:
+        return check_degree_bound(br_multiplicities(query))
+    except DegreeExceedsError:
+        r, _ = resolve_r(query.module, query.r)
+        _, gmax = grid_bounds(r, query.grid)
+        return _degree_bound(pure_table(query, gmax)[0], r, query.window)
+
+
+def _degree_bound(table, r: int, window: int) -> VerificationReport:
+    estimate = total_degree_estimate(table, window)
     passed = estimate <= r
     witness = None
     if not passed:

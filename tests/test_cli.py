@@ -195,6 +195,21 @@ def test_verify_failure_exits_two(tmp_path, monkeypatch):
     assert doc["verification"][0]["witness"] == "cell disagrees"
 
 
+def test_degree_bound_failure_exits_two_with_a_witness(tmp_path):
+    # the fit at r = 1 raises DegreeExceedsError; the check must still
+    # report, from the table at the enlarged grid
+    path = write(tmp_path, BLOCK)
+    code, out = run(["verify", "degree-bound", path, "--r", "1"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    [check] = doc["verification"]
+    assert check["check"] == "degree-bound"
+    assert check["left"] == [["degree estimate", "3"]]
+    assert check["right"] == [["declared r", "1"]]
+    assert check["witness"] == "difference of order (1, 1) at (6, 6) is 7, not 0"
+
+
 def test_support_condition_error_kind(tmp_path):
     path = write(
         tmp_path, "field Q\nring base x y fiber T\nsubmodule H fiberdeg 0 gens\n"

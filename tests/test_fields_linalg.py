@@ -11,8 +11,10 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brmult.linalg as linalg
 from brmult.fields import FieldError, PrimeField, QQ
-from brmult.linalg import Matrix, ShapeError, rank, rref, subspace_dim
+from brmult.linalg import MODULUS, ShapeError, subspace_dim
+from dense_oracle import Matrix, rank, rref
 
 F7 = PrimeField(7)
 BIG_P = PrimeField(2**31 - 1)
@@ -89,6 +91,49 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def low_rank_rows(draw, entries):
+    """A product of nrows x k and k x ncols matrices, so rank <= k."""
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+    left = [[draw(entries) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(entries) for _ in range(ncols)] for _ in range(k)]
+    return [
+        [
+            sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+            for j in range(ncols)
+        ]
+        for i in range(nrows)
+    ]
+
+
+integer_entries = st.integers(min_value=-10**12, max_value=10**12)
+# k * MODULUS + s reduces to s in {-1, 0, 1}; such images mod p often
+# lose rank that the matrix over Q has, so the exact fallback must run
+wrapped_entries = st.builds(
+    lambda k, s: k * MODULUS + s,
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-1, max_value=1),
+)
+rational_entries = st.fractions(max_denominator=10**6).filter(
+    lambda x: abs(x.numerator) <= 10**12
+)
+
+
+@st.composite
+def kernel_matrices(draw):
+    entries = draw(
+        st.sampled_from(
+            [small_entries, integer_entries, wrapped_entries, rational_entries]
+        )
+    )
+    if draw(st.booleans()):
+        return low_rank_rows(draw, entries)
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_minor_oracle(rows):
@@ -142,8 +187,8 @@ def test_rref_ignores_row_order(rows, rnd):
     assert nonzero_a == nonzero_b
 
 
-@given(small_matrices)
-@settings(max_examples=150, deadline=None)
+@given(kernel_matrices())
+@settings(max_examples=250, deadline=None)
 def test_subspace_dim_matches_rref_rank(rows):
     assert subspace_dim(rows, QQ) == rank(Matrix.from_rows(QQ, rows))
 
@@ -163,6 +208,38 @@ def test_matrix_shape_validation():
         Matrix(QQ, 2, 2, ((QQ.one,),))
     with pytest.raises(ShapeError):
         subspace_dim([[1, 2], [1, 2, 3]], QQ, ncols=2)
+
+
+def test_ragged_row_after_full_rank_is_rejected():
+    # the kernel stops eliminating at rank 2, but the third row is checked
+    for field in (QQ, F7):
+        with pytest.raises(ShapeError):
+            subspace_dim([[1, 0], [0, 1], [1, 2, 3]], field, ncols=2)
+        with pytest.raises(ShapeError):
+            subspace_dim([[1, 0], [0, 1], [1]], field)
+
+
+def test_entries_vanishing_mod_p_are_dropped():
+    # 7 is zero in F_7, so both rows are multiples of (0, 1)
+    assert subspace_dim([[7, 1], [0, 1]], F7) == 1
+    assert subspace_dim([[7, 14], [21, 0]], F7) == 0
+
+
+@pytest.mark.parametrize(
+    "rows", [[[MODULUS, 0], [0, 1]], [[1, 1], [1, 1 + MODULUS]]]
+)
+def test_rank_over_q_falls_back_when_p_divides_a_minor(rows, monkeypatch):
+    moduli = []
+    kernel = linalg._rank
+
+    def spy(sparse_rows, ncols, modulus):
+        moduli.append(modulus)
+        return kernel(sparse_rows, ncols, modulus)
+
+    monkeypatch.setattr(linalg, "_rank", spy)
+    assert subspace_dim(rows, QQ) == 2
+    assert moduli == [MODULUS, None]
+    assert subspace_dim(rows, BIG_P) == 1
 
 
 def test_rref_known_form():

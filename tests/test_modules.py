@@ -13,12 +13,12 @@ from brmult.modules import (
     krull_dimension,
     piece_basis,
     piece_dimension,
-    piece_subspace,
     quotient_fiber_length,
     slice_dims_up_to,
     span_dim,
 )
 from brmult.rings import GradingError, RingSpec, monomial_basis
+from dense_oracle import piece_subspace
 
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 R22 = RingSpec(QQ, ("x", "y"), ("u", "v"))

@@ -7,6 +7,7 @@ under test.
 
 import pytest
 
+import brmult.linalg as linalg
 from brmult.corpus import curated_local, curated_mixed, curated_pure
 from brmult.fields import QQ
 from brmult.modules import FreeModuleSpec, ModulePresentation
@@ -257,6 +258,32 @@ def test_samuel_function_values():
     axis = SubmoduleSpec(BASE, 0, (x,))
     with pytest.raises(Exception):
         samuel_function(module, axis, 1)
+
+
+def test_nonmonomial_block_ranks_over_q_are_all_certified(monkeypatch):
+    # (x+2y, 3x-y)*(u+v, u-2v) generates the same ideal as the monomial
+    # block, so it has the same e-values. Every elimination it makes ends
+    # at full rank mod 2^31 - 1, so none may reach Fraction arithmetic.
+    kernel = linalg._rank
+
+    def modular_only(rows, ncols, modulus):
+        if modulus is None:
+            raise AssertionError("exact fallback reached")
+        return kernel(rows, ncols, modulus)
+
+    monkeypatch.setattr(linalg, "_rank", modular_only)
+    x, y, u, v = (R22.gen(s) for s in "xyuv")
+    base = (x + y * 2, x * 3 - y)
+    fiber = (u + v, u - v * 2)
+    h = SubmoduleSpec(R22, 1, tuple(b * f for b in base for f in fiber))
+    report = br_multiplicities(PureQuery(free_module(R22), h, grid=5))
+    assert report.leading.as_dict() == {
+        (3, 0): 3,
+        (2, 1): 1,
+        (1, 2): 0,
+        (0, 3): 0,
+    }
+    assert report.table == br_multiplicities(block_query(grid=5)).table
 
 
 def test_degree_exceeds_is_a_hard_error():
