@@ -20,6 +20,7 @@ from .rings import (
 )
 from .modules import (
     CutoffExceeded,
+    CutoffTooSmall,
     DEFAULT_CUTOFF,
     FreeModuleSpec,
     HilbertProbeError,

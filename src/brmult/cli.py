@@ -31,6 +31,7 @@ from .fields import FieldError, PrimeField, QQ, RationalField
 from .filtration import check_filtration_inclusions
 from .modules import (
     CutoffExceeded,
+    CutoffTooSmall,
     FreeModuleSpec,
     HilbertProbeError,
     ModulePresentation,
@@ -491,6 +492,7 @@ _ERROR_KINDS = (
     (SupportConditionError, "support-condition"),
     (KInstabilityError, "k-instability"),
     (CutoffExceeded, "cutoff-exceeded"),
+    (CutoffTooSmall, "cutoff-too-small"),
     (StabilizationError, "stabilization"),
     (GridTooSmallError, "grid-too-small"),
     (DegreeExceedsError, "degree-exceeds"),

@@ -10,16 +10,22 @@ bidegree piece of F. Spanning sets come in two flavors,
   fiber-degree-n_src slice of the module, the shape every power H^p M_n
   and mixed product H1^p H2^q M_n takes.
 
-Single-monomial spanning vectors are counted by a divisibility scan and
-only genuinely polynomial vectors go through field elimination; the rank
-of a union of distinct unit vectors U and other rows V is |U| plus the
-rank of V with the U coordinates cleared, so this is exact.
+Single-monomial spanning vectors generate a monomial ideal J_i on each
+free component i, and the basis monomials they span in a piece are
+counted from the bigraded Hilbert numerator of S/J_i (Bayer-Stillman,
+"Computation of Hilbert functions", J. Symb. Comp. 1992; Bigatti,
+"Computation of Hilbert-Poincare series", JPAA 119, 1997), computed once
+per ideal. Only genuinely polynomial vectors go through field
+elimination; the rank of a union of distinct unit vectors U and other
+rows V is |U| plus the rank of V with the U coordinates cleared, so this
+is exact.
 
 Fiber-slice lengths carry a finiteness certificate: the quotient being
 measured is generated in base degrees <= D, so the first zero summand at
 or past D proves all later summands vanish. If no such degree appears
 below the cutoff, the support condition fails and we raise instead of
-silently truncating.
+silently truncating. A cutoff below D, or below the base degree where
+the spans divided by first act, cannot tell and is reported as too small.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import subspace_dim
+from .polyfit import LengthTable, finite_difference
 from .rings import GradingError, Polynomial, RingSpec, monomial_basis
 
 __all__ = [
@@ -38,6 +46,7 @@ __all__ = [
     "SliceSpan",
     "LengthResult",
     "CutoffExceeded",
+    "CutoffTooSmall",
     "ZeroModuleError",
     "HilbertProbeError",
     "piece_dimension",
@@ -65,6 +74,25 @@ class CutoffExceeded(RuntimeError):
             f"slice at fiber degree {fiber_degree} still has positive length at"
             f" base degree {cutoff}; the quotient looks infinite (support"
             " condition violated) or the cutoff is too small"
+        )
+
+
+class CutoffTooSmall(ValueError):
+    """The cutoff ended a slice walk before the walk could test finiteness.
+
+    Raised up front when the cutoff lies below the walk's certificate
+    degree, and when the walk reaches the cutoff before any span it
+    divides by acts. Neither case says anything about the support
+    condition: the setting is too small.
+    """
+
+    def __init__(self, fiber_degree: int, cutoff: int, needed: int, where: str):
+        self.fiber_degree = fiber_degree
+        self.cutoff = cutoff
+        self.needed = needed
+        super().__init__(
+            f"cutoff {cutoff} ends the slice at fiber degree {fiber_degree}"
+            f" below base degree {needed}, {where}; raise the cutoff"
         )
 
 
@@ -102,6 +130,10 @@ class ModulePresentation:
     Each relation is a tuple of polynomials, one entry per free generator;
     a nonzero entry in slot i must have bidegree (target - shift_i) for a
     single target bidegree shared by the whole vector.
+
+    Relations with a single monomial entry are kept per component as
+    monomial ideal generators (``_comp_monos``); the others, as
+    (nonzero entries, target) pairs, in ``_poly_relations``.
     """
 
     free: FreeModuleSpec
@@ -110,6 +142,8 @@ class ModulePresentation:
     def __post_init__(self):
         kept = []
         targets = []
+        comp_monos = [()] * self.free.rank
+        poly_relations = []
         for rel in self.relations:
             rel = tuple(rel)
             if len(rel) != self.free.rank:
@@ -136,8 +170,16 @@ class ModulePresentation:
                 continue  # zero vector adds nothing to K
             kept.append(rel)
             targets.append(target)
+            nonzero = tuple((i, e) for i, e in enumerate(rel) if not e.is_zero())
+            if len(nonzero) == 1 and nonzero[0][1].is_monomial():
+                i, entry = nonzero[0]
+                comp_monos[i] += (entry.terms[0][0],)
+            else:
+                poly_relations.append((nonzero, target))
         object.__setattr__(self, "relations", tuple(kept))
         object.__setattr__(self, "_targets", tuple(targets))
+        object.__setattr__(self, "_comp_monos", tuple(comp_monos))
+        object.__setattr__(self, "_poly_relations", tuple(poly_relations))
 
     @property
     def ring(self) -> RingSpec:
@@ -173,8 +215,22 @@ def _piece_index(free: FreeModuleSpec, deg) -> dict:
     return {key: flat for flat, key in enumerate(basis)}
 
 
+def _monomial_count(degree: int, nvars: int) -> int:
+    """Number of monomials of ``degree`` in ``nvars`` variables."""
+    if degree < 0:
+        return 0
+    if nvars == 0:
+        return 1 if degree == 0 else 0
+    return comb(degree + nvars - 1, nvars - 1)
+
+
 def free_piece_dim(free: FreeModuleSpec, deg) -> int:
-    return len(piece_basis(free, deg)[0])
+    a, nn = deg
+    s, t = len(free.ring.base), len(free.ring.fiber)
+    return sum(
+        _monomial_count(a - ai, s) * _monomial_count(nn - ni, t)
+        for ai, ni in free.shifts
+    )
 
 
 def _validated_items(items, fiber_deg: int):
@@ -195,65 +251,143 @@ def _validated_items(items, fiber_deg: int):
     return out
 
 
-def _prune_dominated(monos):
-    """Keep only divisibility-minimal monomials (same span, fewer tests)."""
+def _prune_dominated(monos) -> tuple:
+    """The divisibility-minimal monomials, sorted by (degree, exponents)."""
     monos = sorted(set(monos), key=lambda m: (sum(m), m))
     kept = []
     for m in monos:
         if not any(all(a >= b for a, b in zip(m, k)) for k in kept):
             kept.append(m)
-    return kept
+    return tuple(kept)
 
 
-def _split_spanning_set(pres: ModulePresentation, deg, items):
-    """Classify the spanning set of K + items at ``deg``.
+@lru_cache(maxsize=512)
+def _minimal_generators(monos: tuple) -> tuple:
+    """``_prune_dominated`` of the raw monomial generators of one span."""
+    return _prune_dominated(monos)
 
-    Returns (ring_monos, comp_monos, poly_rows): divisibility monomials
-    acting on every component, per-component divisibility monomials from
-    single-entry monomial relations, and the remaining spanning vectors as
-    {flat position: coefficient} dictionaries.
+
+def _shifted_sum(p: dict, q: dict, b: int, f: int, sign: int) -> dict:
+    """p + sign * X^b Y^f * q for polynomials stored as {(b, f): c}."""
+    out = dict(p)
+    for (qb, qf), c in q.items():
+        key = (qb + b, qf + f)
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=2048)
+def _hilbert_numerator(gens: tuple, nbase: int) -> tuple:
+    """Bigraded Hilbert numerator of S/J, J minimally generated by ``gens``.
+
+    ``gens`` is a ``_prune_dominated`` result; the first ``nbase``
+    exponents belong to base variables. Returns terms (b, f, c) with
+    sum_{a, n} dim (S/J)_{a, n} X^a Y^n = sum c X^b Y^f / ((1-X)^s (1-Y)^t).
+
+    Pairwise coprime generators give the product of the factors
+    (1 - X^b Y^f). Otherwise the pivot P = x_j^e splits the series by
+    N(J) = N(J + P) + X^e N(J : P), with Y^e for a fiber variable x_j.
+    x_j is the variable in the most generators that are not pure powers
+    and e its least positive exponent among them. A minimal generator
+    x_j^e' with e' <= e would divide one of those, so P is not in J, and
+    both J + P and J : P have a smaller total degree of generators that
+    are not pure powers: the recursion ends.
     """
+    nvars = len(gens[0]) if gens else 0
+    occurs = [0] * nvars
+    mixed = [0] * nvars
+    for m in gens:
+        support = [j for j, e in enumerate(m) if e]
+        for j in support:
+            occurs[j] += 1
+            mixed[j] += len(support) > 1
+    if max(occurs, default=0) <= 1:
+        poly = {(0, 0): 1}
+        for m in gens:
+            poly = _shifted_sum(poly, poly, sum(m[:nbase]), sum(m[nbase:]), -1)
+        return tuple((b, f, c) for (b, f), c in sorted(poly.items()))
+
+    j = max(range(nvars), key=mixed.__getitem__)
+    e = min(m[j] for m in gens if m[j] and sum(map(bool, m)) > 1)
+    pivot = tuple(e if v == j else 0 for v in range(nvars))
+    with_pivot = tuple(
+        sorted(
+            [m for m in gens if m[j] < e] + [pivot], key=lambda m: (sum(m), m)
+        )
+    )
+    colon = _prune_dominated(
+        m[:j] + (max(m[j] - e, 0),) + m[j + 1 :] for m in gens
+    )
+    poly = _shifted_sum(
+        {(b, f): c for b, f, c in _hilbert_numerator(with_pivot, nbase)},
+        {(b, f): c for b, f, c in _hilbert_numerator(colon, nbase)},
+        e if j < nbase else 0,
+        0 if j < nbase else e,
+        1,
+    )
+    return tuple((b, f, c) for (b, f), c in sorted(poly.items()))
+
+
+def _standard_count(ring: RingSpec, gens: tuple, deg) -> int:
+    """Monomials of bidegree ``deg`` outside the monomial ideal (``gens``)."""
+    a, n = deg
+    s, t = len(ring.base), len(ring.fiber)
+    return sum(
+        c * _monomial_count(a - b, s) * _monomial_count(n - f, t)
+        for b, f, c in _hilbert_numerator(gens, s)
+    )
+
+
+def _span_plan(pres: ModulePresentation, items) -> tuple:
+    """What ``_span_dim`` needs of validated items at any bidegree.
+
+    Returns (unit, ideals, poly_items): whether the unit is a monomial
+    item, the minimal generators of the monomial ideal J_i spanned on
+    each component i (the monomial items and the component's monomial
+    relations), and the items that are not monomials.
+    """
+    ring_monos = _minimal_generators(
+        tuple(g.terms[0][0] for g, _, _ in items if g.is_monomial())
+    )
+    unit = bool(ring_monos) and not any(ring_monos[0])
+    ideals = tuple(
+        _minimal_generators(ring_monos + extra) if extra else ring_monos
+        for extra in pres._comp_monos
+    )
+    poly_items = tuple(item for item in items if not item[0].is_monomial())
+    return unit, ideals, poly_items
+
+
+def _polynomial_rows(pres: ModulePresentation, deg, poly_items) -> list:
+    """Spanning vectors of K + items at ``deg`` that are not monomials.
+
+    Each is a {flat position: coefficient} dictionary: the multiples of
+    polynomial items and of relations that are not a single monomial.
+    """
+    if not poly_items and not pres._poly_relations:
+        return []
     a, nn = deg
     free = pres.free
     ring = free.ring
     index = _piece_index(free, deg)
-    ring_monos = []
-    comp_monos = {}
-    poly_rows = []
-
-    for g, n_src, gb in items:
-        if g.is_monomial():
-            ring_monos.append(g.terms[0][0])
-            continue
+    rows = []
+    for g, n_src, gb in poly_items:
         for i, (ai, ni) in enumerate(free.shifts):
             for fm in monomial_basis(ring, (a - gb - ai, n_src - ni)):
                 row = {}
                 for gm, c in g.terms:
                     prod = tuple(x + y for x, y in zip(gm, fm))
                     row[index[(i, prod)]] = c
-                poly_rows.append(row)
-
-    for rel, (tb, tf) in zip(pres.relations, pres.relation_targets()):
-        mult_basis = monomial_basis(ring, (a - tb, nn - tf))
-        if not mult_basis:
-            continue
-        nonzero = [(i, entry) for i, entry in enumerate(rel) if not entry.is_zero()]
-        if len(nonzero) == 1 and nonzero[0][1].is_monomial():
-            comp_monos.setdefault(nonzero[0][0], []).append(
-                nonzero[0][1].terms[0][0]
-            )
-            continue
-        for mu in mult_basis:
+                rows.append(row)
+    for nonzero, (tb, tf) in pres._poly_relations:
+        for mu in monomial_basis(ring, (a - tb, nn - tf)):
             row = {}
             for i, entry in nonzero:
                 for pm, c in entry.terms:
                     prod = tuple(x + y for x, y in zip(pm, mu))
                     row[index[(i, prod)]] = c
-            poly_rows.append(row)
-
-    return _prune_dominated(ring_monos), {
-        i: _prune_dominated(ms) for i, ms in comp_monos.items()
-    }, poly_rows
+            rows.append(row)
+    return rows
 
 
 def _divides(g, m) -> bool:
@@ -262,32 +396,38 @@ def _divides(g, m) -> bool:
 
 def span_dim(pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()) -> int:
     """Dimension of (K + span of items) inside F at bidegree ``deg``."""
-    basis, _ = piece_basis(pres.free, deg)
-    if not basis:
+    validated = _validated_items(items, deg[1]) if items else ()
+    return _span_dim(pres, deg, _span_plan(pres, validated))
+
+
+def _span_dim(pres: ModulePresentation, deg, plan) -> int:
+    """``span_dim`` of the items a ``_span_plan`` describes."""
+    free = pres.free
+    total = free_piece_dim(free, deg)
+    if not total:
         return 0
+    unit, ideals, poly_items = plan
+    if unit:
+        return total  # the unit is a spanning generator
     a, nn = deg
-    fiber_items = _validated_items(items, nn) if items else []
-    ring_monos, comp_monos, poly_rows = _split_spanning_set(pres, deg, fiber_items)
-
-    if any(sum(g) == 0 for g in ring_monos):
-        return len(basis)  # the unit is a spanning generator
-
-    unit = set()
-    for flat, (i, mono) in enumerate(basis):
-        if any(_divides(g, mono) for g in ring_monos):
-            unit.add(flat)
-            continue
-        extra = comp_monos.get(i)
-        if extra and any(_divides(g, mono) for g in extra):
-            unit.add(flat)
-
+    spanned = total - sum(
+        _standard_count(free.ring, gens, (a - ai, nn - ni))
+        for gens, (ai, ni) in zip(ideals, free.shifts)
+    )
+    poly_rows = _polynomial_rows(pres, deg, poly_items)
     if not poly_rows:
-        return len(unit)
+        return spanned
 
+    basis, _ = piece_basis(free, deg)
+    unit_columns = set()
+    for p in {p for row in poly_rows for p in row}:
+        i, mono = basis[p]
+        if any(_divides(g, mono) for g in ideals[i]):
+            unit_columns.add(p)
     field = pres.ring.field
     seen = {}
     for row in poly_rows:
-        stripped = {p: c for p, c in row.items() if p not in unit}
+        stripped = {p: c for p, c in row.items() if p not in unit_columns}
         if not stripped:
             continue
         lead = min(stripped)
@@ -297,7 +437,7 @@ def span_dim(pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()) -> 
         )
         seen[normalized] = True
     if not seen:
-        return len(unit)
+        return spanned
 
     columns = sorted({p for key in seen for p, _ in key})
     colmap = {p: j for j, p in enumerate(columns)}
@@ -307,7 +447,7 @@ def span_dim(pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()) -> 
         for p, c in key:
             row[colmap[p]] = c
         dense.append(row)
-    return len(unit) + subspace_dim(dense, field, len(columns))
+    return spanned + subspace_dim(dense, field, len(columns))
 
 
 def piece_dimension(pres: ModulePresentation, deg) -> int:
@@ -336,15 +476,15 @@ def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom):
     free slice. T must contain B; a negative dimension trips an assertion
     rather than lying.
     """
-    top_items = None if top is None else [SliceSpan(g, n) for g, n, _ in top]
-    bottom_items = [SliceSpan(g, n) for g, n, _ in bottom]
+    top_plan = None if top is None else _span_plan(pres, top)
+    bottom_plan = _span_plan(pres, bottom)
     for a in itertools.count():
         deg = (a, fiber_deg)
         if top is None:
             top_dim = free_piece_dim(pres.free, deg)
         else:
-            top_dim = span_dim(pres, deg, top_items)
-        bottom_dim = span_dim(pres, deg, bottom_items)
+            top_dim = _span_dim(pres, deg, top_plan)
+        bottom_dim = _span_dim(pres, deg, bottom_plan)
         if top_dim < bottom_dim:
             raise AssertionError(
                 f"spanning sets not nested at bidegree {deg}:"
@@ -365,16 +505,28 @@ def graded_slice_length(
     B is K plus the span of ``bottom_items``. T is the full free slice
     when ``top_items`` is None, otherwise K plus the span of
     ``top_items`` (which must contain B).
+
+    A walk that reaches ``cutoff`` raises CutoffExceeded, or CutoffTooSmall
+    when the cutoff lies below the certificate degree (checked up front)
+    or below the base degree where the ``bottom_items`` first act.
     """
     top = None if top_items is None else _validated_items(top_items, fiber_deg)
     bottom = _validated_items(bottom_items, fiber_deg)
-    max_shift = max((a for a, _ in pres.free.shifts), default=0)
+    shifts = [a for a, _ in pres.free.shifts]
+    max_shift = max(shifts, default=0)
     if top is None:
         certificate = max_shift
     elif top:
         certificate = max(gb for _, _, gb in top) + max_shift
     else:
         certificate = 0
+    if cutoff < certificate:
+        raise CutoffTooSmall(
+            fiber_deg, cutoff, certificate, "where its finiteness certificate starts"
+        )
+    # Below this base degree no bottom item spans anything, so a walk cut
+    # off there has not tested the quotient by them at all.
+    reach = min(gb for _, _, gb in bottom) + min(shifts, default=0) if bottom else 0
 
     per_degree = []
     for a, summand in enumerate(_slice_dims(pres, fiber_deg, top, bottom)):
@@ -382,6 +534,10 @@ def graded_slice_length(
         if summand == 0 and a >= certificate:
             return LengthResult(sum(per_degree), tuple(per_degree), a)
         if a >= cutoff:
+            if cutoff < reach:
+                raise CutoffTooSmall(
+                    fiber_deg, cutoff, reach, "where the spans it divides by first act"
+                )
             raise CutoffExceeded(fiber_deg, cutoff)
 
 
@@ -421,13 +577,6 @@ def quotient_fiber_length(
     return graded_slice_length(pres, fiber_deg, None, extra, cutoff)
 
 
-def _iterated_diff(values, order):
-    out = list(values)
-    for _ in range(order):
-        out = [b - a for a, b in zip(out, out[1:])]
-    return out
-
-
 def krull_dimension(
     pres: ModulePresentation,
     probe: Optional[int] = None,
@@ -456,9 +605,10 @@ def krull_dimension(
     tail = window + 2
     if len(h) >= tail and all(v == 0 for v in h[-tail:]):
         return 0
-    for degree in range(0, len(h) - tail):
-        diffs = _iterated_diff(h, degree + 1)
-        if len(diffs) >= tail and all(v == 0 for v in diffs[-tail:]):
+    table = LengthTable(("t",), (0,), (len(h),), tuple(h))
+    for degree in range(len(h) - tail):
+        table = finite_difference(table, "t")
+        if all(v == 0 for v in table.values[-tail:]):
             return degree + 1
     raise HilbertProbeError(
         f"Hilbert function not polynomial within total degree {probe};"

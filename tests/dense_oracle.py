@@ -1,9 +1,12 @@
-"""Dense reference linear algebra the tests compare the library against.
+"""Reference routes the tests compare the library against.
 
 ``rref`` is plain Gauss-Jordan elimination on dense rows in exact field
 arithmetic, and ``piece_subspace`` materializes every spanning vector of
 a bidegree piece as a dense row. Both are slow and independent of the
-sparse rank kernel in ``brmult.linalg``, which is why they live here.
+sparse rank kernel in ``brmult.linalg``. ``scan_span_dim`` measures the
+same span as ``brmult.modules.span_dim`` by testing every basis monomial
+of the piece for divisibility, independent of the Hilbert numerators the
+library counts with.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from brmult.linalg import ShapeError
+from brmult.linalg import ShapeError, subspace_dim
 from brmult.modules import (
     ModulePresentation,
     SliceSpan,
@@ -142,3 +145,97 @@ def piece_subspace(
     m = Matrix.from_rows(field, rows) if rows else Matrix(field, 0, len(basis), ())
     reduced, rk = rref(m)
     return PieceSubspace((a, nn), basis, reduced, rk)
+
+
+def _prune_dominated(monos):
+    """Keep only divisibility-minimal monomials."""
+    monos = sorted(set(monos), key=lambda m: (sum(m), m))
+    kept = []
+    for m in monos:
+        if not any(all(a >= b for a, b in zip(m, k)) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _divides(g, m) -> bool:
+    return all(a >= b for a, b in zip(m, g))
+
+
+def scan_span_dim(
+    pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()
+) -> int:
+    """Dimension of (K + span of items) inside F at ``deg``, by a full scan.
+
+    Single-monomial spanning vectors are counted by testing every basis
+    monomial of the piece against every such generator; the remaining
+    vectors, with those coordinates cleared, go through ``subspace_dim``.
+    """
+    basis, _ = piece_basis(pres.free, deg)
+    if not basis:
+        return 0
+    a, nn = deg
+    free = pres.free
+    ring = free.ring
+    index = _piece_index(free, deg)
+    ring_monos = []
+    comp_monos = {}
+    poly_rows = []
+    for g, n_src, gb in _validated_items(items, nn):
+        if g.is_monomial():
+            ring_monos.append(g.terms[0][0])
+            continue
+        for i, (ai, ni) in enumerate(free.shifts):
+            for fm in monomial_basis(ring, (a - gb - ai, n_src - ni)):
+                row = {}
+                for gm, c in g.terms:
+                    prod = tuple(x + y for x, y in zip(gm, fm))
+                    row[index[(i, prod)]] = c
+                poly_rows.append(row)
+    for rel, (tb, tf) in zip(pres.relations, pres.relation_targets()):
+        mult_basis = monomial_basis(ring, (a - tb, nn - tf))
+        if not mult_basis:
+            continue
+        nonzero = [(i, entry) for i, entry in enumerate(rel) if not entry.is_zero()]
+        if len(nonzero) == 1 and nonzero[0][1].is_monomial():
+            comp_monos.setdefault(nonzero[0][0], []).append(
+                nonzero[0][1].terms[0][0]
+            )
+            continue
+        for mu in mult_basis:
+            row = {}
+            for i, entry in nonzero:
+                for pm, c in entry.terms:
+                    prod = tuple(x + y for x, y in zip(pm, mu))
+                    row[index[(i, prod)]] = c
+            poly_rows.append(row)
+    ring_monos = _prune_dominated(ring_monos)
+    comp_monos = {i: _prune_dominated(ms) for i, ms in comp_monos.items()}
+
+    if any(sum(g) == 0 for g in ring_monos):
+        return len(basis)
+    unit = set()
+    for flat, (i, mono) in enumerate(basis):
+        if any(_divides(g, mono) for g in ring_monos):
+            unit.add(flat)
+        elif any(_divides(g, mono) for g in comp_monos.get(i, ())):
+            unit.add(flat)
+
+    field = ring.field
+    seen = {}
+    for row in poly_rows:
+        stripped = {p: c for p, c in row.items() if p not in unit}
+        if not stripped:
+            continue
+        inv = field.div(field.one, stripped[min(stripped)])
+        seen[tuple(sorted((p, field.mul(inv, c)) for p, c in stripped.items()))] = True
+    if not seen:
+        return len(unit)
+    columns = sorted({p for key in seen for p, _ in key})
+    colmap = {p: j for j, p in enumerate(columns)}
+    dense = []
+    for key in seen:
+        row = [field.zero] * len(columns)
+        for p, c in key:
+            row[colmap[p]] = c
+        dense.append(row)
+    return len(unit) + subspace_dim(dense, field, len(columns))

@@ -219,6 +219,23 @@ def test_support_condition_error_kind(tmp_path):
     assert json.loads(out)["error"]["kind"] == "support-condition"
 
 
+def test_cutoff_too_small_error_kind(tmp_path):
+    path = write(tmp_path, BLOCK)
+    code, out = run(["br", path, "--cutoff", "0"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "cutoff-too-small"
+    # an infinite quotient still reports cutoff-exceeded
+    principal = write(
+        tmp_path,
+        "field Q\nring base x y fiber T\n"
+        "submodule H1 fiberdeg 0 gens x\nsubmodule H2 fiberdeg 0 gens y\n",
+        "principal.txt",
+    )
+    code, out = run(["verify", "all", principal])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "cutoff-exceeded"
+
+
 def test_parse_error_kind(tmp_path):
     path = write(tmp_path, "field Fp 4\nring base x y fiber\n")
     code, out = run(["br", path])

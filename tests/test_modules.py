@@ -6,10 +6,17 @@ from hypothesis import given, settings, strategies as st
 from brmult.fields import QQ
 from brmult.modules import (
     CutoffExceeded,
+    CutoffTooSmall,
     FreeModuleSpec,
+    HilbertProbeError,
     ModulePresentation,
     SliceSpan,
+    ZeroModuleError,
+    _hilbert_numerator,
+    _prune_dominated,
+    _standard_count,
     free_piece_dim,
+    graded_slice_length,
     krull_dimension,
     piece_basis,
     piece_dimension,
@@ -17,8 +24,8 @@ from brmult.modules import (
     slice_dims_up_to,
     span_dim,
 )
-from brmult.rings import GradingError, RingSpec, monomial_basis
-from dense_oracle import piece_subspace
+from brmult.rings import GradingError, Polynomial, RingSpec, monomial_basis
+from dense_oracle import piece_subspace, scan_span_dim
 
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 R22 = RingSpec(QQ, ("x", "y"), ("u", "v"))
@@ -71,6 +78,25 @@ def test_infinite_quotient_hits_cutoff():
     m = free_module(R2)
     with pytest.raises(CutoffExceeded):
         quotient_fiber_length(m, [], 0, cutoff=12)
+    # x spans from base degree 1 on, so a cutoff of 3 did test it
+    with pytest.raises(CutoffExceeded):
+        quotient_fiber_length(m, [SliceSpan(R2.gen("x"), 0)], 0, cutoff=3)
+
+
+def test_cutoff_below_what_the_walk_needs_is_too_small():
+    m = free_module(R2)
+    x, y = R2.gen("x"), R2.gen("y")
+    squares = [SliceSpan(g, 0) for g in (x * x, y * y)]
+    # the finite quotient k[x,y]/(x^2, y^2) needs base degrees 0..3
+    assert quotient_fiber_length(m, squares, 0, cutoff=3).total == 4
+    # cutoff 1 ends the walk before the squares span anything
+    with pytest.raises(CutoffTooSmall) as err:
+        quotient_fiber_length(m, squares, 0, cutoff=1)
+    assert err.value.needed == 2
+    # a top generated in base degree 2 has certificate degree 2
+    with pytest.raises(CutoffTooSmall) as err:
+        graded_slice_length(m, 0, squares, [], cutoff=1)
+    assert err.value.needed == 2
 
 
 def test_length_certificate_really_stops():
@@ -114,6 +140,21 @@ def test_krull_dimensions():
     x = R2.gen("x")
     killed = ModulePresentation(FreeModuleSpec(R2, ((0, 0),)), ((x,),))
     assert krull_dimension(killed) == 2
+
+
+def test_krull_dimension_error_outcomes():
+    base_only = RingSpec(QQ, ("x", "y"), ())
+    x, y = base_only.gen("x"), base_only.gen("y")
+    free = FreeModuleSpec(base_only, ((0, 0),))
+    with pytest.raises(ZeroModuleError):
+        krull_dimension(ModulePresentation(free, ((base_only.one,),)))
+    with pytest.raises(ZeroModuleError):
+        krull_dimension(ModulePresentation(FreeModuleSpec(base_only, ())))
+    artinian = ModulePresentation(free, ((x * x,), (x * y,), (y * y,)))
+    assert krull_dimension(artinian) == 0
+    with pytest.raises(HilbertProbeError):
+        krull_dimension(free_module(R22), probe=4)
+    assert krull_dimension(free_module(R22), probe=5, window=0) == 4
 
 
 def test_slice_dims_up_to_matches_piece_dims():
@@ -168,3 +209,152 @@ def test_cross_fiber_spans():
     dims = slice_dims_up_to(m, 1, None, [SliceSpan(xu, 0)], 4)
     # free dims are 2(a+1); the image of xu contributes a dims in degree a+1
     assert dims == (2, 3, 4, 5, 6)
+
+
+def _brute_standard_count(ring, gens, deg):
+    return sum(
+        not any(all(a >= b for a, b in zip(m, g)) for g in gens)
+        for m in monomial_basis(ring, deg)
+    )
+
+
+def test_hilbert_numerator_of_a_bigraded_monomial_ideal():
+    # x base, y fiber: S/(x^2, xy, y^3) has the basis 1, x, y, y^2, so the
+    # numerator is (1 + X + Y + Y^2)(1 - X)(1 - Y).
+    ring = RingSpec(QQ, ("x",), ("y",))
+    gens = _prune_dominated([(0, 3), (1, 1), (2, 0), (2, 1)])
+    assert gens == ((1, 1), (2, 0), (0, 3))
+    assert _hilbert_numerator(gens, 1) == (
+        (0, 0, 1),
+        (0, 3, -1),
+        (1, 1, -1),
+        (1, 3, 1),
+        (2, 0, -1),
+        (2, 1, 1),
+    )
+    # the same ideal with both variables in the base: 1 - 2t^2 + t^4
+    assert _hilbert_numerator(gens, 2) == ((0, 0, 1), (2, 0, -2), (4, 0, 1))
+    for a in range(5):
+        for n in range(5):
+            assert _standard_count(ring, gens, (a, n)) == _brute_standard_count(
+                ring, gens, (a, n)
+            )
+
+
+R3 = RingSpec(QQ, ("x", "y", "z"), ())
+
+
+@pytest.mark.parametrize(
+    "ring, gens",
+    [
+        # a pure power x^3 next to x*y and x^2*z: the pivot is x^1
+        (R3, [(3, 0, 0), (1, 1, 0), (2, 0, 1)]),
+        (R3, [(3, 0, 0), (2, 1, 0), (0, 2, 1), (0, 0, 2)]),
+        (R22, [(2, 0, 1, 0), (1, 1, 0, 1), (0, 3, 0, 0), (0, 0, 2, 1)]),
+        (R22, [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]),
+        (R22, [(0, 0, 0, 0)]),
+        (R22, []),
+    ],
+)
+def test_standard_count_matches_brute_force(ring, gens):
+    gens = _prune_dominated(gens)
+    for a in range(7):
+        for n in range(4):
+            assert _standard_count(ring, gens, (a, n)) == _brute_standard_count(
+                ring, gens, (a, n)
+            )
+
+
+SPAN_RINGS = (
+    R2,
+    R22,
+    RingSpec(QQ, ("x", "y", "z"), ()),  # empty fiber block
+    RingSpec(QQ, (), ("u", "v")),  # empty base block
+)
+
+
+@st.composite
+def polynomials(draw, ring, bidegree, max_terms):
+    basis = monomial_basis(ring, bidegree)
+    monos = draw(
+        st.lists(st.sampled_from(basis), min_size=1, max_size=max_terms, unique=True)
+    )
+    coeffs = draw(
+        st.lists(
+            st.integers(-3, 3).filter(bool), min_size=len(monos), max_size=len(monos)
+        )
+    )
+    return Polynomial.from_dict(ring, dict(zip(monos, coeffs)))
+
+
+@st.composite
+def span_cases(draw, max_terms):
+    """A presentation, a fiber degree and slice-span items over it.
+
+    Relations are single-entry (monomial ones feed the per-component
+    ideals) or, with ``max_terms`` > 1, polynomial and spread over
+    several components; items include the unit generator now and then.
+    """
+    ring = draw(st.sampled_from(SPAN_RINGS))
+    max_b = 3 if ring.base else 0
+    max_f = 2 if ring.fiber else 0
+    bidegrees = st.tuples(st.integers(0, max_b), st.integers(0, max_f))
+    rank = draw(st.integers(1, 3))
+    shifts = tuple(
+        (draw(st.integers(0, min(1, max_b))), draw(st.integers(0, min(1, max_f))))
+        for _ in range(rank)
+    )
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        slots = draw(
+            st.lists(st.integers(0, rank - 1), min_size=1, max_size=rank, unique=True)
+        )
+        if max_terms == 1:
+            slots = slots[:1]
+        tb, tf = draw(bidegrees)
+        tb += max(shifts[i][0] for i in slots)
+        tf += max(shifts[i][1] for i in slots)
+        rel = [ring.zero] * rank
+        for i in slots:
+            entry_deg = (tb - shifts[i][0], tf - shifts[i][1])
+            rel[i] = draw(polynomials(ring, entry_deg, max_terms))
+        relations.append(tuple(rel))
+    fiber = draw(st.integers(0, max_f))
+    items = []
+    for _ in range(draw(st.integers(0, 4))):
+        gb, gf = draw(bidegrees)
+        gf = min(gf, fiber)
+        items.append(SliceSpan(draw(polynomials(ring, (gb, gf), max_terms)), fiber - gf))
+    presentation = ModulePresentation(FreeModuleSpec(ring, shifts), tuple(relations))
+    return presentation, fiber, items
+
+
+@given(span_cases(max_terms=1))
+@settings(max_examples=150, deadline=None)
+def test_monomial_span_dim_matches_the_divisibility_scan(case):
+    pres, fiber, items = case
+    for a in range(6):
+        deg = (a, fiber)
+        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+        assert span_dim(pres, deg) == scan_span_dim(pres, deg)
+
+
+@given(span_cases(max_terms=3))
+@settings(max_examples=100, deadline=None)
+def test_mixed_span_dim_matches_the_divisibility_scan(case):
+    pres, fiber, items = case
+    for a in range(5):
+        deg = (a, fiber)
+        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+
+
+def test_polynomial_rows_are_cleared_by_their_own_component_ideal():
+    # x kills x*e1 only, so (x+y)*e1 and (2x+y)*e1 both reduce to y*e1
+    x, y = R2.gen("x"), R2.gen("y")
+    free = FreeModuleSpec(R2, ((0, 0), (0, 0)))
+    pres = ModulePresentation(free, ((R2.zero, x),))
+    items = [SliceSpan(x + y, 0), SliceSpan(2 * x + y, 0)]
+    for a in range(4):
+        deg = (a, 0)
+        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+    assert span_dim(pres, (1, 0), items) == 4
