@@ -32,6 +32,7 @@ from .modules import (
     LengthResult,
     ModulePresentation,
     SliceSpan,
+    _divides,
     graded_slice_length,
     span_dim,
 )
@@ -111,7 +112,12 @@ def _ideal_items(gens, target_fiber: int):
 
 
 def _contains(ring_pres, span_gens, g: Polynomial) -> bool:
-    """Is g in the bidegree piece spanned by span_gens at g's bidegree?"""
+    """Is g in the bidegree piece spanned by span_gens at g's bidegree?
+
+    A monomial lies in a monomial ideal exactly when a generator divides it.
+    """
+    if g.is_monomial() and all(h.is_monomial() for h in span_gens):
+        return any(_divides(h.terms[0][0], g.terms[0][0]) for h in span_gens)
     deg = g.bidegree()
     items = _ideal_items(span_gens, deg[1])
     base = span_dim(ring_pres, deg, items)

@@ -10,6 +10,14 @@ bidegree piece of F. Spanning sets come in two flavors,
   fiber-degree-n_src slice of the module, the shape every power H^p M_n
   and mixed product H1^p H2^q M_n takes.
 
+Slice-span items that share a source slice and a bidegree are first
+interreduced: their generators are replaced by the reduced row-echelon
+basis of the space they span, as in the first step of Faugere's F4
+(J. Pure Appl. Algebra 139, 1999). That is exact, because every spanning
+vector g e_i m is linear in g, so both generator sets span the same
+vectors at every bidegree. Echelon generators that are monomials join
+the monomial ideals below.
+
 Single-monomial spanning vectors generate a monomial ideal J_i on each
 free component i, and the basis monomials they span in a piece are
 counted from the bigraded Hilbert numerator of S/J_i (Bayer-Stillman,
@@ -338,6 +346,44 @@ def _standard_count(ring: RingSpec, gens: tuple, deg) -> int:
     )
 
 
+@lru_cache(maxsize=1024)
+def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
+    """Reduced row-echelon basis of the span of same-bidegree ``polys``.
+
+    The rows are monic, no row contains another's leading monomial, and
+    they come sorted by descending leading monomial, so the basis is the
+    unique one of the span and does not depend on the order of ``polys``.
+    """
+    f = ring.field
+    tails = {}  # leading monomial -> the rest of its row, {monomial: coeff}
+
+    def subtract(row, c, tail):
+        for m, v in tail.items():
+            x = f.sub(row.get(m, f.zero), f.mul(c, v))
+            if f.is_zero(x):
+                row.pop(m, None)
+            else:
+                row[m] = x
+
+    for g in polys:
+        row = dict(g.terms)
+        for lead in [m for m in row if m in tails]:
+            subtract(row, row.pop(lead), tails[lead])
+        if not row:
+            continue
+        lead = max(row)
+        inv = f.div(f.one, row.pop(lead))
+        row = {m: f.mul(inv, c) for m, c in row.items()}
+        for tail in tails.values():
+            if lead in tail:
+                subtract(tail, tail.pop(lead), row)
+        tails[lead] = row
+    return tuple(
+        Polynomial(ring, ((lead, f.one),) + tuple(sorted(tail.items(), reverse=True)))
+        for lead, tail in sorted(tails.items(), reverse=True)
+    )
+
+
 def _span_plan(pres: ModulePresentation, items) -> tuple:
     """What ``_span_dim`` needs of validated items at any bidegree.
 
@@ -345,17 +391,37 @@ def _span_plan(pres: ModulePresentation, items) -> tuple:
     item, the minimal generators of the monomial ideal J_i spanned on
     each component i (the monomial items and the component's monomial
     relations), and the items that are not monomials.
+
+    Items that share (n_src, gb) and include a polynomial are replaced by
+    the ``_echelon_basis`` of their generators. That is exact, because
+    each row g e_i m is linear in g; echelon rows that are monomials join
+    the monomial ideal.
     """
-    ring_monos = _minimal_generators(
-        tuple(g.terms[0][0] for g, _, _ in items if g.is_monomial())
-    )
+    if all(g.is_monomial() for g, _, _ in items):
+        monos = tuple(g.terms[0][0] for g, _, _ in items)
+        poly_items = ()
+    else:
+        groups = {}
+        for g, n_src, gb in items:
+            groups.setdefault((n_src, gb), []).append(g)
+        monos = []
+        poly_items = []
+        for (n_src, gb), gens in groups.items():
+            if not all(g.is_monomial() for g in gens):
+                gens = _echelon_basis(pres.ring, tuple(gens))
+            for g in gens:
+                if g.is_monomial():
+                    monos.append(g.terms[0][0])
+                else:
+                    poly_items.append((g, n_src, gb))
+        monos = tuple(monos)
+    ring_monos = _minimal_generators(monos)
     unit = bool(ring_monos) and not any(ring_monos[0])
     ideals = tuple(
         _minimal_generators(ring_monos + extra) if extra else ring_monos
         for extra in pres._comp_monos
     )
-    poly_items = tuple(item for item in items if not item[0].is_monomial())
-    return unit, ideals, poly_items
+    return unit, ideals, tuple(poly_items)
 
 
 def _polynomial_rows(pres: ModulePresentation, deg, poly_items) -> list:

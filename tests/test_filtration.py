@@ -1,5 +1,7 @@
 """Mixed filtration levels, inclusion checks, and factor telescoping."""
 
+import itertools
+
 import pytest
 
 import brmult.filtration as filtration
@@ -16,6 +18,7 @@ from brmult.modules import (
     ModulePresentation,
     SliceSpan,
     graded_slice_length,
+    span_dim,
 )
 from brmult.rings import RingSpec, SubmoduleSpec, power_generators
 
@@ -85,6 +88,24 @@ def test_inclusions_catch_a_broken_level_rule(monkeypatch):
     w = failed[0]
     assert w.generator is not None
     assert w.bidegree is not None
+
+
+def test_monomial_inclusions_by_divisibility_match_the_rank_test():
+    pres = free_module(R2)
+    exponents = [(1, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 1), (2, 0, 1), (0, 0, 0)]
+    monos = [R2.monomial(e) for e in exponents]
+    candidates = [
+        R2.monomial((a, b, c)) for a in range(3) for b in range(3) for c in range(2)
+    ]
+    for k in range(4):
+        for gens in itertools.combinations(monos, k):
+            for g in candidates:
+                deg = g.bidegree()
+                items = [SliceSpan(h, deg[1] - h.fiber_degree()) for h in gens]
+                by_rank = span_dim(pres, deg, items + [SliceSpan(g, 0)]) == span_dim(
+                    pres, deg, items
+                )
+                assert filtration._contains(pres, gens, g) == by_rank
 
 
 def test_assoc_graded_dims_for_maximal_ideal():

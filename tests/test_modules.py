@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brmult.fields import QQ
+from brmult.fields import QQ, PrimeField
 from brmult.modules import (
     CutoffExceeded,
     CutoffTooSmall,
@@ -12,6 +12,7 @@ from brmult.modules import (
     ModulePresentation,
     SliceSpan,
     ZeroModuleError,
+    _echelon_basis,
     _hilbert_numerator,
     _prune_dominated,
     _standard_count,
@@ -25,7 +26,7 @@ from brmult.modules import (
     span_dim,
 )
 from brmult.rings import GradingError, Polynomial, RingSpec, monomial_basis
-from dense_oracle import piece_subspace, scan_span_dim
+from dense_oracle import Matrix, piece_subspace, rref, scan_span_dim
 
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 R22 = RingSpec(QQ, ("x", "y"), ("u", "v"))
@@ -293,7 +294,8 @@ def span_cases(draw, max_terms):
 
     Relations are single-entry (monomial ones feed the per-component
     ideals) or, with ``max_terms`` > 1, polynomial and spread over
-    several components; items include the unit generator now and then.
+    several components; items include the unit generator now and then,
+    and dependent items that share (n_src, gb) with another item.
     """
     ring = draw(st.sampled_from(SPAN_RINGS))
     max_b = 3 if ring.base else 0
@@ -325,6 +327,22 @@ def span_cases(draw, max_terms):
         gb, gf = draw(bidegrees)
         gf = min(gf, fiber)
         items.append(SliceSpan(draw(polynomials(ring, (gb, gf), max_terms)), fiber - gf))
+    for _ in range(draw(st.integers(0, 3)) if items else 0):
+        # an item sharing (n_src, gb) with an earlier one: a fresh
+        # polynomial or monomial, or g + c*h, a multiple of g when h = g
+        g, n_src = draw(st.sampled_from(items))
+        if g.is_zero():
+            continue
+        if max_terms == 1 or draw(st.booleans()):
+            extra = draw(polynomials(ring, g.bidegree(), max_terms))
+        else:
+            partners = [
+                h
+                for h, m in items
+                if m == n_src and not h.is_zero() and h.bidegree() == g.bidegree()
+            ]
+            extra = g + draw(st.sampled_from(partners)) * draw(st.integers(-2, 2))
+        items.append(SliceSpan(extra, n_src))
     presentation = ModulePresentation(FreeModuleSpec(ring, shifts), tuple(relations))
     return presentation, fiber, items
 
@@ -358,3 +376,78 @@ def test_polynomial_rows_are_cleared_by_their_own_component_ideal():
         deg = (a, 0)
         assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
     assert span_dim(pres, (1, 0), items) == 4
+
+
+ECHELON_RINGS = (R22, RingSpec(PrimeField(5), ("x", "y"), ("u", "v")))
+
+
+@st.composite
+def same_bidegree_polys(draw):
+    """A ring, a bidegree and a list of polynomials of that bidegree.
+
+    The list mixes fresh polynomials and monomials with duplicates,
+    scalar multiples and sums of earlier entries.
+    """
+    ring = draw(st.sampled_from(ECHELON_RINGS))
+    bidegree = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    polys = [draw(polynomials(ring, bidegree, 4))]
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("fresh", "monomial", "copy", "multiple", "sum")))
+        g = draw(st.sampled_from(polys))
+        h = draw(st.sampled_from(polys))
+        if kind == "fresh":
+            polys.append(draw(polynomials(ring, bidegree, 4)))
+        elif kind == "monomial":
+            polys.append(draw(polynomials(ring, bidegree, 1)))
+        elif kind == "copy":
+            polys.append(g)
+        elif kind == "multiple":
+            polys.append(g * draw(st.integers(-4, 4).filter(bool)))
+        elif not (g + h).is_zero():
+            polys.append(g + h)
+    return ring, bidegree, polys
+
+
+@given(same_bidegree_polys(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_echelon_basis_is_the_reduced_row_echelon_form(case, rng):
+    ring, bidegree, polys = case
+    columns = monomial_basis(ring, bidegree)  # descending: leftmost leads
+    rows = [[dict(g.terms).get(m, 0) for m in columns] for g in polys]
+    reduced, rk = rref(Matrix.from_rows(ring.field, rows))
+    expected = tuple(
+        Polynomial.from_dict(ring, dict(zip(columns, row)))
+        for row in reduced.rows[:rk]
+    )
+    basis = _echelon_basis(ring, tuple(polys))
+    assert basis == expected
+    assert all(g.terms[0][1] == ring.field.one for g in basis)
+    shuffled = list(polys)
+    rng.shuffle(shuffled)
+    assert _echelon_basis(ring, tuple(shuffled)) == basis
+
+
+def test_monomial_plans_skip_the_echelon_step(monkeypatch):
+    import brmult.modules as modules
+
+    assert _echelon_basis.cache_info().maxsize is not None
+
+    def fail(ring, polys):
+        raise AssertionError("echelon step on a monomial plan")
+
+    monkeypatch.setattr(modules, "_echelon_basis", fail)
+    x, y = R2.gen("x"), R2.gen("y")
+    items = [SliceSpan(x * x, 0), SliceSpan(x * y, 0), SliceSpan(y, 0)]
+    assert span_dim(free_module(R2), (2, 0), items) == 3
+
+
+def test_echelon_monomials_join_the_monomial_ideal():
+    # x*u + y*v, x*v, x*u - y*v span x*u, y*v and x*v: no polynomial rows
+    x, y, u, v = (R22.gen(s) for s in "xyuv")
+    gens = (x * u + y * v, x * v, x * u - y * v)
+    assert all(g.is_monomial() for g in _echelon_basis(R22, gens))
+    items = [SliceSpan(g, 0) for g in gens]
+    pres = free_module(R22)
+    for a in range(1, 4):
+        deg = (a, 1)
+        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)

@@ -5,11 +5,15 @@ independently computed oracle value; nothing is copied back from the code
 under test.
 """
 
+import random
+from pathlib import Path
+
 import pytest
 
 import brmult.linalg as linalg
+from brmult.cli import parse_instance
 from brmult.corpus import curated_local, curated_mixed, curated_pure
-from brmult.fields import QQ
+from brmult.fields import QQ, PrimeField
 from brmult.modules import FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import (
     KInstabilityError,
@@ -30,7 +34,9 @@ from brmult.multiplicity import (
 )
 from brmult.polyfit import DegreeExceedsError
 from brmult.rings import RingSpec, SubmoduleSpec
+from dense_oracle import Matrix, rank
 
+INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 R22 = RingSpec(QQ, ("x", "y"), ("u", "v"))
 BASE = RingSpec(QQ, ("x", "y"), ())
@@ -261,29 +267,105 @@ def test_samuel_function_values():
 
 
 def test_nonmonomial_block_ranks_over_q_are_all_certified(monkeypatch):
-    # (x+2y, 3x-y)*(u+v, u-2v) generates the same ideal as the monomial
-    # block, so it has the same e-values. Every elimination it makes ends
-    # at full rank mod 2^31 - 1, so none may reach Fraction arithmetic.
+    # H = (xu, yu + xv, yv) does not fill the bidegree pieces its powers
+    # span, so echelon bases keep polynomial rows and the spans still go
+    # through elimination. Every elimination ends at full rank mod
+    # 2^31 - 1, so none may reach Fraction arithmetic.
     kernel = linalg._rank
+    calls = []
 
     def modular_only(rows, ncols, modulus):
         if modulus is None:
             raise AssertionError("exact fallback reached")
+        calls.append(ncols)
         return kernel(rows, ncols, modulus)
 
     monkeypatch.setattr(linalg, "_rank", modular_only)
-    x, y, u, v = (R22.gen(s) for s in "xyuv")
-    base = (x + y * 2, x * 3 - y)
-    fiber = (u + v, u - v * 2)
-    h = SubmoduleSpec(R22, 1, tuple(b * f for b in base for f in fiber))
-    report = br_multiplicities(PureQuery(free_module(R22), h, grid=5))
+    inst = parse_instance((INSTANCES / "minors_block.txt").read_text())
+    report = br_multiplicities(PureQuery(inst.module, inst.submodule(0), grid=5))
+    assert calls
     assert report.leading.as_dict() == {
         (3, 0): 3,
         (2, 1): 1,
         (1, 2): 0,
         (0, 3): 0,
     }
-    assert report.table == br_multiplicities(block_query(grid=5)).table
+    assert report.table.values[8:16] == (3, 3, 4, 5, 6, 7, 8, 9)
+
+
+def substitute(poly, images):
+    """``poly`` with its j-th variable replaced by ``images[j]``."""
+    out = poly.ring.zero
+    for mono, c in poly.terms:
+        term = poly.ring.one * c
+        for image, e in zip(images, mono):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+def linear_images(ring, rng, blocks):
+    """Variable images under seeded invertible integer substitutions.
+
+    Each block named in ``blocks`` ("base", "fiber") is mapped by a dense
+    matrix with entries in +-1..+-3 and full rank over Q; the entries are
+    too small for the determinant to vanish mod a large prime.
+    """
+    images = []
+    for name in ("base", "fiber"):
+        gens = [ring.gen(v) for v in getattr(ring, name)]
+        if name not in blocks:
+            images += gens
+            continue
+        while True:
+            mat = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in gens] for _ in gens]
+            if rank(Matrix.from_rows(QQ, mat)) == len(gens):
+                break
+        for row in mat:
+            image = ring.zero
+            for c, g in zip(row, gens):
+                image = image + g * c
+            images.append(image)
+    return images
+
+
+def substituted(h, images):
+    gens = tuple(substitute(g, images) for g in h.gens)
+    return SubmoduleSpec(h.ring, h.fiber_degree, gens)
+
+
+FIELDS = (QQ, PrimeField(linalg.MODULUS))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("Q", "Fp"))
+def test_br_is_invariant_under_base_and_fiber_substitutions(field):
+    # Multiplicities are invariant under bigraded automorphisms. The images
+    # of the monomial block are non-monomial, yet span the same pieces.
+    inst = parse_instance((INSTANCES / "min_deg_one_block.txt").read_text(), field)
+    h = inst.submodule(0)
+    original = br_multiplicities(PureQuery(inst.module, h, grid=4))
+    rng = random.Random(5)
+    for _ in range(2):
+        images = linear_images(inst.ring, rng, ("base", "fiber"))
+        moved = substituted(h, images)
+        assert not all(g.is_monomial() for g in moved.gens)
+        report = br_multiplicities(PureQuery(inst.module, moved, grid=4))
+        assert report.table == original.table
+        assert report.leading.as_dict() == original.leading.as_dict()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("Q", "Fp"))
+def test_mixed_is_invariant_under_a_base_substitution(field):
+    # The images of (x, y^2) and (x^2, y) stay non-monomial in every
+    # echelon basis, so these spans go through elimination.
+    inst = parse_instance((INSTANCES / "newton_pair.txt").read_text(), field)
+    h1, h2 = inst.submodule(0), inst.submodule(1)
+    original = mixed_br_multiplicities(MixedQuery(inst.module, h1, h2, grid=4))
+    images = linear_images(inst.ring, random.Random(7), ("base",))
+    moved = (substituted(h1, images), substituted(h2, images))
+    report = mixed_br_multiplicities(MixedQuery(inst.module, *moved, grid=4))
+    assert report.table == original.table
+    assert report.leading.as_dict() == original.leading.as_dict()
 
 
 def test_degree_exceeds_is_a_hard_error():
