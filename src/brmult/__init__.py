@@ -32,7 +32,6 @@ from .modules import (
     krull_dimension,
     piece_basis,
     piece_dimension,
-    quotient_fiber_length,
     slice_dims_up_to,
 )
 from .polyfit import (

@@ -46,6 +46,7 @@ from .multiplicity import (
     SupportConditionError,
     br_multiplicities,
     generalized_samuel_report,
+    grid_bounds,
     mixed_br_multiplicities,
     pure_table,
     resolve_r,
@@ -549,7 +550,7 @@ def _cmd_dims(command, inst, settings, check_name):
 def _cmd_lambda(command, inst, settings, check_name):
     query = PureQuery(inst.module, inst.submodule(0), **_query_kwargs(settings))
     r, r_source = resolve_r(inst.module, settings.get("r"))
-    table, stops = pure_table(query, settings.get("grid", r + 4))
+    table, stops = pure_table(query, grid_bounds(r, settings.get("grid"))[0])
     doc = {
         "query": _query_block(command, inst, _used(inst, 1)),
         "r": _s(r),

@@ -107,10 +107,6 @@ def _ring_presentation(ring) -> ModulePresentation:
     return ModulePresentation(FreeModuleSpec(ring, ((0, 0),)))
 
 
-def _ideal_items(gens, target_fiber: int):
-    return [SliceSpan(g, target_fiber - g.fiber_degree()) for g in gens]
-
-
 def _contains(ring_pres, span_gens, g: Polynomial) -> bool:
     """Is g in the bidegree piece spanned by span_gens at g's bidegree?
 
@@ -119,7 +115,7 @@ def _contains(ring_pres, span_gens, g: Polynomial) -> bool:
     if g.is_monomial() and all(h.is_monomial() for h in span_gens):
         return any(_divides(h.terms[0][0], g.terms[0][0]) for h in span_gens)
     deg = g.bidegree()
-    items = _ideal_items(span_gens, deg[1])
+    items = [SliceSpan(h, deg[1] - h.fiber_degree()) for h in span_gens]
     base = span_dim(ring_pres, deg, items)
     extended = span_dim(ring_pres, deg, items + [SliceSpan(g, 0)])
     return extended == base
@@ -134,6 +130,15 @@ class InclusionWitness:
     passed: bool
     generator: Optional[str] = None
     bidegree: Optional[tuple] = None
+
+
+def _first_escape(part, nu, ring_pres, gens, span_gens) -> InclusionWitness:
+    """Test ``gens`` in order against the span of ``span_gens``; the first
+    that is not in it is the witness."""
+    for g in gens:
+        if not _contains(ring_pres, span_gens, g):
+            return InclusionWitness(part, nu, False, str(g), g.bidegree())
+    return InclusionWitness(part, nu, True)
 
 
 def check_filtration_inclusions(
@@ -154,41 +159,12 @@ def check_filtration_inclusions(
     for nu in range(1, p + q + 1):
         level_nu = mixed_level(h1, h2, p, q, nu)
         lower = mixed_level(h1, h2, p, q, nu - 1)
-        ok = True
-        witness = None
-        for g in _dedup_monic(
-            a * b for a in h1h2.gens for b in level_nu.gens
-        ):
-            if not _contains(ring_pres, lower.gens, g):
-                ok = False
-                witness = g
-                break
-        results.append(
-            InclusionWitness(
-                "a",
-                nu,
-                ok,
-                None if ok else str(witness),
-                None if ok else witness.bidegree(),
-            )
-        )
+        products = _dedup_monic(a * b for a in h1h2.gens for b in level_nu.gens)
+        results.append(_first_escape("a", nu, ring_pres, products, lower.gens))
         if p >= 1 and q >= 1:
             target = mixed_level(h1, h2, p - 1, q - 1, nu - 1)
-            ok = True
-            witness = None
-            for g in level_nu.gens:
-                if not _contains(ring_pres, target.gens, g):
-                    ok = False
-                    witness = g
-                    break
             results.append(
-                InclusionWitness(
-                    "b",
-                    nu,
-                    ok,
-                    None if ok else str(witness),
-                    None if ok else witness.bidegree(),
-                )
+                _first_escape("b", nu, ring_pres, level_nu.gens, target.gens)
             )
     return results
 
@@ -230,6 +206,50 @@ def assoc_graded_piece_dims(
     return LengthResult(result.total, per, result.stop_degree)
 
 
+def _power_factors(h: SubmoduleSpec, d: int, p: int, n: int) -> tuple:
+    """The power filtration's factor chain in the slice at fiber pd+n.
+
+    Returns (fiber, factors, quotient): ``factors`` holds the (top, bottom)
+    SliceSpan items of the p+1 factors, factor nu being H^nu M_{d(p-nu)+n}
+    / H^(nu+1) M_{d(p-nu-1)+n}, and ``quotient`` the bottom items of
+    M_{pd+n} / H^(p+1) M_{n-d}, the module the factors telescope to.
+    """
+
+    def items(power, source_fiber):
+        gens = power_generators(h, power).gens
+        return tuple(SliceSpan(g, source_fiber) for g in gens)
+
+    factors = tuple(
+        (items(nu, d * (p - nu) + n), items(nu + 1, d * (p - nu - 1) + n))
+        for nu in range(p + 1)
+    )
+    return d * p + n, factors, factors[-1][1]
+
+
+def _mixed_factors(
+    h1: SubmoduleSpec, h2: SubmoduleSpec, p: int, q: int, n: int
+) -> tuple:
+    """The mixed filtration's factor chain in the slice at (p, q, n).
+
+    Returns (fiber, factors, quotient) as ``_power_factors`` does, at
+    fiber d1 p + d2 q + n. Factor 0 is level(0) M / H1^(p+1) H2^(q+1)
+    M_{n-d1-d2} and factor nu >= 1 is level(nu) M / level(nu-1) M; the
+    quotient is M_{d1 p + d2 q + n} / H1^(p+1) H2^(q+1) M_{n-d1-d2}.
+    """
+    d1, d2 = h1.fiber_degree, h2.fiber_degree
+    fiber = d1 * p + d2 * q + n
+    deep = tuple(
+        SliceSpan(g, n - d1 - d2)
+        for g in product_generators(
+            power_generators(h1, p + 1), power_generators(h2, q + 1)
+        ).gens
+    )
+    levels = [
+        mixed_level(h1, h2, p, q, nu).slice_items(fiber) for nu in range(p + q + 1)
+    ]
+    return fiber, tuple(zip(levels, [deep] + levels[:-1])), deep
+
+
 def filtration_factor_lengths(
     pres: ModulePresentation,
     h: SubmoduleSpec,
@@ -248,18 +268,11 @@ def filtration_factor_lengths(
         raise GradingError(
             f"declared fiber degree {d} but H has fiber degree {h.fiber_degree}"
         )
-    nn = d * p + n
-    out = []
-    for nu in range(p + 1):
-        top = [
-            SliceSpan(g, d * (p - nu) + n) for g in power_generators(h, nu).gens
-        ]
-        bottom = [
-            SliceSpan(g, d * (p - nu - 1) + n)
-            for g in power_generators(h, nu + 1).gens
-        ]
-        out.append(graded_slice_length(pres, nn, top, bottom, cutoff))
-    return tuple(out)
+    fiber, factors, _ = _power_factors(h, d, p, n)
+    return tuple(
+        graded_slice_length(pres, fiber, top, bottom, cutoff)
+        for top, bottom in factors
+    )
 
 
 def mixed_factor_lengths(
@@ -278,28 +291,8 @@ def mixed_factor_lengths(
     fiber degree d1 p + d2 q + n. Their totals sum to the mixed quotient
     length at (p+1, q+1, n-d1-d2).
     """
-    d1, d2 = h1.fiber_degree, h2.fiber_degree
-    nn = d1 * p + d2 * q + n
-    bottom0 = product_generators(
-        power_generators(h1, p + 1), power_generators(h2, q + 1)
+    fiber, factors, _ = _mixed_factors(h1, h2, p, q, n)
+    return tuple(
+        graded_slice_length(pres, fiber, top, bottom, cutoff)
+        for top, bottom in factors
     )
-    out = [
-        graded_slice_length(
-            pres,
-            nn,
-            mixed_level(h1, h2, p, q, 0).slice_items(nn),
-            [SliceSpan(g, n - d1 - d2) for g in bottom0.gens],
-            cutoff,
-        )
-    ]
-    for nu in range(1, p + q + 1):
-        out.append(
-            graded_slice_length(
-                pres,
-                nn,
-                mixed_level(h1, h2, p, q, nu).slice_items(nn),
-                mixed_level(h1, h2, p, q, nu - 1).slice_items(nn),
-                cutoff,
-            )
-        )
-    return tuple(out)

@@ -59,7 +59,6 @@ __all__ = [
     "HilbertProbeError",
     "piece_dimension",
     "span_dim",
-    "quotient_fiber_length",
     "graded_slice_length",
     "slice_dims_up_to",
     "krull_dimension",
@@ -206,21 +205,17 @@ class SliceSpan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def piece_basis(free: FreeModuleSpec, deg) -> tuple:
-    """Ordered basis ((i, monomial), ...) of F at ``deg`` plus flat offsets."""
+    """Ordered basis ((i, monomial), ...) of F at ``deg`` and its index.
+
+    The index maps each (i, monomial) to its flat position in the basis.
+    """
     a, nn = deg
-    basis = []
-    offsets = []
-    for i, (ai, ni) in enumerate(free.shifts):
-        offsets.append(len(basis))
-        for mono in monomial_basis(free.ring, (a - ai, nn - ni)):
-            basis.append((i, mono))
-    return tuple(basis), tuple(offsets)
-
-
-@lru_cache(maxsize=None)
-def _piece_index(free: FreeModuleSpec, deg) -> dict:
-    basis, _ = piece_basis(free, deg)
-    return {key: flat for flat, key in enumerate(basis)}
+    basis = tuple(
+        (i, mono)
+        for i, (ai, ni) in enumerate(free.shifts)
+        for mono in monomial_basis(free.ring, (a - ai, nn - ni))
+    )
+    return basis, {key: flat for flat, key in enumerate(basis)}
 
 
 def _monomial_count(degree: int, nvars: int) -> int:
@@ -435,7 +430,7 @@ def _polynomial_rows(pres: ModulePresentation, deg, poly_items) -> list:
     a, nn = deg
     free = pres.free
     ring = free.ring
-    index = _piece_index(free, deg)
+    _, index = piece_basis(free, deg)
     rows = []
     for g, n_src, gb in poly_items:
         for i, (ai, ni) in enumerate(free.shifts):
@@ -625,22 +620,6 @@ def slice_dims_up_to(
     bottom = _validated_items(bottom_items, fiber_deg)
     walk = _slice_dims(pres, fiber_deg, top, bottom)
     return tuple(dim for _, dim in zip(range(max_degree + 1), walk))
-
-
-def quotient_fiber_length(
-    pres: ModulePresentation,
-    extra: Sequence[SliceSpan],
-    fiber_deg: int,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> LengthResult:
-    """Length of the fiber-degree slice of M modulo the extra spans.
-
-    ``extra`` items are (g, n_src) pairs: the span of g applied to the
-    whole fiber-n_src slice, which is closed under base-variable
-    multiplication by construction, so the zero-summand certificate in
-    ``graded_slice_length`` applies.
-    """
-    return graded_slice_length(pres, fiber_deg, None, extra, cutoff)
 
 
 def krull_dimension(

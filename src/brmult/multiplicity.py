@@ -30,9 +30,9 @@ from .modules import (
     LengthResult,
     ModulePresentation,
     SliceSpan,
+    graded_slice_length,
     krull_dimension,
     piece_dimension,
-    quotient_fiber_length,
 )
 from .polyfit import (
     DEFAULT_WINDOW,
@@ -102,7 +102,6 @@ def resolve_r(module: ModulePresentation, explicit: Optional[int]) -> tuple:
     return dim, "krull"
 
 
-@lru_cache(maxsize=None)
 def _module_nonzero(module: ModulePresentation) -> bool:
     return any(piece_dimension(module, shift) > 0 for shift in module.free.shifts)
 
@@ -220,7 +219,7 @@ def _pure_length(
     if p >= 1 and not h.gens and _module_nonzero(module):
         raise SupportConditionError("H has no generators but M is nonzero")
     items = [SliceSpan(g, n) for g in power_generators(h, p).gens]
-    return quotient_fiber_length(module, items, h.fiber_degree * p + n, cutoff)
+    return graded_slice_length(module, h.fiber_degree * p + n, None, items, cutoff)
 
 
 def lambda_pure(query: PureQuery, p: int, n: int) -> int:
@@ -248,7 +247,7 @@ def _mixed_length(
     gens = product_generators(power_generators(h1, p), power_generators(h2, q))
     items = [SliceSpan(g, n) for g in gens.gens]
     fiber = h1.fiber_degree * p + h2.fiber_degree * q + n
-    return quotient_fiber_length(module, items, fiber, cutoff)
+    return graded_slice_length(module, fiber, None, items, cutoff)
 
 
 def lambda_mixed(query: MixedQuery, p: int, q: int, n: int) -> int:
@@ -377,7 +376,6 @@ def mixed_br_multiplicities(query: MixedQuery) -> MultiplicityReport:
     return _multiplicity_report(query, mixed_table)
 
 
-@lru_cache(maxsize=None)
 def _modulus(ideal: SubmoduleSpec, k: int) -> SubmoduleSpec:
     """The ideal I + m^(k+1) cutting out the k-th infinitesimal neighborhood."""
     ring = ideal.ring
@@ -394,16 +392,21 @@ def _assoc_total(
     ).total
 
 
+def _neighborhood_order(query: LocalQuery, r: Optional[int] = None) -> int:
+    """The query's k, by default r + 2; r is resolved here unless given."""
+    if query.k is not None:
+        return query.k
+    if r is None:
+        r, _ = resolve_r(query.module, query.r)
+    return r + 2
+
+
 def lambda_local(query: LocalQuery, n: int, k: Optional[int] = None) -> int:
     """Length of (sum_{i<=n} I^i M / I^{i+1} M) over the k-th neighborhood."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k is None:
-        if query.k is not None:
-            k = query.k
-        else:
-            r, _ = resolve_r(query.module, query.r)
-            k = r + 2
+        k = _neighborhood_order(query)
     return sum(
         _assoc_total(query.module, query.ideal, k, i, query.cutoff)
         for i in range(n + 1)
@@ -419,7 +422,7 @@ def local_table(query: LocalQuery, k: int, gmax: int) -> LengthTable:
 def generalized_samuel_report(query: LocalQuery) -> LocalReport:
     """e(I, M) with the k versus k+1 stability check and the fitted table."""
     r, r_source = resolve_r(query.module, query.r)
-    k = query.k if query.k is not None else r + 2
+    k = _neighborhood_order(query, r)
     builds = [
         lambda gmax, kk=kk: (local_table(query, kk, gmax), ())
         for kk in (k, k + 1)
@@ -464,4 +467,4 @@ def samuel_function(
     if n < 0:
         raise ValueError("n must be nonnegative")
     items = [SliceSpan(g, 0) for g in power_generators(ideal, n + 1).gens]
-    return quotient_fiber_length(module, items, 0, cutoff).total
+    return graded_slice_length(module, 0, None, items, cutoff).total

@@ -16,18 +16,13 @@ denominator off entirely).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .filtration import mixed_level
-from .modules import (
-    DEFAULT_CUTOFF,
-    ModulePresentation,
-    SliceSpan,
-    slice_dims_up_to,
-)
+from .filtration import _mixed_factors, _power_factors
+from .modules import DEFAULT_CUTOFF, ModulePresentation, slice_dims_up_to
 from .multiplicity import (
     MixedQuery,
     MultiplicityReport,
@@ -45,7 +40,7 @@ from .polyfit import (
     _difference_tables,
     total_degree_estimate,
 )
-from .rings import SubmoduleSpec, power_generators, product_generators
+from .rings import SubmoduleSpec, product_generators
 
 __all__ = [
     "VerificationReport",
@@ -140,14 +135,57 @@ def check_mixed_operator_formula(
     )
 
 
-@lru_cache(maxsize=None)
-def _dims_cached(module, fiber_deg, top_items, bottom_items, max_degree):
-    top = None if top_items is None else top_items
-    return slice_dims_up_to(module, fiber_deg, top, bottom_items, max_degree)
+def _factor_sum_report(
+    check, module, subs, axes, grid, chain, degree_bound
+) -> VerificationReport:
+    """Compare factor sums with direct quotients at every grid point.
 
+    ``chain`` maps a point of [0, grid]^len(axes) to its (fiber, factors,
+    quotient) chain. At each point the per-base-degree dims of the factors
+    are summed and compared with those of the direct quotient, up to
+    ``degree_bound`` (by default fiber + the point's coordinates + 6).
+    The report rows carry the per-point totals; the witness is the first
+    base degree at which the two vectors differ.
+    """
+    memo = {}  # grid points that share a fiber degree share factors
 
-def _vector_sum(vectors):
-    return tuple(sum(col) for col in zip(*vectors))
+    def dims(fiber, top, bottom, bound):
+        key = (fiber, top, bottom, bound)
+        if key not in memo:
+            memo[key] = slice_dims_up_to(module, fiber, top, bottom, bound)
+        return memo[key]
+
+    left = []
+    right = []
+    first_bad = None
+    for point in itertools.product(range(grid + 1), repeat=len(axes)):
+        fiber, factors, quotient = chain(*point)
+        bound = degree_bound if degree_bound is not None else fiber + sum(point) + 6
+        lhs_vec = [0] * (bound + 1)
+        for top, bottom in factors:
+            factor = dims(fiber, top, bottom, bound)
+            lhs_vec = [x + y for x, y in zip(lhs_vec, factor)]
+        rhs_vec = dims(fiber, None, quotient, bound)
+        tag = f"({','.join(axes)})=({','.join(map(str, point))})"
+        left.append((f"{tag} sum of factors", sum(lhs_vec)))
+        right.append((f"{tag} direct quotient", sum(rhs_vec)))
+        if first_bad is None:
+            first_bad = next(
+                (
+                    f"{tag} base degree {a}: factors {lv} != quotient {rv}"
+                    for a, (lv, rv) in enumerate(zip(lhs_vec, rhs_vec))
+                    if lv != rv
+                ),
+                None,
+            )
+    return VerificationReport(
+        check,
+        _describe(module, subs),
+        tuple(left),
+        tuple(right),
+        first_bad is None,
+        first_bad,
+    )
 
 
 def check_telescoping(
@@ -171,54 +209,15 @@ def check_telescoping(
         raise ValueError(
             f"declared d = {d} but H has fiber degree {h.fiber_degree}"
         )
-    left = []
-    right = []
-    first_bad = None
-    for p in range(grid + 1):
-        for n in range(grid + 1):
-            fiber = d * p + n
-            bound = (
-                degree_bound
-                if degree_bound is not None
-                else fiber + p + n + 6
-            )
-            factors = []
-            for nu in range(p + 1):
-                top = tuple(
-                    SliceSpan(g, d * (p - nu) + n)
-                    for g in power_generators(h, nu).gens
-                )
-                bottom = tuple(
-                    SliceSpan(g, d * (p - nu - 1) + n)
-                    for g in power_generators(h, nu + 1).gens
-                )
-                factors.append(
-                    _dims_cached(module, fiber, top, bottom, bound)
-                )
-            lhs_vec = _vector_sum(factors)
-            bottom = tuple(
-                SliceSpan(g, n - d) for g in power_generators(h, p + 1).gens
-            )
-            rhs_vec = _dims_cached(module, fiber, None, bottom, bound)
-            left.append((f"(p,n)=({p},{n}) sum of factors", sum(lhs_vec)))
-            right.append((f"(p,n)=({p},{n}) direct quotient", sum(rhs_vec)))
-            if lhs_vec != rhs_vec and first_bad is None:
-                for a, (lv, rv) in enumerate(zip(lhs_vec, rhs_vec)):
-                    if lv != rv:
-                        first_bad = (
-                            f"(p,n)=({p},{n}) base degree {a}:"
-                            f" factors {lv} != quotient {rv}"
-                        )
-                        break
-    report = _verdict(
-        "telescoping-factor-sum", _describe(module, (h,)), left, right
+    return _factor_sum_report(
+        "telescoping-factor-sum",
+        module,
+        (h,),
+        ("p", "n"),
+        grid,
+        lambda p, n: _power_factors(h, d, p, n),
+        degree_bound,
     )
-    if first_bad is not None and report.passed:
-        report = VerificationReport(
-            report.check, report.instance, report.left, report.right,
-            False, first_bad,
-        )
-    return report
 
 
 def check_mixed_factor_sum(
@@ -244,56 +243,15 @@ def check_mixed_factor_sum(
                 f"declared d = {dd} but generators have fiber degree"
                 f" {h.fiber_degree}"
             )
-    left = []
-    right = []
-    first_bad = None
-    rng = range(grid + 1)
-    for p in rng:
-        for q in rng:
-            for n in rng:
-                fiber = d1 * p + d2 * q + n
-                bound = (
-                    degree_bound
-                    if degree_bound is not None
-                    else fiber + p + q + n + 6
-                )
-                deep = tuple(
-                    SliceSpan(g, n - d1 - d2)
-                    for g in product_generators(
-                        power_generators(h1, p + 1),
-                        power_generators(h2, q + 1),
-                    ).gens
-                )
-                factors = []
-                prev = deep
-                for nu in range(p + q + 1):
-                    top = mixed_level(h1, h2, p, q, nu).slice_items(fiber)
-                    factors.append(
-                        _dims_cached(module, fiber, top, prev, bound)
-                    )
-                    prev = top
-                lhs_vec = _vector_sum(factors)
-                rhs_vec = _dims_cached(module, fiber, None, deep, bound)
-                tag = f"(p,q,n)=({p},{q},{n})"
-                left.append((f"{tag} sum of factors", sum(lhs_vec)))
-                right.append((f"{tag} direct quotient", sum(rhs_vec)))
-                if lhs_vec != rhs_vec and first_bad is None:
-                    for a, (lv, rv) in enumerate(zip(lhs_vec, rhs_vec)):
-                        if lv != rv:
-                            first_bad = (
-                                f"{tag} base degree {a}: factors {lv}"
-                                f" != quotient {rv}"
-                            )
-                            break
-    report = _verdict(
-        "mixed-factor-sum", _describe(module, (h1, h2)), left, right
+    return _factor_sum_report(
+        "mixed-factor-sum",
+        module,
+        (h1, h2),
+        ("p", "q", "n"),
+        grid,
+        lambda p, q, n: _mixed_factors(h1, h2, p, q, n),
+        degree_bound,
     )
-    if first_bad is not None and report.passed:
-        report = VerificationReport(
-            report.check, report.instance, report.left, report.right,
-            False, first_bad,
-        )
-    return report
 
 
 def check_degree_bound(report: MultiplicityReport) -> VerificationReport:

@@ -1,4 +1,4 @@
-"""Curated and randomized instance corpus for tests and demos.
+"""Curated and randomized instance corpus for the test suite.
 
 The curated instances are small enough to admit closed-form length
 functions, which the test suite freezes as oracles. The randomized
@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .fields import QQ
-from .modules import FreeModuleSpec, ModulePresentation
-from .rings import RingSpec, SubmoduleSpec, monomial_basis
+from brmult.fields import QQ
+from brmult.modules import FreeModuleSpec, ModulePresentation
+from brmult.rings import RingSpec, SubmoduleSpec, monomial_basis
 
 __all__ = [
     "PureInstance",

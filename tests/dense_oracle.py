@@ -18,7 +18,6 @@ from brmult.linalg import ShapeError, subspace_dim
 from brmult.modules import (
     ModulePresentation,
     SliceSpan,
-    _piece_index,
     _validated_items,
     piece_basis,
 )
@@ -114,8 +113,7 @@ def piece_subspace(
     a, nn = deg
     free = pres.free
     ring = free.ring
-    basis, _ = piece_basis(free, deg)
-    index = _piece_index(free, deg)
+    basis, index = piece_basis(free, deg)
     field = ring.field
     rows = []
 
@@ -170,13 +168,12 @@ def scan_span_dim(
     monomial of the piece against every such generator; the remaining
     vectors, with those coordinates cleared, go through ``subspace_dim``.
     """
-    basis, _ = piece_basis(pres.free, deg)
+    basis, index = piece_basis(pres.free, deg)
     if not basis:
         return 0
     a, nn = deg
     free = pres.free
     ring = free.ring
-    index = _piece_index(free, deg)
     ring_monos = []
     comp_monos = {}
     poly_rows = []

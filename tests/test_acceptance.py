@@ -9,14 +9,6 @@ with capture disabled so they always reach the terminal.
 import json
 
 from brmult.cli import run
-from brmult.corpus import (
-    curated_local,
-    curated_mixed,
-    curated_pure,
-    factor_sum_pairs,
-    random_mixed_instances,
-    random_pure_instances,
-)
 from brmult.fields import QQ, PrimeField
 from brmult.filtration import check_filtration_inclusions
 from brmult.modules import FreeModuleSpec, ModulePresentation
@@ -38,6 +30,14 @@ from brmult.verify import (
     check_mixed_operator_formula,
     check_symmetry,
     check_telescoping,
+)
+from corpus import (
+    curated_local,
+    curated_mixed,
+    curated_pure,
+    factor_sum_pairs,
+    random_mixed_instances,
+    random_pure_instances,
 )
 
 BIG_PRIME = 2**31 - 1

@@ -21,7 +21,6 @@ from brmult.modules import (
     krull_dimension,
     piece_basis,
     piece_dimension,
-    quotient_fiber_length,
     slice_dims_up_to,
     span_dim,
 )
@@ -60,7 +59,7 @@ def test_quotient_by_maximal_ideal():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
     extra = [SliceSpan(x, 0), SliceSpan(y, 0)]
-    res = quotient_fiber_length(m, extra, 0)
+    res = graded_slice_length(m, 0, None, extra)
     assert res.total == 1
     assert res.per_degree[0] == 1
     assert all(v == 0 for v in res.per_degree[1:])
@@ -70,7 +69,7 @@ def test_quotient_by_square_of_maximal_ideal():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
     extra = [SliceSpan(g, 0) for g in (x * x, x * y, y * y)]
-    res = quotient_fiber_length(m, extra, 0)
+    res = graded_slice_length(m, 0, None, extra)
     assert res.total == 3
     assert res.per_degree[:2] == (1, 2)
 
@@ -78,10 +77,10 @@ def test_quotient_by_square_of_maximal_ideal():
 def test_infinite_quotient_hits_cutoff():
     m = free_module(R2)
     with pytest.raises(CutoffExceeded):
-        quotient_fiber_length(m, [], 0, cutoff=12)
+        graded_slice_length(m, 0, None, [], cutoff=12)
     # x spans from base degree 1 on, so a cutoff of 3 did test it
     with pytest.raises(CutoffExceeded):
-        quotient_fiber_length(m, [SliceSpan(R2.gen("x"), 0)], 0, cutoff=3)
+        graded_slice_length(m, 0, None, [SliceSpan(R2.gen("x"), 0)], cutoff=3)
 
 
 def test_cutoff_below_what_the_walk_needs_is_too_small():
@@ -89,10 +88,10 @@ def test_cutoff_below_what_the_walk_needs_is_too_small():
     x, y = R2.gen("x"), R2.gen("y")
     squares = [SliceSpan(g, 0) for g in (x * x, y * y)]
     # the finite quotient k[x,y]/(x^2, y^2) needs base degrees 0..3
-    assert quotient_fiber_length(m, squares, 0, cutoff=3).total == 4
+    assert graded_slice_length(m, 0, None, squares, cutoff=3).total == 4
     # cutoff 1 ends the walk before the squares span anything
     with pytest.raises(CutoffTooSmall) as err:
-        quotient_fiber_length(m, squares, 0, cutoff=1)
+        graded_slice_length(m, 0, None, squares, cutoff=1)
     assert err.value.needed == 2
     # a top generated in base degree 2 has certificate degree 2
     with pytest.raises(CutoffTooSmall) as err:
@@ -104,7 +103,7 @@ def test_length_certificate_really_stops():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
     extra = [SliceSpan(g, 0) for g in (x * x * x, x * y, y * y)]
-    res = quotient_fiber_length(m, extra, 0)
+    res = graded_slice_length(m, 0, None, extra)
     # continue past stop_degree by hand: every later summand is zero
     for a in range(res.stop_degree + 1, res.stop_degree + 5):
         top = free_piece_dim(m.free, (a, 0))
@@ -164,16 +163,17 @@ def test_slice_dims_up_to_matches_piece_dims():
     assert dims == tuple(piece_dimension(m, (a, 2)) for a in range(6))
 
 
-def test_piece_basis_offsets_are_flat():
+def test_piece_basis_index_is_flat():
     free = FreeModuleSpec(R2, ((0, 0), (1, 0)))
-    basis, offsets = piece_basis(free, (2, 0))
+    basis, index = piece_basis(free, (2, 0))
     seen = set()
     for slot, mono in basis:
         assert slot in (0, 1)
         seen.add((slot, mono))
     assert len(seen) == len(basis) == 3 + 2
-    # each offset marks where a generator's block of monomials begins
-    assert offsets == (0, 3)
+    # the index inverts the basis: each key maps to its flat position
+    assert len(index) == len(basis)
+    assert all(index[key] == k for k, key in enumerate(basis))
 
 
 @st.composite

@@ -12,7 +12,6 @@ import pytest
 
 import brmult.linalg as linalg
 from brmult.cli import parse_instance
-from brmult.corpus import curated_local, curated_mixed, curated_pure
 from brmult.fields import QQ, PrimeField
 from brmult.modules import FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import (
@@ -34,6 +33,7 @@ from brmult.multiplicity import (
 )
 from brmult.polyfit import DegreeExceedsError
 from brmult.rings import RingSpec, SubmoduleSpec
+from corpus import curated_local, curated_mixed, curated_pure
 from dense_oracle import Matrix, rank
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"

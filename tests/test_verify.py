@@ -2,6 +2,7 @@
 
 import pytest
 
+import brmult.verify as verify
 from brmult.fields import QQ
 from brmult.modules import FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import MultiplicityReport, PureQuery, br_multiplicities
@@ -176,3 +177,30 @@ def test_reports_carry_instance_description():
     report = check_telescoping(free_module(R2), m, 0, grid=2)
     assert "x" in report.instance and "y" in report.instance
     assert report.check
+
+
+def _drop_first_factor(chain):
+    def dropped(*args):
+        fiber, factors, quotient = chain(*args)
+        return fiber, factors[1:], quotient
+
+    return dropped
+
+
+def test_factor_sums_missing_a_factor_fail_at_the_first_bad_degree(monkeypatch):
+    # both checks take their chains from the filtration module; a chain
+    # that lost a factor must fail with a per-degree witness
+    for name in ("_power_factors", "_mixed_factors"):
+        monkeypatch.setattr(verify, name, _drop_first_factor(getattr(verify, name)))
+    m = max_ideal(R2)
+    reports = (
+        check_telescoping(free_module(R2), m, 0, grid=2),
+        check_mixed_factor_sum(free_module(R2), m, 0, m, 0, grid=1),
+    )
+    # at the origin the quotients are k[x,y]/m and k[x,y]/m^2
+    expected = (("(p,n)=(0,0)", 1), ("(p,q,n)=(0,0,0)", 3))
+    for report, (tag, length) in zip(reports, expected):
+        assert not report.passed
+        assert report.witness == f"{tag} base degree 0: factors 0 != quotient 1"
+        assert report.left[0] == (f"{tag} sum of factors", 0)
+        assert report.right[0] == (f"{tag} direct quotient", length)
