@@ -12,7 +12,8 @@ bidegree piece of F. Spanning sets come in two flavors,
 
 Slice-span items that share a source slice and a bidegree are first
 interreduced: their generators are replaced by the reduced row-echelon
-basis of the space they span, as in the first step of Faugere's F4
+basis of the space they span (``rings._echelon_basis``, which also builds
+the power and product generators), as in the first step of Faugere's F4
 (J. Pure Appl. Algebra 139, 1999). That is exact, because every spanning
 vector g e_i m is linear in g, so both generator sets span the same
 vectors at every bidegree. Echelon generators that are monomials join
@@ -46,7 +47,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .linalg import subspace_dim
 from .polyfit import LengthTable, finite_difference
-from .rings import GradingError, Polynomial, RingSpec, monomial_basis
+from .rings import GradingError, Polynomial, RingSpec, _echelon_basis, monomial_basis
 
 __all__ = [
     "FreeModuleSpec",
@@ -255,11 +256,17 @@ def _validated_items(items, fiber_deg: int):
 
 
 def _prune_dominated(monos) -> tuple:
-    """The divisibility-minimal monomials, sorted by (degree, exponents)."""
+    """The divisibility-minimal monomials, sorted by (degree, exponents).
+
+    Distinct monomials of equal total degree cannot divide each other, so
+    each candidate is tested only against kept ones of lower degree.
+    """
     monos = sorted(set(monos), key=lambda m: (sum(m), m))
-    kept = []
+    kept, lower, degree = [], (), None
     for m in monos:
-        if not any(all(a >= b for a, b in zip(m, k)) for k in kept):
+        if sum(m) != degree:
+            degree, lower = sum(m), tuple(kept)
+        if not any(all(a >= b for a, b in zip(m, k)) for k in lower):
             kept.append(m)
     return tuple(kept)
 
@@ -338,44 +345,6 @@ def _standard_count(ring: RingSpec, gens: tuple, deg) -> int:
     return sum(
         c * _monomial_count(a - b, s) * _monomial_count(n - f, t)
         for b, f, c in _hilbert_numerator(gens, s)
-    )
-
-
-@lru_cache(maxsize=1024)
-def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
-    """Reduced row-echelon basis of the span of same-bidegree ``polys``.
-
-    The rows are monic, no row contains another's leading monomial, and
-    they come sorted by descending leading monomial, so the basis is the
-    unique one of the span and does not depend on the order of ``polys``.
-    """
-    f = ring.field
-    tails = {}  # leading monomial -> the rest of its row, {monomial: coeff}
-
-    def subtract(row, c, tail):
-        for m, v in tail.items():
-            x = f.sub(row.get(m, f.zero), f.mul(c, v))
-            if f.is_zero(x):
-                row.pop(m, None)
-            else:
-                row[m] = x
-
-    for g in polys:
-        row = dict(g.terms)
-        for lead in [m for m in row if m in tails]:
-            subtract(row, row.pop(lead), tails[lead])
-        if not row:
-            continue
-        lead = max(row)
-        inv = f.div(f.one, row.pop(lead))
-        row = {m: f.mul(inv, c) for m, c in row.items()}
-        for tail in tails.values():
-            if lead in tail:
-                subtract(tail, tail.pop(lead), row)
-        tails[lead] = row
-    return tuple(
-        Polynomial(ring, ((lead, f.one),) + tuple(sorted(tail.items(), reverse=True)))
-        for lead, tail in sorted(tails.items(), reverse=True)
     )
 
 

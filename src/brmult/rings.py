@@ -18,7 +18,6 @@ Polynomial(x*T + y*T)
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -345,32 +344,76 @@ def _dedup_monic(polys) -> tuple:
     return tuple(sorted(seen.values(), key=lambda g: g.terms, reverse=True))
 
 
+@lru_cache(maxsize=1024)
+def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
+    """Reduced row-echelon basis of the span of same-bidegree ``polys``.
+
+    The rows are monic, no row contains another's leading monomial, and
+    they come sorted by descending leading monomial, so the basis is the
+    unique one of the span and does not depend on the order of ``polys``.
+    """
+    f = ring.field
+    tails = {}  # leading monomial -> the rest of its row, {monomial: coeff}
+
+    def subtract(row, c, tail):
+        for m, v in tail.items():
+            x = f.sub(row.get(m, f.zero), f.mul(c, v))
+            if f.is_zero(x):
+                row.pop(m, None)
+            else:
+                row[m] = x
+
+    for g in polys:
+        row = dict(g.terms)
+        for lead in [m for m in row if m in tails]:
+            subtract(row, row.pop(lead), tails[lead])
+        if not row:
+            continue
+        lead = max(row)
+        inv = f.div(f.one, row.pop(lead))
+        row = {m: f.mul(inv, c) for m, c in row.items()}
+        for tail in tails.values():
+            if lead in tail:
+                subtract(tail, tail.pop(lead), row)
+        tails[lead] = row
+    return tuple(
+        Polynomial(ring, ((lead, f.one),) + tuple(sorted(tail.items(), reverse=True)))
+        for lead, tail in sorted(tails.items(), reverse=True)
+    )
+
+
 @lru_cache(maxsize=None)
 def power_generators(h: SubmoduleSpec, p: int) -> SubmoduleSpec:
-    """Generators of H^p: all p-fold products of generators of H.
+    """Generators of H^p, built one factor at a time as H^(p-1)*H.
 
-    p = 0 gives the unit submodule <1> at fiber degree 0. Scalar-multiple
-    duplicates are removed by normalizing each product to be monic.
+    The product is bilinear, so bases of the bidegree pieces of H^(p-1)
+    times the generators of H span H^p. p = 0 gives the unit submodule
+    <1> at fiber degree 0.
     """
     if p < 0:
         raise GradingError("negative power of a submodule")
     if p == 0:
         return SubmoduleSpec(h.ring, 0, (h.ring.one,))
-    products = []
-    for combo in itertools.combinations_with_replacement(h.gens, p):
-        prod = combo[0]
-        for g in combo[1:]:
-            prod = prod * g
-        products.append(prod)
-    return SubmoduleSpec(h.ring, p * h.fiber_degree, _dedup_monic(products))
+    return product_generators(power_generators(h, p - 1), h)
 
 
 @lru_cache(maxsize=None)
 def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
-    """Generators of the product H1*H2: pairwise generator products."""
+    """Generators of H1*H2: the pairwise products, one basis per bidegree.
+
+    A bidegree group of monomial products only loses its scalar-multiple
+    duplicates; a group with a polynomial becomes its ``_echelon_basis``.
+    """
     if h1.ring != h2.ring:
         raise GradingError("product of submodules over different rings")
-    products = [g1 * g2 for g1 in h1.gens for g2 in h2.gens]
+    groups = {}
+    for g in (g1 * g2 for g1 in h1.gens for g2 in h2.gens):
+        groups.setdefault(g.bidegree(), []).append(g)
+    products = []
+    for group in groups.values():
+        if not all(g.is_monomial() for g in group):
+            group = _echelon_basis(h1.ring, tuple(group))
+        products.extend(group)
     return SubmoduleSpec(
         h1.ring, h1.fiber_degree + h2.fiber_degree, _dedup_monic(products)
     )

@@ -145,27 +145,32 @@ def _factor_sum_report(
     are summed and compared with those of the direct quotient, up to
     ``degree_bound`` (by default fiber + the point's coordinates + 6).
     The report rows carry the per-point totals; the witness is the first
-    base degree at which the two vectors differ.
+    base degree at which the two vectors differ. Points share slices, so
+    each slice is walked once, to the longest bound a point needs, and
+    truncated for the others.
     """
-    memo = {}  # grid points that share a fiber degree share factors
-
-    def dims(fiber, top, bottom, bound):
-        key = (fiber, top, bottom, bound)
-        if key not in memo:
-            memo[key] = slice_dims_up_to(module, fiber, top, bottom, bound)
-        return memo[key]
+    points = {}
+    walks = {}  # (fiber, top, bottom) -> the longest bound a point needs
+    for point in itertools.product(range(grid + 1), repeat=len(axes)):
+        fiber, factors, quotient = chain(*point)
+        bound = degree_bound if degree_bound is not None else fiber + sum(point) + 6
+        keys = [(fiber, top, bottom) for top, bottom in factors]
+        quotient_key = (fiber, None, quotient)
+        points[point] = (bound, keys, quotient_key)
+        for key in keys + [quotient_key]:
+            walks[key] = max(walks.get(key, bound), bound)
+    dims = {
+        key: slice_dims_up_to(module, *key, bound) for key, bound in walks.items()
+    }
 
     left = []
     right = []
     first_bad = None
-    for point in itertools.product(range(grid + 1), repeat=len(axes)):
-        fiber, factors, quotient = chain(*point)
-        bound = degree_bound if degree_bound is not None else fiber + sum(point) + 6
+    for point, (bound, keys, quotient_key) in points.items():
         lhs_vec = [0] * (bound + 1)
-        for top, bottom in factors:
-            factor = dims(fiber, top, bottom, bound)
-            lhs_vec = [x + y for x, y in zip(lhs_vec, factor)]
-        rhs_vec = dims(fiber, None, quotient, bound)
+        for key in keys:
+            lhs_vec = [x + y for x, y in zip(lhs_vec, dims[key])]
+        rhs_vec = dims[quotient_key][: bound + 1]
         tag = f"({','.join(axes)})=({','.join(map(str, point))})"
         left.append((f"{tag} sum of factors", sum(lhs_vec)))
         right.append((f"{tag} direct quotient", sum(rhs_vec)))

@@ -6,12 +6,16 @@ a bidegree piece as a dense row. Both are slow and independent of the
 sparse rank kernel in ``brmult.linalg``. ``scan_span_dim`` measures the
 same span as ``brmult.modules.span_dim`` by testing every basis monomial
 of the piece for divisibility, independent of the Hilbert numerators the
-library counts with.
+library counts with. ``multiset_power_generators`` and
+``pairwise_product_generators`` multiply out every product of generators,
+with no echelon step; ``rref_by_bidegree`` compares generator sets by the
+spaces they span in each bidegree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from brmult.linalg import ShapeError, subspace_dim
@@ -145,8 +149,8 @@ def piece_subspace(
     return PieceSubspace((a, nn), basis, reduced, rk)
 
 
-def _prune_dominated(monos):
-    """Keep only divisibility-minimal monomials."""
+def quadratic_prune(monos):
+    """Keep only divisibility-minimal monomials, testing every kept pair."""
     monos = sorted(set(monos), key=lambda m: (sum(m), m))
     kept = []
     for m in monos:
@@ -205,8 +209,8 @@ def scan_span_dim(
                     prod = tuple(x + y for x, y in zip(pm, mu))
                     row[index[(i, prod)]] = c
             poly_rows.append(row)
-    ring_monos = _prune_dominated(ring_monos)
-    comp_monos = {i: _prune_dominated(ms) for i, ms in comp_monos.items()}
+    ring_monos = quadratic_prune(ring_monos)
+    comp_monos = {i: quadratic_prune(ms) for i, ms in comp_monos.items()}
 
     if any(sum(g) == 0 for g in ring_monos):
         return len(basis)
@@ -236,3 +240,45 @@ def scan_span_dim(
             row[colmap[p]] = c
         dense.append(row)
     return len(unit) + subspace_dim(dense, field, len(columns))
+
+
+def _monic_set(polys) -> tuple:
+    """Nonzero polys made monic, without repeats, by descending terms."""
+    seen = {g.monic().terms: g.monic() for g in polys if not g.is_zero()}
+    return tuple(seen[terms] for terms in sorted(seen, reverse=True))
+
+
+def multiset_power_generators(h, p: int) -> tuple:
+    """Generators of H^p: every p-fold product of H's generators, monic."""
+    if p == 0:
+        return (h.ring.one,)
+    products = []
+    for combo in combinations_with_replacement(h.gens, p):
+        prod = combo[0]
+        for g in combo[1:]:
+            prod = prod * g
+        products.append(prod)
+    return _monic_set(products)
+
+
+def pairwise_product_generators(h1, h2) -> tuple:
+    """Generators of H1*H2: every product of a pair of generators, monic."""
+    return _monic_set(g1 * g2 for g1 in h1.gens for g2 in h2.gens)
+
+
+def rref_by_bidegree(ring, polys) -> dict:
+    """{bidegree: nonzero rows of the RREF} of the span of ``polys``.
+
+    Columns are the bidegree's monomial basis, so two generator sets span
+    the same space in every bidegree exactly when their results are equal.
+    """
+    groups = {}
+    for g in polys:
+        groups.setdefault(g.bidegree(), []).append(g)
+    out = {}
+    for deg, group in groups.items():
+        columns = monomial_basis(ring, deg)
+        rows = [[dict(g.terms).get(m, 0) for m in columns] for g in group]
+        reduced, rk = rref(Matrix.from_rows(ring.field, rows))
+        out[deg] = reduced.rows[:rk]
+    return out

@@ -25,7 +25,13 @@ from brmult.modules import (
     span_dim,
 )
 from brmult.rings import GradingError, Polynomial, RingSpec, monomial_basis
-from dense_oracle import Matrix, piece_subspace, rref, scan_span_dim
+from dense_oracle import (
+    Matrix,
+    piece_subspace,
+    quadratic_prune,
+    rref,
+    scan_span_dim,
+)
 
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 R22 = RingSpec(QQ, ("x", "y"), ("u", "v"))
@@ -272,6 +278,22 @@ SPAN_RINGS = (
     RingSpec(QQ, ("x", "y", "z"), ()),  # empty fiber block
     RingSpec(QQ, (), ("u", "v")),  # empty base block
 )
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_prune_dominated_matches_the_quadratic_prune(monos):
+    assert _prune_dominated(monos) == tuple(quadratic_prune(monos))
+
+
+def test_prune_dominated_ties_unit_and_empty():
+    # distinct monomials of one degree never divide each other
+    ties = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 1, 0), (0, 0, 2)]
+    assert _prune_dominated(ties) == ((0, 0, 2), (0, 2, 0), (1, 1, 0), (2, 0, 0))
+    lower = [(1, 1, 0), (1, 0, 0), (0, 1, 1), (2, 0, 0)]
+    assert _prune_dominated(lower) == ((1, 0, 0), (0, 1, 1))
+    assert _prune_dominated([(1, 2, 0), (0, 0, 0), (3, 0, 0)]) == ((0, 0, 0),)
+    assert _prune_dominated([]) == ()
 
 
 @st.composite

@@ -293,6 +293,21 @@ def test_nonmonomial_block_ranks_over_q_are_all_certified(monkeypatch):
     assert report.table.values[8:16] == (3, 3, 4, 5, 6, 7, 8, 9)
 
 
+def test_three_variable_block_e_values():
+    # H = (x,y,z)*(u,v,w): e^(5-j, j) = C(5-j, 2-j) for j <= 2, then 0.
+    # H^p has C(p+2, 2)^2 generators, all of one degree.
+    inst = parse_instance((INSTANCES / "block_3x3.txt").read_text())
+    report = br_multiplicities(PureQuery(inst.module, inst.submodule(0), grid=5))
+    assert report.leading.as_dict() == {
+        (5, 0): 10,
+        (4, 1): 4,
+        (3, 2): 1,
+        (2, 3): 0,
+        (1, 4): 0,
+        (0, 5): 0,
+    }
+
+
 def substitute(poly, images):
     """``poly`` with its j-th variable replaced by ``images[j]``."""
     out = poly.ring.zero

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brmult.fields import QQ
+from brmult.fields import QQ, PrimeField
 from brmult.rings import (
     GradingError,
     Polynomial,
@@ -14,6 +14,11 @@ from brmult.rings import (
     monomial_basis,
     power_generators,
     product_generators,
+)
+from dense_oracle import (
+    multiset_power_generators,
+    pairwise_product_generators,
+    rref_by_bidegree,
 )
 
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
@@ -172,6 +177,86 @@ def test_product_fiber_degrees_add():
     h = SubmoduleSpec(R22, 1, (xu, yv))
     assert product_generators(h, h).fiber_degree == 2
     assert power_generators(h, 3).fiber_degree == 3
+
+
+@st.composite
+def submodules(draw, ring, monomial):
+    """H with 2-4 generators of one fiber degree and base degrees 1 or 2.
+
+    Coefficients lie in 1..4, so no term vanishes over F_5 and the
+    non-monomial generators stay non-monomial.
+    """
+    d = draw(st.integers(0, 1))
+    terms = 1 if monomial else 3
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        basis = monomial_basis(ring, (draw(st.integers(1, 2)), d))
+        monos = draw(
+            st.lists(
+                st.sampled_from(basis),
+                min_size=min(terms, 2),
+                max_size=terms,
+                unique=True,
+            )
+        )
+        coeffs = draw(
+            st.lists(st.integers(1, 4), min_size=len(monos), max_size=len(monos))
+        )
+        gens.append(Polynomial.from_dict(ring, dict(zip(monos, coeffs))))
+    return SubmoduleSpec(ring, d, tuple(gens))
+
+
+SPAN_RINGS = (R22, RingSpec(PrimeField(5), ("x", "y"), ("u", "v")))
+
+
+@given(st.sampled_from(SPAN_RINGS), st.integers(0, 4), st.data())
+@settings(max_examples=30, deadline=None)
+def test_powers_and_products_span_what_the_multisets_span(ring, p, data):
+    h1 = data.draw(submodules(ring, monomial=False))
+    h2 = data.draw(submodules(ring, monomial=False))
+    hp = power_generators(h1, p)
+    assert hp.fiber_degree == p * h1.fiber_degree
+    assert rref_by_bidegree(ring, hp.gens) == rref_by_bidegree(
+        ring, multiset_power_generators(h1, p)
+    )
+    assert rref_by_bidegree(ring, product_generators(h1, h2).gens) == (
+        rref_by_bidegree(ring, pairwise_product_generators(h1, h2))
+    )
+
+
+@given(st.sampled_from(SPAN_RINGS), st.integers(0, 4), st.data())
+@settings(max_examples=30, deadline=None)
+def test_monomial_powers_and_products_keep_the_multiset_generators(ring, p, data):
+    h1 = data.draw(submodules(ring, monomial=True))
+    h2 = data.draw(submodules(ring, monomial=True))
+    assert power_generators(h1, p).gens == multiset_power_generators(h1, p)
+    assert product_generators(h1, h2).gens == pairwise_product_generators(h1, h2)
+
+
+def test_each_power_multiplies_each_generator_pair_once(monkeypatch):
+    # H^p = H^(p-1)*H, so from a cached H^(p-1) it takes at most
+    # |gens H^(p-1)| * |gens H| products. Multiplying out the p-fold
+    # multisets of H's four generators would take 40 at p = 3 (36 allowed)
+    # and 105 at p = 4 (64 allowed).
+    ring = RingSpec(PrimeField(11), ("x", "y"), ("u", "v"))
+    x, y, u, v = ring.gens()
+    lines = (x + y * 2, x * 3 - y), (u + v, u - v * 2)
+    h = SubmoduleSpec(ring, 1, tuple(a * b for a in lines[0] for b in lines[1]))
+    calls = []
+    multiply = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    for p in range(1, 5):
+        previous = power_generators(h, p - 1)
+        calls.clear()
+        hp = power_generators(h, p)
+        assert len(calls) <= len(previous.gens) * len(h.gens)
+        # H^p fills its (p, p) piece, so its echelon basis is monomial
+        assert hp.gens == tuple(ring.monomial(m) for m in monomial_basis(ring, (p, p)))
 
 
 def test_ring_rejects_bad_names():

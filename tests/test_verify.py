@@ -1,8 +1,11 @@
 """Identity checks: both sides computed, exact agreement demanded."""
 
+from pathlib import Path
+
 import pytest
 
 import brmult.verify as verify
+from brmult.cli import run
 from brmult.fields import QQ
 from brmult.modules import FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import MultiplicityReport, PureQuery, br_multiplicities
@@ -16,6 +19,7 @@ from brmult.verify import (
     check_telescoping,
 )
 
+INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 R22 = RingSpec(QQ, ("x", "y"), ("u", "v"))
 
@@ -102,6 +106,23 @@ def test_factor_sum_max_ideal_pair():
     m = max_ideal(R2)
     report = check_mixed_factor_sum(free_module(R2), m, 0, m, 0, grid=2)
     assert report.passed
+
+
+@pytest.mark.parametrize("name", ("max_ideal_pair.txt", "newton_pair.txt"))
+def test_telescoping_walks_each_slice_once(monkeypatch, name):
+    # At d = 0 the default bound grows with p at a fixed fiber, so grid
+    # points share slices at different bounds: 56 walks name 32 slices.
+    walks = []
+    walk = verify.slice_dims_up_to
+
+    def counting(module, fiber, top, bottom, bound):
+        walks.append((fiber, top, bottom))
+        return walk(module, fiber, top, bottom, bound)
+
+    monkeypatch.setattr(verify, "slice_dims_up_to", counting)
+    code, _ = run(["verify", "telescoping", str(INSTANCES / name)])
+    assert code == 0
+    assert len(walks) == len(set(walks)) == 32
 
 
 def test_factor_sum_with_unit():
