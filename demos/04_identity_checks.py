@@ -39,25 +39,25 @@ def main():
 
     print("Operator formula: e-values of the product submodule against")
     print("binomial-weighted sums of mixed e-values.")
-    show(check_mixed_operator_formula(module, m, 0, m, 0))
-    show(check_mixed_operator_formula(module, h1, 0, h2, 0))
+    show(check_mixed_operator_formula(module, m, m))
+    show(check_mixed_operator_formula(module, h1, h2))
     print()
 
     print("Telescoping: filtration factors sum to the direct quotient,")
     print("compared degree by degree.")
-    show(check_telescoping(module, m, 0, grid=3))
+    show(check_telescoping(module, m, grid=3))
     print()
 
     print("Mixed factor sum, including a pair with infinite totals where")
     print("only the per-degree comparison makes sense.")
-    show(check_mixed_factor_sum(module, h1, 0, h2, 0, grid=2))
+    show(check_mixed_factor_sum(module, h1, h2, grid=2))
     px = SubmoduleSpec(ring, 0, (x,))
     py = SubmoduleSpec(ring, 0, (y,))
-    show(check_mixed_factor_sum(module, px, 0, py, 0, grid=2))
+    show(check_mixed_factor_sum(module, px, py, grid=2))
     print()
 
     print("Symmetry of the mixed e-values under swapping the pair.")
-    show(check_symmetry(module, h1, 0, h2, 0))
+    show(check_symmetry(module, h1, h2))
     print()
 
     print("Filtration nesting laws at every (p, q) up to 3:")

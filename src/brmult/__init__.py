@@ -8,7 +8,7 @@ checks the underlying identities on concrete instances.
 """
 
 from .fields import FieldError, PrimeField, QQ, RationalField
-from .linalg import ShapeError, subspace_dim
+from .linalg import subspace_dim
 from .rings import (
     GradingError,
     Polynomial,

@@ -642,8 +642,7 @@ def _inclusion_report(inst, grid) -> VerificationReport:
 
 
 def _pair(inst) -> tuple:
-    h1, h2 = inst.submodule(0), inst.submodule(1)
-    return inst.module, h1, h1.fiber_degree, h2, h2.fiber_degree
+    return inst.module, inst.submodule(0), inst.submodule(1)
 
 
 def _run_checks(inst, names, settings):
@@ -652,8 +651,7 @@ def _run_checks(inst, names, settings):
     reports = []
     for name in names:
         if name == "telescoping":
-            h = inst.submodule(0)
-            report = check_telescoping(inst.module, h, h.fiber_degree, grid=grid)
+            report = check_telescoping(inst.module, inst.submodule(0), grid=grid)
         elif name == "degree-bound":
             query = PureQuery(inst.module, inst.submodule(0), **kwargs)
             report = check_br_degree_bound(query)

@@ -206,14 +206,16 @@ def assoc_graded_piece_dims(
     return LengthResult(result.total, per, result.stop_degree)
 
 
-def _power_factors(h: SubmoduleSpec, d: int, p: int, n: int) -> tuple:
+def _power_factors(h: SubmoduleSpec, p: int, n: int) -> tuple:
     """The power filtration's factor chain in the slice at fiber pd+n.
 
-    Returns (fiber, factors, quotient): ``factors`` holds the (top, bottom)
-    SliceSpan items of the p+1 factors, factor nu being H^nu M_{d(p-nu)+n}
-    / H^(nu+1) M_{d(p-nu-1)+n}, and ``quotient`` the bottom items of
-    M_{pd+n} / H^(p+1) M_{n-d}, the module the factors telescope to.
+    Returns (fiber, factors, quotient), with d the fiber degree of H:
+    ``factors`` holds the (top, bottom) SliceSpan items of the p+1
+    factors, factor nu being H^nu M_{d(p-nu)+n} / H^(nu+1) M_{d(p-nu-1)+n},
+    and ``quotient`` the bottom items of M_{pd+n} / H^(p+1) M_{n-d}, the
+    module the factors telescope to.
     """
+    d = h.fiber_degree
 
     def items(power, source_fiber):
         gens = power_generators(h, power).gens
@@ -253,22 +255,18 @@ def _mixed_factors(
 def filtration_factor_lengths(
     pres: ModulePresentation,
     h: SubmoduleSpec,
-    d: int,
     p: int,
     n: int,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> tuple:
     """Lengths of the p+1 filtration factors of the slice at fiber pd+n.
 
-    Factor nu is H^nu M_{d(p-nu)+n} / H^(nu+1) M_{d(p-nu-1)+n}; a negative
-    slice index means the zero module. The factor totals sum to the
-    length of M_{pd+n} / H^(p+1) M_{n-d}.
+    With d the fiber degree of H, factor nu is H^nu M_{d(p-nu)+n} /
+    H^(nu+1) M_{d(p-nu-1)+n}; a negative slice index means the zero
+    module. The factor totals sum to the length of M_{pd+n} / H^(p+1)
+    M_{n-d}.
     """
-    if d != h.fiber_degree:
-        raise GradingError(
-            f"declared fiber degree {d} but H has fiber degree {h.fiber_degree}"
-        )
-    fiber, factors, _ = _power_factors(h, d, p, n)
+    fiber, factors, _ = _power_factors(h, p, n)
     return tuple(
         graded_slice_length(pres, fiber, top, bottom, cutoff)
         for top, bottom in factors

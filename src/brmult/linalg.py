@@ -1,8 +1,9 @@
 """Exact ranks of spanning sets over Q or F_p.
 
 One sparse elimination kernel computes every rank. Rows are
-``{column: value}`` dicts, each pivot is kept under its leading column,
-and elimination stops as soon as the rank reaches the column count.
+``{column: nonzero value}`` dicts, each pivot is kept under its leading
+column, and elimination stops as soon as the rank reaches the number of
+distinct columns the rows use.
 
 Over F_p the kernel runs on residues. Over Q it first runs on the image
 mod ``MODULUS`` = 2^31 - 1: each row is scaled by the lcm of its
@@ -20,10 +21,6 @@ from math import lcm
 from .fields import PrimeField
 
 MODULUS = 2**31 - 1
-
-
-class ShapeError(ValueError):
-    pass
 
 
 def _rank(rows, ncols: int, modulus) -> int:
@@ -62,46 +59,31 @@ def _rank(rows, ncols: int, modulus) -> int:
     return len(pivots)
 
 
-def _nonzero(row, coerce) -> list:
-    return [(j, coerce(x)) for j, x in enumerate(row) if x]
-
-
-def _residues(row, field: PrimeField) -> dict:
-    """``row`` over F_p, with the entries that vanish mod p dropped."""
-    return {j: x for j, x in _nonzero(row, field.coerce) if x}
-
-
-def _integer_residues(row, field) -> dict:
+def _integer_residues(row: dict) -> dict:
     """``row`` over Q, scaled to an integer row and reduced mod MODULUS."""
-    entries = _nonzero(row, field.coerce)
-    scale = lcm(*(x.denominator for _, x in entries))
+    scale = lcm(*(x.denominator for x in row.values()))
     out = {}
-    for j, x in entries:
+    for j, x in row.items():
         v = x.numerator * (scale // x.denominator) % MODULUS
         if v:
             out[j] = v
     return out
 
 
-def subspace_dim(rows, field, ncols=None) -> int:
-    """Dimension of the span of ``rows``, a list of scalar sequences.
+def subspace_dim(rows: list, field) -> int:
+    """Dimension of the span of ``rows``, a list of sparse rows.
 
-    Every row must have ``ncols`` entries (by default the length of the
-    first row), or ShapeError is raised. Ranks over Q are certified mod
-    ``MODULUS`` and recomputed exactly only when the certificate fails.
+    Each row is a ``{column: nonzero scalar}`` dict; it is not modified.
+    Ranks over Q are certified mod ``MODULUS`` and recomputed exactly
+    only when the certificate fails.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != ncols:
-            raise ShapeError(f"row of length {len(row)}, expected {ncols}")
+    ncols = len({j for row in rows for j in row})
     if isinstance(field, PrimeField):
-        return _rank((_residues(row, field) for row in rows), ncols, field.p)
-    rank = _rank(
-        (_integer_residues(row, field) for row in rows), ncols, MODULUS
-    )
+        p = field.p
+        residues = ({j: x % p for j, x in row.items() if x % p} for row in rows)
+        return _rank(residues, ncols, p)
+    rank = _rank((_integer_residues(row) for row in rows), ncols, MODULUS)
     if rank == min(len(rows), ncols):
         return rank
-    return _rank(
-        (dict(_nonzero(row, field.coerce)) for row in rows), ncols, None
-    )
+    exact = ({j: field.coerce(x) for j, x in row.items()} for row in rows)
+    return _rank(exact, ncols, None)

@@ -25,9 +25,10 @@ counted from the bigraded Hilbert numerator of S/J_i (Bayer-Stillman,
 "Computation of Hilbert functions", J. Symb. Comp. 1992; Bigatti,
 "Computation of Hilbert-Poincare series", JPAA 119, 1997), computed once
 per ideal. Only genuinely polynomial vectors go through field
-elimination; the rank of a union of distinct unit vectors U and other
-rows V is |U| plus the rank of V with the U coordinates cleared, so this
-is exact.
+elimination, as the sparse ``{position: coefficient}`` rows that
+``linalg.subspace_dim`` takes; the rank of a union of distinct unit
+vectors U and other rows V is |U| plus the rank of V with the U
+coordinates cleared, so this is exact.
 
 Fiber-slice lengths carry a finiteness certificate: the quotient being
 measured is generated in base degrees <= D, so the first zero summand at
@@ -454,30 +455,10 @@ def _span_dim(pres: ModulePresentation, deg, plan) -> int:
         i, mono = basis[p]
         if any(_divides(g, mono) for g in ideals[i]):
             unit_columns.add(p)
-    field = pres.ring.field
-    seen = {}
-    for row in poly_rows:
-        stripped = {p: c for p, c in row.items() if p not in unit_columns}
-        if not stripped:
-            continue
-        lead = min(stripped)
-        inv = field.div(field.one, stripped[lead])
-        normalized = tuple(
-            sorted((p, field.mul(inv, c)) for p, c in stripped.items())
-        )
-        seen[normalized] = True
-    if not seen:
-        return spanned
-
-    columns = sorted({p for key in seen for p, _ in key})
-    colmap = {p: j for j, p in enumerate(columns)}
-    dense = []
-    for key in seen:
-        row = [field.zero] * len(columns)
-        for p, c in key:
-            row[colmap[p]] = c
-        dense.append(row)
-    return spanned + subspace_dim(dense, field, len(columns))
+    stripped = (
+        {p: c for p, c in row.items() if p not in unit_columns} for row in poly_rows
+    )
+    return spanned + subspace_dim([row for row in stripped if row], pres.ring.field)
 
 
 def piece_dimension(pres: ModulePresentation, deg) -> int:

@@ -112,7 +112,6 @@ class PureQuery:
 
     module: ModulePresentation
     h: SubmoduleSpec
-    d: Optional[int] = None
     r: Optional[int] = None
     grid: Optional[int] = None
     cutoff: int = DEFAULT_CUTOFF
@@ -121,12 +120,6 @@ class PureQuery:
     def __post_init__(self):
         if self.h.ring != self.module.ring:
             raise GradingError("H lives in a different ring than M")
-        d = self.h.fiber_degree if self.d is None else self.d
-        if d != self.h.fiber_degree:
-            raise GradingError(
-                f"declared d = {d} but H has fiber degree {self.h.fiber_degree}"
-            )
-        object.__setattr__(self, "d", d)
         if self.r is not None and self.r < 0:
             raise ValueError("r must be nonnegative")
 
@@ -138,8 +131,6 @@ class MixedQuery:
     module: ModulePresentation
     h1: SubmoduleSpec
     h2: SubmoduleSpec
-    d1: Optional[int] = None
-    d2: Optional[int] = None
     r: Optional[int] = None
     grid: Optional[int] = None
     cutoff: int = DEFAULT_CUTOFF
@@ -149,15 +140,6 @@ class MixedQuery:
         for h in (self.h1, self.h2):
             if h.ring != self.module.ring:
                 raise GradingError("H lives in a different ring than M")
-        d1 = self.h1.fiber_degree if self.d1 is None else self.d1
-        d2 = self.h2.fiber_degree if self.d2 is None else self.d2
-        if d1 != self.h1.fiber_degree or d2 != self.h2.fiber_degree:
-            raise GradingError(
-                f"declared (d1, d2) = {(d1, d2)} but generators have fiber"
-                f" degrees {(self.h1.fiber_degree, self.h2.fiber_degree)}"
-            )
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
         if self.r is not None and self.r < 0:
             raise ValueError("r must be nonnegative")
 

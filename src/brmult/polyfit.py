@@ -116,9 +116,6 @@ class LengthTable:
             flat %= stride
         return tuple(o + c for o, c in zip(self.origin, coords))
 
-    def points(self):
-        return itertools.product(*(range(e) for e in self.extents))
-
     def axis_index(self, axis) -> int:
         if isinstance(axis, str):
             return self.axes.index(axis)

@@ -136,15 +136,6 @@ class Polynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def leading_monomial(self):
-        if not self.terms:
-            raise GradingError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
-
-    def is_bihomogeneous(self) -> bool:
-        degs = {self.ring.bidegree_of_monomial(m) for m, _ in self.terms}
-        return len(degs) <= 1
-
     def bidegree(self) -> tuple[int, int]:
         """Bidegree of a nonzero bihomogeneous polynomial.
 

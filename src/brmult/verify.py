@@ -98,9 +98,7 @@ def _describe(module: ModulePresentation, subs) -> str:
 def check_mixed_operator_formula(
     module: ModulePresentation,
     h1: SubmoduleSpec,
-    d1: int,
     h2: SubmoduleSpec,
-    d2: int,
     r: Optional[int] = None,
     grid: Optional[int] = None,
     cutoff: int = DEFAULT_CUTOFF,
@@ -110,12 +108,11 @@ def check_mixed_operator_formula(
 
     For every split n + k = r the pure multiplicity of H1*H2 in slot
     (n, k) must equal sum over i+j=n of C(n, i) times the mixed
-    multiplicity in slot (i, j, k). Declared fiber degrees are validated
-    up front; a mismatch is a precondition error, never a fail verdict.
+    multiplicity in slot (i, j, k).
     """
     fit = dict(r=r, grid=grid, cutoff=cutoff, window=window)
-    mixed_q = MixedQuery(module, h1, h2, d1, d2, **fit)
-    pure_q = PureQuery(module, product_generators(h1, h2), d1 + d2, **fit)
+    mixed_q = MixedQuery(module, h1, h2, **fit)
+    pure_q = PureQuery(module, product_generators(h1, h2), **fit)
     mixed_rep = mixed_br_multiplicities(mixed_q)
     pure_rep = br_multiplicities(pure_q)
     rr = pure_rep.r
@@ -196,31 +193,25 @@ def _factor_sum_report(
 def check_telescoping(
     module: ModulePresentation,
     h: SubmoduleSpec,
-    d: Optional[int] = None,
     grid: int = 4,
     degree_bound: Optional[int] = None,
 ) -> VerificationReport:
     """Filtration factors of H^p at fiber slice pd+n sum to a quotient.
 
-    The nu-th factor is H^nu M_{d(p-nu)+n} / H^(nu+1) M_{d(p-nu-1)+n} for
-    nu = 0..p; their per-base-degree dimensions must sum to those of
-    M_{pd+n} / H^(p+1) M_{n-d}, with M_m = 0 for m < 0. The identity is
-    bigraded, so each base degree up to the bound is compared separately;
-    the report rows carry the per-point sums over those degrees.
+    With d the fiber degree of H, the nu-th factor is H^nu M_{d(p-nu)+n}
+    / H^(nu+1) M_{d(p-nu-1)+n} for nu = 0..p; their per-base-degree
+    dimensions must sum to those of M_{pd+n} / H^(p+1) M_{n-d}, with
+    M_m = 0 for m < 0. The identity is bigraded, so each base degree up
+    to the bound is compared separately; the report rows carry the
+    per-point sums over those degrees.
     """
-    if d is None:
-        d = h.fiber_degree
-    if d != h.fiber_degree:
-        raise ValueError(
-            f"declared d = {d} but H has fiber degree {h.fiber_degree}"
-        )
     return _factor_sum_report(
         "telescoping-factor-sum",
         module,
         (h,),
         ("p", "n"),
         grid,
-        lambda p, n: _power_factors(h, d, p, n),
+        lambda p, n: _power_factors(h, p, n),
         degree_bound,
     )
 
@@ -228,9 +219,7 @@ def check_telescoping(
 def check_mixed_factor_sum(
     module: ModulePresentation,
     h1: SubmoduleSpec,
-    d1: int,
     h2: SubmoduleSpec,
-    d2: int,
     grid: int = 3,
     degree_bound: Optional[int] = None,
 ) -> VerificationReport:
@@ -242,12 +231,6 @@ def check_mixed_factor_sum(
     for nu = p+q..1, then level_0 / H1^(p+1) H2^(q+1)) must sum to those
     of M_{d1 p + d2 q + n} / H1^(p+1) H2^(q+1) M_{n-d1-d2}.
     """
-    for h, dd in ((h1, d1), (h2, d2)):
-        if dd != h.fiber_degree:
-            raise ValueError(
-                f"declared d = {dd} but generators have fiber degree"
-                f" {h.fiber_degree}"
-            )
     return _factor_sum_report(
         "mixed-factor-sum",
         module,
@@ -322,9 +305,7 @@ def _degree_bound(table, r: int, window: int) -> VerificationReport:
 def check_symmetry(
     module: ModulePresentation,
     h1: SubmoduleSpec,
-    d1: int,
     h2: SubmoduleSpec,
-    d2: int,
     r: Optional[int] = None,
     grid: Optional[int] = None,
     cutoff: int = DEFAULT_CUTOFF,
@@ -332,8 +313,8 @@ def check_symmetry(
 ) -> VerificationReport:
     """Swapping the two submodules transposes the mixed e-values."""
     fit = dict(r=r, grid=grid, cutoff=cutoff, window=window)
-    fwd = mixed_br_multiplicities(MixedQuery(module, h1, h2, d1, d2, **fit))
-    rev = mixed_br_multiplicities(MixedQuery(module, h2, h1, d2, d1, **fit))
+    fwd = mixed_br_multiplicities(MixedQuery(module, h1, h2, **fit))
+    rev = mixed_br_multiplicities(MixedQuery(module, h2, h1, **fit))
     left = []
     right = []
     for alpha, value in fwd.leading.entries:

@@ -5,8 +5,9 @@ arithmetic, and ``piece_subspace`` materializes every spanning vector of
 a bidegree piece as a dense row. Both are slow and independent of the
 sparse rank kernel in ``brmult.linalg``. ``scan_span_dim`` measures the
 same span as ``brmult.modules.span_dim`` by testing every basis monomial
-of the piece for divisibility, independent of the Hilbert numerators the
-library counts with. ``multiset_power_generators`` and
+of the piece for divisibility and ranking the rest with ``rank``,
+independent of the Hilbert numerators and the rank kernel the library
+counts with. ``multiset_power_generators`` and
 ``pairwise_product_generators`` multiply out every product of generators,
 with no echelon step; ``rref_by_bidegree`` compares generator sets by the
 spaces they span in each bidegree.
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from brmult.linalg import ShapeError, subspace_dim
 from brmult.modules import (
     ModulePresentation,
     SliceSpan,
@@ -26,6 +26,10 @@ from brmult.modules import (
     piece_basis,
 )
 from brmult.rings import monomial_basis
+
+
+class ShapeError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ def scan_span_dim(
 
     Single-monomial spanning vectors are counted by testing every basis
     monomial of the piece against every such generator; the remaining
-    vectors, with those coordinates cleared, go through ``subspace_dim``.
+    vectors, with those coordinates cleared, go through the dense ``rank``.
     """
     basis, index = piece_basis(pres.free, deg)
     if not basis:
@@ -221,25 +225,9 @@ def scan_span_dim(
         elif any(_divides(g, mono) for g in comp_monos.get(i, ())):
             unit.add(flat)
 
-    field = ring.field
-    seen = {}
-    for row in poly_rows:
-        stripped = {p: c for p, c in row.items() if p not in unit}
-        if not stripped:
-            continue
-        inv = field.div(field.one, stripped[min(stripped)])
-        seen[tuple(sorted((p, field.mul(inv, c)) for p, c in stripped.items()))] = True
-    if not seen:
-        return len(unit)
-    columns = sorted({p for key in seen for p, _ in key})
-    colmap = {p: j for j, p in enumerate(columns)}
-    dense = []
-    for key in seen:
-        row = [field.zero] * len(columns)
-        for p, c in key:
-            row[colmap[p]] = c
-        dense.append(row)
-    return len(unit) + subspace_dim(dense, field, len(columns))
+    columns = sorted({p for row in poly_rows for p in row} - unit)
+    dense = [[row.get(p, 0) for p in columns] for row in poly_rows]
+    return len(unit) + rank(Matrix.from_rows(ring.field, dense))
 
 
 def _monic_set(polys) -> tuple:

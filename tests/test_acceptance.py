@@ -95,7 +95,7 @@ def test_acceptance_2_mixed_operator_identity(capsys):
     for gens1, gens2 in pairs:
         h1 = SubmoduleSpec(ring, 0, gens1)
         h2 = SubmoduleSpec(ring, 0, gens2)
-        report = check_mixed_operator_formula(module, h1, 0, h2, 0)
+        report = check_mixed_operator_formula(module, h1, h2)
         if not report.passed:
             ok = False
     announce(capsys, 2, ok, "operator formula exact on three d=0 instances")
@@ -168,13 +168,10 @@ def test_acceptance_5_filtration_identities(capsys):
                     if not w.passed:
                         ok = False
     for inst in curated_pure():
-        if not check_telescoping(inst.module, inst.h, inst.h.fiber_degree, grid=3).passed:
+        if not check_telescoping(inst.module, inst.h, grid=3).passed:
             ok = False
     for inst in pair_instances:
-        report = check_mixed_factor_sum(
-            inst.module, inst.h1, inst.h1.fiber_degree,
-            inst.h2, inst.h2.fiber_degree, grid=3,
-        )
+        report = check_mixed_factor_sum(inst.module, inst.h1, inst.h2, grid=3)
         if not report.passed:
             ok = False
     announce(capsys, 5, ok, "inclusions p,q<=3 plus factor sums on [0,3] grids")
@@ -184,10 +181,7 @@ def test_acceptance_5_filtration_identities(capsys):
 def test_acceptance_6_symmetry(capsys):
     ok = True
     for inst in curated_mixed():
-        report = check_symmetry(
-            inst.module, inst.h1, inst.h1.fiber_degree,
-            inst.h2, inst.h2.fiber_degree,
-        )
+        report = check_symmetry(inst.module, inst.h1, inst.h2)
         if not report.passed:
             ok = False
     announce(capsys, 6, ok, "e[i,j,k](H1,H2) = e[j,i,k](H2,H1) on the curated pairs")

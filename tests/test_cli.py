@@ -176,7 +176,7 @@ def test_verify_single_check(tmp_path):
 
 
 def test_verify_failure_exits_two(tmp_path, monkeypatch):
-    def broken(module, h, d=None, grid=4, degree_bound=None, cutoff=64):
+    def broken(module, h, grid=4, degree_bound=None, cutoff=64):
         return VerificationReport(
             check="telescoping-factor-sum",
             instance="forced failure",

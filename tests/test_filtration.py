@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 import brmult.filtration as filtration
 from brmult.fields import QQ
 from brmult.filtration import (
@@ -134,7 +132,7 @@ def test_factor_lengths_telescope_to_direct_quotient():
     x, y, u, v = (ring.gen(s) for s in "xyuv")
     h = SubmoduleSpec(ring, 1, (x * u, x * v, y * u, y * v))
     for p, n in ((1, 0), (2, 1), (3, 2)):
-        factors = filtration_factor_lengths(pres, h, 1, p - 1, n + 1)
+        factors = filtration_factor_lengths(pres, h, p - 1, n + 1)
         total = sum(f.total for f in factors)
         top_fiber = 1 * (p - 1) + (n + 1)
         bottom = [SliceSpan(g, n + 1 - 1) for g in power_generators(h, p).gens]
@@ -149,7 +147,7 @@ def test_factor_lengths_known_values():
     x, y, u, v = (ring.gen(s) for s in "xyuv")
     h = SubmoduleSpec(ring, 1, (x * u, x * v, y * u, y * v))
     for p, n, expected in ((1, 0, 2), (2, 1, 12), (3, 2, 36)):
-        factors = filtration_factor_lengths(pres, h, 1, p - 1, n + 1)
+        factors = filtration_factor_lengths(pres, h, p - 1, n + 1)
         assert sum(f.total for f in factors) == expected
 
 
@@ -178,10 +176,3 @@ def test_mixed_factor_count():
     m = max_ideal(R2)
     factors = mixed_factor_lengths(pres, m, m, 2, 1, 0)
     assert len(factors) == 4  # nu = 0..p+q
-
-
-def test_fiber_degree_mismatch_rejected():
-    pres = free_module(R2)
-    m = max_ideal(R2)
-    with pytest.raises(Exception):
-        filtration_factor_lengths(pres, m, 1, 2, 0)

@@ -143,8 +143,6 @@ def test_query_grading_guards():
     with pytest.raises(Exception):
         PureQuery(free_module(R22), m)
     with pytest.raises(Exception):
-        PureQuery(free_module(R2), m, d=1)
-    with pytest.raises(Exception):
         LocalQuery(free_module(R2), m)  # ring has a fiber variable
 
 
@@ -266,11 +264,32 @@ def test_samuel_function_values():
         samuel_function(module, axis, 1)
 
 
-def test_nonmonomial_block_ranks_over_q_are_all_certified(monkeypatch):
-    # H = (xu, yu + xv, yv) does not fill the bidegree pieces its powers
-    # span, so echelon bases keep polynomial rows and the spans still go
-    # through elimination. Every elimination ends at full rank mod
-    # 2^31 - 1, so none may reach Fraction arithmetic.
+@pytest.mark.parametrize(
+    "name, grid, leading, p1_row",
+    [
+        (
+            "minors_block.txt",
+            5,
+            {(3, 0): 3, (2, 1): 1, (1, 2): 0, (0, 3): 0},
+            (3, 3, 4, 5, 6, 7, 8, 9),
+        ),
+        (
+            "minors_3var.txt",
+            6,
+            {(4, 0): 4, (3, 1): 1, (2, 2): 0, (1, 3): 0, (0, 4): 0},
+            (4, 4, 4, 5, 6, 7, 8, 9, 10),
+        ),
+    ],
+    ids=["minors_block", "minors_3var"],
+)
+def test_nonmonomial_block_ranks_over_q_are_all_certified(
+    monkeypatch, name, grid, leading, p1_row
+):
+    # H = (xu, yu + xv, yv) and H = (xu, yu + xv, zu + yv, zv) do not
+    # fill the bidegree pieces their powers span, so echelon bases keep
+    # polynomial rows and the spans still go through elimination. Every
+    # elimination ends at full rank mod 2^31 - 1, so none may reach
+    # Fraction arithmetic. The p = 1 rows match the dense oracle.
     kernel = linalg._rank
     calls = []
 
@@ -281,16 +300,12 @@ def test_nonmonomial_block_ranks_over_q_are_all_certified(monkeypatch):
         return kernel(rows, ncols, modulus)
 
     monkeypatch.setattr(linalg, "_rank", modular_only)
-    inst = parse_instance((INSTANCES / "minors_block.txt").read_text())
-    report = br_multiplicities(PureQuery(inst.module, inst.submodule(0), grid=5))
+    inst = parse_instance((INSTANCES / name).read_text())
+    report = br_multiplicities(PureQuery(inst.module, inst.submodule(0), grid=grid))
     assert calls
-    assert report.leading.as_dict() == {
-        (3, 0): 3,
-        (2, 1): 1,
-        (1, 2): 0,
-        (0, 3): 0,
-    }
-    assert report.table.values[8:16] == (3, 3, 4, 5, 6, 7, 8, 9)
+    assert report.leading.as_dict() == leading
+    n = report.table.extents[1]
+    assert report.table.values[n : 2 * n] == p1_row
 
 
 def test_three_variable_block_e_values():
