@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
-from .fields import FieldError, PrimeField, QQ, RationalField
+from .fields import FieldError, PrimeField, QQ, RationalField, Value
 from .filtration import check_filtration_inclusions
 from .modules import (
     CutoffExceeded,
@@ -88,8 +87,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class InstanceFile:
+class InstanceFile(Value):
     """A parsed instance: everything a command needs to run."""
 
     field: object
@@ -246,6 +244,17 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
     submodules = []
     settings = {}
     seen_names = set()
+    line_no = indent = 0
+
+    def error(message) -> ParseError:
+        """A ParseError at the start of the current declaration."""
+        return ParseError(line_no, indent + 1, message)
+
+    def integer(token, what) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise error(f"bad {what} {token!r}")
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -257,75 +266,50 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
 
         if head == "field":
             if ring is not None:
-                raise ParseError(
-                    line_no, indent + 1, "field must precede ring"
-                )
+                raise error("field must precede ring")
             if field is not None:
-                raise ParseError(line_no, indent + 1, "duplicate field line")
+                raise error("duplicate field line")
             if len(tokens) == 2 and tokens[1] == "Q":
                 field = QQ
             elif len(tokens) == 3 and tokens[1] == "Fp":
-                try:
-                    p = int(tokens[2])
-                except ValueError:
-                    raise ParseError(
-                        line_no, indent + 1, f"bad prime {tokens[2]!r}"
-                    )
+                p = integer(tokens[2], "prime")
                 try:
                     field = PrimeField(p)
                 except FieldError as exc:
-                    raise ParseError(line_no, indent + 1, str(exc))
+                    raise error(str(exc))
             else:
-                raise ParseError(
-                    line_no, indent + 1, "expected 'field Q' or 'field Fp <prime>'"
-                )
+                raise error("expected 'field Q' or 'field Fp <prime>'")
         elif head == "ring":
             if ring is not None:
-                raise ParseError(line_no, indent + 1, "duplicate ring line")
+                raise error("duplicate ring line")
             if "base" not in tokens or "fiber" not in tokens:
-                raise ParseError(
-                    line_no, indent + 1,
-                    "expected 'ring base <names...> fiber <names...>'",
-                )
+                raise error("expected 'ring base <names...> fiber <names...>'")
             bi = tokens.index("base")
             fi = tokens.index("fiber")
             if bi != 1 or fi < bi:
-                raise ParseError(
-                    line_no, indent + 1, "expected base list before fiber list"
-                )
+                raise error("expected base list before fiber list")
             base = tuple(tokens[bi + 1 : fi])
             fiber = tuple(tokens[fi + 1 :])
             use_field = field_override or field or QQ
             try:
                 ring = RingSpec(use_field, base, fiber)
             except GradingError as exc:
-                raise ParseError(line_no, indent + 1, str(exc))
+                raise error(str(exc))
         elif head == "module":
             if ring is None:
-                raise ParseError(line_no, indent + 1, "module needs a ring first")
+                raise error("module needs a ring first")
             if rank is not None:
-                raise ParseError(line_no, indent + 1, "duplicate module line")
+                raise error("duplicate module line")
             if len(tokens) < 4 or tokens[1] != "free" or tokens[3] != "shifts":
-                raise ParseError(
-                    line_no, indent + 1,
-                    "expected 'module free <count> shifts (a,n) ...'",
-                )
-            try:
-                rank = int(tokens[2])
-            except ValueError:
-                raise ParseError(
-                    line_no, indent + 1, f"bad generator count {tokens[2]!r}"
-                )
+                raise error("expected 'module free <count> shifts (a,n) ...'")
+            rank = integer(tokens[2], "generator count")
             rest_col = line.index("shifts") + len("shifts")
             shifts = _parse_shifts(line[rest_col:], line_no, rest_col)
             if len(shifts) != rank:
-                raise ParseError(
-                    line_no, indent + 1,
-                    f"declared {rank} generators but {len(shifts)} shifts",
-                )
+                raise error(f"declared {rank} generators but {len(shifts)} shifts")
         elif head == "rel":
             if rank is None:
-                raise ParseError(line_no, indent + 1, "rel needs a module first")
+                raise error("rel needs a module first")
             body_col = line.index("rel") + len("rel")
             body = line[body_col:]
             pieces = body.split(";")
@@ -345,29 +329,13 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
             relations.append(tuple(entries))
         elif head == "submodule":
             if ring is None:
-                raise ParseError(
-                    line_no, indent + 1, "submodule needs a ring first"
-                )
-            if (
-                len(tokens) < 5
-                or tokens[2] != "fiberdeg"
-                or tokens[4] != "gens"
-            ):
-                raise ParseError(
-                    line_no, indent + 1,
-                    "expected 'submodule <name> fiberdeg <d> gens <polys>'",
-                )
+                raise error("submodule needs a ring first")
+            if len(tokens) < 5 or tokens[2] != "fiberdeg" or tokens[4] != "gens":
+                raise error("expected 'submodule <name> fiberdeg <d> gens <polys>'")
             name = tokens[1]
             if name in seen_names:
-                raise ParseError(
-                    line_no, indent + 1, f"duplicate submodule {name!r}"
-                )
-            try:
-                fiberdeg = int(tokens[3])
-            except ValueError:
-                raise ParseError(
-                    line_no, indent + 1, f"bad fiber degree {tokens[3]!r}"
-                )
+                raise error(f"duplicate submodule {name!r}")
+            fiberdeg = integer(tokens[3], "fiber degree")
             gens_col = line.index("gens", line.index("fiberdeg")) + len("gens")
             body = line[gens_col:]
             gens = []
@@ -384,20 +352,10 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
             submodules.append((name, sub))
         elif head == "set":
             if len(tokens) != 3 or tokens[1] not in SETTINGS:
-                raise ParseError(
-                    line_no, indent + 1,
-                    "expected 'set r|grid|cutoff|window <int>'",
-                )
-            try:
-                settings[tokens[1]] = int(tokens[2])
-            except ValueError:
-                raise ParseError(
-                    line_no, indent + 1, f"bad integer {tokens[2]!r}"
-                )
+                raise error("expected 'set r|grid|cutoff|window <int>'")
+            settings[tokens[1]] = integer(tokens[2], "integer")
         else:
-            raise ParseError(
-                line_no, indent + 1, f"unknown declaration {head!r}"
-            )
+            raise error(f"unknown declaration {head!r}")
 
     if ring is None:
         raise ParseError(0, 0, "missing ring declaration")
@@ -409,9 +367,7 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
         )
     except GradingError as exc:
         raise ParseError(0, 0, str(exc))
-    return InstanceFile(
-        ring.field, ring, module, tuple(submodules), settings
-    )
+    return InstanceFile(ring.field, ring, module, tuple(submodules), settings)
 
 
 def _s(value) -> str:
@@ -619,9 +575,10 @@ def _inclusion_report(inst, grid) -> VerificationReport:
     left = []
     right = []
     witness = None
+    memo = {}
     for p in range(grid + 1):
         for q in range(grid + 1):
-            for item in check_filtration_inclusions(h1, h2, p, q):
+            for item in check_filtration_inclusions(h1, h2, p, q, memo):
                 label = f"(p,q)=({p},{q}) {item.part} nu={item.nu}"
                 left.append((label, 1 if item.passed else 0))
                 right.append((label + " expected", 1))

@@ -7,7 +7,6 @@ object, so no floating point can sneak in anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Scalar = object  # Fraction over Q, int residue over F_p
@@ -15,6 +14,70 @@ Scalar = object  # Fraction over Q, int residue over F_p
 
 class FieldError(ValueError):
     pass
+
+
+_setattr = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value classes: a frozen dataclass, without
+    the code generation that makes ``dataclasses`` slow to import.
+
+    A subclass declares its fields as annotated class attributes, and a
+    class attribute of the same name is the field's default. Instances
+    are built by position or keyword and then checked by
+    ``__post_init__``. They compare equal by exact class and fields, hash
+    their field tuple once, refuse assignment and have the dataclass repr.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args))
+            unknown = values.keys() & kwargs or kwargs.keys() - set(fields)
+            if len(args) > len(fields) or unknown:
+                raise TypeError(f"{cls.__name__}() got bad arguments {args}, {kwargs}")
+            values.update(kwargs)
+            for field in fields:
+                if field not in values and not hasattr(cls, field):
+                    raise TypeError(f"{cls.__name__}() missing field {field!r}")
+            args = [values[f] if f in values else getattr(cls, f) for f in fields]
+        for field, value in zip(fields, args):
+            _setattr(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._values())
+            _setattr(self, "_hash", h)
+        return h
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -41,8 +104,7 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(Value):
     """The field Q with arbitrary-precision rational scalars."""
 
     def coerce(self, value) -> Fraction:
@@ -87,8 +149,7 @@ class RationalField:
         return "Q"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Value):
     """The prime field F_p; scalars are int residues in [0, p).
 
     Lengths over F_p are those of the characteristic-p problem; they can

@@ -23,10 +23,10 @@ base degree, where J is the modulus ideal (typically I + m^(k+1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .fields import Value
 from .modules import (
     DEFAULT_CUTOFF,
     LengthResult,
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MixedFiltrationLevel:
+class MixedFiltrationLevel(Value):
     """Generators of one level of the mixed filtration of H1, H2."""
 
     h1: SubmoduleSpec
@@ -121,8 +120,7 @@ def _contains(ring_pres, span_gens, g: Polynomial) -> bool:
     return extended == base
 
 
-@dataclass(frozen=True)
-class InclusionWitness:
+class InclusionWitness(Value):
     """Outcome of one generator-level inclusion test."""
 
     part: str  # "a" or "b"
@@ -132,17 +130,21 @@ class InclusionWitness:
     bidegree: Optional[tuple] = None
 
 
-def _first_escape(part, nu, ring_pres, gens, span_gens) -> InclusionWitness:
+def _first_escape(part, nu, ring_pres, gens, span_gens, memo) -> InclusionWitness:
     """Test ``gens`` in order against the span of ``span_gens``; the first
-    that is not in it is the witness."""
+    that is not in it is the witness. ``memo`` holds earlier outcomes by
+    (span_gens, g)."""
     for g in gens:
-        if not _contains(ring_pres, span_gens, g):
+        inside = memo.get((span_gens, g))
+        if inside is None:
+            inside = memo[span_gens, g] = _contains(ring_pres, span_gens, g)
+        if not inside:
             return InclusionWitness(part, nu, False, str(g), g.bidegree())
     return InclusionWitness(part, nu, True)
 
 
 def check_filtration_inclusions(
-    h1: SubmoduleSpec, h2: SubmoduleSpec, p: int, q: int
+    h1: SubmoduleSpec, h2: SubmoduleSpec, p: int, q: int, memo=None
 ) -> list:
     """Check the nesting laws of the mixed filtration at (p, q).
 
@@ -151,8 +153,11 @@ def check_filtration_inclusions(
     the (p-1, q-1) filtration's level nu-1; (b) is only meaningful when p
     and q are both positive and is skipped otherwise. Containment is
     tested as an exact rank condition at the generator's own bidegree,
-    which suffices because the target spans are ideal pieces.
+    which suffices because the target spans are ideal pieces. A caller
+    checking several (p, q) of the same H1, H2 passes one ``memo`` dict to
+    all of them, so that a test that recurs is made once.
     """
+    memo = {} if memo is None else memo
     ring_pres = _ring_presentation(h1.ring)
     h1h2 = product_generators(h1, h2)
     results = []
@@ -160,11 +165,13 @@ def check_filtration_inclusions(
         level_nu = mixed_level(h1, h2, p, q, nu)
         lower = mixed_level(h1, h2, p, q, nu - 1)
         products = _dedup_monic(a * b for a in h1h2.gens for b in level_nu.gens)
-        results.append(_first_escape("a", nu, ring_pres, products, lower.gens))
+        results.append(
+            _first_escape("a", nu, ring_pres, products, lower.gens, memo)
+        )
         if p >= 1 and q >= 1:
             target = mixed_level(h1, h2, p - 1, q - 1, nu - 1)
             results.append(
-                _first_escape("b", nu, ring_pres, level_nu.gens, target.gens)
+                _first_escape("b", nu, ring_pres, level_nu.gens, target.gens, memo)
             )
     return results
 

@@ -41,11 +41,11 @@ the spans divided by first act, cannot tell and is reported as too small.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
+from .fields import Value
 from .linalg import subspace_dim
 from .polyfit import LengthTable, finite_difference
 from .rings import GradingError, Polynomial, RingSpec, _echelon_basis, monomial_basis
@@ -113,8 +113,7 @@ class HilbertProbeError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class FreeModuleSpec:
+class FreeModuleSpec(Value):
     """Free bigraded module with one generator per shift (a_i, n_i)."""
 
     ring: RingSpec
@@ -132,8 +131,7 @@ class FreeModuleSpec:
         return len(self.shifts)
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
+class ModulePresentation(Value):
     """M = F/K with K spanned by bihomogeneous relation vectors.
 
     Each relation is a tuple of polynomials, one entry per free generator;
@@ -466,8 +464,7 @@ def piece_dimension(pres: ModulePresentation, deg) -> int:
     return free_piece_dim(pres.free, deg) - span_dim(pres, deg)
 
 
-@dataclass(frozen=True)
-class LengthResult:
+class LengthResult(Value):
     """Total length of a graded slice plus its per-base-degree summands.
 
     ``stop_degree`` is the base degree at which the finiteness certificate

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .fields import Value
 from .filtration import assoc_graded_piece_dims
 from .modules import (
     DEFAULT_CUTOFF,
@@ -106,8 +106,7 @@ def _module_nonzero(module: ModulePresentation) -> bool:
     return any(piece_dimension(module, shift) > 0 for shift in module.free.shifts)
 
 
-@dataclass(frozen=True)
-class PureQuery:
+class PureQuery(Value):
     """Everything needed for lambda(p, n) and its leading form."""
 
     module: ModulePresentation
@@ -124,8 +123,7 @@ class PureQuery:
             raise ValueError("r must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MixedQuery:
+class MixedQuery(Value):
     """Everything needed for lambda(p, q, n) and its leading form."""
 
     module: ModulePresentation
@@ -144,8 +142,7 @@ class MixedQuery:
             raise ValueError("r must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LocalQuery:
+class LocalQuery(Value):
     """Generalized Samuel multiplicity of a base ideal at the origin."""
 
     module: ModulePresentation
@@ -167,8 +164,7 @@ class LocalQuery:
             raise ValueError("k must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(Value):
     """A populated length table with its fitted leading form."""
 
     table: LengthTable
@@ -180,8 +176,7 @@ class MultiplicityReport:
     enlarged: bool
 
 
-@dataclass(frozen=True)
-class LocalReport:
+class LocalReport(Value):
     """Generalized Samuel pipeline output, including the k-agreement."""
 
     table: LengthTable

@@ -22,7 +22,8 @@ integers, so this is a consistency assertion, not a rounding step).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from .fields import Value
 
 __all__ = [
     "LengthTable",
@@ -50,8 +51,7 @@ class DegreeExceedsError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class LengthTable:
+class LengthTable(Value):
     """Integer values of a length function on a lattice box.
 
     ``axes`` names the axes (one to three of them), ``origin`` is the
@@ -140,8 +140,7 @@ def finite_difference(t: LengthTable, axis) -> LengthTable:
     return LengthTable(t.axes, t.origin, new_extents, tuple(values))
 
 
-@dataclass(frozen=True)
-class LeadingForm:
+class LeadingForm(Value):
     """Total-degree-r leading form of an eventually polynomial table.
 
     ``entries`` maps each exponent tuple alpha with |alpha| = r to the

@@ -18,10 +18,10 @@ Polynomial(x*T + y*T)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
-from .fields import QQ  # re-exported; the doctest above uses it
+from .fields import QQ, Value, _setattr  # QQ: the doctest above uses it
 
 __all__ = [
     "GradingError",
@@ -38,8 +38,7 @@ class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Value):
     """A bigraded polynomial ring: field, base variables, fiber variables."""
 
     field: object
@@ -109,16 +108,23 @@ class RingSpec:
         return f"{self.field!r}[{','.join(self.base)};{','.join(self.fiber)}]"
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Value):
     """Immutable polynomial: term tuple sorted by descending monomial order.
 
     All arithmetic stays in the ring's field. Polynomials hash, so they can
-    key caches of power and product generator sets.
+    key caches of power and product generator sets. They are built often,
+    hence the slots; the hash and the bidegree are computed once, on demand.
     """
 
+    __slots__ = ("ring", "terms", "_hash", "_bidegree")
     ring: RingSpec
     terms: tuple  # ((exponent tuple, scalar), ...) with scalars nonzero
+
+    def __init__(self, ring, terms):
+        _setattr(self, "ring", ring)
+        _setattr(self, "terms", terms)
+        _setattr(self, "_hash", None)
+        _setattr(self, "_bidegree", None)
 
     @classmethod
     def from_dict(cls, ring, coeffs) -> "Polynomial":
@@ -142,6 +148,8 @@ class Polynomial:
         Raises GradingError naming an offending term when the terms do not
         all share one bidegree.
         """
+        if self._bidegree is not None:
+            return self._bidegree
         if not self.terms:
             raise GradingError("zero polynomial has no bidegree")
         deg = self.ring.bidegree_of_monomial(self.terms[0][0])
@@ -151,6 +159,7 @@ class Polynomial:
                     f"mixed bidegrees in one polynomial: term {self.ring.monomial_str(m)}"
                     f" has bidegree {self.ring.bidegree_of_monomial(m)}, expected {deg}"
                 )
+        _setattr(self, "_bidegree", deg)
         return deg
 
     def fiber_degree(self) -> int:
@@ -278,8 +287,7 @@ def monomial_basis(ring: RingSpec, bidegree) -> tuple:
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class SubmoduleSpec:
+class SubmoduleSpec(Value):
     """Generators of H as a submodule of the fiber-degree-d part of the ring.
 
     Every generator is bihomogeneous with fiber degree exactly d. Base
@@ -307,8 +315,7 @@ class SubmoduleSpec:
                         "mixed fiber degrees in one polynomial:"
                         f" term {self.ring.monomial_str(m)} in {g}"
                     )
-            g.bidegree()  # also rejects mixed base degrees
-            if g.fiber_degree() != self.fiber_degree:
+            if g.fiber_degree() != self.fiber_degree:  # also rejects mixed bidegrees
                 raise GradingError(
                     f"generator {g} has fiber degree {g.fiber_degree()},"
                     f" declared {self.fiber_degree}"
@@ -394,9 +401,18 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
 
     A bidegree group of monomial products only loses its scalar-multiple
     duplicates; a group with a polynomial becomes its ``_echelon_basis``.
+    When both factors are monomial, the products are sums of exponent
+    tuples, deduplicated before any polynomial is built.
     """
     if h1.ring != h2.ring:
         raise GradingError("product of submodules over different rings")
+    fiber_degree = h1.fiber_degree + h2.fiber_degree
+    if all(g.is_monomial() for g in h1.gens + h2.gens):
+        right = [g.terms[0][0] for g in h2.gens]
+        monos = {tuple(map(add, g.terms[0][0], m)) for g in h1.gens for m in right}
+        one = h1.ring.field.one
+        gens = (Polynomial(h1.ring, ((m, one),)) for m in sorted(monos, reverse=True))
+        return SubmoduleSpec(h1.ring, fiber_degree, tuple(gens))
     groups = {}
     for g in (g1 * g2 for g1 in h1.gens for g2 in h2.gens):
         groups.setdefault(g.bidegree(), []).append(g)
@@ -405,6 +421,4 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
         if not all(g.is_monomial() for g in group):
             group = _echelon_basis(h1.ring, tuple(group))
         products.extend(group)
-    return SubmoduleSpec(
-        h1.ring, h1.fiber_degree + h2.fiber_degree, _dedup_monic(products)
-    )
+    return SubmoduleSpec(h1.ring, fiber_degree, _dedup_monic(products))

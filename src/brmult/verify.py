@@ -17,10 +17,10 @@ denominator off entirely).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
+from .fields import Value
 from .filtration import _mixed_factors, _power_factors
 from .modules import DEFAULT_CUTOFF, ModulePresentation, slice_dims_up_to
 from .multiplicity import (
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of one identity check on one instance.
 
     ``left`` and ``right`` are parallel tuples of (label, integer) pairs;

@@ -7,9 +7,14 @@ one of those names would leave that layer silently untraced.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -31,3 +36,23 @@ def test_cached_functions_expose_cache_info():
     for mod_name, fn_name in tracer.CACHED:
         fn = getattr(importlib.import_module(mod_name), fn_name, None)
         assert callable(getattr(fn, "cache_info", None)), f"{mod_name}.{fn_name}"
+
+
+def test_cli_import_loads_every_layer_without_dataclasses():
+    # The benchmark child imports brmult.cli in a fresh interpreter without
+    # bytecode caches, then wraps the traced layers found in sys.modules.
+    # -S keeps what site-packages import at start-up out of the check.
+    tracer = load_tracer()
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    probe = "import json, sys, brmult.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    loaded = set(json.loads(out))
+    assert "dataclasses" not in loaded
+    assert {mod_name for mod_name, _, _ in tracer.LAYERS} <= loaded

@@ -1,7 +1,11 @@
 """Mixed filtration levels, inclusion checks, and factor telescoping."""
 
 import itertools
+from pathlib import Path
 
+import pytest
+
+import brmult.cli as cli
 import brmult.filtration as filtration
 from brmult.fields import QQ
 from brmult.filtration import (
@@ -20,6 +24,7 @@ from brmult.modules import (
 )
 from brmult.rings import RingSpec, SubmoduleSpec, power_generators
 
+INSTANCES = Path(__file__).resolve().parents[1] / "demos" / "instances"
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 BASE = RingSpec(QQ, ("x", "y"), ())
 
@@ -176,3 +181,41 @@ def test_mixed_factor_count():
     m = max_ideal(R2)
     factors = mixed_factor_lengths(pres, m, m, 2, 1, 0)
     assert len(factors) == 4  # nu = 0..p+q
+
+
+class _Forgetful(dict):
+    """An inclusion memo that keeps nothing, so every test is made."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize(
+    "name, made, once",
+    [("max_ideal_pair.txt", 1440, 542), ("newton_pair.txt", 3332, 2537)],
+)
+def test_inclusion_report_makes_each_test_once(monkeypatch, name, made, once):
+    # verify inclusions walks (p, q) <= 3 with one memo: the same (level,
+    # generator) test recurs across (p, q) and nu and is made only once
+    inst = cli.parse_instance((INSTANCES / name).read_text())
+    calls = []
+    real = filtration._contains
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(filtration, "_contains", counting)
+    memoized = cli._inclusion_report(inst, 3)
+    assert len(calls) == once
+
+    calls.clear()
+    monkeypatch.setattr(
+        cli,
+        "check_filtration_inclusions",
+        lambda h1, h2, p, q, memo: check_filtration_inclusions(
+            h1, h2, p, q, _Forgetful()
+        ),
+    )
+    assert cli._inclusion_report(inst, 3) == memoized
+    assert len(calls) == made

@@ -100,6 +100,18 @@ def test_bidegrees_add_under_products(f, g):
     assert prod.bidegree() == (fa + ga, fn + gn)
 
 
+def test_bidegree_is_stored_but_mixed_bidegrees_raise_every_time():
+    x, y, T = R2.gens()
+    f = x * T + y * y * T
+    for _ in range(2):
+        with pytest.raises(GradingError, match="term y"):
+            f.bidegree()
+    with pytest.raises(GradingError):
+        R2.zero.bidegree()
+    g = x * T + y * T
+    assert g.bidegree() is g.bidegree() == (1, 1)
+
+
 @given(bihomogeneous_polys(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_power_is_iterated_product(f, n):
