@@ -70,14 +70,6 @@ __all__ = ["ParseError", "InstanceFile", "parse_instance", "run", "main"]
 
 # Instance settings that the queries take as keyword arguments.
 SETTINGS = ("r", "grid", "cutoff", "window")
-CHECK_NAMES = (
-    "operator",
-    "telescoping",
-    "factor-sum",
-    "degree-bound",
-    "symmetry",
-    "inclusions",
-)
 
 
 class ParseError(ValueError):
@@ -517,14 +509,19 @@ def _cmd_lambda(command, inst, settings, check_name):
     return 0, doc, table
 
 
+# Submodule count -> (query class, fit). Like the checks below, each fit
+# looks its function up when called, so wrappers rebound here see it.
+_FITS = {
+    1: (PureQuery, lambda query: br_multiplicities(query)),
+    2: (MixedQuery, lambda query: mixed_br_multiplicities(query)),
+}
+
+
 def _cmd_fit(command, inst, settings, check_name):
     """``br`` on the first submodule, ``mixed`` on the first two."""
     count = 2 if command == "mixed" else 1
     subs = [inst.submodule(i) for i in range(count)]
-    if count == 2:
-        make_query, fit = MixedQuery, mixed_br_multiplicities
-    else:
-        make_query, fit = PureQuery, br_multiplicities
+    make_query, fit = _FITS[count]
     report = fit(make_query(inst.module, *subs, **_query_kwargs(settings)))
     doc = {
         "query": _query_block(command, inst, _used(inst, count)),
@@ -602,41 +599,35 @@ def _pair(inst) -> tuple:
     return inst.module, inst.submodule(0), inst.submodule(1)
 
 
-def _run_checks(inst, names, settings):
-    kwargs = _query_kwargs(settings)
-    grid = settings.get("grid", 3)
-    reports = []
-    for name in names:
-        if name == "telescoping":
-            report = check_telescoping(inst.module, inst.submodule(0), grid=grid)
-        elif name == "degree-bound":
-            query = PureQuery(inst.module, inst.submodule(0), **kwargs)
-            report = check_br_degree_bound(query)
-        elif name == "operator":
-            report = check_mixed_operator_formula(*_pair(inst), **kwargs)
-        elif name == "factor-sum":
-            report = check_mixed_factor_sum(*_pair(inst), grid=grid)
-        elif name == "symmetry":
-            report = check_symmetry(*_pair(inst), **kwargs)
-        elif name == "inclusions":
-            report = _inclusion_report(inst, grid)
-        else:
-            raise ValueError(
-                f"unknown check {name!r}; choose from"
-                f" {', '.join(CHECK_NAMES)} or all"
-            )
-        reports.append(report)
-    return reports
+# Check name -> check(inst, query kwargs, grid), in ``verify all`` order.
+_CHECKS = {
+    "operator": lambda inst, kw, grid: check_mixed_operator_formula(*_pair(inst), **kw),
+    "telescoping": lambda inst, kw, grid: check_telescoping(
+        inst.module, inst.submodule(0), grid=grid
+    ),
+    "factor-sum": lambda inst, kw, grid: check_mixed_factor_sum(*_pair(inst), grid=grid),
+    "degree-bound": lambda inst, kw, grid: check_br_degree_bound(
+        PureQuery(inst.module, inst.submodule(0), **kw)
+    ),
+    "symmetry": lambda inst, kw, grid: check_symmetry(*_pair(inst), **kw),
+    "inclusions": lambda inst, kw, grid: _inclusion_report(inst, grid),
+}
 
 
 def _cmd_verify(command, inst, settings, check_name):
     if check_name == "all":
         names = ["telescoping", "degree-bound"]
         if len(inst.submodules) >= 2:
-            names = list(CHECK_NAMES)
-    else:
+            names = list(_CHECKS)
+    elif check_name in _CHECKS:
         names = [check_name]
-    reports = _run_checks(inst, names, settings)
+    else:
+        raise ValueError(
+            f"unknown check {check_name!r}; choose from"
+            f" {', '.join(_CHECKS)} or all"
+        )
+    kw, grid = _query_kwargs(settings), settings.get("grid", 3)
+    reports = [_CHECKS[name](inst, kw, grid) for name in names]
     doc = {
         "query": _query_block(command, inst, _used(inst, 2)),
         "verification": [_verification_block(rep) for rep in reports],

@@ -181,15 +181,13 @@ def assoc_graded_piece_dims(
     pres: ModulePresentation,
     modulus: SubmoduleSpec,
     i_index: int,
-    up_to_base_degree: Optional[int] = None,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> LengthResult:
     """Per-base-degree dims of I^i M / (I^(i+1) M + modulus * I^i M).
 
     Base-only setting: the ring must have no fiber variables and both
     ideals fiber degree 0. The result carries the usual finiteness
-    certificate; when ``up_to_base_degree`` is given the per-degree table
-    is padded or truncated to that length (the total stays exact).
+    certificate.
     """
     ring = pres.ring
     if ring.fiber:
@@ -205,12 +203,7 @@ def assoc_graded_piece_dims(
     mixed = product_generators(modulus, power_i)
     top = [SliceSpan(g, 0) for g in power_i.gens]
     bottom = [SliceSpan(g, 0) for g in power_i1.gens + mixed.gens]
-    result = graded_slice_length(pres, 0, top, bottom, cutoff)
-    if up_to_base_degree is None:
-        return result
-    wanted = up_to_base_degree + 1
-    per = (result.per_degree + (0,) * wanted)[:wanted]
-    return LengthResult(result.total, per, result.stop_degree)
+    return graded_slice_length(pres, 0, top, bottom, cutoff)
 
 
 def _power_factors(h: SubmoduleSpec, p: int, n: int) -> tuple:

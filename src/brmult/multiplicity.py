@@ -14,6 +14,9 @@ leading form by exact finite differences, and report the integer e-values
 multiplicities). Grids default to [0, r+4] per axis and are enlarged once
 by 2 per axis if the fit fails, after which the failure is raised. All
 three pipelines share one grid builder and one fit driver.
+
+lambda_pure is the one-factor case of lambda_mixed, its q = 0 face with H1 =
+H: both are cells of one cached product length of H_1^e_1 ... H_k^e_k M_n.
 """
 
 from __future__ import annotations
@@ -102,8 +105,13 @@ def resolve_r(module: ModulePresentation, explicit: Optional[int]) -> tuple:
     return dim, "krull"
 
 
-def _module_nonzero(module: ModulePresentation) -> bool:
-    return any(piece_dimension(module, shift) > 0 for shift in module.free.shifts)
+def _check_product_query(query) -> None:
+    """Validation shared by the pure and mixed queries."""
+    for h in query.subs:
+        if h.ring != query.module.ring:
+            raise GradingError("H lives in a different ring than M")
+    if query.r is not None and query.r < 0:
+        raise ValueError("r must be nonnegative")
 
 
 class PureQuery(Value):
@@ -116,11 +124,8 @@ class PureQuery(Value):
     cutoff: int = DEFAULT_CUTOFF
     window: int = DEFAULT_WINDOW
 
-    def __post_init__(self):
-        if self.h.ring != self.module.ring:
-            raise GradingError("H lives in a different ring than M")
-        if self.r is not None and self.r < 0:
-            raise ValueError("r must be nonnegative")
+    subs = property(lambda self: (self.h,))
+    __post_init__ = _check_product_query
 
 
 class MixedQuery(Value):
@@ -134,12 +139,8 @@ class MixedQuery(Value):
     cutoff: int = DEFAULT_CUTOFF
     window: int = DEFAULT_WINDOW
 
-    def __post_init__(self):
-        for h in (self.h1, self.h2):
-            if h.ring != self.module.ring:
-                raise GradingError("H lives in a different ring than M")
-        if self.r is not None and self.r < 0:
-            raise ValueError("r must be nonnegative")
+    subs = property(lambda self: (self.h1, self.h2))
+    __post_init__ = _check_product_query
 
 
 class LocalQuery(Value):
@@ -190,69 +191,52 @@ class LocalReport(Value):
 
 
 @lru_cache(maxsize=None)
-def _pure_length(
-    module: ModulePresentation, h: SubmoduleSpec, p: int, n: int, cutoff: int
+def _product_length(
+    module: ModulePresentation, subs: tuple, powers: tuple, n: int, cutoff: int
 ) -> LengthResult:
-    if p >= 1 and not h.gens and _module_nonzero(module):
-        raise SupportConditionError("H has no generators but M is nonzero")
-    items = [SliceSpan(g, n) for g in power_generators(h, p).gens]
-    return graded_slice_length(module, h.fiber_degree * p + n, None, items, cutoff)
+    """The length of M_{d_1 e_1 + ... + d_k e_k + n} / H_1^e_1 ... H_k^e_k M_n
+    for the submodules ``subs`` and the exponents ``powers``."""
+    factors = tuple(zip(subs, powers, strict=True))
+    starved = any(e >= 1 and not h.gens for h, e in factors)
+    if starved and any(piece_dimension(module, s) > 0 for s in module.free.shifts):
+        raise SupportConditionError(
+            "H has no generators but M is nonzero"
+            if len(factors) == 1
+            else "a power of a generatorless H acts on a nonzero M"
+        )
+    gens = power_generators(*factors[0])
+    for h, e in factors[1:]:
+        gens = product_generators(gens, power_generators(h, e))
+    items = [SliceSpan(g, n) for g in gens.gens]
+    fiber = sum(h.fiber_degree * e for h, e in factors) + n
+    return graded_slice_length(module, fiber, None, items, cutoff)
 
 
 def lambda_pure(query: PureQuery, p: int, n: int) -> int:
     """Exact length of M_{pd+n} / H^p M_n."""
     if p < 0 or n < 0:
         raise ValueError("p and n must be nonnegative")
-    return _pure_length(query.module, query.h, p, n, query.cutoff).total
-
-
-@lru_cache(maxsize=None)
-def _mixed_length(
-    module: ModulePresentation,
-    h1: SubmoduleSpec,
-    h2: SubmoduleSpec,
-    p: int,
-    q: int,
-    n: int,
-    cutoff: int,
-) -> LengthResult:
-    starved = (p >= 1 and not h1.gens) or (q >= 1 and not h2.gens)
-    if starved and _module_nonzero(module):
-        raise SupportConditionError(
-            "a power of a generatorless H acts on a nonzero M"
-        )
-    gens = product_generators(power_generators(h1, p), power_generators(h2, q))
-    items = [SliceSpan(g, n) for g in gens.gens]
-    fiber = h1.fiber_degree * p + h2.fiber_degree * q + n
-    return graded_slice_length(module, fiber, None, items, cutoff)
+    return _product_length(query.module, query.subs, (p,), n, query.cutoff).total
 
 
 def lambda_mixed(query: MixedQuery, p: int, q: int, n: int) -> int:
     """Exact length of M_{d1 p + d2 q + n} / H1^p H2^q M_n."""
     if p < 0 or q < 0 or n < 0:
         raise ValueError("p, q and n must be nonnegative")
-    return _mixed_length(
-        query.module, query.h1, query.h2, p, q, n, query.cutoff
-    ).total
+    return _product_length(query.module, query.subs, (p, q), n, query.cutoff).total
 
 
 def _grid_table(axes: tuple, gmax: int, cell) -> tuple:
     """``cell`` on [0, gmax]^arity in row-major order: (table, stops).
 
-    ``cell`` maps a grid point to its LengthResult; the table holds the
-    totals and ``stops`` the finiteness certificates.
+    ``cell`` maps a grid point tuple to its LengthResult; the table holds
+    the totals and ``stops`` the finiteness certificates.
     """
     arity = len(axes)
-    results = [
-        cell(*point)
-        for point in itertools.product(range(gmax + 1), repeat=arity)
-    ]
-    table = LengthTable(
-        axes,
-        (0,) * arity,
-        (gmax + 1,) * arity,
-        tuple(res.total for res in results),
-    )
+    points = itertools.product(range(gmax + 1), repeat=arity)
+    results = [cell(point) for point in points]
+    totals = tuple(res.total for res in results)
+    table = LengthTable(axes, (0,) * arity, (gmax + 1,) * arity, totals)
     return table, tuple(res.stop_degree for res in results)
 
 
@@ -323,29 +307,23 @@ def _multiplicity_report(query, tabulate) -> MultiplicityReport:
     )
 
 
-def pure_table(query: PureQuery, gmax: int) -> tuple:
-    """The lambda(p, n) table on [0, gmax]^2 with its finiteness stops."""
+def pure_table(query, gmax: int) -> tuple:
+    """The lambda(p, n) table of a PureQuery, or the lambda(p, q, n) table
+    of a MixedQuery, on [0, gmax]^axes with its finiteness stops."""
+    module, subs, cutoff = query.module, query.subs, query.cutoff
     return _grid_table(
-        ("p", "n"),
+        ("p", "q")[: len(subs)] + ("n",),
         gmax,
-        lambda p, n: _pure_length(query.module, query.h, p, n, query.cutoff),
+        lambda point: _product_length(module, subs, point[:-1], point[-1], cutoff),
     )
+
+
+mixed_table = pure_table
 
 
 def br_multiplicities(query: PureQuery) -> MultiplicityReport:
     """All Buchsbaum-Rim multiplicities e^{i,k} with i + k = r for H on M."""
     return _multiplicity_report(query, pure_table)
-
-
-def mixed_table(query: MixedQuery, gmax: int) -> tuple:
-    """The lambda(p, q, n) table on [0, gmax]^3 with its finiteness stops."""
-    return _grid_table(
-        ("p", "q", "n"),
-        gmax,
-        lambda p, q, n: _mixed_length(
-            query.module, query.h1, query.h2, p, q, n, query.cutoff
-        ),
-    )
 
 
 def mixed_br_multiplicities(query: MixedQuery) -> MultiplicityReport:

@@ -131,15 +131,13 @@ def check_mixed_operator_formula(
     )
 
 
-def _factor_sum_report(
-    check, module, subs, axes, grid, chain, degree_bound
-) -> VerificationReport:
+def _factor_sum_report(check, module, subs, axes, grid, chain) -> VerificationReport:
     """Compare factor sums with direct quotients at every grid point.
 
     ``chain`` maps a point of [0, grid]^len(axes) to its (fiber, factors,
     quotient) chain. At each point the per-base-degree dims of the factors
-    are summed and compared with those of the direct quotient, up to
-    ``degree_bound`` (by default fiber + the point's coordinates + 6).
+    are summed and compared with those of the direct quotient, up to the
+    base degree fiber + the point's coordinates + 6.
     The report rows carry the per-point totals; the witness is the first
     base degree at which the two vectors differ. Points share slices, so
     each slice is walked once, to the longest bound a point needs, and
@@ -149,7 +147,7 @@ def _factor_sum_report(
     walks = {}  # (fiber, top, bottom) -> the longest bound a point needs
     for point in itertools.product(range(grid + 1), repeat=len(axes)):
         fiber, factors, quotient = chain(*point)
-        bound = degree_bound if degree_bound is not None else fiber + sum(point) + 6
+        bound = fiber + sum(point) + 6
         keys = [(fiber, top, bottom) for top, bottom in factors]
         quotient_key = (fiber, None, quotient)
         points[point] = (bound, keys, quotient_key)
@@ -193,7 +191,6 @@ def check_telescoping(
     module: ModulePresentation,
     h: SubmoduleSpec,
     grid: int = 4,
-    degree_bound: Optional[int] = None,
 ) -> VerificationReport:
     """Filtration factors of H^p at fiber slice pd+n sum to a quotient.
 
@@ -211,7 +208,6 @@ def check_telescoping(
         ("p", "n"),
         grid,
         lambda p, n: _power_factors(h, p, n),
-        degree_bound,
     )
 
 
@@ -220,7 +216,6 @@ def check_mixed_factor_sum(
     h1: SubmoduleSpec,
     h2: SubmoduleSpec,
     grid: int = 3,
-    degree_bound: Optional[int] = None,
 ) -> VerificationReport:
     """Mixed filtration factors sum to the double-power quotient.
 
@@ -237,7 +232,6 @@ def check_mixed_factor_sum(
         ("p", "q", "n"),
         grid,
         lambda p, q, n: _mixed_factors(h1, h2, p, q, n),
-        degree_bound,
     )
 
 

@@ -56,3 +56,39 @@ def test_cli_import_loads_every_layer_without_dataclasses():
     loaded = set(json.loads(out))
     assert "dataclasses" not in loaded
     assert {mod_name for mod_name, _, _ in tracer.LAYERS} <= loaded
+
+
+def test_traced_fits_keep_their_table_layer():
+    # Each br or mixed fit must build its table through a traced table
+    # function; a fit that bypassed them would drop multiplicity.table
+    # from every traced benchmark run.
+    instance = ROOT / "demos" / "instances" / "max_ideal_pair.txt"
+    probe = (
+        "import json, sys, brmult.cli\n"
+        f"sys.path.insert(0, {str(TRACER.parent)!r})\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install({n: m for n, m in sys.modules.items()"
+        " if n == 'brmult' or n.startswith('brmult.')})\n"
+        "for command in ('br', 'mixed'):\n"
+        f"    assert brmult.cli.run([command, {str(instance)!r}])[0] == 0\n"
+        "print(json.dumps(tracer.spans))\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    spans = json.loads(out)
+    fits = [i for i, span in enumerate(spans) if span[0] == "multiplicity.fit"]
+    assert len(fits) == 2
+    for fit in fits:
+        tables = [
+            span for span in spans
+            if span[0] == "multiplicity.table" and span[3] == fit
+        ]
+        assert tables and all(span[4][0] > 0 for span in tables)

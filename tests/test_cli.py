@@ -159,10 +159,35 @@ def test_verify_all_passes(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
-    names = [c["check"] for c in doc["verification"]]
-    assert "mixed-operator-formula" in names
-    assert "mixed-symmetry" in names
-    assert "filtration-inclusions" in names
+    assert [c["check"] for c in doc["verification"]] == [
+        "mixed-operator-formula",
+        "telescoping-factor-sum",
+        "mixed-factor-sum",
+        "degree-bound",
+        "mixed-symmetry",
+        "filtration-inclusions",
+    ]
+
+
+def test_verify_all_with_one_submodule(tmp_path):
+    code, out = run(["verify", "all", write(tmp_path, BLOCK)])
+    assert code == 0
+    assert [c["check"] for c in json.loads(out)["verification"]] == [
+        "telescoping-factor-sum",
+        "degree-bound",
+    ]
+
+
+def test_unknown_check_error_document(tmp_path):
+    code, out = run(["verify", "bogus", write(tmp_path, BLOCK)])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "kind": "value",
+            "message": "unknown check 'bogus'; choose from operator,"
+            " telescoping, factor-sum, degree-bound, symmetry, inclusions or all",
+        }
+    }
 
 
 def test_verify_single_check(tmp_path):
@@ -176,7 +201,7 @@ def test_verify_single_check(tmp_path):
 
 
 def test_verify_failure_exits_two(tmp_path, monkeypatch):
-    def broken(module, h, grid=4, degree_bound=None, cutoff=64):
+    def broken(module, h, grid=4):
         return VerificationReport(
             check="telescoping-factor-sum",
             instance="forced failure",
@@ -210,13 +235,29 @@ def test_degree_bound_failure_exits_two_with_a_witness(tmp_path):
     assert check["witness"] == "difference of order (1, 1) at (6, 6) is 7, not 0"
 
 
-def test_support_condition_error_kind(tmp_path):
+@pytest.mark.parametrize(
+    "command, subs, message",
+    [
+        ("lambda", "gens", "H has no generators but M is nonzero"),
+        ("br", "gens", "H has no generators but M is nonzero"),
+        (
+            "mixed",
+            "gens x, y\nsubmodule H2 fiberdeg 0 gens",
+            "a power of a generatorless H acts on a nonzero M",
+        ),
+    ],
+    ids=["lambda", "br", "mixed"],
+)
+def test_support_condition_error_kind(tmp_path, command, subs, message):
     path = write(
-        tmp_path, "field Q\nring base x y fiber T\nsubmodule H fiberdeg 0 gens\n"
+        tmp_path, f"field Q\nring base x y fiber T\nsubmodule H fiberdeg 0 {subs}\n"
     )
-    code, out = run(["lambda", path])
+    code, out = run([command, path])
     assert code == 1
-    assert json.loads(out)["error"]["kind"] == "support-condition"
+    assert json.loads(out)["error"] == {
+        "kind": "support-condition",
+        "message": message,
+    }
 
 
 def test_cutoff_too_small_error_kind(tmp_path):

@@ -189,6 +189,15 @@ def test_mixed_p_zero_edge_reduces_to_pure():
             assert lambda_mixed(mq, 0, qq, n) == lambda_pure(pq, qq, n)
 
 
+@pytest.mark.parametrize("inst", curated_mixed(), ids=lambda inst: inst.name)
+def test_pure_lengths_are_the_q_zero_face_of_the_mixed_ones(inst):
+    mq = MixedQuery(inst.module, inst.h1, inst.h2)
+    pq = PureQuery(inst.module, inst.h1)
+    for p in range(4):
+        for n in range(3):
+            assert lambda_mixed(mq, p, 0, n) == lambda_pure(pq, p, n)
+
+
 def local_query(gens, **kw):
     ideal = SubmoduleSpec(BASE, 0, tuple(gens))
     return LocalQuery(free_module(BASE), ideal, **kw)
