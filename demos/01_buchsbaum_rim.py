@@ -8,12 +8,12 @@ Run from the repository root:
 from brmult import (
     FreeModuleSpec,
     ModulePresentation,
-    PureQuery,
+    ProductQuery,
     QQ,
     RingSpec,
     SubmoduleSpec,
     br_multiplicities,
-    lambda_pure,
+    lambda_product,
 )
 
 
@@ -25,12 +25,12 @@ def main():
     module = ModulePresentation(FreeModuleSpec(ring, ((0, 0),)))
     x, y, u, v = (ring.gen(s) for s in "xyuv")
     h = SubmoduleSpec(ring, 1, (x * u, x * v, y * u, y * v))
-    query = PureQuery(module, h)
+    query = ProductQuery(module, (h,))
 
     print("lambda(p, n) = length of M_{p+n} / H^p M_n")
     print("   n:  " + "  ".join(f"{n:4d}" for n in range(5)))
     for p in range(5):
-        row = [lambda_pure(query, p, n) for n in range(5)]
+        row = [lambda_product(query, p, n) for n in range(5)]
         print(f"p={p}:  " + "  ".join(f"{v:4d}" for v in row))
     print()
     print("The table is (p+n+1)p(p+1)/2, a polynomial of total degree 3.")
@@ -51,7 +51,7 @@ def main():
     module2 = ModulePresentation(FreeModuleSpec(ring2, ((0, 0),)))
     a, b = ring2.gen("x"), ring2.gen("y")
     h2 = SubmoduleSpec(ring2, 0, (a * a, a * b, b * b))
-    report2 = br_multiplicities(PureQuery(module2, h2))
+    report2 = br_multiplicities(ProductQuery(module2, (h2,)))
     print("H = m^2 at fiber degree 0 over k[x,y;T]:")
     for alpha, e in report2.leading.entries:
         print(f"  e{list(alpha)} = {e}")

@@ -7,13 +7,13 @@ Run from the repository root:
 
 from brmult import (
     FreeModuleSpec,
-    MixedQuery,
     ModulePresentation,
+    ProductQuery,
     QQ,
     RingSpec,
     SubmoduleSpec,
-    lambda_mixed,
-    mixed_br_multiplicities,
+    br_multiplicities,
+    lambda_product,
 )
 
 
@@ -37,21 +37,20 @@ def main():
     # Two copies of the maximal ideal. lambda(p, q, n) only depends on
     # p + q here, so all three order-2 coefficients are 1.
     m = SubmoduleSpec(ring, 0, (x, y))
-    show("H1 = H2 = (x, y):", mixed_br_multiplicities(MixedQuery(module, m, m)))
+    show("H1 = H2 = (x, y):", br_multiplicities(ProductQuery(module, (m, m))))
 
     # An asymmetric pair. Each ideal has multiplicity 2 on its own
     # (covolume of its staircase), and the mixed coefficient is 1.
     h1 = SubmoduleSpec(ring, 0, (x, y * y))
     h2 = SubmoduleSpec(ring, 0, (x * x, y))
-    report = mixed_br_multiplicities(MixedQuery(module, h1, h2))
-    show("H1 = (x, y^2), H2 = (x^2, y):", report)
+    q = ProductQuery(module, (h1, h2))
+    show("H1 = (x, y^2), H2 = (x^2, y):", br_multiplicities(q))
 
     # The raw length function behind that report.
-    q = MixedQuery(module, h1, h2)
     print("lambda(p, q, 0) for the asymmetric pair:")
     print("   q:  " + "  ".join(f"{qq:3d}" for qq in range(4)))
     for p in range(4):
-        row = [lambda_mixed(q, p, qq, 0) for qq in range(4)]
+        row = [lambda_product(q, p, qq, 0) for qq in range(4)]
         print(f"p={p}:  " + "  ".join(f"{v:3d}" for v in row))
     print()
     print("Swapping H1 and H2 transposes the table and the e-values;")

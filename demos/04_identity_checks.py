@@ -10,6 +10,7 @@ import os
 from brmult import (
     FreeModuleSpec,
     ModulePresentation,
+    ProductQuery,
     QQ,
     RingSpec,
     SubmoduleSpec,
@@ -39,8 +40,9 @@ def main():
 
     print("Operator formula: e-values of the product submodule against")
     print("binomial-weighted sums of mixed e-values.")
-    show(check_mixed_operator_formula(module, m, m))
-    show(check_mixed_operator_formula(module, h1, h2))
+    pair = ProductQuery(module, (h1, h2))
+    show(check_mixed_operator_formula(ProductQuery(module, (m, m))))
+    show(check_mixed_operator_formula(pair))
     print()
 
     print("Telescoping: filtration factors sum to the direct quotient,")
@@ -57,7 +59,7 @@ def main():
     print()
 
     print("Symmetry of the mixed e-values under swapping the pair.")
-    show(check_symmetry(module, h1, h2))
+    show(check_symmetry(pair))
     print()
 
     print("Filtration nesting laws at every (p, q) up to 3:")

@@ -57,18 +57,15 @@ from .multiplicity import (
     KInstabilityError,
     LocalQuery,
     LocalReport,
-    MixedQuery,
     MultiplicityReport,
-    PureQuery,
+    ProductQuery,
     SupportConditionError,
     br_multiplicities,
     generalized_samuel,
     generalized_samuel_report,
     has_maximal_analytic_spread,
     lambda_local,
-    lambda_mixed,
-    lambda_pure,
-    mixed_br_multiplicities,
+    lambda_product,
     resolve_r,
     samuel_function,
 )

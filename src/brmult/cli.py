@@ -40,13 +40,11 @@ from .modules import (
 from .multiplicity import (
     KInstabilityError,
     LocalQuery,
-    MixedQuery,
-    PureQuery,
+    ProductQuery,
     SupportConditionError,
     br_multiplicities,
     generalized_samuel_report,
     grid_bounds,
-    mixed_br_multiplicities,
     pure_table,
     resolve_r,
 )
@@ -468,6 +466,12 @@ def _query_kwargs(settings) -> dict:
     return {key: settings[key] for key in SETTINGS if key in settings}
 
 
+def _query(inst, settings, count) -> ProductQuery:
+    """The product query over the first ``count`` submodules."""
+    subs = tuple(inst.submodule(i) for i in range(count))
+    return ProductQuery(inst.module, subs, **_query_kwargs(settings))
+
+
 def _used(inst, count) -> tuple:
     return tuple(name for name, _ in inst.submodules[:count])
 
@@ -496,9 +500,9 @@ def _cmd_dims(command, inst, settings, check_name):
 
 
 def _cmd_lambda(command, inst, settings, check_name):
-    query = PureQuery(inst.module, inst.submodule(0), **_query_kwargs(settings))
-    r, r_source = resolve_r(inst.module, settings.get("r"))
-    table, stops = pure_table(query, grid_bounds(r, settings.get("grid"))[0])
+    query = _query(inst, settings, 1)
+    r, r_source = resolve_r(query.module, query.r)
+    table, stops = pure_table(query, grid_bounds(r, query.grid)[0])
     doc = {
         "query": _query_block(command, inst, _used(inst, 1)),
         "r": _s(r),
@@ -509,20 +513,10 @@ def _cmd_lambda(command, inst, settings, check_name):
     return 0, doc, table
 
 
-# Submodule count -> (query class, fit). Like the checks below, each fit
-# looks its function up when called, so wrappers rebound here see it.
-_FITS = {
-    1: (PureQuery, lambda query: br_multiplicities(query)),
-    2: (MixedQuery, lambda query: mixed_br_multiplicities(query)),
-}
-
-
 def _cmd_fit(command, inst, settings, check_name):
     """``br`` on the first submodule, ``mixed`` on the first two."""
     count = 2 if command == "mixed" else 1
-    subs = [inst.submodule(i) for i in range(count)]
-    make_query, fit = _FITS[count]
-    report = fit(make_query(inst.module, *subs, **_query_kwargs(settings)))
+    report = br_multiplicities(_query(inst, settings, count))
     doc = {
         "query": _query_block(command, inst, _used(inst, count)),
         "r": _s(report.r),
@@ -595,22 +589,19 @@ def _inclusion_report(inst, grid) -> VerificationReport:
     )
 
 
-def _pair(inst) -> tuple:
-    return inst.module, inst.submodule(0), inst.submodule(1)
-
-
-# Check name -> check(inst, query kwargs, grid), in ``verify all`` order.
+# Check name -> check(inst, settings, grid), in ``verify all`` order. Each
+# looks its function up when called, so wrappers rebound here see it.
 _CHECKS = {
-    "operator": lambda inst, kw, grid: check_mixed_operator_formula(*_pair(inst), **kw),
-    "telescoping": lambda inst, kw, grid: check_telescoping(
+    "operator": lambda inst, s, grid: check_mixed_operator_formula(_query(inst, s, 2)),
+    "telescoping": lambda inst, s, grid: check_telescoping(
         inst.module, inst.submodule(0), grid=grid
     ),
-    "factor-sum": lambda inst, kw, grid: check_mixed_factor_sum(*_pair(inst), grid=grid),
-    "degree-bound": lambda inst, kw, grid: check_br_degree_bound(
-        PureQuery(inst.module, inst.submodule(0), **kw)
+    "factor-sum": lambda inst, s, grid: check_mixed_factor_sum(
+        inst.module, inst.submodule(0), inst.submodule(1), grid=grid
     ),
-    "symmetry": lambda inst, kw, grid: check_symmetry(*_pair(inst), **kw),
-    "inclusions": lambda inst, kw, grid: _inclusion_report(inst, grid),
+    "degree-bound": lambda inst, s, grid: check_br_degree_bound(_query(inst, s, 1)),
+    "symmetry": lambda inst, s, grid: check_symmetry(_query(inst, s, 2)),
+    "inclusions": lambda inst, s, grid: _inclusion_report(inst, grid),
 }
 
 
@@ -626,8 +617,8 @@ def _cmd_verify(command, inst, settings, check_name):
             f"unknown check {check_name!r}; choose from"
             f" {', '.join(_CHECKS)} or all"
         )
-    kw, grid = _query_kwargs(settings), settings.get("grid", 3)
-    reports = [_CHECKS[name](inst, kw, grid) for name in names]
+    grid = settings.get("grid", 3)
+    reports = [_CHECKS[name](inst, settings, grid) for name in names]
     doc = {
         "query": _query_block(command, inst, _used(inst, 2)),
         "verification": [_verification_block(rep) for rep in reports],

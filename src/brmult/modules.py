@@ -569,40 +569,37 @@ def slice_dims_up_to(
     return tuple(dim for _, dim in zip(range(max_degree + 1), walk))
 
 
-def krull_dimension(
-    pres: ModulePresentation,
-    probe: Optional[int] = None,
-    window: int = 2,
-) -> int:
+def krull_dimension(pres: ModulePresentation) -> int:
     """Krull dimension of M over the total grading.
 
     Computed as 1 + (degree of the eventual polynomial of the total-degree
     Hilbert function), with an eventually zero function meaning dimension
     0. The probe range is a heuristic: generation and relation degrees
-    plus headroom; not stabilizing inside it raises.
+    plus headroom. A function that has not settled by then, on its last
+    four values, to zero or to a polynomial with a positive leading
+    coefficient raises.
     """
     free = pres.free
     if free.rank == 0:
         raise ZeroModuleError("zero module has no Krull dimension here")
     shift_totals = [a + n for a, n in free.shifts]
     relation_totals = [tb + tf for tb, tf in pres.relation_targets()]
-    if probe is None:
-        probe = max(shift_totals) + max(relation_totals, default=0) + pres.ring.nvars + 8
+    probe = max(shift_totals) + max(relation_totals, default=0) + pres.ring.nvars + 8
     h = [
         sum(piece_dimension(pres, (a, n - a)) for a in range(n + 1))
         for n in range(probe + 1)
     ]
     if all(h[t] == 0 for t in shift_totals):
         raise ZeroModuleError("presentation defines the zero module")
-    tail = window + 2
-    if len(h) >= tail and all(v == 0 for v in h[-tail:]):
+    tail = 4
+    if all(v == 0 for v in h[-tail:]):
         return 0
     table = LengthTable(("t",), (0,), (len(h),), tuple(h))
     for degree in range(len(h) - tail):
+        lead = table.values[-1]
         table = finite_difference(table, "t")
         if all(v == 0 for v in table.values[-tail:]):
-            return degree + 1
-    raise HilbertProbeError(
-        f"Hilbert function not polynomial within total degree {probe};"
-        " raise the probe bound"
-    )
+            if lead > 0:  # a Hilbert polynomial's leading coefficient
+                return degree + 1
+            break
+    raise HilbertProbeError(f"Hilbert function not polynomial by total degree {probe}")

@@ -1,11 +1,11 @@
 """End-to-end multiplicity pipelines.
 
-Three length functions drive everything:
+Two length functions drive everything:
 
-* lambda_pure(p, n)     = length of M_{pd+n} / H^p M_n,
-* lambda_mixed(p, q, n) = length of M_{d1 p + d2 q + n} / H1^p H2^q M_n,
-* lambda_local(n)       = length of (sum_{i<=n} I^i M / I^{i+1} M) cut down
-                          by the modulus ideal I + m^(k+1).
+* lambda_product(p, q, n) = length of M_{d1 p + d2 q + n} / H1^p H2^q M_n,
+                            or lambda_product(p, n) for H = H1 alone,
+* lambda_local(n)         = length of (sum_{i<=n} I^i M / I^{i+1} M) cut
+                            down by the modulus ideal I + m^(k+1).
 
 Each is eventually a polynomial of total degree at most r; the pipelines
 tabulate the function on an integer grid, extract the total-degree-r
@@ -13,10 +13,11 @@ leading form by exact finite differences, and report the integer e-values
 (Buchsbaum-Rim, mixed Buchsbaum-Rim, and generalized Samuel
 multiplicities). Grids default to [0, r+4] per axis and are enlarged once
 by 2 per axis if the fit fails, after which the failure is raised. All
-three pipelines share one grid builder and one fit driver.
+pipelines share one grid builder and one fit driver.
 
-lambda_pure is the one-factor case of lambda_mixed, its q = 0 face with H1 =
-H: both are cells of one cached product length of H_1^e_1 ... H_k^e_k M_n.
+A ProductQuery holds one or two submodules. lambda_product(p, n) is the
+q = 0 face of lambda_product(p, q, n) with H1 = H: both are cells of one
+cached product length of H_1^e_1 ... H_k^e_k M_n.
 """
 
 from __future__ import annotations
@@ -56,19 +57,15 @@ from .rings import (
 )
 
 __all__ = [
-    "PureQuery",
-    "MixedQuery",
+    "ProductQuery",
     "LocalQuery",
     "MultiplicityReport",
     "LocalReport",
     "SupportConditionError",
     "KInstabilityError",
-    "lambda_pure",
+    "lambda_product",
     "pure_table",
     "br_multiplicities",
-    "lambda_mixed",
-    "mixed_table",
-    "mixed_br_multiplicities",
     "lambda_local",
     "local_table",
     "resolve_r",
@@ -105,42 +102,25 @@ def resolve_r(module: ModulePresentation, explicit: Optional[int]) -> tuple:
     return dim, "krull"
 
 
-def _check_product_query(query) -> None:
-    """Validation shared by the pure and mixed queries."""
-    for h in query.subs:
-        if h.ring != query.module.ring:
-            raise GradingError("H lives in a different ring than M")
-    if query.r is not None and query.r < 0:
-        raise ValueError("r must be nonnegative")
-
-
-class PureQuery(Value):
-    """Everything needed for lambda(p, n) and its leading form."""
+class ProductQuery(Value):
+    """Everything needed for the length function of the submodules
+    ``subs`` (one H, or a pair H1, H2) on M and its leading form."""
 
     module: ModulePresentation
-    h: SubmoduleSpec
+    subs: tuple
     r: Optional[int] = None
     grid: Optional[int] = None
     cutoff: int = DEFAULT_CUTOFF
     window: int = DEFAULT_WINDOW
 
-    subs = property(lambda self: (self.h,))
-    __post_init__ = _check_product_query
-
-
-class MixedQuery(Value):
-    """Everything needed for lambda(p, q, n) and its leading form."""
-
-    module: ModulePresentation
-    h1: SubmoduleSpec
-    h2: SubmoduleSpec
-    r: Optional[int] = None
-    grid: Optional[int] = None
-    cutoff: int = DEFAULT_CUTOFF
-    window: int = DEFAULT_WINDOW
-
-    subs = property(lambda self: (self.h1, self.h2))
-    __post_init__ = _check_product_query
+    def __post_init__(self):
+        if not 1 <= len(self.subs) <= 2:
+            raise ValueError("a product query takes one or two submodules")
+        for h in self.subs:
+            if h.ring != self.module.ring:
+                raise GradingError("H lives in a different ring than M")
+        if self.r is not None and self.r < 0:
+            raise ValueError("r must be nonnegative")
 
 
 class LocalQuery(Value):
@@ -212,18 +192,16 @@ def _product_length(
     return graded_slice_length(module, fiber, None, items, cutoff)
 
 
-def lambda_pure(query: PureQuery, p: int, n: int) -> int:
-    """Exact length of M_{pd+n} / H^p M_n."""
-    if p < 0 or n < 0:
-        raise ValueError("p and n must be nonnegative")
-    return _product_length(query.module, query.subs, (p,), n, query.cutoff).total
-
-
-def lambda_mixed(query: MixedQuery, p: int, q: int, n: int) -> int:
-    """Exact length of M_{d1 p + d2 q + n} / H1^p H2^q M_n."""
-    if p < 0 or q < 0 or n < 0:
-        raise ValueError("p, q and n must be nonnegative")
-    return _product_length(query.module, query.subs, (p, q), n, query.cutoff).total
+def lambda_product(query: ProductQuery, *point: int) -> int:
+    """Exact length of M_{pd+n} / H^p M_n at point (p, n) for one
+    submodule, or of M_{d1 p + d2 q + n} / H1^p H2^q M_n at (p, q, n)."""
+    if len(point) != len(query.subs) + 1:
+        raise ValueError(f"expected {len(query.subs) + 1} indices, got {len(point)}")
+    if min(point) < 0:
+        raise ValueError("indices must be nonnegative")
+    return _product_length(
+        query.module, query.subs, point[:-1], point[-1], query.cutoff
+    ).total
 
 
 def _grid_table(axes: tuple, gmax: int, cell) -> tuple:
@@ -297,19 +275,9 @@ def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
     return fits, _check_degree(fits[0][0], r, window), enlarged
 
 
-def _multiplicity_report(query, tabulate) -> MultiplicityReport:
-    r, r_source = resolve_r(query.module, query.r)
-    [(table, stops, lf)], estimate, enlarged = _fit(
-        [lambda gmax: tabulate(query, gmax)], r, query.window, query.grid
-    )
-    return MultiplicityReport(
-        table, lf, r, r_source, estimate, stops, enlarged
-    )
-
-
-def pure_table(query, gmax: int) -> tuple:
-    """The lambda(p, n) table of a PureQuery, or the lambda(p, q, n) table
-    of a MixedQuery, on [0, gmax]^axes with its finiteness stops."""
+def pure_table(query: ProductQuery, gmax: int) -> tuple:
+    """The lambda(p, n) or lambda(p, q, n) table of ``query`` on
+    [0, gmax]^axes with its finiteness stops."""
     module, subs, cutoff = query.module, query.subs, query.cutoff
     return _grid_table(
         ("p", "q")[: len(subs)] + ("n",),
@@ -318,17 +286,19 @@ def pure_table(query, gmax: int) -> tuple:
     )
 
 
+def br_multiplicities(query: ProductQuery) -> MultiplicityReport:
+    """All Buchsbaum-Rim multiplicities of ``query`` in total degree r:
+    e^{i,k} for one submodule, the mixed e^{i,j,k} for a pair."""
+    r, r_source = resolve_r(query.module, query.r)
+    [(table, stops, lf)], estimate, enlarged = _fit(
+        [lambda gmax: pure_table(query, gmax)], r, query.window, query.grid
+    )
+    return MultiplicityReport(table, lf, r, r_source, estimate, stops, enlarged)
+
+
+# perfbench/tracer.py wraps these two names as layers, so they must resolve.
 mixed_table = pure_table
-
-
-def br_multiplicities(query: PureQuery) -> MultiplicityReport:
-    """All Buchsbaum-Rim multiplicities e^{i,k} with i + k = r for H on M."""
-    return _multiplicity_report(query, pure_table)
-
-
-def mixed_br_multiplicities(query: MixedQuery) -> MultiplicityReport:
-    """All mixed multiplicities e^{i,j,k} with i + j + k = r."""
-    return _multiplicity_report(query, mixed_table)
+mixed_br_multiplicities = br_multiplicities
 
 
 def _modulus(ideal: SubmoduleSpec, k: int) -> SubmoduleSpec:

@@ -22,19 +22,16 @@ from typing import Optional
 
 from .fields import Value
 from .filtration import _mixed_factors, _power_factors
-from .modules import DEFAULT_CUTOFF, ModulePresentation, slice_dims_up_to
+from .modules import ModulePresentation, slice_dims_up_to
 from .multiplicity import (
-    MixedQuery,
     MultiplicityReport,
-    PureQuery,
+    ProductQuery,
     br_multiplicities,
     grid_bounds,
-    mixed_br_multiplicities,
     pure_table,
     resolve_r,
 )
 from .polyfit import (
-    DEFAULT_WINDOW,
     DegreeExceedsError,
     _alphas,
     _difference_tables,
@@ -94,25 +91,30 @@ def _describe(module: ModulePresentation, subs) -> str:
     return f"k[{ringpart}], rank {module.free.rank}, {gens}"
 
 
-def check_mixed_operator_formula(
-    module: ModulePresentation,
-    h1: SubmoduleSpec,
-    h2: SubmoduleSpec,
-    r: Optional[int] = None,
-    grid: Optional[int] = None,
-    cutoff: int = DEFAULT_CUTOFF,
-    window: int = DEFAULT_WINDOW,
-) -> VerificationReport:
+def _pair(query: ProductQuery) -> tuple:
+    """The two submodules of a mixed check's query."""
+    if len(query.subs) != 2:
+        raise ValueError(f"this check needs two submodules, got {len(query.subs)}")
+    return query.subs
+
+
+def _with_subs(query: ProductQuery, subs: tuple) -> ProductQuery:
+    """``query`` with its fit settings on other submodules."""
+    return ProductQuery(
+        query.module, subs, query.r, query.grid, query.cutoff, query.window
+    )
+
+
+def check_mixed_operator_formula(query: ProductQuery) -> VerificationReport:
     """e-values of the product submodule against binomial sums of mixed ones.
 
-    For every split n + k = r the pure multiplicity of H1*H2 in slot
-    (n, k) must equal sum over i+j=n of C(n, i) times the mixed
-    multiplicity in slot (i, j, k).
+    For the pair (H1, H2) of ``query`` and every split n + k = r, the pure
+    multiplicity of H1*H2 in slot (n, k) must equal sum over i+j=n of
+    C(n, i) times the mixed multiplicity in slot (i, j, k).
     """
-    fit = dict(r=r, grid=grid, cutoff=cutoff, window=window)
-    mixed_q = MixedQuery(module, h1, h2, **fit)
-    pure_q = PureQuery(module, product_generators(h1, h2), **fit)
-    mixed_rep = mixed_br_multiplicities(mixed_q)
+    h1, h2 = _pair(query)
+    pure_q = _with_subs(query, (product_generators(h1, h2),))
+    mixed_rep = br_multiplicities(query)
     pure_rep = br_multiplicities(pure_q)
     rr = pure_rep.r
     left = []
@@ -127,7 +129,7 @@ def check_mixed_operator_formula(
         left.append((f"e[{n},{k}](H1*H2)", lhs))
         right.append((f"sum C({n},i)*e[i,{n}-i,{k}]", rhs))
     return _verdict(
-        "mixed-operator-formula", _describe(module, (h1, h2)), left, right
+        "mixed-operator-formula", _describe(query.module, (h1, h2)), left, right
     )
 
 
@@ -248,8 +250,8 @@ def check_degree_bound(report: MultiplicityReport) -> VerificationReport:
     return _degree_bound(report.table, report.r, report.leading.window)
 
 
-def check_br_degree_bound(query: PureQuery) -> VerificationReport:
-    """``check_degree_bound`` on the Buchsbaum-Rim report of ``query``.
+def check_br_degree_bound(query: ProductQuery) -> VerificationReport:
+    """``check_degree_bound`` on the (mixed) Buchsbaum-Rim report of ``query``.
 
     When the fit itself fails with DegreeExceedsError there is no report,
     so the check runs on the table at the fit's enlarged grid bound, and
@@ -295,19 +297,11 @@ def _degree_bound(table, r: int, window: int) -> VerificationReport:
     )
 
 
-def check_symmetry(
-    module: ModulePresentation,
-    h1: SubmoduleSpec,
-    h2: SubmoduleSpec,
-    r: Optional[int] = None,
-    grid: Optional[int] = None,
-    cutoff: int = DEFAULT_CUTOFF,
-    window: int = DEFAULT_WINDOW,
-) -> VerificationReport:
-    """Swapping the two submodules transposes the mixed e-values."""
-    fit = dict(r=r, grid=grid, cutoff=cutoff, window=window)
-    fwd = mixed_br_multiplicities(MixedQuery(module, h1, h2, **fit))
-    rev = mixed_br_multiplicities(MixedQuery(module, h2, h1, **fit))
+def check_symmetry(query: ProductQuery) -> VerificationReport:
+    """Swapping the two submodules of ``query`` transposes the mixed e-values."""
+    h1, h2 = _pair(query)
+    fwd = br_multiplicities(query)
+    rev = br_multiplicities(_with_subs(query, (h2, h1)))
     left = []
     right = []
     for alpha, value in fwd.leading.entries:
@@ -315,5 +309,5 @@ def check_symmetry(
         left.append((f"e[{i},{j},{k}](H1,H2)", value))
         right.append((f"e[{j},{i},{k}](H2,H1)", rev.leading[(j, i, k)]))
     return _verdict(
-        "mixed-symmetry", _describe(module, (h1, h2)), left, right
+        "mixed-symmetry", _describe(query.module, (h1, h2)), left, right
     )

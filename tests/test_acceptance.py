@@ -14,14 +14,12 @@ from brmult.filtration import check_filtration_inclusions
 from brmult.modules import FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import (
     LocalQuery,
-    MixedQuery,
-    PureQuery,
+    ProductQuery,
     br_multiplicities,
     generalized_samuel,
     generalized_samuel_report,
     has_maximal_analytic_spread,
-    lambda_pure,
-    mixed_br_multiplicities,
+    lambda_product,
     samuel_function,
 )
 from brmult.rings import RingSpec, SubmoduleSpec
@@ -54,7 +52,7 @@ def block_query(field=QQ, **kw):
     module = ModulePresentation(FreeModuleSpec(ring, ((0, 0),)))
     x, y, u, v = (ring.gen(s) for s in "xyuv")
     h = SubmoduleSpec(ring, 1, (x * u, x * v, y * u, y * v))
-    return PureQuery(module, h, **kw)
+    return ProductQuery(module, (h,), **kw)
 
 
 def oracle_block_lambda(p, n):
@@ -73,7 +71,7 @@ def test_acceptance_1_buchsbaum_rim_of_block(capsys):
     ok = True
     for p in range(8):
         for n in range(8):
-            if lambda_pure(q, p, n) != oracle_block_lambda(p, n):
+            if lambda_product(q, p, n) != oracle_block_lambda(p, n):
                 ok = False
     report = br_multiplicities(q)
     expected = {(3, 0): 3, (2, 1): 1, (1, 2): 0, (0, 3): 0}
@@ -95,7 +93,7 @@ def test_acceptance_2_mixed_operator_identity(capsys):
     for gens1, gens2 in pairs:
         h1 = SubmoduleSpec(ring, 0, gens1)
         h2 = SubmoduleSpec(ring, 0, gens2)
-        report = check_mixed_operator_formula(module, h1, h2)
+        report = check_mixed_operator_formula(ProductQuery(module, (h1, h2)))
         if not report.passed:
             ok = False
     announce(capsys, 2, ok, "operator formula exact on three d=0 instances")
@@ -142,13 +140,13 @@ def test_acceptance_4_degree_bound_on_random_corpus(capsys):
     ok = True
     count = 0
     for inst in pures:
-        report = br_multiplicities(PureQuery(inst.module, inst.h))
+        report = br_multiplicities(ProductQuery(inst.module, (inst.h,)))
         count += 1
         if report.degree_estimate > report.r:
             ok = False
     for inst in mixeds:
-        report = mixed_br_multiplicities(
-            MixedQuery(inst.module, inst.h1, inst.h2)
+        report = br_multiplicities(
+            ProductQuery(inst.module, (inst.h1, inst.h2))
         )
         count += 1
         if report.degree_estimate > report.r:
@@ -181,7 +179,7 @@ def test_acceptance_5_filtration_identities(capsys):
 def test_acceptance_6_symmetry(capsys):
     ok = True
     for inst in curated_mixed():
-        report = check_symmetry(inst.module, inst.h1, inst.h2)
+        report = check_symmetry(ProductQuery(inst.module, (inst.h1, inst.h2)))
         if not report.passed:
             ok = False
     announce(capsys, 6, ok, "e[i,j,k](H1,H2) = e[j,i,k](H2,H1) on the curated pairs")
@@ -206,8 +204,8 @@ def test_acceptance_7_determinism_and_integrality(tmp_path, capsys):
     for inst_q, inst_p in zip(
         curated_pure(QQ), curated_pure(PrimeField(BIG_PRIME))
     ):
-        rep_q = br_multiplicities(PureQuery(inst_q.module, inst_q.h))
-        rep_p = br_multiplicities(PureQuery(inst_p.module, inst_p.h))
+        rep_q = br_multiplicities(ProductQuery(inst_q.module, (inst_q.h,)))
+        rep_p = br_multiplicities(ProductQuery(inst_p.module, (inst_p.h,)))
         if not all(
             isinstance(e, int) for e in rep_q.leading.as_dict().values()
         ):
@@ -219,11 +217,11 @@ def test_acceptance_7_determinism_and_integrality(tmp_path, capsys):
     for inst_q, inst_p in zip(
         curated_mixed(QQ), curated_mixed(PrimeField(BIG_PRIME))
     ):
-        rep_q = mixed_br_multiplicities(
-            MixedQuery(inst_q.module, inst_q.h1, inst_q.h2)
+        rep_q = br_multiplicities(
+            ProductQuery(inst_q.module, (inst_q.h1, inst_q.h2))
         )
-        rep_p = mixed_br_multiplicities(
-            MixedQuery(inst_p.module, inst_p.h1, inst_p.h2)
+        rep_p = br_multiplicities(
+            ProductQuery(inst_p.module, (inst_p.h1, inst_p.h2))
         )
         if rep_q.leading.as_dict() != rep_p.leading.as_dict():
             ok = False

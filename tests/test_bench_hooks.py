@@ -59,9 +59,10 @@ def test_cli_import_loads_every_layer_without_dataclasses():
 
 
 def test_traced_fits_keep_their_table_layer():
-    # Each br or mixed fit must build its table through a traced table
-    # function; a fit that bypassed them would drop multiplicity.table
-    # from every traced benchmark run.
+    # Each br or mixed fit, and each fit the symmetry and operator checks
+    # make, must build its table through a traced table function; a fit
+    # or check that bypassed them would drop its spans from every traced
+    # benchmark run.
     instance = ROOT / "demos" / "instances" / "max_ideal_pair.txt"
     probe = (
         "import json, sys, brmult.cli\n"
@@ -70,8 +71,9 @@ def test_traced_fits_keep_their_table_layer():
         "tracer = Tracer()\n"
         "tracer.install({n: m for n, m in sys.modules.items()"
         " if n == 'brmult' or n.startswith('brmult.')})\n"
-        "for command in ('br', 'mixed'):\n"
-        f"    assert brmult.cli.run([command, {str(instance)!r}])[0] == 0\n"
+        "for args in (['br'], ['mixed'], ['verify', 'symmetry'],"
+        " ['verify', 'operator']):\n"
+        f"    assert brmult.cli.run(args + [{str(instance)!r}])[0] == 0\n"
         "print(json.dumps(tracer.spans))\n"
     )
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
@@ -85,7 +87,10 @@ def test_traced_fits_keep_their_table_layer():
     ).stdout
     spans = json.loads(out)
     fits = [i for i, span in enumerate(spans) if span[0] == "multiplicity.fit"]
-    assert len(fits) == 2
+    checks = [i for i, span in enumerate(spans) if span[0] == "verify"]
+    assert len(fits) == 6 and len(checks) == 2
+    for check in checks:
+        assert sum(spans[fit][3] == check for fit in fits) == 2
     for fit in fits:
         tables = [
             span for span in spans

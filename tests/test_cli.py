@@ -277,6 +277,27 @@ def test_cutoff_too_small_error_kind(tmp_path):
     assert json.loads(out)["error"]["kind"] == "cutoff-exceeded"
 
 
+@pytest.mark.parametrize(
+    "command, ring, sub",
+    [
+        ("samuel", "ring base x y fiber", "I fiberdeg 0 gens x, y"),
+        ("br", "ring base x y fiber u", "H fiberdeg 1 gens x*u, y*u"),
+    ],
+    ids=("samuel", "br"),
+)
+def test_hilbert_probe_error_kind(tmp_path, command, ring, sub):
+    # k[x,y]/(x^12, y^12) is Artinian; its Hilbert function still falls at
+    # the probe bound, so no r is resolved and no e-value is printed.
+    path = write(
+        tmp_path,
+        f"field Q\n{ring}\nmodule free 1 shifts (0,0)\nrel x^12\nrel y^12\n"
+        f"submodule {sub}\n",
+    )
+    code, out = run([command, path])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "hilbert-probe"
+
+
 def test_parse_error_kind(tmp_path):
     path = write(tmp_path, "field Fp 4\nring base x y fiber\n")
     code, out = run(["br", path])

@@ -158,9 +158,25 @@ def test_krull_dimension_error_outcomes():
         krull_dimension(ModulePresentation(FreeModuleSpec(base_only, ())))
     artinian = ModulePresentation(free, ((x * x,), (x * y,), (y * y,)))
     assert krull_dimension(artinian) == 0
+    # k[x,y]/(x^9, y^9) has not reached its zero tail by the probe bound
+    nine = ModulePresentation(free, ((x**9,), (y**9,)))
     with pytest.raises(HilbertProbeError):
-        krull_dimension(free_module(R22), probe=4)
-    assert krull_dimension(free_module(R22), probe=5, window=0) == 4
+        krull_dimension(nine)
+
+
+def test_krull_dimension_rejects_a_falling_tail():
+    # k[x,y]/(x^12, y^12) is Artinian, but at the probe bound its Hilbert
+    # function still falls by 1 per degree. A negative slope is no Hilbert
+    # polynomial, so this raises instead of reporting dimension 2 (3 with
+    # a fiber variable, whose cumulative sums then end on a concave tail).
+    for ring in (RingSpec(QQ, ("x", "y"), ()), RingSpec(QQ, ("x", "y"), ("u",))):
+        x, y = ring.gen("x"), ring.gen("y")
+        free = FreeModuleSpec(ring, ((0, 0),))
+        with pytest.raises(HilbertProbeError):
+            krull_dimension(ModulePresentation(free, ((x**12,), (y**12,))))
+        # (x^8, y^8) reaches its tail inside the probe range
+        eight = krull_dimension(ModulePresentation(free, ((x**8,), (y**8,))))
+        assert eight == (1 if ring.fiber else 0)
 
 
 def test_slice_dims_up_to_matches_piece_dims():

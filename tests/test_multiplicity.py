@@ -17,22 +17,19 @@ from brmult.modules import FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import (
     KInstabilityError,
     LocalQuery,
-    MixedQuery,
-    PureQuery,
+    ProductQuery,
     SupportConditionError,
     br_multiplicities,
     generalized_samuel,
     generalized_samuel_report,
     has_maximal_analytic_spread,
     lambda_local,
-    lambda_mixed,
-    lambda_pure,
-    mixed_br_multiplicities,
+    lambda_product,
     resolve_r,
     samuel_function,
 )
 from brmult.polyfit import DegreeExceedsError
-from brmult.rings import RingSpec, SubmoduleSpec
+from brmult.rings import GradingError, RingSpec, SubmoduleSpec
 from corpus import curated_local, curated_mixed, curated_pure
 from dense_oracle import Matrix, rank
 
@@ -49,32 +46,32 @@ def free_module(ring):
 def block_query(**kw):
     x, y, u, v = (R22.gen(s) for s in "xyuv")
     h = SubmoduleSpec(R22, 1, (x * u, x * v, y * u, y * v))
-    return PureQuery(free_module(R22), h, **kw)
+    return ProductQuery(free_module(R22), (h,), **kw)
 
 
 def test_lambda_pure_block_closed_form():
     q = block_query()
     # lambda(p, n) = (p + n + 1) p (p + 1) / 2 by monomial counting
-    assert lambda_pure(q, 2, 3) == 18
-    assert lambda_pure(q, 7, 7) == 420
+    assert lambda_product(q, 2, 3) == 18
+    assert lambda_product(q, 7, 7) == 420
     for p in range(4):
         for n in range(4):
-            assert lambda_pure(q, p, n) == (p + n + 1) * p * (p + 1) // 2
+            assert lambda_product(q, p, n) == (p + n + 1) * p * (p + 1) // 2
 
 
 def test_lambda_pure_p_zero_is_zero():
     q = block_query()
     for n in range(6):
-        assert lambda_pure(q, 0, n) == 0
+        assert lambda_product(q, 0, n) == 0
 
 
 def test_lambda_pure_d_zero_max_ideal():
     m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
-    q = PureQuery(free_module(R2), m)
+    q = ProductQuery(free_module(R2), (m,))
     # length(A/m^p) = p(p+1)/2, independent of n
     for p in range(5):
         for n in range(3):
-            assert lambda_pure(q, p, n) == p * (p + 1) // 2
+            assert lambda_product(q, p, n) == p * (p + 1) // 2
 
 
 def test_br_multiplicities_block():
@@ -94,7 +91,7 @@ def test_br_multiplicities_block():
 def test_br_multiplicities_square_of_max_ideal():
     x, y = R2.gen("x"), R2.gen("y")
     h = SubmoduleSpec(R2, 0, (x * x, x * y, y * y))
-    q = PureQuery(free_module(R2), h)
+    q = ProductQuery(free_module(R2), (h,))
     report = br_multiplicities(q)
     assert report.r == 2
     # lambda(p, n) = 2 p^2 + p
@@ -107,7 +104,7 @@ def test_degenerate_degree_gives_zero_leading_form():
     x, y, t = R2.gen("x"), R2.gen("y"), R2.gen("T")
     killed = ModulePresentation(FreeModuleSpec(R2, ((0, 0),)), ((x,),))
     h = SubmoduleSpec(R2, 1, (x * t, y * t))
-    q = PureQuery(killed, h, r=2)
+    q = ProductQuery(killed, (h,), r=2)
     report = br_multiplicities(q)
     assert report.r_source == "explicit"
     assert set(report.leading.as_dict().values()) == {0}
@@ -119,8 +116,8 @@ def test_killed_axis_natural_r():
     killed = ModulePresentation(FreeModuleSpec(R2, ((0, 0),)), ((x,),))
     h = SubmoduleSpec(R2, 1, (x * t, y * t))
     for p in range(1, 5):
-        assert lambda_pure(PureQuery(killed, h), p, 2) == p
-    report = br_multiplicities(PureQuery(killed, h))
+        assert lambda_product(ProductQuery(killed, (h,)), p, 2) == p
+    report = br_multiplicities(ProductQuery(killed, (h,)))
     assert report.r == 1
     assert report.leading.as_dict() == {(1, 0): 1, (0, 1): 0}
 
@@ -133,32 +130,54 @@ def test_resolve_r_paths():
 
 def test_empty_h_is_a_support_error():
     h = SubmoduleSpec(R2, 0, ())
-    q = PureQuery(free_module(R2), h)
+    q = ProductQuery(free_module(R2), (h,))
     with pytest.raises(SupportConditionError):
-        lambda_pure(q, 1, 0)
+        lambda_product(q, 1, 0)
 
 
 def test_query_grading_guards():
     m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
     with pytest.raises(Exception):
-        PureQuery(free_module(R22), m)
+        ProductQuery(free_module(R22), (m,))
     with pytest.raises(Exception):
         LocalQuery(free_module(R2), m)  # ring has a fiber variable
 
 
+def test_product_query_takes_one_or_two_submodules_of_its_ring():
+    m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
+    for subs in ((), (m, m, m)):
+        with pytest.raises(ValueError, match="one or two submodules"):
+            ProductQuery(free_module(R2), subs)
+    other = SubmoduleSpec(R22, 1, (R22.gen("u"),))
+    with pytest.raises(GradingError):
+        ProductQuery(free_module(R2), (m, other))
+
+
+def test_lambda_product_checks_its_indices():
+    m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
+    pure = ProductQuery(free_module(R2), (m,))
+    pair = ProductQuery(free_module(R2), (m, m))
+    for query, point in ((pure, (1, 1, 1)), (pure, (1,)), (pair, (1, 1))):
+        with pytest.raises(ValueError, match="indices, got"):
+            lambda_product(query, *point)
+    for query, point in ((pure, (-1, 0)), (pair, (0, -1, 0)), (pair, (0, 0, -1))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lambda_product(query, *point)
+
+
 def test_lambda_mixed_max_ideal_pair():
     m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
-    q = MixedQuery(free_module(R2), m, m)
+    q = ProductQuery(free_module(R2), (m, m))
     # length(A/m^(p+q)) = (p+q)(p+q+1)/2
     for p in range(4):
         for qq in range(4):
             want = (p + qq) * (p + qq + 1) // 2
-            assert lambda_mixed(q, p, qq, 1) == want
+            assert lambda_product(q, p, qq, 1) == want
 
 
 def test_mixed_br_max_ideal_pair():
     m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
-    report = mixed_br_multiplicities(MixedQuery(free_module(R2), m, m))
+    report = br_multiplicities(ProductQuery(free_module(R2), (m, m)))
     assert report.r == 2
     lead = report.leading.as_dict()
     assert lead[(2, 0, 0)] == 1
@@ -171,7 +190,7 @@ def test_mixed_br_newton_pair():
     x, y = R2.gen("x"), R2.gen("y")
     h1 = SubmoduleSpec(R2, 0, (x, y * y))
     h2 = SubmoduleSpec(R2, 0, (x * x, y))
-    report = mixed_br_multiplicities(MixedQuery(free_module(R2), h1, h2))
+    report = br_multiplicities(ProductQuery(free_module(R2), (h1, h2)))
     lead = report.leading.as_dict()
     assert lead[(2, 0, 0)] == 2
     assert lead[(1, 1, 0)] == 1
@@ -182,20 +201,20 @@ def test_mixed_p_zero_edge_reduces_to_pure():
     x, y = R2.gen("x"), R2.gen("y")
     h1 = SubmoduleSpec(R2, 0, (x, y * y))
     h2 = SubmoduleSpec(R2, 0, (x * x, y))
-    mq = MixedQuery(free_module(R2), h1, h2)
-    pq = PureQuery(free_module(R2), h2)
+    mq = ProductQuery(free_module(R2), (h1, h2))
+    pq = ProductQuery(free_module(R2), (h2,))
     for qq in range(4):
         for n in range(3):
-            assert lambda_mixed(mq, 0, qq, n) == lambda_pure(pq, qq, n)
+            assert lambda_product(mq, 0, qq, n) == lambda_product(pq, qq, n)
 
 
 @pytest.mark.parametrize("inst", curated_mixed(), ids=lambda inst: inst.name)
 def test_pure_lengths_are_the_q_zero_face_of_the_mixed_ones(inst):
-    mq = MixedQuery(inst.module, inst.h1, inst.h2)
-    pq = PureQuery(inst.module, inst.h1)
+    mq = ProductQuery(inst.module, (inst.h1, inst.h2))
+    pq = ProductQuery(inst.module, (inst.h1,))
     for p in range(4):
         for n in range(3):
-            assert lambda_mixed(mq, p, 0, n) == lambda_pure(pq, p, n)
+            assert lambda_product(mq, p, 0, n) == lambda_product(pq, p, n)
 
 
 def local_query(gens, **kw):
@@ -310,7 +329,8 @@ def test_nonmonomial_block_ranks_over_q_are_all_certified(
 
     monkeypatch.setattr(linalg, "_rank", modular_only)
     inst = parse_instance((INSTANCES / name).read_text())
-    report = br_multiplicities(PureQuery(inst.module, inst.submodule(0), grid=grid))
+    query = ProductQuery(inst.module, (inst.submodule(0),), grid=grid)
+    report = br_multiplicities(query)
     assert calls
     assert report.leading.as_dict() == leading
     n = report.table.extents[1]
@@ -321,7 +341,8 @@ def test_three_variable_block_e_values():
     # H = (x,y,z)*(u,v,w): e^(5-j, j) = C(5-j, 2-j) for j <= 2, then 0.
     # H^p has C(p+2, 2)^2 generators, all of one degree.
     inst = parse_instance((INSTANCES / "block_3x3.txt").read_text())
-    report = br_multiplicities(PureQuery(inst.module, inst.submodule(0), grid=5))
+    query = ProductQuery(inst.module, (inst.submodule(0),), grid=5)
+    report = br_multiplicities(query)
     assert report.leading.as_dict() == {
         (5, 0): 10,
         (4, 1): 4,
@@ -382,13 +403,13 @@ def test_br_is_invariant_under_base_and_fiber_substitutions(field):
     # of the monomial block are non-monomial, yet span the same pieces.
     inst = parse_instance((INSTANCES / "min_deg_one_block.txt").read_text(), field)
     h = inst.submodule(0)
-    original = br_multiplicities(PureQuery(inst.module, h, grid=4))
+    original = br_multiplicities(ProductQuery(inst.module, (h,), grid=4))
     rng = random.Random(5)
     for _ in range(2):
         images = linear_images(inst.ring, rng, ("base", "fiber"))
         moved = substituted(h, images)
         assert not all(g.is_monomial() for g in moved.gens)
-        report = br_multiplicities(PureQuery(inst.module, moved, grid=4))
+        report = br_multiplicities(ProductQuery(inst.module, (moved,), grid=4))
         assert report.table == original.table
         assert report.leading.as_dict() == original.leading.as_dict()
 
@@ -399,10 +420,10 @@ def test_mixed_is_invariant_under_a_base_substitution(field):
     # echelon basis, so these spans go through elimination.
     inst = parse_instance((INSTANCES / "newton_pair.txt").read_text(), field)
     h1, h2 = inst.submodule(0), inst.submodule(1)
-    original = mixed_br_multiplicities(MixedQuery(inst.module, h1, h2, grid=4))
+    original = br_multiplicities(ProductQuery(inst.module, (h1, h2), grid=4))
     images = linear_images(inst.ring, random.Random(7), ("base",))
     moved = (substituted(h1, images), substituted(h2, images))
-    report = mixed_br_multiplicities(MixedQuery(inst.module, *moved, grid=4))
+    report = br_multiplicities(ProductQuery(inst.module, moved, grid=4))
     assert report.table == original.table
     assert report.leading.as_dict() == original.leading.as_dict()
 
@@ -424,11 +445,11 @@ def test_repeated_runs_give_identical_reports():
 
 def test_curated_instances_all_run():
     for inst in curated_pure():
-        report = br_multiplicities(PureQuery(inst.module, inst.h))
+        report = br_multiplicities(ProductQuery(inst.module, (inst.h,)))
         assert all(e >= 0 for e in report.leading.as_dict().values())
     for inst in curated_mixed():
-        report = mixed_br_multiplicities(
-            MixedQuery(inst.module, inst.h1, inst.h2)
+        report = br_multiplicities(
+            ProductQuery(inst.module, (inst.h1, inst.h2))
         )
         assert all(e >= 0 for e in report.leading.as_dict().values())
     for inst in curated_local():

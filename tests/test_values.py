@@ -22,9 +22,8 @@ from brmult.modules import (
 from brmult.multiplicity import (
     LocalQuery,
     LocalReport,
-    MixedQuery,
     MultiplicityReport,
-    PureQuery,
+    ProductQuery,
 )
 from brmult.polyfit import DEFAULT_WINDOW, LeadingForm, LengthTable
 from brmult.rings import Polynomial, RingSpec, SubmoduleSpec, power_generators
@@ -78,8 +77,7 @@ FACTORIES = {
     LengthResult: lambda: LengthResult(3, (1, 2, 0), 2),
     LengthTable: table,
     LeadingForm: leading,
-    PureQuery: lambda: PureQuery(module(), submodule(), 2),
-    MixedQuery: lambda: MixedQuery(module(), submodule(), submodule(), grid=4),
+    ProductQuery: lambda: ProductQuery(module(), (submodule(), submodule()), 2),
     LocalQuery: lambda: LocalQuery(module(base_ring()), ideal(), k=1),
     MultiplicityReport: lambda: MultiplicityReport(
         table(), leading(), 1, "krull-1", 1, ((0, 0),), False
@@ -103,7 +101,7 @@ CLASSES = list(FACTORIES)
 
 def test_every_value_class_is_covered():
     assert set(Value.__subclasses__()) == set(CLASSES)
-    assert len(CLASSES) == 19
+    assert len(CLASSES) == 18
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -146,7 +144,7 @@ def test_keyword_construction_and_no_assignment(cls):
 def test_defaults_and_bad_arguments():
     assert InclusionWitness("a", 1, True) == InclusionWitness("a", 1, True, None, None)
     assert ModulePresentation(FreeModuleSpec(ring(), ((0, 0),))).relations == ()
-    query = PureQuery(h=submodule(), module=module())
+    query = ProductQuery(subs=(submodule(),), module=module())
     assert (query.r, query.grid, query.cutoff, query.window) == (
         None,
         None,
@@ -172,7 +170,7 @@ def test_construction_still_validates_and_normalizes():
     with pytest.raises(ValueError):
         PrimeField(8)
     with pytest.raises(ValueError):
-        PureQuery(module(), submodule(), -1)
+        ProductQuery(module(), (submodule(),), -1)
 
 
 def test_reprs_are_dataclass_style():

@@ -8,7 +8,7 @@ import brmult.verify as verify
 from brmult.cli import run
 from brmult.fields import QQ
 from brmult.modules import FreeModuleSpec, ModulePresentation
-from brmult.multiplicity import MultiplicityReport, PureQuery, br_multiplicities
+from brmult.multiplicity import MultiplicityReport, ProductQuery, br_multiplicities
 from brmult.polyfit import LeadingForm, LengthTable
 from brmult.rings import RingSpec, SubmoduleSpec
 from brmult.verify import (
@@ -39,7 +39,7 @@ def block_h():
 
 def test_operator_formula_max_ideal_pair():
     m = max_ideal(R2)
-    report = check_mixed_operator_formula(free_module(R2), m, m)
+    report = check_mixed_operator_formula(ProductQuery(free_module(R2), (m, m)))
     assert report.passed
     left = dict(report.left)
     # e^{2,0} of m^2 is 4 and the binomial sum is 1 + 2*1 + 1
@@ -51,7 +51,7 @@ def test_operator_formula_newton_pair():
     x, y = R2.gen("x"), R2.gen("y")
     h1 = SubmoduleSpec(R2, 0, (x, y * y))
     h2 = SubmoduleSpec(R2, 0, (x * x, y))
-    report = check_mixed_operator_formula(free_module(R2), h1, h2)
+    report = check_mixed_operator_formula(ProductQuery(free_module(R2), (h1, h2)))
     assert report.passed
     # the (n, k) = (2, 0) comparison is 6 = 2 + 2*1 + 2
     values = dict(report.left)
@@ -61,7 +61,7 @@ def test_operator_formula_newton_pair():
 def test_operator_formula_degenerate_unit_factor():
     one = SubmoduleSpec(R2, 0, (R2.one,))
     m = max_ideal(R2)
-    report = check_mixed_operator_formula(free_module(R2), one, m)
+    report = check_mixed_operator_formula(ProductQuery(free_module(R2), (one, m)))
     assert report.passed
 
 
@@ -130,16 +130,21 @@ def test_symmetry_asymmetric_pair():
     x, y = R2.gen("x"), R2.gen("y")
     h1 = SubmoduleSpec(R2, 0, (x, y * y))
     h2 = SubmoduleSpec(R2, 0, (x * x, y))
-    report = check_symmetry(free_module(R2), h1, h2)
+    report = check_symmetry(ProductQuery(free_module(R2), (h1, h2)))
     assert report.passed
     # labels pair e[i,j,k] with e[j,i,k]
     assert len(report.left) == len(report.right)
 
 
+@pytest.mark.parametrize("check", [check_symmetry, check_mixed_operator_formula])
+def test_pair_checks_refuse_a_single_submodule(check):
+    m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
+    with pytest.raises(ValueError, match="needs two submodules"):
+        check(ProductQuery(free_module(R2), (m,)))
+
+
 def test_degree_bound_passes_on_honest_report():
-    report = br_multiplicities(
-        PureQuery(free_module(R22), block_h())
-    )
+    report = br_multiplicities(ProductQuery(free_module(R22), (block_h(),)))
     outcome = check_degree_bound(report)
     assert outcome.passed
     assert outcome.witness is None
@@ -149,7 +154,7 @@ def test_degree_bound_fails_on_understated_r():
     # hand-build a report whose r understates the table's actual degree;
     # the check recomputes the estimate and pinpoints a surviving
     # high-order difference
-    honest = br_multiplicities(PureQuery(free_module(R22), block_h()))
+    honest = br_multiplicities(ProductQuery(free_module(R22), (block_h(),)))
     fake_leading = LeadingForm(
         2,
         honest.table.axes,
