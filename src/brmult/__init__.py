@@ -26,7 +26,6 @@ from .modules import (
     HilbertProbeError,
     LengthResult,
     ModulePresentation,
-    SliceSpan,
     ZeroModuleError,
     graded_slice_length,
     krull_dimension,

@@ -5,7 +5,8 @@ One submodule H of fiber degree d filters the slice M_{pd+n} through
     nu-th factor = H^nu M_{d(p-nu)+n} / H^(nu+1) M_{d(p-nu-1)+n},
 
 for nu = 0..p, with M_j = 0 for j < 0. The factor lengths telescope: their
-sum is the length of M_{pd+n} / H^(p+1) M_{n-d}.
+sum is the length of M_{pd+n} / H^(p+1) M_{n-d}. Each factor is given by
+the slice generators of its two powers, as ``modules`` takes them.
 
 Two submodules H1, H2 give the mixed filtration level
 
@@ -29,9 +30,9 @@ from typing import Optional
 from .fields import Value
 from .modules import (
     DEFAULT_CUTOFF,
+    FreeModuleSpec,
     LengthResult,
     ModulePresentation,
-    SliceSpan,
     _divides,
     graded_slice_length,
     span_dim,
@@ -46,7 +47,6 @@ from .rings import (
 )
 
 __all__ = [
-    "MixedFiltrationLevel",
     "InclusionWitness",
     "mixed_level",
     "check_filtration_inclusions",
@@ -56,53 +56,28 @@ __all__ = [
 ]
 
 
-class MixedFiltrationLevel(Value):
-    """Generators of one level of the mixed filtration of H1, H2."""
-
-    h1: SubmoduleSpec
-    h2: SubmoduleSpec
-    p: int
-    q: int
-    nu: int
-    gens: tuple
-
-    def slice_items(self, target_fiber: int) -> tuple:
-        """SliceSpan items whose spans land in the given fiber degree."""
-        return tuple(
-            SliceSpan(g, target_fiber - g.fiber_degree()) for g in self.gens
-        )
-
-
 @lru_cache(maxsize=None)
-def _level_generators(
-    h1: SubmoduleSpec, h2: SubmoduleSpec, p: int, q: int, min_total: int
-) -> tuple:
-    gens = []
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if i + j < min_total:
-                continue
-            gens.extend(
-                product_generators(power_generators(h1, i), power_generators(h2, j)).gens
-            )
-    return _dedup_monic(gens)
-
-
 def mixed_level(
     h1: SubmoduleSpec, h2: SubmoduleSpec, p: int, q: int, nu: int
-) -> MixedFiltrationLevel:
-    """The nu-th mixed filtration level between H1^p H2^q and the unit."""
+) -> tuple:
+    """Generators of the nu-th mixed level between H1^p H2^q and the unit."""
     if h1.ring != h2.ring:
         raise GradingError("mixed level of submodules over different rings")
     if p < 0 or q < 0 or nu < 0:
         raise GradingError("mixed level indices must be nonnegative")
-    gens = _level_generators(h1, h2, p, q, p + q - nu)
-    return MixedFiltrationLevel(h1, h2, p, q, nu, gens)
+    gens = []
+    for i in range(p + 1):
+        for j in range(q + 1):
+            if i + j >= p + q - nu:
+                gens.extend(
+                    product_generators(
+                        power_generators(h1, i), power_generators(h2, j)
+                    ).gens
+                )
+    return _dedup_monic(gens)
 
 
 def _ring_presentation(ring) -> ModulePresentation:
-    from .modules import FreeModuleSpec
-
     return ModulePresentation(FreeModuleSpec(ring, ((0, 0),)))
 
 
@@ -114,10 +89,9 @@ def _contains(ring_pres, span_gens, g: Polynomial) -> bool:
     if g.is_monomial() and all(h.is_monomial() for h in span_gens):
         return any(_divides(h.terms[0][0], g.terms[0][0]) for h in span_gens)
     deg = g.bidegree()
-    items = [SliceSpan(h, deg[1] - h.fiber_degree()) for h in span_gens]
-    base = span_dim(ring_pres, deg, items)
-    extended = span_dim(ring_pres, deg, items + [SliceSpan(g, 0)])
-    return extended == base
+    return span_dim(ring_pres, deg, span_gens + (g,)) == span_dim(
+        ring_pres, deg, span_gens
+    )
 
 
 class InclusionWitness(Value):
@@ -164,14 +138,12 @@ def check_filtration_inclusions(
     for nu in range(1, p + q + 1):
         level_nu = mixed_level(h1, h2, p, q, nu)
         lower = mixed_level(h1, h2, p, q, nu - 1)
-        products = _dedup_monic(a * b for a in h1h2.gens for b in level_nu.gens)
-        results.append(
-            _first_escape("a", nu, ring_pres, products, lower.gens, memo)
-        )
+        products = _dedup_monic(a * b for a in h1h2.gens for b in level_nu)
+        results.append(_first_escape("a", nu, ring_pres, products, lower, memo))
         if p >= 1 and q >= 1:
             target = mixed_level(h1, h2, p - 1, q - 1, nu - 1)
             results.append(
-                _first_escape("b", nu, ring_pres, level_nu.gens, target.gens, memo)
+                _first_escape("b", nu, ring_pres, level_nu, target, memo)
             )
     return results
 
@@ -201,31 +173,25 @@ def assoc_graded_piece_dims(
     power_i = power_generators(ideal, i_index)
     power_i1 = power_generators(ideal, i_index + 1)
     mixed = product_generators(modulus, power_i)
-    top = [SliceSpan(g, 0) for g in power_i.gens]
-    bottom = [SliceSpan(g, 0) for g in power_i1.gens + mixed.gens]
-    return graded_slice_length(pres, 0, top, bottom, cutoff)
+    return graded_slice_length(
+        pres, 0, power_i.gens, power_i1.gens + mixed.gens, cutoff
+    )
 
 
 def _power_factors(h: SubmoduleSpec, p: int, n: int) -> tuple:
     """The power filtration's factor chain in the slice at fiber pd+n.
 
     Returns (fiber, factors, quotient), with d the fiber degree of H:
-    ``factors`` holds the (top, bottom) SliceSpan items of the p+1
+    ``factors`` holds the (top, bottom) slice generators of the p+1
     factors, factor nu being H^nu M_{d(p-nu)+n} / H^(nu+1) M_{d(p-nu-1)+n},
     and ``quotient`` the bottom items of M_{pd+n} / H^(p+1) M_{n-d}, the
     module the factors telescope to.
     """
-    d = h.fiber_degree
-
-    def items(power, source_fiber):
-        gens = power_generators(h, power).gens
-        return tuple(SliceSpan(g, source_fiber) for g in gens)
-
     factors = tuple(
-        (items(nu, d * (p - nu) + n), items(nu + 1, d * (p - nu - 1) + n))
+        (power_generators(h, nu).gens, power_generators(h, nu + 1).gens)
         for nu in range(p + 1)
     )
-    return d * p + n, factors, factors[-1][1]
+    return h.fiber_degree * p + n, factors, factors[-1][1]
 
 
 def _mixed_factors(
@@ -238,17 +204,11 @@ def _mixed_factors(
     M_{n-d1-d2} and factor nu >= 1 is level(nu) M / level(nu-1) M; the
     quotient is M_{d1 p + d2 q + n} / H1^(p+1) H2^(q+1) M_{n-d1-d2}.
     """
-    d1, d2 = h1.fiber_degree, h2.fiber_degree
-    fiber = d1 * p + d2 * q + n
-    deep = tuple(
-        SliceSpan(g, n - d1 - d2)
-        for g in product_generators(
-            power_generators(h1, p + 1), power_generators(h2, q + 1)
-        ).gens
-    )
-    levels = [
-        mixed_level(h1, h2, p, q, nu).slice_items(fiber) for nu in range(p + q + 1)
-    ]
+    fiber = h1.fiber_degree * p + h2.fiber_degree * q + n
+    deep = product_generators(
+        power_generators(h1, p + 1), power_generators(h2, q + 1)
+    ).gens
+    levels = [mixed_level(h1, h2, p, q, nu) for nu in range(p + q + 1)]
     return fiber, tuple(zip(levels, [deep] + levels[:-1])), deep
 
 

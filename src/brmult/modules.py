@@ -6,14 +6,15 @@ reduces to one primitive: the dimension of a spanning subspace of a single
 bidegree piece of F. Spanning sets come in two flavors,
 
 * the relation multiples (always included), and
-* "slice spans" (g, n_src): a ring element g applied to the whole
-  fiber-degree-n_src slice of the module, the shape every power H^p M_n
-  and mixed product H1^p H2^q M_n takes.
+* slice generators g: a ring element applied to the whole slice M_j,
+  with j the target fiber degree minus g's (nothing when j < 0, as
+  M_j = 0), the shape every power H^p M_n and mixed product
+  H1^p H2^q M_n takes.
 
-Slice-span items that share a source slice and a bidegree are first
-interreduced: their generators are replaced by the reduced row-echelon
-basis of the space they span (``rings._echelon_basis``, which also builds
-the power and product generators), as in the first step of Faugere's F4
+Slice generators of one bidegree are first interreduced: they are
+replaced by the reduced row-echelon basis of the space they span
+(``rings._echelon_basis``, which also builds the power and product
+generators), as in the first step of Faugere's F4
 (J. Pure Appl. Algebra 139, 1999). That is exact, because every spanning
 vector g e_i m is linear in g, so both generator sets span the same
 vectors at every bidegree. Echelon generators that are monomials join
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .fields import Value
 from .linalg import subspace_dim
@@ -53,7 +54,6 @@ from .rings import GradingError, Polynomial, RingSpec, _echelon_basis, monomial_
 __all__ = [
     "FreeModuleSpec",
     "ModulePresentation",
-    "SliceSpan",
     "LengthResult",
     "CutoffExceeded",
     "CutoffTooSmall",
@@ -196,13 +196,6 @@ class ModulePresentation(Value):
         return self._targets
 
 
-class SliceSpan(NamedTuple):
-    """A ring element applied to the fiber-degree-source_fiber slice."""
-
-    gen: Polynomial
-    source_fiber: int
-
-
 @lru_cache(maxsize=None)
 def piece_basis(free: FreeModuleSpec, deg) -> tuple:
     """Ordered basis ((i, monomial), ...) of F at ``deg`` and its index.
@@ -236,21 +229,16 @@ def free_piece_dim(free: FreeModuleSpec, deg) -> int:
     )
 
 
-def _validated_items(items, fiber_deg: int):
-    """Normalize SliceSpan items; drop those hitting M_j with j < 0."""
+def _validated_items(gens, fiber_deg: int):
+    """(g, source fiber, base degree) of the slice generators landing in
+    ``fiber_deg``; zero ones and those acting on M_j with j < 0 are dropped."""
     out = []
-    for g, n_src in items:
+    for g in gens:
         if g.is_zero():
             continue
         gb, gf = g.bidegree()
-        if gf + n_src != fiber_deg:
-            raise GradingError(
-                f"slice span {g} from fiber degree {n_src} lands in"
-                f" {gf + n_src}, expected {fiber_deg}"
-            )
-        if n_src < 0:
-            continue
-        out.append((g, n_src, gb))
+        if gf <= fiber_deg:
+            out.append((g, fiber_deg - gf, gb))
     return out
 
 
@@ -355,8 +343,8 @@ def _span_plan(pres: ModulePresentation, items) -> tuple:
     each component i (the monomial items and the component's monomial
     relations), and the items that are not monomials.
 
-    Items that share (n_src, gb) and include a polynomial are replaced by
-    the ``_echelon_basis`` of their generators. That is exact, because
+    Items of one bidegree that include a polynomial are replaced by the
+    ``_echelon_basis`` of their generators. That is exact, because
     each row g e_i m is linear in g; echelon rows that are monomials join
     the monomial ideal.
     """
@@ -423,8 +411,8 @@ def _divides(g, m) -> bool:
     return all(a >= b for a, b in zip(m, g))
 
 
-def span_dim(pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()) -> int:
-    """Dimension of (K + span of items) inside F at bidegree ``deg``."""
+def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) -> int:
+    """Dimension of (K + span of the slice generators ``items``) at ``deg``."""
     validated = _validated_items(items, deg[1]) if items else ()
     return _span_dim(pres, deg, _span_plan(pres, validated))
 
@@ -504,15 +492,17 @@ def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom):
 def graded_slice_length(
     pres: ModulePresentation,
     fiber_deg: int,
-    top_items: Optional[Sequence[SliceSpan]] = None,
-    bottom_items: Sequence[SliceSpan] = (),
+    top_items: Optional[Sequence[Polynomial]] = None,
+    bottom_items: Sequence[Polynomial] = (),
     cutoff: int = DEFAULT_CUTOFF,
 ) -> LengthResult:
     """Length of (T / B) summed over base degrees at one fiber degree.
 
-    B is K plus the span of ``bottom_items``. T is the full free slice
-    when ``top_items`` is None, otherwise K plus the span of
-    ``top_items`` (which must contain B).
+    B is K plus the span of the slice generators ``bottom_items``: each g
+    among them spans g M_j with j = ``fiber_deg`` minus g's fiber degree,
+    and nothing when j < 0. T is the full free slice when ``top_items`` is
+    None, otherwise K plus the span of the slice generators ``top_items``
+    (which must contain B).
 
     A walk that reaches ``cutoff`` raises CutoffExceeded, or CutoffTooSmall
     when the cutoff lies below the certificate degree (checked up front)
@@ -552,11 +542,12 @@ def graded_slice_length(
 def slice_dims_up_to(
     pres: ModulePresentation,
     fiber_deg: int,
-    top_items: Optional[Sequence[SliceSpan]],
-    bottom_items: Sequence[SliceSpan],
+    top_items: Optional[Sequence[Polynomial]],
+    bottom_items: Sequence[Polynomial],
     max_degree: int,
 ) -> tuple:
-    """Per-base-degree dims of (T / B) for base degrees 0..max_degree.
+    """Per-base-degree dims of (T / B), as in ``graded_slice_length``, for
+    base degrees 0..max_degree.
 
     Unlike ``graded_slice_length`` this neither certifies finiteness nor
     raises on infinite quotients: it just reports the dimension of each

@@ -33,7 +33,6 @@ from .modules import (
     DEFAULT_CUTOFF,
     LengthResult,
     ModulePresentation,
-    SliceSpan,
     graded_slice_length,
     krull_dimension,
     piece_dimension,
@@ -187,9 +186,8 @@ def _product_length(
     gens = power_generators(*factors[0])
     for h, e in factors[1:]:
         gens = product_generators(gens, power_generators(h, e))
-    items = [SliceSpan(g, n) for g in gens.gens]
     fiber = sum(h.fiber_degree * e for h, e in factors) + n
-    return graded_slice_length(module, fiber, None, items, cutoff)
+    return graded_slice_length(module, fiber, None, gens.gens, cutoff)
 
 
 def lambda_product(query: ProductQuery, *point: int) -> int:
@@ -391,5 +389,5 @@ def samuel_function(
         raise GradingError("the Samuel function needs a fiber degree 0 ideal")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    items = [SliceSpan(g, 0) for g in power_generators(ideal, n + 1).gens]
-    return graded_slice_length(module, 0, None, items, cutoff).total
+    gens = power_generators(ideal, n + 1).gens
+    return graded_slice_length(module, 0, None, gens, cutoff).total

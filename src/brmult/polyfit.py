@@ -181,7 +181,7 @@ def _difference_tables(t: LengthTable, max_order: int) -> dict:
     return tables
 
 
-def _window_block(base, window, arity):
+def _window_block(base, window):
     return itertools.product(*(range(b, b + window) for b in base))
 
 
@@ -219,7 +219,7 @@ def leading_form(t: LengthTable, r: int, window: int = DEFAULT_WINDOW) -> Leadin
     order_r1 = [tables[a] for a in _alphas(t.arity, r + 1)]
     constant_seen = False
     for base in bases:
-        block = list(_window_block(base, window, t.arity))
+        block = list(_window_block(base, window))
         if all(
             len({tab.value(p) for p in block}) == 1 for tab in order_r
         ):
@@ -257,7 +257,7 @@ def total_degree_estimate(t: LengthTable, window: int = DEFAULT_WINDOW) -> int:
         order_d1 = [tables[a] for a in _alphas(t.arity, degree + 1)]
         bases = _feasible_bases(t, degree + 1, window)
         for base in bases:
-            block = list(_window_block(base, window, t.arity))
+            block = list(_window_block(base, window))
             if all(tab.value(p) == 0 for tab in order_d1 for p in block):
                 return degree
     raise StabilizationError(

@@ -323,10 +323,6 @@ class SubmoduleSpec(Value):
             kept.append(g)
         object.__setattr__(self, "gens", tuple(kept))
 
-    def is_unit(self) -> bool:
-        one = self.ring.one
-        return any(g.monic() == one for g in self.gens)
-
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.gens) or "0"
         return f"SubmoduleSpec(d={self.fiber_degree}, <{inner}>)"

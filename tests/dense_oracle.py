@@ -7,7 +7,9 @@ sparse rank kernel in ``brmult.linalg``. ``scan_span_dim`` measures the
 same span as ``brmult.modules.span_dim`` by testing every basis monomial
 of the piece for divisibility and ranking the rest with ``rank``,
 independent of the Hilbert numerators and the rank kernel the library
-counts with. ``multiset_power_generators`` and
+counts with. ``piece_subspace`` and ``scan_span_dim`` derive each slice
+generator's source fiber on their own (``slice_generators``).
+``multiset_power_generators`` and
 ``pairwise_product_generators`` multiply out every product of generators,
 with no echelon step; ``rref_by_bidegree`` compares generator sets by the
 spaces they span in each bidegree.
@@ -19,13 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from brmult.modules import (
-    ModulePresentation,
-    SliceSpan,
-    _validated_items,
-    piece_basis,
-)
-from brmult.rings import monomial_basis
+from brmult.modules import ModulePresentation, piece_basis
+from brmult.rings import Polynomial, monomial_basis
 
 
 class ShapeError(ValueError):
@@ -108,14 +105,29 @@ class PieceSubspace:
     dim: int
 
 
+def slice_generators(items: Sequence[Polynomial], fiber: int):
+    """(g, source fiber, base degree) of each nonzero slice generator g.
+
+    g spans g M_j with j = ``fiber`` minus g's fiber degree; one with
+    j < 0 acts on the zero module and is left out.
+    """
+    for g in items:
+        if g.is_zero():
+            continue
+        lead, nbase = g.terms[0][0], len(g.ring.base)
+        gb, gf = sum(lead[:nbase]), sum(lead[nbase:])
+        if gf <= fiber:
+            yield g, fiber - gf, gb
+
+
 def piece_subspace(
-    pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()
+    pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()
 ) -> PieceSubspace:
     """Dense route to the same subspace ``span_dim`` measures.
 
     Materializes every spanning vector (relation multiples and slice
-    spans) as a dense row and row reduces with the canonical pivot rule.
-    Slower than ``span_dim`` but returns the actual reduced basis; the two
+    generator multiples) as a dense row and row reduces with the
+    canonical pivot rule. Slower than ``span_dim`` but returns the actual reduced basis; the two
     agree on dimension.
     """
     a, nn = deg
@@ -131,7 +143,7 @@ def piece_subspace(
             row[p] = c
         return row
 
-    for g, n_src, gb in _validated_items(items, nn):
+    for g, n_src, gb in slice_generators(items, nn):
         for i, (ai, ni) in enumerate(free.shifts):
             for fm in monomial_basis(ring, (a - gb - ai, n_src - ni)):
                 row = {}
@@ -168,7 +180,7 @@ def _divides(g, m) -> bool:
 
 
 def scan_span_dim(
-    pres: ModulePresentation, deg, items: Sequence[SliceSpan] = ()
+    pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()
 ) -> int:
     """Dimension of (K + span of items) inside F at ``deg``, by a full scan.
 
@@ -185,7 +197,7 @@ def scan_span_dim(
     ring_monos = []
     comp_monos = {}
     poly_rows = []
-    for g, n_src, gb in _validated_items(items, nn):
+    for g, n_src, gb in slice_generators(items, nn):
         if g.is_monomial():
             ring_monos.append(g.terms[0][0])
             continue

@@ -10,7 +10,6 @@ from brmult.modules import (
     FreeModuleSpec,
     HilbertProbeError,
     ModulePresentation,
-    SliceSpan,
     ZeroModuleError,
     _echelon_basis,
     _hilbert_numerator,
@@ -64,7 +63,7 @@ def test_shifted_free_piece_dims():
 def test_quotient_by_maximal_ideal():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    extra = [SliceSpan(x, 0), SliceSpan(y, 0)]
+    extra = [x, y]
     res = graded_slice_length(m, 0, None, extra)
     assert res.total == 1
     assert res.per_degree[0] == 1
@@ -74,7 +73,7 @@ def test_quotient_by_maximal_ideal():
 def test_quotient_by_square_of_maximal_ideal():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    extra = [SliceSpan(g, 0) for g in (x * x, x * y, y * y)]
+    extra = [x * x, x * y, y * y]
     res = graded_slice_length(m, 0, None, extra)
     assert res.total == 3
     assert res.per_degree[:2] == (1, 2)
@@ -86,13 +85,13 @@ def test_infinite_quotient_hits_cutoff():
         graded_slice_length(m, 0, None, [], cutoff=12)
     # x spans from base degree 1 on, so a cutoff of 3 did test it
     with pytest.raises(CutoffExceeded):
-        graded_slice_length(m, 0, None, [SliceSpan(R2.gen("x"), 0)], cutoff=3)
+        graded_slice_length(m, 0, None, [R2.gen("x")], cutoff=3)
 
 
 def test_cutoff_below_what_the_walk_needs_is_too_small():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    squares = [SliceSpan(g, 0) for g in (x * x, y * y)]
+    squares = [x * x, y * y]
     # the finite quotient k[x,y]/(x^2, y^2) needs base degrees 0..3
     assert graded_slice_length(m, 0, None, squares, cutoff=3).total == 4
     # cutoff 1 ends the walk before the squares span anything
@@ -108,12 +107,12 @@ def test_cutoff_below_what_the_walk_needs_is_too_small():
 def test_length_certificate_really_stops():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    extra = [SliceSpan(g, 0) for g in (x * x * x, x * y, y * y)]
+    extra = [x * x * x, x * y, y * y]
     res = graded_slice_length(m, 0, None, extra)
     # continue past stop_degree by hand: every later summand is zero
     for a in range(res.stop_degree + 1, res.stop_degree + 5):
         top = free_piece_dim(m.free, (a, 0))
-        bottom = span_dim(m, (a, 0), [SliceSpan(g, 0) for g in (x * x * x, x * y, y * y)])
+        bottom = span_dim(m, (a, 0), extra)
         assert top == bottom
 
 
@@ -179,6 +178,15 @@ def test_krull_dimension_rejects_a_falling_tail():
         assert eight == (1 if ring.fiber else 0)
 
 
+def test_generators_above_the_fiber_act_on_the_zero_slice():
+    # x^5*u in fiber degree 0 would act on M_(-1) = 0: it spans nothing,
+    # and its base degree does not raise the certificate degree
+    ring = RingSpec(QQ, ("x",), ("u",))
+    x, u = ring.gen("x"), ring.gen("u")
+    res = graded_slice_length(free_module(ring), 0, [x**5 * u], ())
+    assert (res.total, res.stop_degree) == (0, 0)
+
+
 def test_slice_dims_up_to_matches_piece_dims():
     m = free_module(R22)
     dims = slice_dims_up_to(m, 2, None, (), 5)
@@ -205,7 +213,7 @@ def monomial_spans(draw):
     monos = draw(
         st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True)
     )
-    return [SliceSpan(R2.monomial(m), 0) for m in monos]
+    return [R2.monomial(m) for m in monos]
 
 
 @given(monomial_spans(), st.integers(min_value=0, max_value=4))
@@ -219,8 +227,8 @@ def test_span_dim_matches_subspace_basis(items, a):
 def test_span_dim_monotone_in_items():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    one_item = [SliceSpan(x, 0)]
-    two_items = [SliceSpan(x, 0), SliceSpan(y, 0)]
+    one_item = [x]
+    two_items = [x, y]
     for a in range(5):
         assert span_dim(m, (a, 0), one_item) <= span_dim(m, (a, 0), two_items)
 
@@ -229,7 +237,7 @@ def test_cross_fiber_spans():
     # multiplication by a fiber-degree-1 element maps the n=0 slice into n=1
     m = free_module(R22)
     xu = R22.gen("x") * R22.gen("u")
-    dims = slice_dims_up_to(m, 1, None, [SliceSpan(xu, 0)], 4)
+    dims = slice_dims_up_to(m, 1, None, [xu], 4)
     # free dims are 2(a+1); the image of xu contributes a dims in degree a+1
     assert dims == (2, 3, 4, 5, 6)
 
@@ -328,12 +336,13 @@ def polynomials(draw, ring, bidegree, max_terms):
 
 @st.composite
 def span_cases(draw, max_terms):
-    """A presentation, a fiber degree and slice-span items over it.
+    """A presentation, a fiber degree and slice generators over it.
 
     Relations are single-entry (monomial ones feed the per-component
     ideals) or, with ``max_terms`` > 1, polynomial and spread over
     several components; items include the unit generator now and then,
-    and dependent items that share (n_src, gb) with another item.
+    generators of fiber degree above the target, and dependent items of
+    another item's bidegree.
     """
     ring = draw(st.sampled_from(SPAN_RINGS))
     max_b = 3 if ring.base else 0
@@ -362,25 +371,22 @@ def span_cases(draw, max_terms):
     fiber = draw(st.integers(0, max_f))
     items = []
     for _ in range(draw(st.integers(0, 4))):
-        gb, gf = draw(bidegrees)
-        gf = min(gf, fiber)
-        items.append(SliceSpan(draw(polynomials(ring, (gb, gf), max_terms)), fiber - gf))
+        # a generator above ``fiber`` would act on a negative slice
+        items.append(draw(polynomials(ring, draw(bidegrees), max_terms)))
     for _ in range(draw(st.integers(0, 3)) if items else 0):
-        # an item sharing (n_src, gb) with an earlier one: a fresh
-        # polynomial or monomial, or g + c*h, a multiple of g when h = g
-        g, n_src = draw(st.sampled_from(items))
+        # an item of an earlier one's bidegree: a fresh polynomial or
+        # monomial, or g + c*h, a multiple of g when h = g
+        g = draw(st.sampled_from(items))
         if g.is_zero():
             continue
         if max_terms == 1 or draw(st.booleans()):
             extra = draw(polynomials(ring, g.bidegree(), max_terms))
         else:
             partners = [
-                h
-                for h, m in items
-                if m == n_src and not h.is_zero() and h.bidegree() == g.bidegree()
+                h for h in items if not h.is_zero() and h.bidegree() == g.bidegree()
             ]
             extra = g + draw(st.sampled_from(partners)) * draw(st.integers(-2, 2))
-        items.append(SliceSpan(extra, n_src))
+        items.append(extra)
     presentation = ModulePresentation(FreeModuleSpec(ring, shifts), tuple(relations))
     return presentation, fiber, items
 
@@ -409,7 +415,7 @@ def test_polynomial_rows_are_cleared_by_their_own_component_ideal():
     x, y = R2.gen("x"), R2.gen("y")
     free = FreeModuleSpec(R2, ((0, 0), (0, 0)))
     pres = ModulePresentation(free, ((R2.zero, x),))
-    items = [SliceSpan(x + y, 0), SliceSpan(2 * x + y, 0)]
+    items = [x + y, 2 * x + y]
     for a in range(4):
         deg = (a, 0)
         assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
@@ -475,7 +481,7 @@ def test_monomial_plans_skip_the_echelon_step(monkeypatch):
 
     monkeypatch.setattr(modules, "_echelon_basis", fail)
     x, y = R2.gen("x"), R2.gen("y")
-    items = [SliceSpan(x * x, 0), SliceSpan(x * y, 0), SliceSpan(y, 0)]
+    items = [x * x, x * y, y]
     assert span_dim(free_module(R2), (2, 0), items) == 3
 
 
@@ -484,7 +490,7 @@ def test_echelon_monomials_join_the_monomial_ideal():
     x, y, u, v = (R22.gen(s) for s in "xyuv")
     gens = (x * u + y * v, x * v, x * u - y * v)
     assert all(g.is_monomial() for g in _echelon_basis(R22, gens))
-    items = [SliceSpan(g, 0) for g in gens]
+    items = list(gens)
     pres = free_module(R22)
     for a in range(1, 4):
         deg = (a, 1)

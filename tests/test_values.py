@@ -12,7 +12,7 @@ import pytest
 
 from brmult.cli import InstanceFile
 from brmult.fields import QQ, PrimeField, RationalField, Value
-from brmult.filtration import InclusionWitness, MixedFiltrationLevel
+from brmult.filtration import InclusionWitness
 from brmult.modules import (
     DEFAULT_CUTOFF,
     FreeModuleSpec,
@@ -85,9 +85,6 @@ FACTORIES = {
     LocalReport: lambda: LocalReport(
         table(), leading(), 1, 1, "krull", 2, 1, False
     ),
-    MixedFiltrationLevel: lambda: MixedFiltrationLevel(
-        submodule(), submodule(), 1, 0, 1, (xT(),)
-    ),
     InclusionWitness: lambda: InclusionWitness("a", 1, False, "x*T", (1, 1)),
     VerificationReport: lambda: VerificationReport(
         "telescoping", "here", (("p=0", 1),), (("p=0", 1),), True
@@ -101,7 +98,7 @@ CLASSES = list(FACTORIES)
 
 def test_every_value_class_is_covered():
     assert set(Value.__subclasses__()) == set(CLASSES)
-    assert len(CLASSES) == 18
+    assert len(CLASSES) == 17
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
