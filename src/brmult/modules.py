@@ -21,11 +21,13 @@ vectors at every bidegree. Echelon generators that are monomials join
 the monomial ideals below.
 
 Single-monomial spanning vectors generate a monomial ideal J_i on each
-free component i, and the basis monomials they span in a piece are
-counted from the bigraded Hilbert numerator of S/J_i (Bayer-Stillman,
-"Computation of Hilbert functions", J. Symb. Comp. 1992; Bigatti,
-"Computation of Hilbert-Poincare series", JPAA 119, 1997), computed once
-per ideal. Only genuinely polynomial vectors go through field
+free component i, and the basis monomials they span are counted from the
+bigraded Hilbert numerator of S/J_i (Bayer-Stillman, "Computation of
+Hilbert functions", J. Symb. Comp. 1992; Bigatti, "Computation of
+Hilbert-Poincare series", JPAA 119, 1997), computed once per ideal. A
+walk over one fiber degree folds the components' numerators into one
+polynomial in X and expands it as a power series in the base degree, by
+running sums. Only genuinely polynomial vectors go through field
 elimination, as the sparse ``{position: coefficient}`` rows that
 ``linalg.subspace_dim`` takes; the rank of a union of distinct unit
 vectors U and other rows V is |U| plus the rank of V with the U
@@ -37,6 +39,8 @@ or past D proves all later summands vanish. If no such degree appears
 below the cutoff, the support condition fails and we raise instead of
 silently truncating. A cutoff below D, or below the base degree where
 the spans divided by first act, cannot tell and is reported as too small.
+Series coefficients are exact dims, and the stop rule reads only them, D
+and the cutoff: a walk stops or fails where a per-degree count would.
 """
 
 from __future__ import annotations
@@ -220,15 +224,6 @@ def _monomial_count(degree: int, nvars: int) -> int:
     return comb(degree + nvars - 1, nvars - 1)
 
 
-def free_piece_dim(free: FreeModuleSpec, deg) -> int:
-    a, nn = deg
-    s, t = len(free.ring.base), len(free.ring.fiber)
-    return sum(
-        _monomial_count(a - ai, s) * _monomial_count(nn - ni, t)
-        for ai, ni in free.shifts
-    )
-
-
 def _validated_items(gens, fiber_deg: int):
     """(g, source fiber, base degree) of the slice generators landing in
     ``fiber_deg``; zero ones and those acting on M_j with j < 0 are dropped."""
@@ -325,14 +320,24 @@ def _hilbert_numerator(gens: tuple, nbase: int) -> tuple:
     return tuple((b, f, c) for (b, f), c in sorted(poly.items()))
 
 
-def _standard_count(ring: RingSpec, gens: tuple, deg) -> int:
-    """Monomials of bidegree ``deg`` outside the monomial ideal (``gens``)."""
-    a, n = deg
-    s, t = len(ring.base), len(ring.fiber)
-    return sum(
-        c * _monomial_count(a - b, s) * _monomial_count(n - f, t)
-        for b, f, c in _hilbert_numerator(gens, s)
-    )
+def _standard_dims(pres: ModulePresentation, fiber_deg: int, ideals):
+    """Dims of F / (J_1 e_1 + ... + J_r e_r) at base degrees 0, 1, ... of
+    ``fiber_deg`` = n, J_i minimally generated by ``ideals[i]`` (F for ()).
+
+    The dim at base degree a is the X^a coefficient of P(X) / (1 - X)^s,
+    P(X) = sum_i X^{a_i} sum_{(b, f, c) in N(J_i)} c m_t(n - n_i - f) X^b,
+    so s running sums of P's coefficients yield one degree at a time.
+    """
+    s, t = len(pres.ring.base), len(pres.ring.fiber)
+    numerator = {}
+    for gens, (ai, ni) in zip(ideals, pres.free.shifts):
+        for b, f, c in _hilbert_numerator(gens, s):
+            count = c * _monomial_count(fiber_deg - ni - f, t)
+            numerator[ai + b] = numerator.get(ai + b, 0) + count
+    dims = map(numerator.get, itertools.count(), itertools.repeat(0))
+    for _ in range(s):
+        dims = itertools.accumulate(dims)
+    return dims
 
 
 def _span_plan(pres: ModulePresentation, items) -> tuple:
@@ -411,31 +416,35 @@ def _divides(g, m) -> bool:
     return all(a >= b for a, b in zip(m, g))
 
 
+def _monomial_dims(pres: ModulePresentation, fiber_deg: int, plan):
+    """(dim F, dim of the monomial part of the span a ``_span_plan``
+    describes) at base degrees 0, 1, ... of ``fiber_deg``."""
+    free = _standard_dims(pres, fiber_deg, ((),) * pres.free.rank)
+    standard = _standard_dims(pres, fiber_deg, plan[1])
+    return ((total, total - rest) for total, rest in zip(free, standard))
+
+
 def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) -> int:
     """Dimension of (K + span of the slice generators ``items``) at ``deg``."""
-    validated = _validated_items(items, deg[1]) if items else ()
-    return _span_dim(pres, deg, _span_plan(pres, validated))
-
-
-def _span_dim(pres: ModulePresentation, deg, plan) -> int:
-    """``span_dim`` of the items a ``_span_plan`` describes."""
-    free = pres.free
-    total = free_piece_dim(free, deg)
-    if not total:
+    plan = _span_plan(pres, _validated_items(items, deg[1]))
+    if deg[0] < 0:
         return 0
+    walk = _monomial_dims(pres, deg[1], plan)
+    total, spanned = next(itertools.islice(walk, deg[0], None))
+    return _span_dim(pres, deg, plan, total, spanned)
+
+
+def _span_dim(pres: ModulePresentation, deg, plan, total: int, spanned: int) -> int:
+    """``span_dim`` of the items a ``_span_plan`` describes, from the free
+    dim ``total`` at ``deg`` and the dim ``spanned`` of its monomial part."""
     unit, ideals, poly_items = plan
-    if unit:
-        return total  # the unit is a spanning generator
-    a, nn = deg
-    spanned = total - sum(
-        _standard_count(free.ring, gens, (a - ai, nn - ni))
-        for gens, (ai, ni) in zip(ideals, free.shifts)
-    )
+    if unit or not total:
+        return spanned  # the unit spans the whole piece; an empty one is 0
     poly_rows = _polynomial_rows(pres, deg, poly_items)
     if not poly_rows:
         return spanned
 
-    basis, _ = piece_basis(free, deg)
+    basis, _ = piece_basis(pres.free, deg)
     unit_columns = set()
     for p in {p for row in poly_rows for p in row}:
         i, mono = basis[p]
@@ -449,7 +458,9 @@ def _span_dim(pres: ModulePresentation, deg, plan) -> int:
 
 def piece_dimension(pres: ModulePresentation, deg) -> int:
     """dim_k of the bidegree piece M_deg = (F/K)_deg."""
-    return free_piece_dim(pres.free, deg) - span_dim(pres, deg)
+    free = _standard_dims(pres, deg[1], ((),) * pres.free.rank)
+    total = next(itertools.islice(free, deg[0], None)) if deg[0] >= 0 else 0
+    return total - span_dim(pres, deg)
 
 
 class LengthResult(Value):
@@ -472,15 +483,16 @@ def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom):
     free slice. T must contain B; a negative dimension trips an assertion
     rather than lying.
     """
-    top_plan = None if top is None else _span_plan(pres, top)
+    if top is not None:
+        top_plan = _span_plan(pres, top)
+        tops = _monomial_dims(pres, fiber_deg, top_plan)
     bottom_plan = _span_plan(pres, bottom)
-    for a in itertools.count():
+    for a, (total, spanned) in enumerate(_monomial_dims(pres, fiber_deg, bottom_plan)):
         deg = (a, fiber_deg)
-        if top is None:
-            top_dim = free_piece_dim(pres.free, deg)
-        else:
-            top_dim = _span_dim(pres, deg, top_plan)
-        bottom_dim = _span_dim(pres, deg, bottom_plan)
+        top_dim = total
+        if top is not None:
+            top_dim = _span_dim(pres, deg, top_plan, total, next(tops)[1])
+        bottom_dim = _span_dim(pres, deg, bottom_plan, total, spanned)
         if top_dim < bottom_dim:
             raise AssertionError(
                 f"spanning sets not nested at bidegree {deg}:"
@@ -576,10 +588,10 @@ def krull_dimension(pres: ModulePresentation) -> int:
     shift_totals = [a + n for a, n in free.shifts]
     relation_totals = [tb + tf for tb, tf in pres.relation_targets()]
     probe = max(shift_totals) + max(relation_totals, default=0) + pres.ring.nvars + 8
-    h = [
-        sum(piece_dimension(pres, (a, n - a)) for a in range(n + 1))
-        for n in range(probe + 1)
-    ]
+    h = [0] * (probe + 1)
+    for n in range(probe + 1):
+        for a, dim in enumerate(slice_dims_up_to(pres, n, None, (), probe - n)):
+            h[a + n] += dim
     if all(h[t] == 0 for t in shift_totals):
         raise ZeroModuleError("presentation defines the zero module")
     tail = 4

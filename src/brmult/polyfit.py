@@ -22,6 +22,7 @@ integers, so this is a consistency assertion, not a rounding step).
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .fields import Value
 
@@ -132,11 +133,14 @@ def finite_difference(t: LengthTable, axis) -> LengthTable:
     new_extents = tuple(
         e - 1 if i == ax else e for i, e in enumerate(t.extents)
     )
-    strides = t.strides()
+    # The values with one fixed index before the axis form a contiguous
+    # block: difference it against itself shifted one step along the axis.
+    step = t.strides()[ax]
+    block = step * t.extents[ax]
     values = []
-    for idx in itertools.product(*(range(e) for e in new_extents)):
-        flat = sum(j * s for j, s in zip(idx, strides))
-        values.append(t.values[flat + strides[ax]] - t.values[flat])
+    for start in range(0, len(t.values), block):
+        chunk = t.values[start : start + block]
+        values += map(operator.sub, chunk[step:], chunk[:-step])
     return LengthTable(t.axes, t.origin, new_extents, tuple(values))
 
 
@@ -171,13 +175,16 @@ def _alphas(arity: int, total: int):
     return out
 
 
-def _difference_tables(t: LengthTable, max_order: int) -> dict:
-    tables = {(0,) * t.arity: t}
+def _difference_tables(tables: dict, max_order: int) -> dict:
+    """Extend ``tables``, one table's mixed differences keyed by order (the
+    table itself at order zero), to every order up to ``max_order``."""
+    arity = len(next(iter(tables)))
     for total in range(1, max_order + 1):
-        for alpha in _alphas(t.arity, total):
-            ax = next(i for i, a in enumerate(alpha) if a > 0)
-            prev = tuple(a - 1 if i == ax else a for i, a in enumerate(alpha))
-            tables[alpha] = finite_difference(tables[prev], ax)
+        for alpha in _alphas(arity, total):
+            if alpha not in tables:
+                ax = next(i for i, a in enumerate(alpha) if a > 0)
+                prev = tuple(a - 1 if i == ax else a for i, a in enumerate(alpha))
+                tables[alpha] = finite_difference(tables[prev], ax)
     return tables
 
 
@@ -214,7 +221,7 @@ def leading_form(t: LengthTable, r: int, window: int = DEFAULT_WINDOW) -> Leadin
         raise GridTooSmallError(
             f"extents {t.extents} too small for degree {r} with window {window}"
         )
-    tables = _difference_tables(t, r + 1)
+    tables = _difference_tables({(0,) * t.arity: t}, r + 1)
     order_r = [tables[a] for a in _alphas(t.arity, r)]
     order_r1 = [tables[a] for a in _alphas(t.arity, r + 1)]
     constant_seen = False
@@ -252,8 +259,9 @@ def total_degree_estimate(t: LengthTable, window: int = DEFAULT_WINDOW) -> int:
             f"extents {t.extents} too small for any degree estimate with"
             f" window {window}"
         )
+    tables = {(0,) * t.arity: t}
     for degree in range(max_d + 1):
-        tables = _difference_tables(t, degree + 1)
+        _difference_tables(tables, degree + 1)
         order_d1 = [tables[a] for a in _alphas(t.arity, degree + 1)]
         bases = _feasible_bases(t, degree + 1, window)
         for base in bases:

@@ -271,7 +271,7 @@ def _degree_bound(table, r: int, window: int) -> VerificationReport:
     witness = None
     if not passed:
         deepest = None
-        diffs = _difference_tables(table, r + 1)
+        diffs = _difference_tables({(0,) * table.arity: table}, r + 1)
         for alpha in _alphas(table.arity, r + 1):
             diff = diffs[alpha]
             for idx in range(len(diff.values) - 1, -1, -1):

@@ -8,7 +8,9 @@ same span as ``brmult.modules.span_dim`` by testing every basis monomial
 of the piece for divisibility and ranking the rest with ``rank``,
 independent of the Hilbert numerators and the rank kernel the library
 counts with. ``piece_subspace`` and ``scan_span_dim`` derive each slice
-generator's source fiber on their own (``slice_generators``).
+generator's source fiber on their own (``slice_generators``), and
+``dense_slice_dims`` counts a slice quotient piece by piece with
+``piece_subspace``.
 ``multiset_power_generators`` and
 ``pairwise_product_generators`` multiply out every product of generators,
 with no echelon step; ``rref_by_bidegree`` compares generator sets by the
@@ -163,6 +165,24 @@ def piece_subspace(
     m = Matrix.from_rows(field, rows) if rows else Matrix(field, 0, len(basis), ())
     reduced, rk = rref(m)
     return PieceSubspace((a, nn), basis, reduced, rk)
+
+
+def dense_slice_dims(
+    pres: ModulePresentation, fiber: int, top_items, bottom_items, max_degree: int
+) -> tuple:
+    """dim (T / B) at base degrees 0..``max_degree`` of ``fiber``, one dense
+    ``piece_subspace`` per piece: T is F when ``top_items`` is None, else K
+    plus the span of ``top_items``; B is K plus the span of ``bottom_items``.
+    """
+    dims = []
+    for a in range(max_degree + 1):
+        deg = (a, fiber)
+        if top_items is None:
+            top = len(piece_basis(pres.free, deg)[0])
+        else:
+            top = piece_subspace(pres, deg, top_items).dim
+        dims.append(top - piece_subspace(pres, deg, bottom_items).dim)
+    return tuple(dims)
 
 
 def quadratic_prune(monos):

@@ -1,5 +1,7 @@
 """Graded modules: piece dimensions, slice lengths, Krull dimension."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +16,7 @@ from brmult.modules import (
     _echelon_basis,
     _hilbert_numerator,
     _prune_dominated,
-    _standard_count,
-    free_piece_dim,
+    _standard_dims,
     graded_slice_length,
     krull_dimension,
     piece_basis,
@@ -26,10 +27,12 @@ from brmult.modules import (
 from brmult.rings import GradingError, Polynomial, RingSpec, monomial_basis
 from dense_oracle import (
     Matrix,
+    dense_slice_dims,
     piece_subspace,
     quadratic_prune,
     rref,
     scan_span_dim,
+    slice_generators,
 )
 
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
@@ -111,7 +114,7 @@ def test_length_certificate_really_stops():
     res = graded_slice_length(m, 0, None, extra)
     # continue past stop_degree by hand: every later summand is zero
     for a in range(res.stop_degree + 1, res.stop_degree + 5):
-        top = free_piece_dim(m.free, (a, 0))
+        top = piece_dimension(m, (a, 0))  # m is free
         bottom = span_dim(m, (a, 0), extra)
         assert top == bottom
 
@@ -249,6 +252,12 @@ def _brute_standard_count(ring, gens, deg):
     )
 
 
+def _series_standard_counts(ring, gens, n, count):
+    """Standard monomials of (gens) at base degrees 0..count-1 of fiber
+    degree n, read off the Hilbert series walk."""
+    return list(islice(_standard_dims(free_module(ring), n, (gens,)), count))
+
+
 def test_hilbert_numerator_of_a_bigraded_monomial_ideal():
     # x base, y fiber: S/(x^2, xy, y^3) has the basis 1, x, y, y^2, so the
     # numerator is (1 + X + Y + Y^2)(1 - X)(1 - Y).
@@ -265,11 +274,10 @@ def test_hilbert_numerator_of_a_bigraded_monomial_ideal():
     )
     # the same ideal with both variables in the base: 1 - 2t^2 + t^4
     assert _hilbert_numerator(gens, 2) == ((0, 0, 1), (2, 0, -2), (4, 0, 1))
-    for a in range(5):
-        for n in range(5):
-            assert _standard_count(ring, gens, (a, n)) == _brute_standard_count(
-                ring, gens, (a, n)
-            )
+    for n in range(5):
+        assert _series_standard_counts(ring, gens, n, 5) == [
+            _brute_standard_count(ring, gens, (a, n)) for a in range(5)
+        ]
 
 
 R3 = RingSpec(QQ, ("x", "y", "z"), ())
@@ -289,11 +297,10 @@ R3 = RingSpec(QQ, ("x", "y", "z"), ())
 )
 def test_standard_count_matches_brute_force(ring, gens):
     gens = _prune_dominated(gens)
-    for a in range(7):
-        for n in range(4):
-            assert _standard_count(ring, gens, (a, n)) == _brute_standard_count(
-                ring, gens, (a, n)
-            )
+    for n in range(4):
+        assert _series_standard_counts(ring, gens, n, 7) == [
+            _brute_standard_count(ring, gens, (a, n)) for a in range(7)
+        ]
 
 
 SPAN_RINGS = (
@@ -408,6 +415,65 @@ def test_mixed_span_dim_matches_the_divisibility_scan(case):
     for a in range(5):
         deg = (a, fiber)
         assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+
+
+@st.composite
+def walk_cases(draw):
+    """A ``span_cases`` presentation and fiber degree with a top and a
+    bottom item list for one slice walk, and a cutoff.
+
+    The unit joins the items now and then. The bottom items are a subset
+    of the top ones, so T contains B, as in the factor-sum checks; a top
+    of None is the free slice. Cutoffs are small enough to stop walks on
+    infinite quotients and to fall below certificate and reach degrees.
+    """
+    pres, fiber, items = draw(span_cases(max_terms=draw(st.sampled_from((1, 2)))))
+    if draw(st.booleans()):
+        items.append(pres.ring.one)
+    chosen = [draw(st.booleans()) for _ in items]
+    bottom = [g for g, keep in zip(items, chosen) if keep]
+    top = None if draw(st.booleans()) else items
+    return pres, fiber, top, bottom, draw(st.integers(0, 5))
+
+
+def _expected_walk(pres, fiber, top, bottom, cutoff):
+    """The outcome of a slice walk from dense per-degree dims and the stop
+    rule: the first zero summand at or past the certificate degree stops
+    it, and a cutoff below that degree, or reached before a zero summand,
+    raises."""
+    shifts = [a for a, _ in pres.free.shifts]
+    if top is None:
+        certificate = max(shifts)
+    else:
+        degrees = [gb for _, _, gb in slice_generators(top, fiber)]
+        certificate = max(degrees) + max(shifts) if degrees else 0
+    if cutoff < certificate:
+        return CutoffTooSmall, certificate
+    dims = dense_slice_dims(pres, fiber, top, bottom, cutoff)
+    for a, dim in enumerate(dims):
+        if dim == 0 and a >= certificate:
+            return dims[: a + 1], a
+    bottom_degrees = [gb for _, _, gb in slice_generators(bottom, fiber)]
+    reach = min(bottom_degrees) + min(shifts) if bottom_degrees else 0
+    return (CutoffTooSmall, reach) if cutoff < reach else (CutoffExceeded, cutoff)
+
+
+@given(walk_cases())
+@settings(max_examples=100, deadline=None)
+def test_slice_walks_match_the_dense_per_degree_count(case):
+    pres, fiber, top, bottom, cutoff = case
+    expected = _expected_walk(pres, fiber, top, bottom, cutoff)
+    try:
+        res = graded_slice_length(pres, fiber, top, bottom, cutoff)
+        outcome = res.per_degree, res.stop_degree
+        assert res.total == sum(res.per_degree)
+    except CutoffTooSmall as err:
+        outcome = CutoffTooSmall, err.needed
+    except CutoffExceeded as err:
+        outcome = CutoffExceeded, err.cutoff
+    assert outcome == expected
+    dims = slice_dims_up_to(pres, fiber, top, bottom, cutoff)
+    assert dims == dense_slice_dims(pres, fiber, top, bottom, cutoff)
 
 
 def test_polynomial_rows_are_cleared_by_their_own_component_ideal():

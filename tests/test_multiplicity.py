@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import brmult.linalg as linalg
+import brmult.polyfit as polyfit
 from brmult.cli import parse_instance
 from brmult.fields import QQ, PrimeField
 from brmult.modules import FreeModuleSpec, ModulePresentation
@@ -47,6 +48,24 @@ def block_query(**kw):
     x, y, u, v = (R22.gen(s) for s in "xyuv")
     h = SubmoduleSpec(R22, 1, (x * u, x * v, y * u, y * v))
     return ProductQuery(free_module(R22), (h,), **kw)
+
+
+def test_block_vs_max_fit_differences_each_table_once(monkeypatch):
+    # r = 3 on the 6^3 grid: the degree estimate and the leading form each
+    # difference the table up to order 4, one table per order alpha, which
+    # is 34 tables apiece
+    calls = []
+    difference = polyfit.finite_difference
+
+    def counted(t, axis):
+        calls.append(axis)
+        return difference(t, axis)
+
+    monkeypatch.setattr(polyfit, "finite_difference", counted)
+    [inst] = [inst for inst in curated_mixed() if inst.name == "block-vs-max"]
+    report = br_multiplicities(ProductQuery(inst.module, (inst.h1, inst.h2), grid=5))
+    assert (report.r, report.enlarged) == (3, False)
+    assert len(calls) == 68
 
 
 def test_lambda_pure_block_closed_form():

@@ -39,6 +39,37 @@ def test_finite_difference_two_axes_commute():
     assert dpn == dnp
 
 
+@st.composite
+def axis_tables(draw):
+    """A table on 1 to 3 axes, and an axis of extent at least 2."""
+    arity = draw(st.integers(1, 3))
+    axis = draw(st.integers(0, arity - 1))
+    extents = tuple(
+        draw(st.integers(2 if i == axis else 1, 4)) for i in range(arity)
+    )
+    size = 1
+    for e in extents:
+        size *= e
+    values = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    origin = tuple(draw(st.integers(-2, 2)) for _ in range(arity))
+    return LengthTable(("p", "q", "n")[:arity], origin, extents, values), axis
+
+
+@given(axis_tables())
+@settings(max_examples=150, deadline=None)
+def test_finite_difference_matches_the_per_index_definition(case):
+    t, axis = case
+    d = finite_difference(t, axis)
+    step = tuple(int(i == axis) for i in range(t.arity))
+    points = itertools.product(*(range(e) for e in d.extents))
+    expected = tuple(
+        t.value(tuple(j + k for j, k in zip(idx, step))) - t.value(idx)
+        for idx in points
+    )
+    assert d.values == expected
+    assert (d.axes, d.origin) == (t.axes, t.origin)
+
+
 def test_difference_of_tiny_extent_rejected():
     t = LengthTable(("n",), (0,), (1,), (7,))
     with pytest.raises(GridTooSmallError):
