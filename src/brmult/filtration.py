@@ -34,6 +34,7 @@ from .modules import (
     LengthResult,
     ModulePresentation,
     _divides,
+    _minimal_generators,
     graded_slice_length,
     span_dim,
 )
@@ -77,21 +78,19 @@ def mixed_level(
     return _dedup_monic(gens)
 
 
-def _ring_presentation(ring) -> ModulePresentation:
-    return ModulePresentation(FreeModuleSpec(ring, ((0, 0),)))
-
-
 def _contains(ring_pres, span_gens, g: Polynomial) -> bool:
-    """Is g in the bidegree piece spanned by span_gens at g's bidegree?
-
-    A monomial lies in a monomial ideal exactly when a generator divides it.
-    """
-    if g.is_monomial() and all(h.is_monomial() for h in span_gens):
-        return any(_divides(h.terms[0][0], g.terms[0][0]) for h in span_gens)
+    """Is g in the bidegree piece spanned by span_gens at g's bidegree?"""
     deg = g.bidegree()
     return span_dim(ring_pres, deg, span_gens + (g,)) == span_dim(
         ring_pres, deg, span_gens
     )
+
+
+def _exponents(polys) -> Optional[tuple]:
+    """The exponent tuples of ``polys`` if all are monomials, else None."""
+    if all(g.is_monomial() for g in polys):
+        return tuple(g.terms[0][0] for g in polys)
+    return None
 
 
 class InclusionWitness(Value):
@@ -105,14 +104,19 @@ class InclusionWitness(Value):
 
 
 def _first_escape(part, nu, ring_pres, gens, span_gens, memo) -> InclusionWitness:
-    """Test ``gens`` in order against the span of ``span_gens``; the first
-    that is not in it is the witness. ``memo`` holds earlier outcomes by
-    (span_gens, g)."""
+    """Test ``gens`` (polynomials, or exponent tuples against monomials) in
+    order against the span of ``span_gens``; the first not in it is the
+    witness. ``memo`` holds rank-test outcomes by (span_gens, g)."""
+    spanned = _exponents(span_gens)
+    minimal = None if spanned is None else _minimal_generators(spanned)
     for g in gens:
-        inside = memo.get((span_gens, g))
-        if inside is None:
+        mono = g if isinstance(g, tuple) else g.is_monomial() and g.terms[0][0]
+        if minimal is not None and mono:
+            inside = any(_divides(h, mono) for h in minimal)
+        elif (inside := memo.get((span_gens, g))) is None:
             inside = memo[span_gens, g] = _contains(ring_pres, span_gens, g)
         if not inside:
+            g = ring_pres.ring.monomial(g) if isinstance(g, tuple) else g
             return InclusionWitness(part, nu, False, str(g), g.bidegree())
     return InclusionWitness(part, nu, True)
 
@@ -125,20 +129,27 @@ def check_filtration_inclusions(
     For every nu in 1..p+q, (a) each generator of H1 H2 * level(nu) must
     lie in level(nu-1), and (b) each generator of level(nu) must lie in
     the (p-1, q-1) filtration's level nu-1; (b) is only meaningful when p
-    and q are both positive and is skipped otherwise. Containment is
-    tested as an exact rank condition at the generator's own bidegree,
-    which suffices because the target spans are ideal pieces. A caller
+    and q are both positive and is skipped otherwise. A monomial lies in
+    a span of monomials when one of their minimal generators divides it;
+    any other containment is an exact rank condition at the generator's
+    bidegree, enough as the target spans are ideal pieces. A caller
     checking several (p, q) of the same H1, H2 passes one ``memo`` dict to
-    all of them, so that a test that recurs is made once.
+    all of them, so that a rank test that recurs is made once.
     """
     memo = {} if memo is None else memo
-    ring_pres = _ring_presentation(h1.ring)
-    h1h2 = product_generators(h1, h2)
+    ring_pres = ModulePresentation(FreeModuleSpec(h1.ring, ((0, 0),)))
+    h1h2 = product_generators(h1, h2).gens
+    left = _exponents(h1h2)
     results = []
     for nu in range(1, p + q + 1):
         level_nu = mixed_level(h1, h2, p, q, nu)
         lower = mixed_level(h1, h2, p, q, nu - 1)
-        products = _dedup_monic(a * b for a in h1h2.gens for b in level_nu)
+        right = _exponents(level_nu)
+        if None in (left, right, _exponents(lower)):
+            products = _dedup_monic(a * b for a in h1h2 for b in level_nu)
+        else:  # exponent tuples, in _dedup_monic's order
+            sums = {tuple(i + j for i, j in zip(a, b)) for a in left for b in right}
+            products = sorted(sums, reverse=True)
         results.append(_first_escape("a", nu, ring_pres, products, lower, memo))
         if p >= 1 and q >= 1:
             target = mixed_level(h1, h2, p - 1, q - 1, nu - 1)

@@ -219,9 +219,10 @@ def _grid_table(axes: tuple, gmax: int, cell) -> tuple:
 _REFIT = (StabilizationError, GridTooSmallError, DegreeExceedsError)
 
 
-def _check_degree(table: LengthTable, r: int, window: int, cause=None) -> int:
-    """The table's degree estimate, which must not exceed r."""
-    estimate = total_degree_estimate(table, window)
+def _check_degree(table: LengthTable, tables, r: int, window: int, cause=None) -> int:
+    """The table's degree estimate from its difference tables ``tables``,
+    which must not exceed r."""
+    estimate = total_degree_estimate(table, window, tables)
     if estimate > r:
         raise DegreeExceedsError(
             f"table degree estimate {estimate} exceeds r = {r}"
@@ -249,15 +250,15 @@ def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
     Returns ([(table, stops, leading form), ...], estimate, enlarged).
     """
     gmax, enlarged_gmax = grid_bounds(r, grid)
-    tables = []
+    built = []  # (table, its difference tables by order) per build
 
     def attempt(bound):
-        tables.clear()
+        built.clear()
         fits = []
         for build in builds:
             table, stops = build(bound)
-            tables.append(table)
-            fits.append((table, stops, leading_form(table, r, window)))
+            built.append((table, {(0,) * table.arity: table}))
+            fits.append((table, stops, leading_form(table, r, window, built[-1][1])))
         return fits
 
     try:
@@ -268,9 +269,9 @@ def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
             fits = attempt(enlarged_gmax)
         except StabilizationError as err:
             with suppress(StabilizationError, GridTooSmallError):
-                _check_degree(tables[0], r, window, err)
+                _check_degree(*built[0], r, window, err)
             raise
-    return fits, _check_degree(fits[0][0], r, window), enlarged
+    return fits, _check_degree(*built[0], r, window), enlarged
 
 
 def pure_table(query: ProductQuery, gmax: int) -> tuple:

@@ -167,12 +167,8 @@ class LeadingForm(Value):
 
 
 def _alphas(arity: int, total: int):
-    out = []
-    for alpha in itertools.product(range(total + 1), repeat=arity):
-        if sum(alpha) == total:
-            out.append(alpha)
-    out.sort(reverse=True)
-    return out
+    alphas = itertools.product(range(total + 1), repeat=arity)
+    return sorted((alpha for alpha in alphas if sum(alpha) == total), reverse=True)
 
 
 def _difference_tables(tables: dict, max_order: int) -> dict:
@@ -203,7 +199,9 @@ def _feasible_bases(t: LengthTable, order: int, window: int):
     return itertools.product(*ranges)
 
 
-def leading_form(t: LengthTable, r: int, window: int = DEFAULT_WINDOW) -> LeadingForm:
+def leading_form(
+    t: LengthTable, r: int, window: int = DEFAULT_WINDOW, tables=None
+) -> LeadingForm:
     """Extract all order-r e-values at the first stabilization window.
 
     Scans base points in row-major order for a window of ``window`` points
@@ -211,6 +209,7 @@ def leading_form(t: LengthTable, r: int, window: int = DEFAULT_WINDOW) -> Leadin
     order-(r+1) difference vanishes. Raises GridTooSmallError when no
     window fits, DegreeExceedsError when differences go constant but the
     order-(r+1) ones refuse to vanish, and StabilizationError otherwise.
+    ``tables`` holds t's difference tables by order, for a caller to share.
     """
     if r < 0:
         raise ValueError("negative degree")
@@ -221,7 +220,7 @@ def leading_form(t: LengthTable, r: int, window: int = DEFAULT_WINDOW) -> Leadin
         raise GridTooSmallError(
             f"extents {t.extents} too small for degree {r} with window {window}"
         )
-    tables = _difference_tables({(0,) * t.arity: t}, r + 1)
+    tables = _difference_tables(tables or {(0,) * t.arity: t}, r + 1)
     order_r = [tables[a] for a in _alphas(t.arity, r)]
     order_r1 = [tables[a] for a in _alphas(t.arity, r + 1)]
     constant_seen = False
@@ -251,15 +250,18 @@ def leading_form(t: LengthTable, r: int, window: int = DEFAULT_WINDOW) -> Leadin
     )
 
 
-def total_degree_estimate(t: LengthTable, window: int = DEFAULT_WINDOW) -> int:
-    """Smallest D whose order-(D+1) differences vanish on some window."""
+def total_degree_estimate(
+    t: LengthTable, window: int = DEFAULT_WINDOW, tables=None
+) -> int:
+    """Smallest D whose order-(D+1) differences vanish on some window;
+    ``tables`` as in ``leading_form``."""
     max_d = min(t.extents) - window - 1
     if max_d < 0:
         raise GridTooSmallError(
             f"extents {t.extents} too small for any degree estimate with"
             f" window {window}"
         )
-    tables = {(0,) * t.arity: t}
+    tables = tables or {(0,) * t.arity: t}
     for degree in range(max_d + 1):
         _difference_tables(tables, degree + 1)
         order_d1 = [tables[a] for a in _alphas(t.arity, degree + 1)]

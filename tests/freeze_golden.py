@@ -5,10 +5,11 @@ Usage, from the repository root: ``PYTHONPATH=src python3 tests/freeze_golden.py
 Writes ``tests/golden_cli.json``: for each command, the exit code and the
 SHA-256 of its stdout, run in-process through ``brmult.cli.run``. The
 commands are every line of the benchmark's cli-sweep workload
-(``perfbench/workloads.py``), plus ``br``, ``mixed``, ``lambda --csv`` and
-``verify all`` on each instance file under ``demos/instances``, except
-``block_3x3.txt`` and ``minors_3var.txt``, whose ``br`` alone takes
-seconds. Rerun it only when an output is meant to change.
+(``perfbench/workloads.py``), plus ``br``, ``mixed``, ``lambda --csv``,
+``verify all`` and ``verify inclusions --grid 4`` on each instance file
+under ``demos/instances``, except ``block_3x3.txt`` and
+``minors_3var.txt``, whose ``br`` alone takes seconds. Rerun it only
+when an output is meant to change.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_cli.json"
 INSTANCES = ROOT / "demos" / "instances"
 SLOW_INSTANCES = ("block_3x3.txt", "minors_3var.txt")
-PER_INSTANCE = ("br {}", "mixed {}", "lambda {} --csv", "verify all {}")
+PER_INSTANCE = (
+    "br {}",
+    "mixed {}",
+    "lambda {} --csv",
+    "verify all {}",
+    "verify inclusions {} --grid 4",
+)
 
 
 def golden_commands() -> list:

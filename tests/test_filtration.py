@@ -4,11 +4,13 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brmult.cli as cli
 import brmult.filtration as filtration
 from brmult.fields import QQ
 from brmult.filtration import (
+    InclusionWitness,
     assoc_graded_piece_dims,
     check_filtration_inclusions,
     filtration_factor_lengths,
@@ -21,7 +23,13 @@ from brmult.modules import (
     graded_slice_length,
     span_dim,
 )
-from brmult.rings import RingSpec, SubmoduleSpec, power_generators
+from brmult.rings import (
+    RingSpec,
+    SubmoduleSpec,
+    _dedup_monic,
+    power_generators,
+    product_generators,
+)
 
 INSTANCES = Path(__file__).resolve().parents[1] / "demos" / "instances"
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
@@ -93,6 +101,8 @@ def test_inclusions_catch_a_broken_level_rule(monkeypatch):
 
 
 def test_monomial_inclusions_by_divisibility_match_the_rank_test():
+    # a monomial generator, as a polynomial or as its exponent tuple,
+    # against a span of monomials goes by divisibility
     pres = free_module(R2)
     exponents = [(1, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 1), (2, 0, 1), (0, 0, 0)]
     monos = [R2.monomial(e) for e in exponents]
@@ -106,7 +116,11 @@ def test_monomial_inclusions_by_divisibility_match_the_rank_test():
                 by_rank = span_dim(pres, deg, gens + (g,)) == span_dim(
                     pres, deg, gens
                 )
-                assert filtration._contains(pres, gens, g) == by_rank
+                for item in (g, g.terms[0][0]):
+                    found = filtration._first_escape("a", 1, pres, (item,), gens, {})
+                    assert found.passed == by_rank
+                    if not by_rank:
+                        assert (found.generator, found.bidegree) == (str(g), deg)
 
 
 def test_assoc_graded_dims_for_maximal_ideal():
@@ -182,24 +196,40 @@ class _Forgetful(dict):
         pass
 
 
-@pytest.mark.parametrize(
-    "name, made, once",
-    [("max_ideal_pair.txt", 1440, 542), ("newton_pair.txt", 3332, 2537)],
-)
-def test_inclusion_report_makes_each_test_once(monkeypatch, name, made, once):
-    # verify inclusions walks (p, q) <= 3 with one memo: the same (level,
-    # generator) test recurs across (p, q) and nu and is made only once
+@pytest.mark.parametrize("name", ["max_ideal_pair.txt", "newton_pair.txt"])
+def test_monomial_inclusion_report_makes_no_rank_test(monkeypatch, name):
+    # every level of a monomial pair is monomial, so verify inclusions
+    # decides each containment by divisibility, with no elimination
     inst = cli.parse_instance((INSTANCES / name).read_text())
     calls = []
-    real = filtration._contains
+    real = filtration.span_dim
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
+    monkeypatch.setattr(filtration, "span_dim", counting)
+    assert cli._inclusion_report(inst, 3).passed
+    assert calls == []
+
+
+def test_nonmonomial_inclusion_report_makes_each_rank_test_once(monkeypatch):
+    # H of minors_block.txt keeps polynomial generators in its powers, so
+    # the pair (H, (x, y)) goes through the rank test. With one memo over
+    # (p, q) <= 2, each (level, generator) test that recurs is made once.
+    text = (INSTANCES / "minors_block.txt").read_text()
+    inst = cli.parse_instance(text + "submodule M fiberdeg 0 gens x, y\n")
+    calls = []
+    real = filtration._contains
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
     monkeypatch.setattr(filtration, "_contains", counting)
-    memoized = cli._inclusion_report(inst, 3)
-    assert len(calls) == once
+    memoized = cli._inclusion_report(inst, 2)
+    assert memoized.passed
+    assert len(calls) == len(set(calls)) == 885
 
     calls.clear()
     monkeypatch.setattr(
@@ -209,5 +239,77 @@ def test_inclusion_report_makes_each_test_once(monkeypatch, name, made, once):
             h1, h2, p, q, _Forgetful()
         ),
     )
-    assert cli._inclusion_report(inst, 3) == memoized
-    assert len(calls) == made
+    assert cli._inclusion_report(inst, 2) == memoized
+    assert len(calls) == 1026
+
+
+def _rank_inclusions(h1, h2, p, q):
+    """``check_filtration_inclusions`` with every containment decided by
+    the rank test on products formed by polynomial multiplication."""
+    pres = free_module(h1.ring)
+    level = filtration.mixed_level  # looked up here, so sabotage shows
+    h1h2 = product_generators(h1, h2).gens
+
+    def first_escape(part, nu, gens, span):
+        for g in gens:
+            deg = g.bidegree()
+            if span_dim(pres, deg, span + (g,)) != span_dim(pres, deg, span):
+                return InclusionWitness(part, nu, False, str(g), deg)
+        return InclusionWitness(part, nu, True)
+
+    out = []
+    for nu in range(1, p + q + 1):
+        level_nu = level(h1, h2, p, q, nu)
+        products = _dedup_monic(a * b for a in h1h2 for b in level_nu)
+        out.append(first_escape("a", nu, products, level(h1, h2, p, q, nu - 1)))
+        if p >= 1 and q >= 1:
+            target = level(h1, h2, p - 1, q - 1, nu - 1)
+            out.append(first_escape("b", nu, level_nu, target))
+    return out
+
+
+base_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def monomial_ideals(draw):
+    d = draw(st.integers(0, 1))
+    exps = draw(st.lists(base_exponents, min_size=1, max_size=3))
+    return SubmoduleSpec(R2, d, tuple(R2.monomial((a, b, d)) for a, b in exps))
+
+
+@st.composite
+def sabotaged_levels(draw):
+    """A level index and the generators that replace that level: monomials
+    (the unit among them) and at times a binomial."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    gens = [R2.monomial(e) for e in draw(st.lists(exps, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        x, y, T = R2.gen("x"), R2.gen("y"), R2.gen("T")
+        gens.append(draw(st.sampled_from((x + y, x * T + y * T, x * x + x * y))))
+    return draw(st.integers(0, 3)), tuple(gens)
+
+
+@given(
+    monomial_ideals(),
+    monomial_ideals(),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.none() | sabotaged_levels(),
+)
+@settings(max_examples=100, deadline=None)
+def test_inclusions_by_divisibility_match_the_rank_test(h1, h2, p, q, sabotage):
+    # the witnesses, the first escaping generator's string and bidegree
+    # included, equal those of deciding every containment by rank; a
+    # sabotaged level makes some tests fail
+    with pytest.MonkeyPatch.context() as patch:
+        if sabotage is not None:
+            real = filtration.mixed_level
+            bad_nu, bad_gens = sabotage
+
+            def sabotaged(h1, h2, p, q, nu):
+                return bad_gens if nu == bad_nu else real(h1, h2, p, q, nu)
+
+            patch.setattr(filtration, "mixed_level", sabotaged)
+        expected = _rank_inclusions(h1, h2, p, q)
+        assert check_filtration_inclusions(h1, h2, p, q) == expected
