@@ -78,12 +78,13 @@ def mixed_level(
     return _dedup_monic(gens)
 
 
-def _contains(ring_pres, span_gens, g: Polynomial) -> bool:
-    """Is g in the bidegree piece spanned by span_gens at g's bidegree?"""
+def _contains(ring_pres, span_gens, g: Polynomial, memo) -> bool:
+    """Is g in the bidegree piece spanned by span_gens at g's bidegree?
+    ``memo`` keeps the span's dimension by (span_gens, bidegree)."""
     deg = g.bidegree()
-    return span_dim(ring_pres, deg, span_gens + (g,)) == span_dim(
-        ring_pres, deg, span_gens
-    )
+    if (spanned := memo.get((span_gens, deg))) is None:
+        spanned = memo[span_gens, deg] = span_dim(ring_pres, deg, span_gens)
+    return span_dim(ring_pres, deg, span_gens + (g,)) == spanned
 
 
 def _exponents(polys) -> Optional[tuple]:
@@ -114,7 +115,7 @@ def _first_escape(part, nu, ring_pres, gens, span_gens, memo) -> InclusionWitnes
         if minimal is not None and mono:
             inside = any(_divides(h, mono) for h in minimal)
         elif (inside := memo.get((span_gens, g))) is None:
-            inside = memo[span_gens, g] = _contains(ring_pres, span_gens, g)
+            inside = memo[span_gens, g] = _contains(ring_pres, span_gens, g, memo)
         if not inside:
             g = ring_pres.ring.monomial(g) if isinstance(g, tuple) else g
             return InclusionWitness(part, nu, False, str(g), g.bidegree())
@@ -134,7 +135,8 @@ def check_filtration_inclusions(
     any other containment is an exact rank condition at the generator's
     bidegree, enough as the target spans are ideal pieces. A caller
     checking several (p, q) of the same H1, H2 passes one ``memo`` dict to
-    all of them, so that a rank test that recurs is made once.
+    all of them, so that a rank test or span dimension that recurs is
+    made once.
     """
     memo = {} if memo is None else memo
     ring_pres = ModulePresentation(FreeModuleSpec(h1.ring, ((0, 0),)))

@@ -27,11 +27,13 @@ Hilbert functions", J. Symb. Comp. 1992; Bigatti, "Computation of
 Hilbert-Poincare series", JPAA 119, 1997), computed once per ideal. A
 walk over one fiber degree folds the components' numerators into one
 polynomial in X and expands it as a power series in the base degree, by
-running sums. Only genuinely polynomial vectors go through field
-elimination, as the sparse ``{position: coefficient}`` rows that
-``linalg.subspace_dim`` takes; the rank of a union of distinct unit
-vectors U and other rows V is |U| plus the rank of V with the U
-coordinates cleared, so this is exact.
+running sums. Its coefficients count the monomials the span's monomial
+part leaves, and a walk reads dim F / (K + span) off that one series.
+Only genuinely polynomial vectors go through field elimination, as the
+sparse ``{position: coefficient}`` rows that ``linalg.subspace_dim``
+takes, and only where the monomial part leaves monomials: the rank of a
+union of distinct unit vectors U and other rows V is |U| plus the rank
+of V with the U coordinates cleared, so this is exact.
 
 Fiber-slice lengths carry a finiteness certificate: the quotient being
 measured is generated in base degrees <= D, so the first zero summand at
@@ -48,6 +50,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
+from operator import ge
 from typing import Optional, Sequence
 
 from .fields import Value
@@ -248,7 +251,7 @@ def _prune_dominated(monos) -> tuple:
     for m in monos:
         if sum(m) != degree:
             degree, lower = sum(m), tuple(kept)
-        if not any(all(a >= b for a, b in zip(m, k)) for k in lower):
+        if not any(all(map(ge, m, k)) for k in lower):
             kept.append(m)
     return tuple(kept)
 
@@ -341,12 +344,11 @@ def _standard_dims(pres: ModulePresentation, fiber_deg: int, ideals):
 
 
 def _span_plan(pres: ModulePresentation, items) -> tuple:
-    """What ``_span_dim`` needs of validated items at any bidegree.
+    """What ``_quotient_dims`` needs of validated items at any bidegree.
 
-    Returns (unit, ideals, poly_items): whether the unit is a monomial
-    item, the minimal generators of the monomial ideal J_i spanned on
-    each component i (the monomial items and the component's monomial
-    relations), and the items that are not monomials.
+    Returns (ideals, poly_items): the minimal generators of the monomial
+    ideal J_i spanned on each component i (the monomial items and the
+    component's monomial relations), and the items that are not monomials.
 
     Items of one bidegree that include a polynomial are replaced by the
     ``_echelon_basis`` of their generators. That is exact, because
@@ -372,12 +374,11 @@ def _span_plan(pres: ModulePresentation, items) -> tuple:
                     poly_items.append((g, n_src, gb))
         monos = tuple(monos)
     ring_monos = _minimal_generators(monos)
-    unit = bool(ring_monos) and not any(ring_monos[0])
     ideals = tuple(
         _minimal_generators(ring_monos + extra) if extra else ring_monos
         for extra in pres._comp_monos
     )
-    return unit, ideals, tuple(poly_items)
+    return ideals, tuple(poly_items)
 
 
 def _polynomial_rows(pres: ModulePresentation, deg, poly_items) -> list:
@@ -413,15 +414,34 @@ def _polynomial_rows(pres: ModulePresentation, deg, poly_items) -> list:
 
 
 def _divides(g, m) -> bool:
-    return all(a >= b for a, b in zip(m, g))
+    return all(map(ge, m, g))
 
 
-def _monomial_dims(pres: ModulePresentation, fiber_deg: int, plan):
-    """(dim F, dim of the monomial part of the span a ``_span_plan``
-    describes) at base degrees 0, 1, ... of ``fiber_deg``."""
-    free = _standard_dims(pres, fiber_deg, ((),) * pres.free.rank)
-    standard = _standard_dims(pres, fiber_deg, plan[1])
-    return ((total, total - rest) for total, rest in zip(free, standard))
+def _quotient_dim(pres: ModulePresentation, deg, plan, standard: int) -> int:
+    """dim F / (K + span) at ``deg`` for a ``_span_plan``: ``standard``,
+    the monomials its monomial part leaves, less the rank of the polynomial
+    rows on those columns, 0 when ``standard`` is (no column is left)."""
+    ideals, poly_items = plan
+    rows = standard and _polynomial_rows(pres, deg, poly_items)
+    if not rows:
+        return standard
+    basis, _ = piece_basis(pres.free, deg)
+    cleared = set()
+    for p in {p for row in rows for p in row}:
+        i, mono = basis[p]
+        if any(_divides(g, mono) for g in ideals[i]):
+            cleared.add(p)
+    stripped = ({p: c for p, c in row.items() if p not in cleared} for row in rows)
+    return standard - subspace_dim([row for row in stripped if row], pres.ring.field)
+
+
+def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
+    """``_quotient_dim`` at base degrees 0, 1, ... of ``fiber_deg``: the
+    standard series itself when there are no polynomial rows."""
+    dims = _standard_dims(pres, fiber_deg, plan[0])
+    if not plan[1] and not pres._poly_relations:
+        return dims
+    return (_quotient_dim(pres, (a, fiber_deg), plan, s) for a, s in enumerate(dims))
 
 
 def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) -> int:
@@ -429,31 +449,10 @@ def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) ->
     plan = _span_plan(pres, _validated_items(items, deg[1]))
     if deg[0] < 0:
         return 0
-    walk = _monomial_dims(pres, deg[1], plan)
-    total, spanned = next(itertools.islice(walk, deg[0], None))
-    return _span_dim(pres, deg, plan, total, spanned)
-
-
-def _span_dim(pres: ModulePresentation, deg, plan, total: int, spanned: int) -> int:
-    """``span_dim`` of the items a ``_span_plan`` describes, from the free
-    dim ``total`` at ``deg`` and the dim ``spanned`` of its monomial part."""
-    unit, ideals, poly_items = plan
-    if unit or not total:
-        return spanned  # the unit spans the whole piece; an empty one is 0
-    poly_rows = _polynomial_rows(pres, deg, poly_items)
-    if not poly_rows:
-        return spanned
-
-    basis, _ = piece_basis(pres.free, deg)
-    unit_columns = set()
-    for p in {p for row in poly_rows for p in row}:
-        i, mono = basis[p]
-        if any(_divides(g, mono) for g in ideals[i]):
-            unit_columns.add(p)
-    stripped = (
-        {p: c for p, c in row.items() if p not in unit_columns} for row in poly_rows
-    )
-    return spanned + subspace_dim([row for row in stripped if row], pres.ring.field)
+    free = _standard_dims(pres, deg[1], ((),) * pres.free.rank)
+    standard = _standard_dims(pres, deg[1], plan[0])
+    total, left = next(itertools.islice(zip(free, standard), deg[0], None))
+    return total - _quotient_dim(pres, deg, plan, left)
 
 
 def piece_dimension(pres: ModulePresentation, deg) -> int:
@@ -477,28 +476,25 @@ class LengthResult(Value):
 
 
 def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom):
-    """Dims of (T / B) at base degrees 0, 1, 2, ... of one fiber degree.
+    """Dims of (T / B) at base degrees 0, 1, 2, ... of one fiber degree,
+    for validated items ``top`` and ``bottom``; T is F for ``top`` None."""
+    bottoms = _quotient_dims(pres, fiber_deg, _span_plan(pres, bottom))
+    if top is None:
+        return bottoms
+    tops = _quotient_dims(pres, fiber_deg, _span_plan(pres, top))
+    return _nested(fiber_deg, tops, bottoms)
 
-    ``top`` and ``bottom`` are validated items; ``top`` None is the full
-    free slice. T must contain B; a negative dimension trips an assertion
-    rather than lying.
-    """
-    if top is not None:
-        top_plan = _span_plan(pres, top)
-        tops = _monomial_dims(pres, fiber_deg, top_plan)
-    bottom_plan = _span_plan(pres, bottom)
-    for a, (total, spanned) in enumerate(_monomial_dims(pres, fiber_deg, bottom_plan)):
-        deg = (a, fiber_deg)
-        top_dim = total
-        if top is not None:
-            top_dim = _span_dim(pres, deg, top_plan, total, next(tops)[1])
-        bottom_dim = _span_dim(pres, deg, bottom_plan, total, spanned)
-        if top_dim < bottom_dim:
+
+def _nested(fiber_deg: int, tops, bottoms):
+    """dim F/B - dim F/T = dim T/B at base degrees 0, 1, ...; T must
+    contain B, so a negative dimension trips an assertion rather than lying."""
+    for a, (top_q, bottom_q) in enumerate(zip(tops, bottoms)):
+        if bottom_q < top_q:
             raise AssertionError(
-                f"spanning sets not nested at bidegree {deg}:"
-                f" {top_dim} < {bottom_dim}"
+                f"spanning sets not nested at bidegree {(a, fiber_deg)}:"
+                f" dim F/T {top_q} > dim F/B {bottom_q}"
             )
-        yield top_dim - bottom_dim
+        yield bottom_q - top_q
 
 
 def graded_slice_length(

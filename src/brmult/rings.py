@@ -376,6 +376,12 @@ def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
     )
 
 
+@lru_cache(maxsize=4096)
+def _monic_monomial(ring: RingSpec, mono: tuple) -> Polynomial:
+    """The shared monic x^mono, so equal generators compare by identity."""
+    return Polynomial(ring, ((mono, ring.field.one),))
+
+
 @lru_cache(maxsize=None)
 def power_generators(h: SubmoduleSpec, p: int) -> SubmoduleSpec:
     """Generators of H^p, built one factor at a time as H^(p-1)*H.
@@ -387,7 +393,7 @@ def power_generators(h: SubmoduleSpec, p: int) -> SubmoduleSpec:
     if p < 0:
         raise GradingError("negative power of a submodule")
     if p == 0:
-        return SubmoduleSpec(h.ring, 0, (h.ring.one,))
+        return SubmoduleSpec(h.ring, 0, (_monic_monomial(h.ring, (0,) * h.ring.nvars),))
     return product_generators(power_generators(h, p - 1), h)
 
 
@@ -398,7 +404,7 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
     A bidegree group of monomial products only loses its scalar-multiple
     duplicates; a group with a polynomial becomes its ``_echelon_basis``.
     When both factors are monomial, the products are sums of exponent
-    tuples, deduplicated before any polynomial is built.
+    tuples, deduplicated first and then made ``_monic_monomial``s.
     """
     if h1.ring != h2.ring:
         raise GradingError("product of submodules over different rings")
@@ -406,8 +412,7 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
     if all(g.is_monomial() for g in h1.gens + h2.gens):
         right = [g.terms[0][0] for g in h2.gens]
         monos = {tuple(map(add, g.terms[0][0], m)) for g in h1.gens for m in right}
-        one = h1.ring.field.one
-        gens = (Polynomial(h1.ring, ((m, one),)) for m in sorted(monos, reverse=True))
+        gens = (_monic_monomial(h1.ring, m) for m in sorted(monos, reverse=True))
         return SubmoduleSpec(h1.ring, fiber_degree, tuple(gens))
     groups = {}
     for g in (g1 * g2 for g1 in h1.gens for g2 in h2.gens):

@@ -223,7 +223,7 @@ def test_nonmonomial_inclusion_report_makes_each_rank_test_once(monkeypatch):
     real = filtration._contains
 
     def counting(*args):
-        calls.append(args[1:])
+        calls.append(args[1:3])
         return real(*args)
 
     monkeypatch.setattr(filtration, "_contains", counting)
@@ -241,6 +241,24 @@ def test_nonmonomial_inclusion_report_makes_each_rank_test_once(monkeypatch):
     )
     assert cli._inclusion_report(inst, 2) == memoized
     assert len(calls) == 1026
+
+
+def test_nonmonomial_inclusion_report_makes_each_span_dim_once(monkeypatch):
+    # the memo keeps each span's dimension by bidegree as well, so of the
+    # 1,770 span_dim calls the report makes without it only the 954
+    # distinct ones remain
+    text = (INSTANCES / "minors_block.txt").read_text()
+    inst = cli.parse_instance(text + "submodule M fiberdeg 0 gens x, y\n")
+    calls = []
+    real = filtration.span_dim
+
+    def counting(pres, deg, items):
+        calls.append((deg, items))
+        return real(pres, deg, items)
+
+    monkeypatch.setattr(filtration, "span_dim", counting)
+    assert cli._inclusion_report(inst, 2).passed
+    assert len(calls) == len(set(calls)) == 954
 
 
 def _rank_inclusions(h1, h2, p, q):

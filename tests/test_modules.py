@@ -488,6 +488,37 @@ def test_polynomial_rows_are_cleared_by_their_own_component_ideal():
     assert span_dim(pres, (1, 0), items) == 4
 
 
+def test_pieces_the_monomials_fill_make_no_elimination(monkeypatch):
+    # x and y span every piece of base degree >= 1, so the rows of
+    # x^2 + x*y are all cleared there before any rank test
+    import brmult.modules as modules
+
+    calls = []
+    real = modules.subspace_dim
+    monkeypatch.setattr(
+        modules, "subspace_dim", lambda rows, field: calls.append(rows) or real(rows, field)
+    )
+    x, y = R2.gen("x"), R2.gen("y")
+    pres = free_module(R2)
+    items = [x, y, x * x + x * y]
+    for deg in [(2, 0), (3, 0), (2, 1)]:
+        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+    assert calls == []
+    assert span_dim(pres, (2, 0), items[2:]) == 1
+    assert len(calls) == 1
+
+
+def test_monomial_walks_still_rank_the_polynomial_relations():
+    # K = (x e1 - y e2) is not monomial, so a walk whose items are all
+    # monomials still ranks K's rows where monomials are left
+    x, y = R2.gen("x"), R2.gen("y")
+    pres = ModulePresentation(FreeModuleSpec(R2, ((0, 0), (0, 0))), ((x, -y),))
+    for top, bottom in [(None, ()), (None, (x * x,)), ((x, y), (x * x, x * y))]:
+        for fiber in (0, 1):
+            dims = slice_dims_up_to(pres, fiber, top, bottom, 4)
+            assert dims == dense_slice_dims(pres, fiber, top, bottom, 4)
+
+
 ECHELON_RINGS = (R22, RingSpec(PrimeField(5), ("x", "y"), ("u", "v")))
 
 

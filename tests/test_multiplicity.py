@@ -69,6 +69,26 @@ def test_block_vs_max_fit_differences_each_table_once(monkeypatch):
     assert len(calls) == 34
 
 
+def test_block_vs_max_walks_one_series_per_span(monkeypatch):
+    # each of the 216 cells of the grid-5 query and each of the 13 fiber
+    # degrees krull_dimension walks reads one series, and no free one
+    import brmult.modules as modules
+
+    clear_caches()
+    calls = []
+    standard = modules._standard_dims
+
+    def counted(pres, fiber_deg, ideals):
+        calls.append(ideals)
+        return standard(pres, fiber_deg, ideals)
+
+    monkeypatch.setattr(modules, "_standard_dims", counted)
+    [inst] = [inst for inst in curated_mixed() if inst.name == "block-vs-max"]
+    report = br_multiplicities(ProductQuery(inst.module, (inst.h1, inst.h2), grid=5))
+    assert report.r == 3
+    assert len(calls) == 229
+
+
 def test_lambda_pure_block_closed_form():
     q = block_query()
     # lambda(p, n) = (p + n + 1) p (p + 1) / 2 by monomial counting

@@ -183,6 +183,19 @@ def test_product_generators_match_power_of_product():
     assert [g.terms for g in prod.gens] == expected
 
 
+def test_equal_monomial_generators_are_one_object():
+    # walks keyed by generator tuples then compare them by identity
+    x, y, T = R2.gens()
+    h1 = SubmoduleSpec(R2, 1, (x * T, y * T))
+    h2 = SubmoduleSpec(R2, 0, (x, y))
+    assert power_generators(h1, 0).gens[0] is power_generators(h2, 0).gens[0]
+    left = product_generators(h1, h2).gens
+    t = SubmoduleSpec(R2, 1, (T,))
+    right = product_generators(product_generators(h2, t), h2).gens
+    assert len(left) == 3
+    assert all(a is b for a, b in zip(left, right, strict=True))
+
+
 def test_product_fiber_degrees_add():
     xu = R22.gen("x") * R22.gen("u")
     yv = R22.gen("y") * R22.gen("v")
