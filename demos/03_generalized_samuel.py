@@ -13,9 +13,9 @@ from brmult import (
     RingSpec,
     SubmoduleSpec,
     generalized_samuel_report,
-    has_maximal_analytic_spread,
+    graded_slice_length,
     lambda_local,
-    samuel_function,
+    power_generators,
 )
 
 
@@ -33,21 +33,22 @@ def main():
         ideal = SubmoduleSpec(ring, 0, gens)
         q = LocalQuery(module, ideal)
         report = generalized_samuel_report(q)
-        spread = has_maximal_analytic_spread(q)
         print(f"I = {label}:")
         print(f"  e(I, M) = {report.e}  (r = {report.r}, k = {report.k},"
               f" next k agrees: {report.e == report.e_next_k})")
-        print(f"  maximal analytic spread: {spread}")
+        print(f"  maximal analytic spread: {report.e > 0}")
         print()
 
     # For an m-primary ideal the associated-graded length function agrees
-    # with the plain Samuel function once k is large enough.
+    # with the plain Samuel function length(M / I^{n+1} M) once k is large
+    # enough; that length is one slice of M modulo the generators of I^{n+1}.
     squares = SubmoduleSpec(ring, 0, (x * x, y * y))
     q = LocalQuery(module, squares)
     print("lambda(n) versus length(M / I^{n+1} M) for I = (x^2, y^2):")
     for n in range(5):
         via_graded = lambda_local(q, n, k=6)
-        via_quotient = samuel_function(module, squares, n)
+        power = power_generators(squares, n + 1).gens
+        via_quotient = graded_slice_length(module, 0, None, power).total
         marker = "==" if via_graded == via_quotient else "!="
         print(f"  n={n}: {via_graded} {marker} {via_quotient}")
     print()

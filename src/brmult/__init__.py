@@ -60,13 +60,10 @@ from .multiplicity import (
     ProductQuery,
     SupportConditionError,
     br_multiplicities,
-    generalized_samuel,
     generalized_samuel_report,
-    has_maximal_analytic_spread,
     lambda_local,
     lambda_product,
     resolve_r,
-    samuel_function,
 )
 from .verify import (
     VerificationReport,

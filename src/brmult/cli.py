@@ -653,8 +653,6 @@ def run(argv):
             arg = args[i]
             if arg == "--csv":
                 flags["csv"] = True
-            elif arg == "--json":
-                pass
             elif arg.startswith("--") and arg[2:] in SETTINGS + ("modp",):
                 if i + 1 >= len(args):
                     raise ValueError(f"{arg} needs a value")

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = object  # Fraction over Q, int residue over F_p
-
 
 class FieldError(ValueError):
     pass

@@ -444,22 +444,28 @@ def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
     return (_quotient_dim(pres, (a, fiber_deg), plan, s) for a, s in enumerate(dims))
 
 
-def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) -> int:
-    """Dimension of (K + span of the slice generators ``items``) at ``deg``."""
+def _piece_quotient_dim(pres: ModulePresentation, deg, items=()) -> int:
+    """dim F / (K + span of the slice generators ``items``) at ``deg``."""
     plan = _span_plan(pres, _validated_items(items, deg[1]))
     if deg[0] < 0:
         return 0
-    free = _standard_dims(pres, deg[1], ((),) * pres.free.rank)
-    standard = _standard_dims(pres, deg[1], plan[0])
-    total, left = next(itertools.islice(zip(free, standard), deg[0], None))
-    return total - _quotient_dim(pres, deg, plan, left)
+    dims = _standard_dims(pres, deg[1], plan[0])
+    return _quotient_dim(pres, deg, plan, next(itertools.islice(dims, deg[0], None)))
+
+
+def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) -> int:
+    """Dimension of (K + span of the slice generators ``items``) at ``deg``."""
+    (a, n), s, t = deg, len(pres.ring.base), len(pres.ring.fiber)
+    free = sum(
+        _monomial_count(a - ai, s) * _monomial_count(n - ni, t)
+        for ai, ni in pres.free.shifts
+    )
+    return free - _piece_quotient_dim(pres, deg, items)
 
 
 def piece_dimension(pres: ModulePresentation, deg) -> int:
     """dim_k of the bidegree piece M_deg = (F/K)_deg."""
-    free = _standard_dims(pres, deg[1], ((),) * pres.free.rank)
-    total = next(itertools.islice(free, deg[0], None)) if deg[0] >= 0 else 0
-    return total - span_dim(pres, deg)
+    return _piece_quotient_dim(pres, deg)
 
 
 class LengthResult(Value):

@@ -69,10 +69,7 @@ __all__ = [
     "local_table",
     "resolve_r",
     "grid_bounds",
-    "generalized_samuel",
     "generalized_samuel_report",
-    "has_maximal_analytic_spread",
-    "samuel_function",
 ]
 
 
@@ -316,37 +313,24 @@ def _assoc_total(
     ).total
 
 
-def _neighborhood_order(query: LocalQuery, r: Optional[int] = None) -> int:
-    """The query's k, by default r + 2; r is resolved here unless given."""
-    if query.k is not None:
-        return query.k
-    if r is None:
-        r, _ = resolve_r(query.module, query.r)
-    return r + 2
-
-
-def lambda_local(query: LocalQuery, n: int, k: Optional[int] = None) -> int:
+def lambda_local(query: LocalQuery, n: int, k: int) -> int:
     """Length of (sum_{i<=n} I^i M / I^{i+1} M) over the k-th neighborhood."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if k is None:
-        k = _neighborhood_order(query)
-    return sum(
-        _assoc_total(query.module, query.ideal, k, i, query.cutoff)
-        for i in range(n + 1)
-    )
+    return local_table(query, k, n).values[-1]
 
 
 def local_table(query: LocalQuery, k: int, gmax: int) -> LengthTable:
     """The lambda(n) table on [0, gmax] at neighborhood order k."""
-    values = tuple(lambda_local(query, n, k) for n in range(gmax + 1))
-    return LengthTable(("n",), (0,), (gmax + 1,), values)
+    module, ideal, cutoff = query.module, query.ideal, query.cutoff
+    factors = (_assoc_total(module, ideal, k, i, cutoff) for i in range(gmax + 1))
+    return LengthTable(("n",), (0,), (gmax + 1,), tuple(itertools.accumulate(factors)))
 
 
 def generalized_samuel_report(query: LocalQuery) -> LocalReport:
     """e(I, M) with the k versus k+1 stability check and the fitted table."""
     r, r_source = resolve_r(query.module, query.r)
-    k = _neighborhood_order(query, r)
+    k = r + 2 if query.k is None else query.k
     builds = [
         lambda gmax, kk=kk: (local_table(query, kk, gmax), ())
         for kk in (k, k + 1)
@@ -361,34 +345,3 @@ def generalized_samuel_report(query: LocalQuery) -> LocalReport:
             f" k = {k + 1} ({e_next}); increase k"
         )
     return LocalReport(table, lf, e, r, r_source, k, e_next, enlarged)
-
-
-def generalized_samuel(query: LocalQuery) -> int:
-    """The generalized Samuel multiplicity e(I, M) at the origin."""
-    return generalized_samuel_report(query).e
-
-
-def has_maximal_analytic_spread(query: LocalQuery) -> bool:
-    """True exactly when e(I, M) > 0."""
-    return generalized_samuel(query) > 0
-
-
-def samuel_function(
-    module: ModulePresentation,
-    ideal: SubmoduleSpec,
-    n: int,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> int:
-    """length(M / I^(n+1) M), the classical Samuel function.
-
-    Finite only for m-primary I; a non-primary ideal runs into the cutoff
-    diagnostic. Serves as the independent oracle for the local pipeline.
-    """
-    if module.ring.fiber:
-        raise GradingError("the Samuel function needs a base-only ring")
-    if ideal.fiber_degree != 0:
-        raise GradingError("the Samuel function needs a fiber degree 0 ideal")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    gens = power_generators(ideal, n + 1).gens
-    return graded_slice_length(module, 0, None, gens, cutoff).total

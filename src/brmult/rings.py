@@ -308,13 +308,6 @@ class SubmoduleSpec(Value):
                 raise GradingError("generator from a different ring")
             if g.is_zero():
                 continue
-            first_fdeg = self.ring.bidegree_of_monomial(g.terms[0][0])[1]
-            for m, _ in g.terms[1:]:
-                if self.ring.bidegree_of_monomial(m)[1] != first_fdeg:
-                    raise GradingError(
-                        "mixed fiber degrees in one polynomial:"
-                        f" term {self.ring.monomial_str(m)} in {g}"
-                    )
             if g.fiber_degree() != self.fiber_degree:  # also rejects mixed bidegrees
                 raise GradingError(
                     f"generator {g} has fiber degree {g.fiber_degree()},"

@@ -14,7 +14,9 @@ generator's source fiber on their own (``slice_generators``), and
 ``multiset_power_generators`` and
 ``pairwise_product_generators`` multiply out every product of generators,
 with no echelon step; ``rref_by_bidegree`` compares generator sets by the
-spaces they span in each bidegree.
+spaces they span in each bidegree. ``samuel_function`` sums dense pieces
+against such multiplied-out powers, so it shares neither the slice walk
+nor the power generators with the local pipeline it checks.
 """
 
 from __future__ import annotations
@@ -167,22 +169,25 @@ def piece_subspace(
     return PieceSubspace((a, nn), basis, reduced, rk)
 
 
+def dense_piece_dim(pres: ModulePresentation, deg, top_items, bottom_items) -> int:
+    """dim (T / B) at ``deg`` from dense ``piece_subspace``s: T is F when
+    ``top_items`` is None, else K plus the span of ``top_items``; B is K
+    plus the span of ``bottom_items``."""
+    if top_items is None:
+        top = len(piece_basis(pres.free, deg)[0])
+    else:
+        top = piece_subspace(pres, deg, top_items).dim
+    return top - piece_subspace(pres, deg, bottom_items).dim
+
+
 def dense_slice_dims(
     pres: ModulePresentation, fiber: int, top_items, bottom_items, max_degree: int
 ) -> tuple:
-    """dim (T / B) at base degrees 0..``max_degree`` of ``fiber``, one dense
-    ``piece_subspace`` per piece: T is F when ``top_items`` is None, else K
-    plus the span of ``top_items``; B is K plus the span of ``bottom_items``.
-    """
-    dims = []
-    for a in range(max_degree + 1):
-        deg = (a, fiber)
-        if top_items is None:
-            top = len(piece_basis(pres.free, deg)[0])
-        else:
-            top = piece_subspace(pres, deg, top_items).dim
-        dims.append(top - piece_subspace(pres, deg, bottom_items).dim)
-    return tuple(dims)
+    """``dense_piece_dim`` at base degrees 0..``max_degree`` of ``fiber``."""
+    return tuple(
+        dense_piece_dim(pres, (a, fiber), top_items, bottom_items)
+        for a in range(max_degree + 1)
+    )
 
 
 def quadratic_prune(monos):
@@ -302,3 +307,23 @@ def rref_by_bidegree(ring, polys) -> dict:
         reduced, rk = rref(Matrix.from_rows(ring.field, rows))
         out[deg] = reduced.rows[:rk]
     return out
+
+
+def samuel_function(pres: ModulePresentation, ideal, n: int, cutoff: int = 32) -> int:
+    """length(M / I^(n+1) M), the classical Samuel function of a base ideal.
+
+    Sums ``dense_piece_dim`` against every (n+1)-fold product of I's
+    generators. The quotient is generated in base degrees up to the
+    largest shift, so its first zero piece from there on ends the sum. A
+    piece still nonzero at ``cutoff``, as for an ideal that is not
+    m-primary, raises ValueError.
+    """
+    gens = multiset_power_generators(ideal, n + 1)
+    start = max(a for a, _ in pres.free.shifts)
+    total = 0
+    for a in range(cutoff + 1):
+        dim = dense_piece_dim(pres, (a, 0), None, gens)
+        if dim == 0 and a >= start:
+            return total
+        total += dim
+    raise ValueError(f"M / I^{n + 1} M is nonzero in base degree {cutoff}")

@@ -16,11 +16,8 @@ from brmult.multiplicity import (
     LocalQuery,
     ProductQuery,
     br_multiplicities,
-    generalized_samuel,
     generalized_samuel_report,
-    has_maximal_analytic_spread,
     lambda_product,
-    samuel_function,
 )
 from brmult.rings import RingSpec, SubmoduleSpec
 from brmult.verify import (
@@ -37,6 +34,7 @@ from corpus import (
     random_mixed_instances,
     random_pure_instances,
 )
+from dense_oracle import samuel_function
 
 BIG_PRIME = 2**31 - 1
 
@@ -121,10 +119,10 @@ def test_acceptance_3_generalized_samuel_suite(capsys):
     for gens, expected_e, expected_spread, primary in suite:
         ideal = SubmoduleSpec(ring, 0, gens)
         q = LocalQuery(module, ideal)
-        e = generalized_samuel(q)
+        e = generalized_samuel_report(q).e
         if e != expected_e:
             ok = False
-        if has_maximal_analytic_spread(q) != expected_spread:
+        if (e > 0) != expected_spread:
             ok = False
         if primary:
             values = [samuel_function(module, ideal, n) for n in range(9)]

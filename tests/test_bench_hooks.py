@@ -1,17 +1,23 @@
-"""The benchmark tracer's hook names must resolve in the library.
+"""Names looked up from outside a module must resolve in the library.
 
 ``perfbench/tracer.py`` wraps library functions by module attribute and
 reads ``cache_info()`` of the cached ones. A rename or a move that drops
-one of those names would leave that layer silently untraced.
+one of those names would leave that layer silently untraced. A stale
+``__all__`` entry imports fine and breaks only ``from brmult.x import *``.
 """
 
 import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import brmult
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -29,6 +35,16 @@ def test_traced_layers_resolve():
     for mod_name, fn_name, _ in tracer.LAYERS:
         fn = getattr(importlib.import_module(mod_name), fn_name, None)
         assert callable(fn), f"{mod_name}.{fn_name}"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [m.name for m in pkgutil.iter_modules(brmult.__path__) if m.name != "__main__"],
+)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(f"brmult.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"brmult.{name}.__all__ names {missing}"
 
 
 def test_cached_functions_expose_cache_info():

@@ -318,8 +318,9 @@ def test_unknown_command_and_flags(tmp_path):
     code, out = run(["frobnicate", path])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "value"
-    code, out = run(["br", path, "--unknown-flag"])
-    assert code == 1
+    for flag in ("--unknown-flag", "--json"):
+        code, out = run(["br", path, flag])
+        assert code == 1
     code, out = run(["br", path, "--grid"])
     assert code == 1
 

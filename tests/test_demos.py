@@ -1,6 +1,9 @@
-"""The documented examples run: each demo script and the module doctests."""
+"""The documented examples run: each demo script, the README's library
+quick start and the module doctests."""
 
+import contextlib
 import doctest
+import io
 import os
 import subprocess
 import sys
@@ -33,6 +36,21 @@ def test_demo_script_runs(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    if script.name == "03_generalized_samuel.py":
+        # lambda(n) and the Samuel function must agree on every printed n
+        assert "!=" not in result.stdout
+
+
+def test_readme_library_quick_start_prints_its_comment():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = block.rstrip().splitlines()[-1]
+    assert expected.startswith("# {")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == expected[2:] + "\n"
 
 
 def test_rings_doctest():

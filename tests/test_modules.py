@@ -194,6 +194,17 @@ def test_slice_dims_up_to_matches_piece_dims():
     m = free_module(R22)
     dims = slice_dims_up_to(m, 2, None, (), 5)
     assert dims == tuple(piece_dimension(m, (a, 2)) for a in range(6))
+    # k[x,y,z;u]/(x^2+y^2+z^2): both routes rank the relation's multiples,
+    # and (S/(f))_a has C(a+2, 2) - C(a, 2) = 2a + 1 monomials per power of u
+    ring = RingSpec(QQ, ("x", "y", "z"), ("u",))
+    x, y, z = (ring.gen(s) for s in "xyz")
+    quadric = ModulePresentation(
+        FreeModuleSpec(ring, ((0, 0),)), ((x * x + y * y + z * z,),)
+    )
+    for n in range(3):
+        dims = slice_dims_up_to(quadric, n, None, (), 5)
+        assert dims == tuple(piece_dimension(quadric, (a, n)) for a in range(6))
+        assert dims == tuple(2 * a + 1 for a in range(6))
 
 
 def test_piece_basis_index_is_flat():

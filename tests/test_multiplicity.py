@@ -21,18 +21,15 @@ from brmult.multiplicity import (
     ProductQuery,
     SupportConditionError,
     br_multiplicities,
-    generalized_samuel,
     generalized_samuel_report,
-    has_maximal_analytic_spread,
     lambda_local,
     lambda_product,
     resolve_r,
-    samuel_function,
 )
 from brmult.polyfit import DegreeExceedsError
 from brmult.rings import GradingError, RingSpec, SubmoduleSpec
 from corpus import curated_local, curated_mixed, curated_pure
-from dense_oracle import Matrix, rank
+from dense_oracle import Matrix, rank, samuel_function
 from freeze_golden import clear_caches
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
@@ -283,11 +280,15 @@ def test_lambda_local_unit_ideal():
     assert lambda_local(q, 3, k=2) == 0
 
 
+def samuel_e(gens, **kw):
+    return generalized_samuel_report(local_query(gens, **kw)).e
+
+
 def test_generalized_samuel_suite():
     x, y = BASE.gen("x"), BASE.gen("y")
-    assert generalized_samuel(local_query((x, y))) == 1
-    assert generalized_samuel(local_query((x,))) == 0
-    assert generalized_samuel(local_query((x * x, y * y))) == 4
+    assert samuel_e((x, y)) == 1
+    assert samuel_e((x,)) == 0
+    assert samuel_e((x * x, y * y)) == 4
 
 
 def test_generalized_samuel_report_fields():
@@ -301,11 +302,12 @@ def test_generalized_samuel_report_fields():
 
 
 def test_analytic_spread():
+    # the spread is maximal exactly when e(I, M) > 0
     x, y = BASE.gen("x"), BASE.gen("y")
-    assert has_maximal_analytic_spread(local_query((x, y)))
-    assert not has_maximal_analytic_spread(local_query((x,)))
-    assert has_maximal_analytic_spread(local_query((x * x, y * y)))
-    assert not has_maximal_analytic_spread(local_query((BASE.one,)))
+    assert samuel_e((x, y)) > 0
+    assert samuel_e((x,)) == 0
+    assert samuel_e((x * x, y * y)) > 0
+    assert samuel_e((BASE.one,)) == 0
 
 
 def test_lambda_local_matches_samuel_function_when_primary():
@@ -328,7 +330,7 @@ def test_samuel_function_values():
     squares = SubmoduleSpec(BASE, 0, (x * x, y * y))
     assert samuel_function(module, squares, 0) == 4
     axis = SubmoduleSpec(BASE, 0, (x,))
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         samuel_function(module, axis, 1)
 
 
@@ -473,7 +475,7 @@ def test_mixed_is_invariant_under_a_base_substitution(field):
 def test_degree_exceeds_is_a_hard_error():
     x, y = BASE.gen("x"), BASE.gen("y")
     with pytest.raises(DegreeExceedsError):
-        generalized_samuel(local_query((x, y), r=1))
+        samuel_e((x, y), r=1)
     with pytest.raises(DegreeExceedsError):
         br_multiplicities(block_query(r=2))
 
@@ -495,8 +497,8 @@ def test_curated_instances_all_run():
         )
         assert all(e >= 0 for e in report.leading.as_dict().values())
     for inst in curated_local():
-        q = LocalQuery(inst.module, inst.ideal)
+        e = generalized_samuel_report(LocalQuery(inst.module, inst.ideal)).e
         if any(g.monic() == inst.ideal.ring.one for g in inst.ideal.gens):
-            assert not has_maximal_analytic_spread(q)
+            assert e == 0
         else:
-            assert generalized_samuel(q) >= 0
+            assert e >= 0
