@@ -700,6 +700,8 @@ def run(argv):
         inst = parse_instance(text, field_override)
         settings = dict(inst.settings)
         settings.update(overrides)
+        if settings.get("grid", 0) < 0:
+            raise ValueError("grid must be nonnegative")
 
         handler = _HANDLERS[command]
         code, doc, table = handler(command, inst, settings, check_name)

@@ -377,17 +377,22 @@ def _monic_monomial(ring: RingSpec, mono: tuple) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def power_generators(h: SubmoduleSpec, p: int) -> SubmoduleSpec:
-    """Generators of H^p, built one factor at a time as H^(p-1)*H.
+    """Generators of H^p, built one factor at a time as H^(p-1)*H^1.
 
-    The product is bilinear, so bases of the bidegree pieces of H^(p-1)
-    times the generators of H span H^p. p = 0 gives the unit submodule
-    <1> at fiber degree 0.
+    H^1 = <1>*H is H's reduced basis: one echelon basis per bidegree. The
+    product is bilinear, so any basis of each bidegree piece of a factor
+    spans the same products, and ``product_generators`` returns the
+    canonical basis of each bidegree's span. Multiplying by H^1 rather than
+    by H's raw generators therefore gives the same H^p, and an H whose
+    pieces reduce to monomials takes the all-monomial branch from p = 2 on.
+    p = 0 gives the unit submodule <1> at fiber degree 0.
     """
     if p < 0:
         raise GradingError("negative power of a submodule")
     if p == 0:
         return SubmoduleSpec(h.ring, 0, (_monic_monomial(h.ring, (0,) * h.ring.nvars),))
-    return product_generators(power_generators(h, p - 1), h)
+    factor = h if p == 1 else power_generators(h, 1)
+    return product_generators(power_generators(h, p - 1), factor)
 
 
 @lru_cache(maxsize=None)

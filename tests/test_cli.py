@@ -325,6 +325,33 @@ def test_unknown_command_and_flags(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "telescoping"],
+        ["verify", "factor-sum"],
+        ["verify", "inclusions"],
+        ["lambda"],
+        ["dims"],
+        ["br"],
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "setting"])
+def test_negative_grid_is_a_value_error(tmp_path, argv, source):
+    # Unchecked, a negative grid makes the verify checks compare nothing and
+    # pass, and gives the table commands a misleading grid-too-small error.
+    text = BLOCK + "submodule m fiberdeg 0 gens x, y\n"
+    if source == "flag":
+        code, out = run([*argv, write(tmp_path, text), "--grid", "-1"])
+    else:
+        code, out = run([*argv, write(tmp_path, text + "set grid -1\n")])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "value",
+        "message": "grid must be nonnegative",
+    }
+
+
 def test_degree_exceeds_error_kind(tmp_path):
     path = write(tmp_path, BLOCK)
     code, out = run(["br", path, "--r", "2"])

@@ -27,7 +27,7 @@ from brmult.multiplicity import (
     resolve_r,
 )
 from brmult.polyfit import DegreeExceedsError
-from brmult.rings import GradingError, RingSpec, SubmoduleSpec
+from brmult.rings import GradingError, RingSpec, SubmoduleSpec, power_generators
 from corpus import curated_local, curated_mixed, curated_pure
 from dense_oracle import Matrix, rank, samuel_function
 from freeze_golden import clear_caches
@@ -379,6 +379,29 @@ def test_nonmonomial_block_ranks_over_q_are_all_certified(
     assert report.leading.as_dict() == leading
     n = report.table.extents[1]
     assert report.table.values[n : 2 * n] == p1_row
+
+
+def test_buchsbaum_rim_theorem_on_a_dense_parameter_module():
+    # H has e + d - 1 = 3 generators in F = k[x,y]{u,v}, and F/H has finite
+    # length, so e(H) = l(F/H) = lambda(1, 0) (Buchsbaum-Rim, Trans. AMS
+    # 111, 1964). Three rows cannot fill the 4-dimensional (1, 1) piece, so
+    # H's reduced basis stays polynomial and its powers are built from
+    # polynomial products.
+    ring = RingSpec(PrimeField(32003), ("x", "y"), ("u", "v"))
+    x, y, u, v = ring.gens()
+    h = SubmoduleSpec(
+        ring,
+        1,
+        (
+            (x + y * 2) * u + (x * 3 - y) * v,
+            (x * 2 + y) * u + (x - y * 3) * v,
+            (x - y * 3) * u + (x + y) * v,
+        ),
+    )
+    assert not all(g.is_monomial() for g in power_generators(h, 1).gens)
+    query = ProductQuery(free_module(ring), (h,))
+    assert lambda_product(query, 1, 0) == 3
+    assert br_multiplicities(query).leading.as_dict()[(3, 0)] == 3
 
 
 def test_three_variable_block_e_values():

@@ -11,6 +11,7 @@ from brmult.rings import (
     Polynomial,
     RingSpec,
     SubmoduleSpec,
+    _echelon_basis,
     monomial_basis,
     power_generators,
     product_generators,
@@ -244,9 +245,29 @@ def test_powers_and_products_span_what_the_multisets_span(ring, p, data):
     assert rref_by_bidegree(ring, hp.gens) == rref_by_bidegree(
         ring, multiset_power_generators(h1, p)
     )
-    assert rref_by_bidegree(ring, product_generators(h1, h2).gens) == (
+    product = product_generators(h1, h2)
+    assert rref_by_bidegree(ring, product.gens) == (
         rref_by_bidegree(ring, pairwise_product_generators(h1, h2))
     )
+    # Each bidegree group is the canonical basis of its span, so building
+    # H^p from H's reduced basis H^1 gives the tuple H's raw generators give.
+    for spec in (hp, product, power_generators(h1, 1)):
+        assert_reduced_by_bidegree(ring, spec.gens)
+    if p >= 1:
+        assert hp == product_generators(power_generators(h1, p - 1), h1)
+
+
+def assert_reduced_by_bidegree(ring, gens):
+    """Each bidegree group of ``gens`` is a fixed point of ``_echelon_basis``,
+    with monic rows in strictly descending order of leading monomial."""
+    groups = {}
+    for g in gens:
+        groups.setdefault(g.bidegree(), []).append(g)
+    for group in map(tuple, groups.values()):
+        assert _echelon_basis(ring, group) == group
+        assert all(g.terms[0][1] == ring.field.one for g in group)
+        leads = [g.terms[0][0] for g in group]
+        assert leads == sorted(set(leads), reverse=True)
 
 
 @given(st.sampled_from(SPAN_RINGS), st.integers(0, 4), st.data())
@@ -259,10 +280,10 @@ def test_monomial_powers_and_products_keep_the_multiset_generators(ring, p, data
 
 
 def test_each_power_multiplies_each_generator_pair_once(monkeypatch):
-    # H^p = H^(p-1)*H, so from a cached H^(p-1) it takes at most
-    # |gens H^(p-1)| * |gens H| products. Multiplying out the p-fold
-    # multisets of H's four generators would take 40 at p = 3 (36 allowed)
-    # and 105 at p = 4 (64 allowed).
+    # H spans the whole (1, 1) piece, so its reduced basis H^1 is the four
+    # monomials, and H^p = H^(p-1)*H^1 is a product of monomial factors for
+    # p >= 2: no polynomial products at all. Multiplying by H's raw
+    # generators would take |gens H^(p-1)| * 4 = 4p^2 products.
     ring = RingSpec(PrimeField(11), ("x", "y"), ("u", "v"))
     x, y, u, v = ring.gens()
     lines = (x + y * 2, x * 3 - y), (u + v, u - v * 2)
@@ -279,7 +300,7 @@ def test_each_power_multiplies_each_generator_pair_once(monkeypatch):
         previous = power_generators(h, p - 1)
         calls.clear()
         hp = power_generators(h, p)
-        assert len(calls) <= len(previous.gens) * len(h.gens)
+        assert len(calls) == (len(previous.gens) * len(h.gens) if p == 1 else 0)
         # H^p fills its (p, p) piece, so its echelon basis is monomial
         assert hp.gens == tuple(ring.monomial(m) for m in monomial_basis(ring, (p, p)))
 
