@@ -627,8 +627,8 @@ def _cmd_verify(command, inst, settings, check_name):
     return (0 if doc["passed"] else 2), doc, None
 
 
-# Command name -> handler(command, inst, settings, check_name), which
-# returns (exit code, JSON document, table for --csv or None).
+# Command name -> handler(command, inst, settings, check_name), which returns
+# (exit code, JSON document, table for --csv, or None for spread and verify).
 _HANDLERS = {
     "dims": _cmd_dims,
     "lambda": _cmd_lambda,
@@ -702,13 +702,13 @@ def run(argv):
         settings.update(overrides)
         if settings.get("grid", 0) < 0:
             raise ValueError("grid must be nonnegative")
+        if flags["csv"] and command in ("spread", "verify"):
+            raise ValueError(f"--csv not available for {command!r}")
 
         handler = _HANDLERS[command]
         code, doc, table = handler(command, inst, settings, check_name)
 
         if flags["csv"]:
-            if table is None:
-                raise ValueError(f"--csv not available for {command!r}")
             return code, _csv(table)
         return code, _emit(doc)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all

@@ -34,7 +34,7 @@ from .modules import (
     LengthResult,
     ModulePresentation,
     _divides,
-    _minimal_generators,
+    _prune_dominated,
     graded_slice_length,
     span_dim,
 )
@@ -109,7 +109,7 @@ def _first_escape(part, nu, ring_pres, gens, span_gens, memo) -> InclusionWitnes
     order against the span of ``span_gens``; the first not in it is the
     witness. ``memo`` holds rank-test outcomes by (span_gens, g)."""
     spanned = _exponents(span_gens)
-    minimal = None if spanned is None else _minimal_generators(spanned)
+    minimal = None if spanned is None else _prune_dominated(spanned)
     for g in gens:
         mono = g if isinstance(g, tuple) else g.is_monomial() and g.terms[0][0]
         if minimal is not None and mono:

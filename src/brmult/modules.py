@@ -18,7 +18,9 @@ generators), as in the first step of Faugere's F4
 (J. Pure Appl. Algebra 139, 1999). That is exact, because every spanning
 vector g e_i m is linear in g, so both generator sets span the same
 vectors at every bidegree. Echelon generators that are monomials join
-the monomial ideals below.
+the monomial ideals below. Only generators of fiber degree at most the
+walk's act, so this split is planned once per generator set and largest
+acting fiber degree (the cap), and shared by the walks with that cap.
 
 Single-monomial spanning vectors generate a monomial ideal J_i on each
 free component i, and the basis monomials they span are counted from the
@@ -56,7 +58,8 @@ from typing import Optional, Sequence
 from .fields import Value
 from .linalg import subspace_dim
 from .polyfit import LengthTable, finite_difference
-from .rings import GradingError, Polynomial, RingSpec, _echelon_basis, monomial_basis
+from .rings import GradingError, Polynomial, RingSpec, SubmoduleSpec, monomial_basis
+from .rings import _echelon_basis
 
 __all__ = [
     "FreeModuleSpec",
@@ -227,19 +230,6 @@ def _monomial_count(degree: int, nvars: int) -> int:
     return comb(degree + nvars - 1, nvars - 1)
 
 
-def _validated_items(gens, fiber_deg: int):
-    """(g, source fiber, base degree) of the slice generators landing in
-    ``fiber_deg``; zero ones and those acting on M_j with j < 0 are dropped."""
-    out = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        gb, gf = g.bidegree()
-        if gf <= fiber_deg:
-            out.append((g, fiber_deg - gf, gb))
-    return out
-
-
 def _prune_dominated(monos) -> tuple:
     """The divisibility-minimal monomials, sorted by (degree, exponents).
 
@@ -254,12 +244,6 @@ def _prune_dominated(monos) -> tuple:
         if not any(all(map(ge, m, k)) for k in lower):
             kept.append(m)
     return tuple(kept)
-
-
-@lru_cache(maxsize=512)
-def _minimal_generators(monos: tuple) -> tuple:
-    """``_prune_dominated`` of the raw monomial generators of one span."""
-    return _prune_dominated(monos)
 
 
 def _shifted_sum(p: dict, q: dict, b: int, f: int, sign: int) -> dict:
@@ -343,42 +327,51 @@ def _standard_dims(pres: ModulePresentation, fiber_deg: int, ideals):
     return dims
 
 
-def _span_plan(pres: ModulePresentation, items) -> tuple:
-    """What ``_quotient_dims`` needs of validated items at any bidegree.
-
-    Returns (ideals, poly_items): the minimal generators of the monomial
-    ideal J_i spanned on each component i (the monomial items and the
-    component's monomial relations), and the items that are not monomials.
-
-    Items of one bidegree that include a polynomial are replaced by the
-    ``_echelon_basis`` of their generators. That is exact, because
-    each row g e_i m is linear in g; echelon rows that are monomials join
-    the monomial ideal.
-    """
-    if all(g.is_monomial() for g, _, _ in items):
-        monos = tuple(g.terms[0][0] for g, _, _ in items)
-        poly_items = ()
+def _plan(pres: ModulePresentation, items, fiber_deg: int) -> tuple:
+    """The ``_span_plan`` of the slice generators ``items`` at ``fiber_deg``:
+    only generators of fiber degree at most ``fiber_deg`` act, so the plan
+    is keyed on the largest such degree (the cap) and shared by walks at
+    fiber degrees with one cap. A SubmoduleSpec keys it itself, as its
+    hash is computed once; other items key it as a tuple."""
+    if isinstance(items, SubmoduleSpec):
+        fibers = (items.fiber_degree,)
     else:
-        groups = {}
-        for g, n_src, gb in items:
-            groups.setdefault((n_src, gb), []).append(g)
-        monos = []
-        poly_items = []
-        for (n_src, gb), gens in groups.items():
-            if not all(g.is_monomial() for g in gens):
-                gens = _echelon_basis(pres.ring, tuple(gens))
-            for g in gens:
-                if g.is_monomial():
-                    monos.append(g.terms[0][0])
-                else:
-                    poly_items.append((g, n_src, gb))
-        monos = tuple(monos)
-    ring_monos = _minimal_generators(monos)
-    ideals = tuple(
-        _minimal_generators(ring_monos + extra) if extra else ring_monos
-        for extra in pres._comp_monos
-    )
-    return ideals, tuple(poly_items)
+        items = tuple(items)
+        fibers = (g.bidegree()[1] for g in items if not g.is_zero())
+    cap = max((f for f in fibers if f <= fiber_deg), default=-1)
+    return _span_plan(pres, items, cap)
+
+
+@lru_cache(maxsize=1024)
+def _span_plan(pres: ModulePresentation, items, cap: int) -> tuple:
+    """What ``_quotient_dims`` needs of the slice generators ``items`` of
+    fiber degree at most ``cap``, at any bidegree.
+
+    Returns (ideals, poly_items, high, low): the minimal generators of the
+    monomial ideal J_i spanned on each component i (the monomial items and
+    the component's monomial relations), the items (g, fiber degree, base
+    degree) that are not monomials, and the largest and smallest base
+    degree of the acting items (None when none act).
+
+    Items of one bidegree that include a polynomial are replaced by their
+    ``_echelon_basis``, whose monomial rows join the monomial ideal.
+    """
+    groups = {}
+    for g in items.gens if isinstance(items, SubmoduleSpec) else items:
+        if not g.is_zero() and g.bidegree()[1] <= cap:
+            groups.setdefault(g.bidegree(), []).append(g)
+    monos, poly_items = [], []
+    for (gb, gf), gens in groups.items():
+        if not all(g.is_monomial() for g in gens):
+            gens = _echelon_basis(pres.ring, tuple(gens))
+        for g in gens:
+            if g.is_monomial():
+                monos.append(g.terms[0][0])
+            else:
+                poly_items.append((g, gf, gb))
+    ideals = tuple(_prune_dominated([*monos, *extra]) for extra in pres._comp_monos)
+    bases = [gb for gb, _ in groups]
+    return ideals, tuple(poly_items), max(bases, default=None), min(bases, default=None)
 
 
 def _polynomial_rows(pres: ModulePresentation, deg, poly_items) -> list:
@@ -394,9 +387,9 @@ def _polynomial_rows(pres: ModulePresentation, deg, poly_items) -> list:
     ring = free.ring
     _, index = piece_basis(free, deg)
     rows = []
-    for g, n_src, gb in poly_items:
+    for g, gf, gb in poly_items:
         for i, (ai, ni) in enumerate(free.shifts):
-            for fm in monomial_basis(ring, (a - gb - ai, n_src - ni)):
+            for fm in monomial_basis(ring, (a - gb - ai, nn - gf - ni)):
                 row = {}
                 for gm, c in g.terms:
                     prod = tuple(x + y for x, y in zip(gm, fm))
@@ -421,7 +414,7 @@ def _quotient_dim(pres: ModulePresentation, deg, plan, standard: int) -> int:
     """dim F / (K + span) at ``deg`` for a ``_span_plan``: ``standard``,
     the monomials its monomial part leaves, less the rank of the polynomial
     rows on those columns, 0 when ``standard`` is (no column is left)."""
-    ideals, poly_items = plan
+    ideals, poly_items, _, _ = plan
     rows = standard and _polynomial_rows(pres, deg, poly_items)
     if not rows:
         return standard
@@ -446,7 +439,7 @@ def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
 
 def _piece_quotient_dim(pres: ModulePresentation, deg, items=()) -> int:
     """dim F / (K + span of the slice generators ``items``) at ``deg``."""
-    plan = _span_plan(pres, _validated_items(items, deg[1]))
+    plan = _plan(pres, items, deg[1])
     if deg[0] < 0:
         return 0
     dims = _standard_dims(pres, deg[1], plan[0])
@@ -483,12 +476,11 @@ class LengthResult(Value):
 
 def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom):
     """Dims of (T / B) at base degrees 0, 1, 2, ... of one fiber degree,
-    for validated items ``top`` and ``bottom``; T is F for ``top`` None."""
-    bottoms = _quotient_dims(pres, fiber_deg, _span_plan(pres, bottom))
+    for the span plans ``top`` and ``bottom``; T is F for ``top`` None."""
+    bottoms = _quotient_dims(pres, fiber_deg, bottom)
     if top is None:
         return bottoms
-    tops = _quotient_dims(pres, fiber_deg, _span_plan(pres, top))
-    return _nested(fiber_deg, tops, bottoms)
+    return _nested(fiber_deg, _quotient_dims(pres, fiber_deg, top), bottoms)
 
 
 def _nested(fiber_deg: int, tops, bottoms):
@@ -516,29 +508,25 @@ def graded_slice_length(
     among them spans g M_j with j = ``fiber_deg`` minus g's fiber degree,
     and nothing when j < 0. T is the full free slice when ``top_items`` is
     None, otherwise K plus the span of the slice generators ``top_items``
-    (which must contain B).
+    (which must contain B). Either may be a SubmoduleSpec's generators, or
+    the SubmoduleSpec itself, whose hash keys the span plan more cheaply.
 
     A walk that reaches ``cutoff`` raises CutoffExceeded, or CutoffTooSmall
     when the cutoff lies below the certificate degree (checked up front)
     or below the base degree where the ``bottom_items`` first act.
     """
-    top = None if top_items is None else _validated_items(top_items, fiber_deg)
-    bottom = _validated_items(bottom_items, fiber_deg)
+    top = None if top_items is None else _plan(pres, top_items, fiber_deg)
+    bottom = _plan(pres, bottom_items, fiber_deg)
     shifts = [a for a, _ in pres.free.shifts]
-    max_shift = max(shifts, default=0)
-    if top is None:
-        certificate = max_shift
-    elif top:
-        certificate = max(gb for _, _, gb in top) + max_shift
-    else:
-        certificate = 0
+    high = 0 if top is None else top[2]  # the free slice acts from base degree 0
+    certificate = 0 if high is None else high + max(shifts, default=0)
     if cutoff < certificate:
         raise CutoffTooSmall(
             fiber_deg, cutoff, certificate, "where its finiteness certificate starts"
         )
     # Below this base degree no bottom item spans anything, so a walk cut
     # off there has not tested the quotient by them at all.
-    reach = min(gb for _, _, gb in bottom) + min(shifts, default=0) if bottom else 0
+    reach = 0 if bottom[3] is None else bottom[3] + min(shifts, default=0)
 
     per_degree = []
     for a, summand in enumerate(_slice_dims(pres, fiber_deg, top, bottom)):
@@ -568,9 +556,8 @@ def slice_dims_up_to(
     bidegree piece, which is finite regardless. Identity checks that must
     hold piece by piece compare these vectors.
     """
-    top = None if top_items is None else _validated_items(top_items, fiber_deg)
-    bottom = _validated_items(bottom_items, fiber_deg)
-    walk = _slice_dims(pres, fiber_deg, top, bottom)
+    top = None if top_items is None else _plan(pres, top_items, fiber_deg)
+    walk = _slice_dims(pres, fiber_deg, top, _plan(pres, bottom_items, fiber_deg))
     return tuple(dim for _, dim in zip(range(max_degree + 1), walk))
 
 

@@ -17,7 +17,7 @@ pipelines share one grid builder and one fit driver.
 
 A ProductQuery holds one or two submodules. lambda_product(p, n) is the
 q = 0 face of lambda_product(p, q, n) with H1 = H: both are cells of one
-cached product length of H_1^e_1 ... H_k^e_k M_n.
+product length, cached by the generators of H_1^e_1 ... H_k^e_k.
 """
 
 from __future__ import annotations
@@ -166,7 +166,6 @@ class LocalReport(Value):
     enlarged: bool
 
 
-@lru_cache(maxsize=None)
 def _product_length(
     module: ModulePresentation, subs: tuple, powers: tuple, n: int, cutoff: int
 ) -> LengthResult:
@@ -183,8 +182,15 @@ def _product_length(
     gens = power_generators(*factors[0])
     for h, e in factors[1:]:
         gens = product_generators(gens, power_generators(h, e))
-    fiber = sum(h.fiber_degree * e for h, e in factors) + n
-    return graded_slice_length(module, fiber, None, gens.gens, cutoff)
+    return _generated_length(module, gens, gens.fiber_degree + n, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _generated_length(module, gens: SubmoduleSpec, fiber: int, cutoff: int):
+    """The length of M_fiber / (the span of ``gens``) M, keyed by the
+    generators, not by the product naming them: H1^p H2^q and H2^q H1^p,
+    or (H1 H2)^p and H1^p H2^p, have one canonical generator set."""
+    return graded_slice_length(module, fiber, None, gens, cutoff)
 
 
 def lambda_product(query: ProductQuery, *point: int) -> int:

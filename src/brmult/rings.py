@@ -113,7 +113,8 @@ class Polynomial(Value):
 
     All arithmetic stays in the ring's field. Polynomials hash, so they can
     key caches of power and product generator sets. They are built often,
-    hence the slots; the hash and the bidegree are computed once, on demand.
+    hence the slots; the hash and the bidegree are computed once, on demand,
+    and the hash is read straight from its slot, as tuple keys rehash it.
     """
 
     __slots__ = ("ring", "terms", "_hash", "_bidegree")
@@ -125,6 +126,9 @@ class Polynomial(Value):
         _setattr(self, "terms", terms)
         _setattr(self, "_hash", None)
         _setattr(self, "_bidegree", None)
+
+    def __hash__(self):
+        return Value.__hash__(self) if self._hash is None else self._hash
 
     @classmethod
     def from_dict(cls, ring, coeffs) -> "Polynomial":

@@ -4,7 +4,10 @@ Each check computes the two sides of a provable identity along genuinely
 independent code paths (direct quotient lengths versus filtration-factor
 sums, product-submodule pure pipeline versus mixed pipeline) and demands
 exact integer agreement. A failure carries a concrete witness: the grid
-point, the degree, and both values.
+point, the degree, and both values. A slice walk is a pure function of
+(module, generators, fiber degree, cutoff), so sharing one between two
+sides changes no verdict: each check still builds its own generators and
+fits its own table.
 
 The filtration identities are statements about bigraded pieces, so the
 factor-sum checks compare the full per-base-degree dimension vectors of

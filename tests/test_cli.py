@@ -352,6 +352,29 @@ def test_negative_grid_is_a_value_error(tmp_path, argv, source):
     }
 
 
+@pytest.mark.parametrize("argv", [["verify", "all"], ["spread"]])
+def test_csv_is_rejected_before_the_query_runs(tmp_path, monkeypatch, argv):
+    # spread and verify print no table. Rejecting --csv only after the
+    # query had run made ``verify all ... --csv`` run every check first.
+    # Every slice walk folds one Hilbert series, so none may be folded.
+    import brmult.modules as modules
+
+    folds = []
+    fold = modules._standard_dims
+    monkeypatch.setattr(
+        modules, "_standard_dims", lambda *args: folds.append(args) or fold(*args)
+    )
+    pair = BLOCK + "submodule m fiberdeg 0 gens x, y\n"
+    text = LOCAL_SQUARES if argv == ["spread"] else pair
+    code, out = run([*argv, write(tmp_path, text), "--csv"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "value",
+        "message": f"--csv not available for {argv[0]!r}",
+    }
+    assert folds == []
+
+
 def test_degree_exceeds_error_kind(tmp_path):
     path = write(tmp_path, BLOCK)
     code, out = run(["br", path, "--r", "2"])

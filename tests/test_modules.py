@@ -3,9 +3,10 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brmult.fields import QQ, PrimeField
+from brmult.filtration import mixed_level
 from brmult.modules import (
     CutoffExceeded,
     CutoffTooSmall,
@@ -24,7 +25,13 @@ from brmult.modules import (
     slice_dims_up_to,
     span_dim,
 )
-from brmult.rings import GradingError, Polynomial, RingSpec, monomial_basis
+from brmult.rings import (
+    GradingError,
+    Polynomial,
+    RingSpec,
+    SubmoduleSpec,
+    monomial_basis,
+)
 from dense_oracle import (
     Matrix,
     dense_slice_dims,
@@ -469,22 +476,59 @@ def _expected_walk(pres, fiber, top, bottom, cutoff):
     return (CutoffTooSmall, reach) if cutoff < reach else (CutoffExceeded, cutoff)
 
 
+def _walk_outcome(pres, fiber, top, bottom, cutoff):
+    """``graded_slice_length`` in the shape ``_expected_walk`` returns."""
+    try:
+        res = graded_slice_length(pres, fiber, top, bottom, cutoff)
+        assert res.total == sum(res.per_degree)
+        return res.per_degree, res.stop_degree
+    except CutoffTooSmall as err:
+        return CutoffTooSmall, err.needed
+    except CutoffExceeded as err:
+        return CutoffExceeded, err.cutoff
+
+
 @given(walk_cases())
 @settings(max_examples=100, deadline=None)
 def test_slice_walks_match_the_dense_per_degree_count(case):
     pres, fiber, top, bottom, cutoff = case
     expected = _expected_walk(pres, fiber, top, bottom, cutoff)
-    try:
-        res = graded_slice_length(pres, fiber, top, bottom, cutoff)
-        outcome = res.per_degree, res.stop_degree
-        assert res.total == sum(res.per_degree)
-    except CutoffTooSmall as err:
-        outcome = CutoffTooSmall, err.needed
-    except CutoffExceeded as err:
-        outcome = CutoffExceeded, err.cutoff
-    assert outcome == expected
+    assert _walk_outcome(pres, fiber, top, bottom, cutoff) == expected
     dims = slice_dims_up_to(pres, fiber, top, bottom, cutoff)
     assert dims == dense_slice_dims(pres, fiber, top, bottom, cutoff)
+
+
+def _mixed_level_walk():
+    """A ``walk_cases`` draw from ``mixed_level``: level 2 over level 1 of
+    the (2, 1) filtration of H1 = (xu, yu + xv, yv) and H2 = (x, y), whose
+    generators have fiber degrees 0, 1 and 2, and some are polynomials."""
+    x, y, u, v = R22.gens()
+    h1 = SubmoduleSpec(R22, 1, (x * u, y * u + x * v, y * v))
+    h2 = SubmoduleSpec(R22, 0, (x, y))
+    top, bottom = (mixed_level(h1, h2, 2, 1, nu) for nu in (2, 1))
+    return free_module(R22), 0, top, bottom, 4
+
+
+@example(_mixed_level_walk())
+@given(walk_cases())
+@settings(max_examples=50, deadline=None)
+def test_walks_reuse_each_span_plan_from_either_side(case):
+    # Only generators of fiber degree at most the walk's act, so walks at
+    # fiber degrees with the same largest acting degree share one cached
+    # span plan. Walking fiber degrees 0..3 upward builds each plan at the
+    # lowest fiber degree that uses it, downward at the highest.
+    import brmult.modules as modules
+
+    pres, _, top, bottom, cutoff = case
+    top = None if top is None else tuple(top)
+    bottom = tuple(bottom)
+    for fibers in (range(4), range(3, -1, -1)):
+        modules._span_plan.cache_clear()
+        for fiber in fibers:
+            expected = _expected_walk(pres, fiber, top, bottom, cutoff)
+            assert _walk_outcome(pres, fiber, top, bottom, cutoff) == expected
+            dims = slice_dims_up_to(pres, fiber, top, bottom, cutoff)
+            assert dims == dense_slice_dims(pres, fiber, top, bottom, cutoff)
 
 
 def test_polynomial_rows_are_cleared_by_their_own_component_ideal():

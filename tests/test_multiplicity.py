@@ -28,6 +28,7 @@ from brmult.multiplicity import (
 )
 from brmult.polyfit import DegreeExceedsError
 from brmult.rings import GradingError, RingSpec, SubmoduleSpec, power_generators
+from brmult.verify import check_mixed_operator_formula, check_symmetry
 from corpus import curated_local, curated_mixed, curated_pure
 from dense_oracle import Matrix, rank, samuel_function
 from freeze_golden import clear_caches
@@ -84,6 +85,84 @@ def test_block_vs_max_walks_one_series_per_span(monkeypatch):
     report = br_multiplicities(ProductQuery(inst.module, (inst.h1, inst.h2), grid=5))
     assert report.r == 3
     assert len(calls) == 229
+    # one span plan per generator set and cap: the 36 sets H1^p H2^q, whose
+    # cap is always p, and the free slice of krull_dimension
+    assert modules._span_plan.cache_info().misses == 37
+
+
+def count_walks(monkeypatch, *runs) -> list:
+    """The product walks each of ``runs`` makes, from empty caches."""
+    import brmult.multiplicity as multiplicity
+
+    calls = []
+    walk = multiplicity.graded_slice_length
+    monkeypatch.setattr(
+        multiplicity, "graded_slice_length", lambda *a: calls.append(a) or walk(*a)
+    )
+    counts = []
+    for run in runs:
+        clear_caches()
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    return counts
+
+
+def pair_query(name):
+    inst = parse_instance((INSTANCES / name).read_text())
+    return ProductQuery(inst.module, (inst.submodule(0), inst.submodule(1)))
+
+
+def test_symmetry_walks_no_product_twice(monkeypatch):
+    # A length depends only on the generators of H1^p H2^q, which
+    # product_generators makes canonical, so the (H2, H1) table walks
+    # nothing new. The mixed table itself walks 175 of its 343 cells:
+    # (x^2, y^2)^p (x, y)^q has the generators of (x, y)^(2p+q) for q >= 1.
+    query = pair_query("squares_vs_max.txt")
+    mixed, symmetry = count_walks(
+        monkeypatch, lambda: br_multiplicities(query), lambda: check_symmetry(query)
+    )
+    assert mixed == symmetry == 175
+
+
+def test_operator_check_walks_only_its_mixed_table(monkeypatch):
+    # (H1 H2)^p has the generators of H1^p H2^p, so the pure table of the
+    # product is the p = q diagonal of the mixed one
+    query = pair_query("newton_pair.txt")
+    mixed, operator = count_walks(
+        monkeypatch,
+        lambda: br_multiplicities(query),
+        lambda: check_mixed_operator_formula(query),
+    )
+    assert mixed == operator == 343
+
+
+def test_cleared_caches_leave_no_work_behind(monkeypatch):
+    # clear_caches empties only the caches that have cache_clear, so a
+    # product length or span plan cached another way would let the second
+    # run walk, fold or prune less than the first
+    import brmult.modules as modules
+    from brmult.cli import run
+
+    folds, prunes = [], []
+    fold, prune = modules._standard_dims, modules._prune_dominated
+    monkeypatch.setattr(
+        modules, "_standard_dims", lambda *a: folds.append(a) or fold(*a)
+    )
+    monkeypatch.setattr(
+        modules, "_prune_dominated", lambda m: prunes.append(m) or prune(m)
+    )
+    runs = []
+
+    def verify_all():
+        folds.clear()
+        prunes.clear()
+        assert run(["verify", "all", str(INSTANCES / "newton_pair.txt")])[0] == 0
+        runs.append((len(folds), len(prunes)))
+
+    assert count_walks(monkeypatch, verify_all, verify_all) == [343, 343]
+    assert runs[0] == runs[1]
+    assert min(runs[0]) > 0
 
 
 def test_lambda_pure_block_closed_form():
