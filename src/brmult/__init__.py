@@ -30,7 +30,6 @@ from .modules import (
     graded_slice_length,
     krull_dimension,
     piece_basis,
-    piece_dimension,
     slice_dims_up_to,
 )
 from .polyfit import (

@@ -35,7 +35,7 @@ from .modules import (
     HilbertProbeError,
     ModulePresentation,
     ZeroModuleError,
-    piece_dimension,
+    slice_dims_up_to,
 )
 from .multiplicity import (
     KInstabilityError,
@@ -487,11 +487,12 @@ def _certificates(leading, enlarged, **extra) -> dict:
 
 def _cmd_dims(command, inst, settings, check_name):
     gmax = settings.get("grid", 6)
-    values = []
-    for a in range(gmax + 1):
-        for n in range(gmax + 1):
-            values.append(piece_dimension(inst.module, (a, n)))
-    table = LengthTable(("a", "n"), (0, 0), (gmax + 1, gmax + 1), tuple(values))
+    # one walk per fiber degree n, transposed into the (a, n) row-major table
+    columns = [
+        slice_dims_up_to(inst.module, n, None, (), gmax) for n in range(gmax + 1)
+    ]
+    values = tuple(v for row in zip(*columns) for v in row)
+    table = LengthTable(("a", "n"), (0, 0), (gmax + 1, gmax + 1), values)
     doc = {
         "query": _query_block(command, inst, ()),
         "table": _table_block(table),

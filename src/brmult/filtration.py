@@ -195,15 +195,13 @@ def _power_factors(h: SubmoduleSpec, p: int, n: int) -> tuple:
     """The power filtration's factor chain in the slice at fiber pd+n.
 
     Returns (fiber, factors, quotient), with d the fiber degree of H:
-    ``factors`` holds the (top, bottom) slice generators of the p+1
-    factors, factor nu being H^nu M_{d(p-nu)+n} / H^(nu+1) M_{d(p-nu-1)+n},
-    and ``quotient`` the bottom items of M_{pd+n} / H^(p+1) M_{n-d}, the
-    module the factors telescope to.
+    ``factors`` holds the (top, bottom) powers of H, as SubmoduleSpecs,
+    of the p+1 factors, factor nu being H^nu M_{d(p-nu)+n} /
+    H^(nu+1) M_{d(p-nu-1)+n}, and ``quotient`` the bottom power of
+    M_{pd+n} / H^(p+1) M_{n-d}, the module the factors telescope to.
     """
-    factors = tuple(
-        (power_generators(h, nu).gens, power_generators(h, nu + 1).gens)
-        for nu in range(p + 1)
-    )
+    powers = [power_generators(h, nu) for nu in range(p + 2)]
+    factors = tuple(zip(powers, powers[1:]))
     return h.fiber_degree * p + n, factors, factors[-1][1]
 
 
@@ -216,11 +214,12 @@ def _mixed_factors(
     fiber d1 p + d2 q + n. Factor 0 is level(0) M / H1^(p+1) H2^(q+1)
     M_{n-d1-d2} and factor nu >= 1 is level(nu) M / level(nu-1) M; the
     quotient is M_{d1 p + d2 q + n} / H1^(p+1) H2^(q+1) M_{n-d1-d2}.
+    The levels are generator tuples, H1^(p+1) H2^(q+1) a SubmoduleSpec.
     """
     fiber = h1.fiber_degree * p + h2.fiber_degree * q + n
     deep = product_generators(
         power_generators(h1, p + 1), power_generators(h2, q + 1)
-    ).gens
+    )
     levels = [mixed_level(h1, h2, p, q, nu) for nu in range(p + q + 1)]
     return fiber, tuple(zip(levels, [deep] + levels[:-1])), deep
 

@@ -57,7 +57,6 @@ from typing import Optional, Sequence
 
 from .fields import Value
 from .linalg import subspace_dim
-from .polyfit import LengthTable, finite_difference
 from .rings import GradingError, Polynomial, RingSpec, SubmoduleSpec, monomial_basis
 from .rings import _echelon_basis
 
@@ -69,7 +68,6 @@ __all__ = [
     "CutoffTooSmall",
     "ZeroModuleError",
     "HilbertProbeError",
-    "piece_dimension",
     "span_dim",
     "graded_slice_length",
     "slice_dims_up_to",
@@ -437,15 +435,6 @@ def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
     return (_quotient_dim(pres, (a, fiber_deg), plan, s) for a, s in enumerate(dims))
 
 
-def _piece_quotient_dim(pres: ModulePresentation, deg, items=()) -> int:
-    """dim F / (K + span of the slice generators ``items``) at ``deg``."""
-    plan = _plan(pres, items, deg[1])
-    if deg[0] < 0:
-        return 0
-    dims = _standard_dims(pres, deg[1], plan[0])
-    return _quotient_dim(pres, deg, plan, next(itertools.islice(dims, deg[0], None)))
-
-
 def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) -> int:
     """Dimension of (K + span of the slice generators ``items``) at ``deg``."""
     (a, n), s, t = deg, len(pres.ring.base), len(pres.ring.fiber)
@@ -453,12 +442,11 @@ def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) ->
         _monomial_count(a - ai, s) * _monomial_count(n - ni, t)
         for ai, ni in pres.free.shifts
     )
-    return free - _piece_quotient_dim(pres, deg, items)
-
-
-def piece_dimension(pres: ModulePresentation, deg) -> int:
-    """dim_k of the bidegree piece M_deg = (F/K)_deg."""
-    return _piece_quotient_dim(pres, deg)
+    plan = _plan(pres, items, n)
+    if a < 0:
+        return free
+    standard = next(itertools.islice(_standard_dims(pres, n, plan[0]), a, None))
+    return free - _quotient_dim(pres, deg, plan, standard)
 
 
 class LengthResult(Value):
@@ -476,16 +464,10 @@ class LengthResult(Value):
 
 def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom):
     """Dims of (T / B) at base degrees 0, 1, 2, ... of one fiber degree,
-    for the span plans ``top`` and ``bottom``; T is F for ``top`` None."""
+    for the span plans ``top`` and ``bottom``; T is F for ``top`` None.
+    T must contain B, so a negative dim F/B - dim F/T trips an assertion."""
     bottoms = _quotient_dims(pres, fiber_deg, bottom)
-    if top is None:
-        return bottoms
-    return _nested(fiber_deg, _quotient_dims(pres, fiber_deg, top), bottoms)
-
-
-def _nested(fiber_deg: int, tops, bottoms):
-    """dim F/B - dim F/T = dim T/B at base degrees 0, 1, ...; T must
-    contain B, so a negative dimension trips an assertion rather than lying."""
+    tops = itertools.repeat(0) if top is None else _quotient_dims(pres, fiber_deg, top)
     for a, (top_q, bottom_q) in enumerate(zip(tops, bottoms)):
         if bottom_q < top_q:
             raise AssertionError(
@@ -586,11 +568,10 @@ def krull_dimension(pres: ModulePresentation) -> int:
     tail = 4
     if all(v == 0 for v in h[-tail:]):
         return 0
-    table = LengthTable(("t",), (0,), (len(h),), tuple(h))
     for degree in range(len(h) - tail):
-        lead = table.values[-1]
-        table = finite_difference(table, "t")
-        if all(v == 0 for v in table.values[-tail:]):
+        lead = h[-1]
+        h = [after - before for before, after in zip(h, h[1:])]
+        if all(v == 0 for v in h[-tail:]):
             if lead > 0:  # a Hilbert polynomial's leading coefficient
                 return degree + 1
             break

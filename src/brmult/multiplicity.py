@@ -13,7 +13,7 @@ leading form by exact finite differences, and report the integer e-values
 (Buchsbaum-Rim, mixed Buchsbaum-Rim, and generalized Samuel
 multiplicities). Grids default to [0, r+4] per axis and are enlarged once
 by 2 per axis if the fit fails, after which the failure is raised. All
-pipelines share one grid builder and one fit driver.
+pipelines share one fit driver.
 
 A ProductQuery holds one or two submodules. lambda_product(p, n) is the
 q = 0 face of lambda_product(p, q, n) with H1 = H: both are cells of one
@@ -35,7 +35,7 @@ from .modules import (
     ModulePresentation,
     graded_slice_length,
     krull_dimension,
-    piece_dimension,
+    slice_dims_up_to,
 )
 from .polyfit import (
     DEFAULT_WINDOW,
@@ -173,7 +173,9 @@ def _product_length(
     for the submodules ``subs`` and the exponents ``powers``."""
     factors = tuple(zip(subs, powers, strict=True))
     starved = any(e >= 1 and not h.gens for h, e in factors)
-    if starved and any(piece_dimension(module, s) > 0 for s in module.free.shifts):
+    if starved and any(
+        slice_dims_up_to(module, n, None, (), a)[a] for a, n in module.free.shifts
+    ):
         raise SupportConditionError(
             "H has no generators but M is nonzero"
             if len(factors) == 1
@@ -203,20 +205,6 @@ def lambda_product(query: ProductQuery, *point: int) -> int:
     return _product_length(
         query.module, query.subs, point[:-1], point[-1], query.cutoff
     ).total
-
-
-def _grid_table(axes: tuple, gmax: int, cell) -> tuple:
-    """``cell`` on [0, gmax]^arity in row-major order: (table, stops).
-
-    ``cell`` maps a grid point tuple to its LengthResult; the table holds
-    the totals and ``stops`` the finiteness certificates.
-    """
-    arity = len(axes)
-    points = itertools.product(range(gmax + 1), repeat=arity)
-    results = [cell(point) for point in points]
-    totals = tuple(res.total for res in results)
-    table = LengthTable(axes, (0,) * arity, (gmax + 1,) * arity, totals)
-    return table, tuple(res.stop_degree for res in results)
 
 
 _REFIT = (StabilizationError, GridTooSmallError, DegreeExceedsError)
@@ -281,11 +269,15 @@ def pure_table(query: ProductQuery, gmax: int) -> tuple:
     """The lambda(p, n) or lambda(p, q, n) table of ``query`` on
     [0, gmax]^axes with its finiteness stops."""
     module, subs, cutoff = query.module, query.subs, query.cutoff
-    return _grid_table(
-        ("p", "q")[: len(subs)] + ("n",),
-        gmax,
-        lambda point: _product_length(module, subs, point[:-1], point[-1], cutoff),
-    )
+    arity = len(subs) + 1
+    results = [
+        _product_length(module, subs, point[:-1], point[-1], cutoff)
+        for point in itertools.product(range(gmax + 1), repeat=arity)
+    ]
+    totals = tuple(res.total for res in results)
+    axes = ("p", "q")[: len(subs)] + ("n",)
+    table = LengthTable(axes, (0,) * arity, (gmax + 1,) * arity, totals)
+    return table, tuple(res.stop_degree for res in results)
 
 
 def br_multiplicities(query: ProductQuery) -> MultiplicityReport:
@@ -310,15 +302,6 @@ def _modulus(ideal: SubmoduleSpec, k: int) -> SubmoduleSpec:
     return SubmoduleSpec(ring, 0, ideal.gens + socle)
 
 
-@lru_cache(maxsize=None)
-def _assoc_total(
-    module: ModulePresentation, ideal: SubmoduleSpec, k: int, i: int, cutoff: int
-) -> int:
-    return assoc_graded_piece_dims(
-        ideal, module, _modulus(ideal, k), i, cutoff=cutoff
-    ).total
-
-
 def lambda_local(query: LocalQuery, n: int, k: int) -> int:
     """Length of (sum_{i<=n} I^i M / I^{i+1} M) over the k-th neighborhood."""
     if n < 0:
@@ -329,7 +312,11 @@ def lambda_local(query: LocalQuery, n: int, k: int) -> int:
 def local_table(query: LocalQuery, k: int, gmax: int) -> LengthTable:
     """The lambda(n) table on [0, gmax] at neighborhood order k."""
     module, ideal, cutoff = query.module, query.ideal, query.cutoff
-    factors = (_assoc_total(module, ideal, k, i, cutoff) for i in range(gmax + 1))
+    modulus = _modulus(ideal, k)
+    factors = (
+        assoc_graded_piece_dims(ideal, module, modulus, i, cutoff=cutoff).total
+        for i in range(gmax + 1)
+    )
     return LengthTable(("n",), (0,), (gmax + 1,), tuple(itertools.accumulate(factors)))
 
 

@@ -335,7 +335,6 @@ def _dedup_monic(polys) -> tuple:
     return tuple(sorted(seen.values(), key=lambda g: g.terms, reverse=True))
 
 
-@lru_cache(maxsize=1024)
 def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
     """Reduced row-echelon basis of the span of same-bidegree ``polys``.
 

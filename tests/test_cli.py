@@ -1,12 +1,15 @@
 """Instance-file parsing and the command-line surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import brmult.cli as cli
 from brmult.cli import ParseError, parse_instance, run
 from brmult.verify import VerificationReport
+
+INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
 BLOCK = """\
 # rank-one module over a two-by-two block of fiber monomials
@@ -373,6 +376,22 @@ def test_csv_is_rejected_before_the_query_runs(tmp_path, monkeypatch, argv):
         "message": f"--csv not available for {argv[0]!r}",
     }
     assert folds == []
+
+
+def test_dims_walks_one_series_per_fiber_degree(monkeypatch):
+    # dims at the default grid 6 reads its 7 x 7 table off one walk per
+    # fiber degree, not one walk per (a, n) cell (49)
+    import brmult.modules as modules
+
+    folds = []
+    fold = modules._standard_dims
+    monkeypatch.setattr(
+        modules, "_standard_dims", lambda *args: folds.append(args) or fold(*args)
+    )
+    code, _ = run(["dims", str(INSTANCES / "min_deg_one_block.txt")])
+    assert code == 0
+    assert len(folds) == 7
+    assert [fiber_deg for _, fiber_deg, _ in folds] == list(range(7))
 
 
 def test_degree_exceeds_error_kind(tmp_path):

@@ -251,6 +251,23 @@ def test_empty_h_is_a_support_error():
         lambda_product(q, 1, 0)
 
 
+def test_empty_h_on_the_zero_module_has_length_zero():
+    # M = F/(1) is zero, so a generatorless H breaks no support condition
+    zero = ModulePresentation(FreeModuleSpec(R2, ((0, 0),)), ((R2.one,),))
+    q = ProductQuery(zero, (SubmoduleSpec(R2, 0, ()),))
+    assert [lambda_product(q, p, n) for p in range(3) for n in range(3)] == [0] * 9
+
+
+def test_empty_h_on_a_shifted_surviving_generator_is_a_support_error():
+    # the (0, 0) generator is killed, but the one shifted to (1, 0) spans
+    # M_(1, 0), so M is nonzero although its piece at (0, 0) is zero
+    free = FreeModuleSpec(R2, ((0, 0), (1, 0)))
+    m = ModulePresentation(free, ((R2.one, R2.zero),))
+    q = ProductQuery(m, (SubmoduleSpec(R2, 0, ()),))
+    with pytest.raises(SupportConditionError):
+        lambda_product(q, 1, 0)
+
+
 def test_query_grading_guards():
     m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
     with pytest.raises(Exception):
