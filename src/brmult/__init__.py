@@ -29,7 +29,6 @@ from .modules import (
     ZeroModuleError,
     graded_slice_length,
     krull_dimension,
-    piece_basis,
     slice_dims_up_to,
 )
 from .polyfit import (

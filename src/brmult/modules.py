@@ -2,25 +2,25 @@
 
 A module M = F/K is given by a free module F with bidegree shifts and a
 tuple of bihomogeneous relation vectors spanning K. Everything downstream
-reduces to one primitive: the dimension of a spanning subspace of a single
-bidegree piece of F. Spanning sets come in two flavors,
+reduces to one primitive: dim F / (K + span) on a single bidegree piece
+of F, for the span of slice generators g. Each is a ring element applied
+to the whole slice M_j, with j the target fiber degree minus g's (nothing
+when j < 0, as M_j = 0), the shape every power H^p M_n and mixed product
+H1^p H2^q M_n takes.
 
-* the relation multiples (always included), and
-* slice generators g: a ring element applied to the whole slice M_j,
-  with j the target fiber degree minus g's (nothing when j < 0, as
-  M_j = 0), the shape every power H^p M_n and mixed product
-  H1^p H2^q M_n takes.
-
-Slice generators of one bidegree are first interreduced: they are
-replaced by the reduced row-echelon basis of the space they span
-(``rings._echelon_basis``, which also builds the power and product
-generators), as in the first step of Faugere's F4
-(J. Pure Appl. Algebra 139, 1999). That is exact, because every spanning
-vector g e_i m is linear in g, so both generator sets span the same
-vectors at every bidegree. Echelon generators that are monomials join
-the monomial ideals below. Only generators of fiber degree at most the
-walk's act, so this split is planned once per generator set and largest
-acting fiber degree (the cap), and shared by the walks with that cap.
+K's relations and the slice generators are alike spanning vectors of F,
+and one rule splits them (``_span_plan``). Generators of one bidegree are
+first interreduced (``rings._interreduce``, which also builds the power
+and product generators): replaced by the reduced row-echelon basis of
+their span, as in the first step of Faugere's F4 (J. Pure Appl. Algebra
+139, 1999). That is exact, because every spanning vector g e_i m is
+linear in g. A monomial generator spans a monomial on every component,
+and a polynomial one g is the vector g e_i on each component i. A
+relation whose only nonzero entry is a monomial is a monomial of its
+component; any other relation is a vector as it stands. Only generators
+of fiber degree at most the walk's act, so the split is planned once per
+generator set and largest acting fiber degree (the cap), and shared by
+the walks with that cap.
 
 Single-monomial spanning vectors generate a monomial ideal J_i on each
 free component i, and the basis monomials they span are counted from the
@@ -31,11 +31,11 @@ walk over one fiber degree folds the components' numerators into one
 polynomial in X and expands it as a power series in the base degree, by
 running sums. Its coefficients count the monomials the span's monomial
 part leaves, and a walk reads dim F / (K + span) off that one series.
-Only genuinely polynomial vectors go through field elimination, as the
-sparse ``{position: coefficient}`` rows that ``linalg.subspace_dim``
-takes, and only where the monomial part leaves monomials: the rank of a
-union of distinct unit vectors U and other rows V is |U| plus the rank
-of V with the U coordinates cleared, so this is exact.
+Only the other vectors go through field elimination, as the sparse
+``{position: coefficient}`` rows that ``linalg.subspace_dim`` takes, and
+only where the monomial part leaves monomials: the rank of a union of
+distinct unit vectors U and other rows V is |U| plus the rank of V with
+the U coordinates cleared, so this is exact.
 
 Fiber-slice lengths carry a finiteness certificate: the quotient being
 measured is generated in base degrees <= D, so the first zero summand at
@@ -52,13 +52,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from operator import ge
+from operator import add, ge
 from typing import Optional, Sequence
 
 from .fields import Value
 from .linalg import subspace_dim
 from .rings import GradingError, Polynomial, RingSpec, SubmoduleSpec, monomial_basis
-from .rings import _echelon_basis
+from .rings import _interreduce
 
 __all__ = [
     "FreeModuleSpec",
@@ -72,6 +72,7 @@ __all__ = [
     "graded_slice_length",
     "slice_dims_up_to",
     "krull_dimension",
+    "DEFAULT_CUTOFF",
 ]
 
 DEFAULT_CUTOFF = 64
@@ -146,31 +147,28 @@ class ModulePresentation(Value):
     a nonzero entry in slot i must have bidegree (target - shift_i) for a
     single target bidegree shared by the whole vector.
 
-    Relations with a single monomial entry are kept per component as
-    monomial ideal generators (``_comp_monos``); the others, as
-    (nonzero entries, target) pairs, in ``_poly_relations``.
+    Each kept relation is also stored in ``_vectors`` as the spanning
+    vector ``_span_plan`` takes: (its nonzero (i, entry) pairs, target).
     """
 
     free: FreeModuleSpec
     relations: tuple = ()
 
     def __post_init__(self):
-        kept = []
-        targets = []
-        comp_monos = [()] * self.free.rank
-        poly_relations = []
+        kept, vectors = [], []
         for rel in self.relations:
             rel = tuple(rel)
             if len(rel) != self.free.rank:
                 raise GradingError(
                     f"relation vector of length {len(rel)}, rank is {self.free.rank}"
                 )
-            target = None
+            target, nonzero = None, []
             for i, entry in enumerate(rel):
                 if entry.ring != self.free.ring:
                     raise GradingError("relation entry from a different ring")
                 if entry.is_zero():
                     continue
+                nonzero.append((i, entry))
                 a, n = entry.bidegree()
                 ai, ni = self.free.shifts[i]
                 t = (a + ai, n + ni)
@@ -184,24 +182,16 @@ class ModulePresentation(Value):
             if target is None:
                 continue  # zero vector adds nothing to K
             kept.append(rel)
-            targets.append(target)
-            nonzero = tuple((i, e) for i, e in enumerate(rel) if not e.is_zero())
-            if len(nonzero) == 1 and nonzero[0][1].is_monomial():
-                i, entry = nonzero[0]
-                comp_monos[i] += (entry.terms[0][0],)
-            else:
-                poly_relations.append((nonzero, target))
+            vectors.append((tuple(nonzero), target))
         object.__setattr__(self, "relations", tuple(kept))
-        object.__setattr__(self, "_targets", tuple(targets))
-        object.__setattr__(self, "_comp_monos", tuple(comp_monos))
-        object.__setattr__(self, "_poly_relations", tuple(poly_relations))
+        object.__setattr__(self, "_vectors", tuple(vectors))
 
     @property
     def ring(self) -> RingSpec:
         return self.free.ring
 
     def relation_targets(self) -> tuple:
-        return self._targets
+        return tuple(target for _, target in self._vectors)
 
 
 @lru_cache(maxsize=None)
@@ -342,64 +332,51 @@ def _plan(pres: ModulePresentation, items, fiber_deg: int) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _span_plan(pres: ModulePresentation, items, cap: int) -> tuple:
-    """What ``_quotient_dims`` needs of the slice generators ``items`` of
-    fiber degree at most ``cap``, at any bidegree.
+    """What ``_quotient_dims`` needs of K and the slice generators ``items``
+    of fiber degree at most ``cap``, at any bidegree.
 
-    Returns (ideals, poly_items, high, low): the minimal generators of the
-    monomial ideal J_i spanned on each component i (the monomial items and
-    the component's monomial relations), the items (g, fiber degree, base
-    degree) that are not monomials, and the largest and smallest base
-    degree of the acting items (None when none act).
-
-    Items of one bidegree that include a polynomial are replaced by their
-    ``_echelon_basis``, whose monomial rows join the monomial ideal.
+    Returns (ideals, vectors, high, low): the minimal generators of the
+    monomial ideal J_i spanned on each component i, the other spanning
+    vectors as (nonzero (i, entry) pairs, target), the ``_interreduce``d
+    items' before the relations', and the largest and smallest base degree
+    of the acting items (None when none act). The split follows the one
+    rule of the module docstring.
     """
-    groups = {}
-    for g in items.gens if isinstance(items, SubmoduleSpec) else items:
-        if not g.is_zero() and g.bidegree()[1] <= cap:
-            groups.setdefault(g.bidegree(), []).append(g)
-    monos, poly_items = [], []
-    for (gb, gf), gens in groups.items():
-        if not all(g.is_monomial() for g in gens):
-            gens = _echelon_basis(pres.ring, tuple(gens))
-        for g in gens:
-            if g.is_monomial():
-                monos.append(g.terms[0][0])
-            else:
-                poly_items.append((g, gf, gb))
-    ideals = tuple(_prune_dominated([*monos, *extra]) for extra in pres._comp_monos)
-    bases = [gb for gb, _ in groups]
-    return ideals, tuple(poly_items), max(bases, default=None), min(bases, default=None)
+    gens = items.gens if isinstance(items, SubmoduleSpec) else items
+    acting = [g for g in gens if not g.is_zero() and g.bidegree()[1] <= cap]
+    shifts = list(enumerate(pres.free.shifts))
+    monos, vectors = [], []
+    for g in _interreduce(pres.ring, acting):
+        if g.is_monomial():
+            monos.append(g.terms[0][0])
+        else:
+            gb, gf = g.bidegree()
+            vectors += [(((i, g),), (gb + ai, gf + ni)) for i, (ai, ni) in shifts]
+    comp_monos = [list(monos) for _ in shifts]
+    for nonzero, target in pres._vectors:
+        (i, entry), *rest = nonzero
+        if not rest and entry.is_monomial():
+            comp_monos[i].append(entry.terms[0][0])
+        else:
+            vectors.append((nonzero, target))
+    bases = [g.bidegree()[0] for g in acting]
+    ideals = tuple(map(_prune_dominated, comp_monos))
+    return ideals, tuple(vectors), max(bases, default=None), min(bases, default=None)
 
 
-def _polynomial_rows(pres: ModulePresentation, deg, poly_items) -> list:
-    """Spanning vectors of K + items at ``deg`` that are not monomials.
-
-    Each is a {flat position: coefficient} dictionary: the multiples of
-    polynomial items and of relations that are not a single monomial.
-    """
-    if not poly_items and not pres._poly_relations:
-        return []
+def _polynomial_rows(pres: ModulePresentation, deg, vectors) -> list:
+    """The rows at ``deg`` of a ``_span_plan``'s ``vectors``: for each vector
+    and each monomial mu of the ring at (deg - its target), the
+    {flat position: coefficient} dictionary of mu times the vector."""
     a, nn = deg
-    free = pres.free
-    ring = free.ring
-    _, index = piece_basis(free, deg)
+    _, index = piece_basis(pres.free, deg)
     rows = []
-    for g, gf, gb in poly_items:
-        for i, (ai, ni) in enumerate(free.shifts):
-            for fm in monomial_basis(ring, (a - gb - ai, nn - gf - ni)):
-                row = {}
-                for gm, c in g.terms:
-                    prod = tuple(x + y for x, y in zip(gm, fm))
-                    row[index[(i, prod)]] = c
-                rows.append(row)
-    for nonzero, (tb, tf) in pres._poly_relations:
-        for mu in monomial_basis(ring, (a - tb, nn - tf)):
+    for nonzero, (tb, tf) in vectors:
+        for mu in monomial_basis(pres.ring, (a - tb, nn - tf)):
             row = {}
             for i, entry in nonzero:
                 for pm, c in entry.terms:
-                    prod = tuple(x + y for x, y in zip(pm, mu))
-                    row[index[(i, prod)]] = c
+                    row[index[(i, tuple(map(add, pm, mu)))]] = c
             rows.append(row)
     return rows
 
@@ -412,8 +389,8 @@ def _quotient_dim(pres: ModulePresentation, deg, plan, standard: int) -> int:
     """dim F / (K + span) at ``deg`` for a ``_span_plan``: ``standard``,
     the monomials its monomial part leaves, less the rank of the polynomial
     rows on those columns, 0 when ``standard`` is (no column is left)."""
-    ideals, poly_items, _, _ = plan
-    rows = standard and _polynomial_rows(pres, deg, poly_items)
+    ideals, vectors, _, _ = plan
+    rows = standard and _polynomial_rows(pres, deg, vectors)
     if not rows:
         return standard
     basis, _ = piece_basis(pres.free, deg)
@@ -430,19 +407,16 @@ def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
     """``_quotient_dim`` at base degrees 0, 1, ... of ``fiber_deg``: the
     standard series itself when there are no polynomial rows."""
     dims = _standard_dims(pres, fiber_deg, plan[0])
-    if not plan[1] and not pres._poly_relations:
+    if not plan[1]:
         return dims
     return (_quotient_dim(pres, (a, fiber_deg), plan, s) for a, s in enumerate(dims))
 
 
 def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) -> int:
     """Dimension of (K + span of the slice generators ``items``) at ``deg``."""
-    (a, n), s, t = deg, len(pres.ring.base), len(pres.ring.fiber)
-    free = sum(
-        _monomial_count(a - ai, s) * _monomial_count(n - ni, t)
-        for ai, ni in pres.free.shifts
-    )
+    a, n = deg
     plan = _plan(pres, items, n)
+    free = len(piece_basis(pres.free, deg)[0])
     if a < 0:
         return free
     standard = next(itertools.islice(_standard_dims(pres, n, plan[0]), a, None))

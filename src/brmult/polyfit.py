@@ -35,6 +35,7 @@ __all__ = [
     "finite_difference",
     "leading_form",
     "total_degree_estimate",
+    "DEFAULT_WINDOW",
 ]
 
 DEFAULT_WINDOW = 2

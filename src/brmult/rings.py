@@ -372,6 +372,21 @@ def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
     )
 
 
+def _interreduce(ring: RingSpec, polys) -> list:
+    """Nonzero bihomogeneous ``polys`` grouped by bidegree, in order of
+    first appearance, with each group that holds a polynomial replaced by
+    its ``_echelon_basis``: the same span at every bidegree."""
+    groups = {}
+    for g in polys:
+        groups.setdefault(g.bidegree(), []).append(g)
+    reduced = []
+    for group in groups.values():
+        if not all(g.is_monomial() for g in group):
+            group = _echelon_basis(ring, tuple(group))
+        reduced.extend(group)
+    return reduced
+
+
 @lru_cache(maxsize=4096)
 def _monic_monomial(ring: RingSpec, mono: tuple) -> Polynomial:
     """The shared monic x^mono, so equal generators compare by identity."""
@@ -402,8 +417,8 @@ def power_generators(h: SubmoduleSpec, p: int) -> SubmoduleSpec:
 def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
     """Generators of H1*H2: the pairwise products, one basis per bidegree.
 
-    A bidegree group of monomial products only loses its scalar-multiple
-    duplicates; a group with a polynomial becomes its ``_echelon_basis``.
+    The products are ``_interreduce``d: a bidegree group of monomials is
+    kept as it is and only loses its scalar-multiple duplicates.
     When both factors are monomial, the products are sums of exponent
     tuples, deduplicated first and then made ``_monic_monomial``s.
     """
@@ -415,12 +430,5 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
         monos = {tuple(map(add, g.terms[0][0], m)) for g in h1.gens for m in right}
         gens = (_monic_monomial(h1.ring, m) for m in sorted(monos, reverse=True))
         return SubmoduleSpec(h1.ring, fiber_degree, tuple(gens))
-    groups = {}
-    for g in (g1 * g2 for g1 in h1.gens for g2 in h2.gens):
-        groups.setdefault(g.bidegree(), []).append(g)
-    products = []
-    for group in groups.values():
-        if not all(g.is_monomial() for g in group):
-            group = _echelon_basis(h1.ring, tuple(group))
-        products.extend(group)
+    products = _interreduce(h1.ring, (g1 * g2 for g1 in h1.gens for g2 in h2.gens))
     return SubmoduleSpec(h1.ring, fiber_degree, _dedup_monic(products))

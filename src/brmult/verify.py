@@ -1,13 +1,17 @@
 """Theorem-checking harness.
 
-Each check computes the two sides of a provable identity along genuinely
-independent code paths (direct quotient lengths versus filtration-factor
-sums, product-submodule pure pipeline versus mixed pipeline) and demands
-exact integer agreement. A failure carries a concrete witness: the grid
-point, the degree, and both values. A slice walk is a pure function of
-(module, generators, fiber degree, cutoff), so sharing one between two
-sides changes no verdict: each check still builds its own generators and
-fits its own table.
+Each check computes the two sides of a provable identity and demands
+exact integer agreement; a failure carries a concrete witness: the grid
+point, the degree, and both values. ``telescoping`` and ``factor-sum``
+are not independent: each factor's dims and the direct quotient's come
+from the same per-span quotient series, which ``modules._slice_dims``
+subtracts, so the factor sum telescopes by construction. They catch
+only a chain whose spans do not line up, spans that do not nest (the
+assertion in ``_slice_dims``) and a unit span with a nonzero quotient;
+ROADMAP item 2 lists independent oracles. A slice walk is a pure
+function of (module, generators, fiber degree, cutoff), so sharing one
+between two sides changes no verdict: each check still builds its own
+generators and fits its own table.
 
 The filtration identities are statements about bigraded pieces, so the
 factor-sum checks compare the full per-base-degree dimension vectors of

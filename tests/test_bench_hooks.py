@@ -6,6 +6,7 @@ one of those names would leave that layer silently untraced. A stale
 ``__all__`` entry imports fine and breaks only ``from brmult.x import *``.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -45,6 +46,26 @@ def test_every_all_entry_resolves(name):
     module = importlib.import_module(f"brmult.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"brmult.{name}.__all__ names {missing}"
+
+
+def test_package_imports_only_listed_names():
+    # brmult/__init__.py re-exports what it imports from its submodules,
+    # so each such name must be public there: in the submodule's __all__,
+    # or a name without a leading underscore where it has no __all__
+    tree = ast.parse(Path(brmult.__file__).read_text())
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"brmult.{node.module}")
+            public = getattr(module, "__all__", None)
+            if public is None:
+                public = [n for n in vars(module) if not n.startswith("_")]
+            unlisted += [
+                f"brmult.{node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name not in public
+            ]
+    assert not unlisted, f"imported by brmult but not public: {unlisted}"
 
 
 def test_cached_functions_expose_cache_info():

@@ -442,3 +442,20 @@ def test_dims_command(tmp_path):
     # free rank-1 module over k[x,y;u,v]: dim (a, n) = (a+1)(n+1)
     assert values[0] == "1"
     assert values[-1] == "9"
+
+
+def test_quadric_cone_multiplicity_is_the_degree_of_f():
+    # M = k[x,y,z;u]/(x^2 + y^2 + z^2): a polynomial relation, so every
+    # walk ranks its multiples; dim M_(a, n) = 2a + 1 and e[2,0] = deg f
+    cone = str(INSTANCES / "quadric_cone.txt")
+    code, out = run(["br", cone])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["r"], doc["r_source"]) == ("2", "krull-1")
+    assert doc["leading_form"] == {"e[2,0]": "2", "e[1,1]": "0", "e[0,2]": "0"}
+    code, out = run(["dims", cone, "--grid", "4"])
+    assert code == 0
+    table = json.loads(out)["table"]
+    assert table["axes"] == ["a", "n"] and table["extents"] == ["5", "5"]
+    values = [int(v) for v in table["values"]]
+    assert values == [2 * a + 1 for a in range(5) for n in range(5)]

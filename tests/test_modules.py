@@ -14,7 +14,6 @@ from brmult.modules import (
     HilbertProbeError,
     ModulePresentation,
     ZeroModuleError,
-    _echelon_basis,
     _hilbert_numerator,
     _prune_dominated,
     _standard_dims,
@@ -29,6 +28,7 @@ from brmult.rings import (
     Polynomial,
     RingSpec,
     SubmoduleSpec,
+    _echelon_basis,
     monomial_basis,
 )
 from dense_oracle import (
@@ -631,12 +631,12 @@ def test_echelon_basis_is_the_reduced_row_echelon_form(case, rng):
 
 
 def test_monomial_plans_skip_the_echelon_step(monkeypatch):
-    import brmult.modules as modules
+    import brmult.rings as rings
 
     def fail(ring, polys):
         raise AssertionError("echelon step on a monomial plan")
 
-    monkeypatch.setattr(modules, "_echelon_basis", fail)
+    monkeypatch.setattr(rings, "_echelon_basis", fail)
     x, y = R2.gen("x"), R2.gen("y")
     items = [x * x, x * y, y]
     assert span_dim(free_module(R2), (2, 0), items) == 3
