@@ -32,12 +32,12 @@ from .modules import (
     slice_dims_up_to,
 )
 from .polyfit import (
-    DEFAULT_WINDOW,
     DegreeExceedsError,
     GridTooSmallError,
     LeadingForm,
     LengthTable,
     StabilizationError,
+    WINDOW,
     finite_difference,
     leading_form,
     total_degree_estimate,

@@ -8,7 +8,7 @@ named submodules, and optional settings, one declaration per line:
     module free 1 shifts (0,0)
     rel x^2 ; y                  (one polynomial per free generator)
     submodule H fiberdeg 1 gens x*u, x*v, y*u, y*v
-    set r 3                      (also: grid, cutoff, window)
+    set r 3                      (also: grid, cutoff)
 
 Commands: dims, lambda, br, mixed, samuel, spread, verify <check>|all.
 Pure commands use the first declared submodule, mixed ones the first
@@ -53,6 +53,7 @@ from .polyfit import (
     GridTooSmallError,
     LengthTable,
     StabilizationError,
+    WINDOW,
 )
 from .rings import GradingError, Polynomial, RingSpec, SubmoduleSpec
 from .verify import (
@@ -67,7 +68,7 @@ from .verify import (
 __all__ = ["ParseError", "InstanceFile", "parse_instance", "run", "main"]
 
 # Instance settings that the queries take as keyword arguments.
-SETTINGS = ("r", "grid", "cutoff", "window")
+SETTINGS = ("r", "grid", "cutoff")
 
 
 class ParseError(ValueError):
@@ -84,12 +85,14 @@ class InstanceFile(Value):
     ring: RingSpec
     module: ModulePresentation
     submodules: tuple  # ((name, SubmoduleSpec), ...) in declaration order
-    settings: dict  # r / grid / cutoff / window, each possibly absent
+    settings: dict  # r / grid / cutoff, each possibly absent
 
-    def submodule(self, index: int) -> SubmoduleSpec:
+    def submodule(self, index: int, command: str = "this command") -> SubmoduleSpec:
+        """The ``index``-th declared submodule, which ``command`` reads."""
         if index >= len(self.submodules):
-            raise ParseError(
-                0, 0, f"command needs {index + 1} submodule declaration(s)"
+            raise ValueError(
+                f"{command} needs {index + 1} submodule declaration(s), but the"
+                f" instance declares {len(self.submodules)}"
             )
         return self.submodules[index][1]
 
@@ -342,7 +345,7 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
             submodules.append((name, sub))
         elif head == "set":
             if len(tokens) != 3 or tokens[1] not in SETTINGS:
-                raise error("expected 'set r|grid|cutoff|window <int>'")
+                raise error("expected 'set r|grid|cutoff <int>'")
             settings[tokens[1]] = integer(tokens[2], "integer")
         else:
             raise error(f"unknown declaration {head!r}")
@@ -466,9 +469,9 @@ def _query_kwargs(settings) -> dict:
     return {key: settings[key] for key in SETTINGS if key in settings}
 
 
-def _query(inst, settings, count) -> ProductQuery:
-    """The product query over the first ``count`` submodules."""
-    subs = tuple(inst.submodule(i) for i in range(count))
+def _query(inst, settings, count, command) -> ProductQuery:
+    """The product query of ``command`` over the first ``count`` submodules."""
+    subs = tuple(inst.submodule(i, command) for i in range(count))
     return ProductQuery(inst.module, subs, **_query_kwargs(settings))
 
 
@@ -479,7 +482,7 @@ def _used(inst, count) -> tuple:
 def _certificates(leading, enlarged, **extra) -> dict:
     return {
         "stabilization_base": [_s(v) for v in leading.base_point],
-        "window": _s(leading.window),
+        "window": _s(WINDOW),
         "grid_enlarged": enlarged,
         **extra,
     }
@@ -501,7 +504,7 @@ def _cmd_dims(command, inst, settings, check_name):
 
 
 def _cmd_lambda(command, inst, settings, check_name):
-    query = _query(inst, settings, 1)
+    query = _query(inst, settings, 1, command)
     r, r_source = resolve_r(query.module, query.r)
     table, stops = pure_table(query, grid_bounds(r, query.grid)[0])
     doc = {
@@ -517,7 +520,7 @@ def _cmd_lambda(command, inst, settings, check_name):
 def _cmd_fit(command, inst, settings, check_name):
     """``br`` on the first submodule, ``mixed`` on the first two."""
     count = 2 if command == "mixed" else 1
-    report = br_multiplicities(_query(inst, settings, count))
+    report = br_multiplicities(_query(inst, settings, count, command))
     doc = {
         "query": _query_block(command, inst, _used(inst, count)),
         "r": _s(report.r),
@@ -537,7 +540,7 @@ def _cmd_fit(command, inst, settings, check_name):
 def _cmd_samuel(command, inst, settings, check_name):
     """``samuel`` reports e(I, M) with its fit, ``spread`` whether e > 0."""
     query = LocalQuery(
-        inst.module, inst.submodule(0), **_query_kwargs(settings)
+        inst.module, inst.submodule(0, command), **_query_kwargs(settings)
     )
     report = generalized_samuel_report(query)
     doc = {
@@ -563,7 +566,8 @@ def _cmd_samuel(command, inst, settings, check_name):
 
 
 def _inclusion_report(inst, grid) -> VerificationReport:
-    h1, h2 = inst.submodule(0), inst.submodule(1)
+    command = "verify inclusions"
+    h1, h2 = inst.submodule(0, command), inst.submodule(1, command)
     left = []
     right = []
     witness = None
@@ -590,19 +594,24 @@ def _inclusion_report(inst, grid) -> VerificationReport:
     )
 
 
-# Check name -> check(inst, settings, grid), in ``verify all`` order. Each
-# looks its function up when called, so wrappers rebound here see it.
+# Check name -> check(inst, settings, grid, command), in ``verify all``
+# order, where ``command`` names the check in errors. Each looks its
+# function up when called, so wrappers rebound here see it.
 _CHECKS = {
-    "operator": lambda inst, s, grid: check_mixed_operator_formula(_query(inst, s, 2)),
-    "telescoping": lambda inst, s, grid: check_telescoping(
-        inst.module, inst.submodule(0), grid=grid
+    "operator": lambda inst, s, grid, cmd: check_mixed_operator_formula(
+        _query(inst, s, 2, cmd)
     ),
-    "factor-sum": lambda inst, s, grid: check_mixed_factor_sum(
-        inst.module, inst.submodule(0), inst.submodule(1), grid=grid
+    "telescoping": lambda inst, s, grid, cmd: check_telescoping(
+        inst.module, inst.submodule(0, cmd), grid=grid
     ),
-    "degree-bound": lambda inst, s, grid: check_br_degree_bound(_query(inst, s, 1)),
-    "symmetry": lambda inst, s, grid: check_symmetry(_query(inst, s, 2)),
-    "inclusions": lambda inst, s, grid: _inclusion_report(inst, grid),
+    "factor-sum": lambda inst, s, grid, cmd: check_mixed_factor_sum(
+        inst.module, inst.submodule(0, cmd), inst.submodule(1, cmd), grid=grid
+    ),
+    "degree-bound": lambda inst, s, grid, cmd: check_br_degree_bound(
+        _query(inst, s, 1, cmd)
+    ),
+    "symmetry": lambda inst, s, grid, cmd: check_symmetry(_query(inst, s, 2, cmd)),
+    "inclusions": lambda inst, s, grid, cmd: _inclusion_report(inst, grid),
 }
 
 
@@ -619,7 +628,9 @@ def _cmd_verify(command, inst, settings, check_name):
             f" {', '.join(_CHECKS)} or all"
         )
     grid = settings.get("grid", 3)
-    reports = [_CHECKS[name](inst, settings, grid) for name in names]
+    reports = [
+        _CHECKS[name](inst, settings, grid, f"verify {name}") for name in names
+    ]
     doc = {
         "query": _query_block(command, inst, _used(inst, 2)),
         "verification": [_verification_block(rep) for rep in reports],

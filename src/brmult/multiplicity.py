@@ -38,7 +38,6 @@ from .modules import (
     slice_dims_up_to,
 )
 from .polyfit import (
-    DEFAULT_WINDOW,
     DegreeExceedsError,
     GridTooSmallError,
     LeadingForm,
@@ -107,7 +106,6 @@ class ProductQuery(Value):
     r: Optional[int] = None
     grid: Optional[int] = None
     cutoff: int = DEFAULT_CUTOFF
-    window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         if not 1 <= len(self.subs) <= 2:
@@ -128,7 +126,6 @@ class LocalQuery(Value):
     r: Optional[int] = None
     grid: Optional[int] = None
     cutoff: int = DEFAULT_CUTOFF
-    window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         if self.module.ring.fiber:
@@ -210,13 +207,12 @@ def lambda_product(query: ProductQuery, *point: int) -> int:
 _REFIT = (StabilizationError, GridTooSmallError, DegreeExceedsError)
 
 
-def _check_degree(table: LengthTable, tables, r: int, window: int, cause=None) -> int:
-    """The table's degree estimate from its difference tables ``tables``,
-    which must not exceed r."""
-    estimate = total_degree_estimate(table, window, tables)
+def _check_degree(table: LengthTable, r: int, cause=None) -> int:
+    """The table's degree estimate, which must not exceed r."""
+    estimate = total_degree_estimate(table)
     if estimate > r:
         raise DegreeExceedsError(
-            f"table degree estimate {estimate} exceeds r = {r}"
+            f"table degree estimate {estimate} exceeds r = {r}", table, r
         ) from cause
     return estimate
 
@@ -228,7 +224,7 @@ def grid_bounds(r: int, grid: Optional[int]) -> tuple:
     return first, first + 2
 
 
-def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
+def _fit(builds, r: int, grid: Optional[int]) -> tuple:
     """Build and fit tables at one grid bound, enlarging it once on failure.
 
     Each of ``builds`` maps a grid bound to (table, stops); its table is
@@ -241,15 +237,15 @@ def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
     Returns ([(table, stops, leading form), ...], estimate, enlarged).
     """
     gmax, enlarged_gmax = grid_bounds(r, grid)
-    built = []  # (table, its difference tables by order) per build
+    built = []  # the tables of the current attempt
 
     def attempt(bound):
         built.clear()
         fits = []
         for build in builds:
             table, stops = build(bound)
-            built.append((table, {(0,) * table.arity: table}))
-            fits.append((table, stops, leading_form(table, r, window, built[-1][1])))
+            built.append(table)
+            fits.append((table, stops, leading_form(table, r)))
         return fits
 
     try:
@@ -260,9 +256,9 @@ def _fit(builds, r: int, window: int, grid: Optional[int]) -> tuple:
             fits = attempt(enlarged_gmax)
         except StabilizationError as err:
             with suppress(StabilizationError, GridTooSmallError):
-                _check_degree(*built[0], r, window, err)
+                _check_degree(built[0], r, err)
             raise
-    return fits, _check_degree(*built[0], r, window), enlarged
+    return fits, _check_degree(built[0], r), enlarged
 
 
 def pure_table(query: ProductQuery, gmax: int) -> tuple:
@@ -285,7 +281,7 @@ def br_multiplicities(query: ProductQuery) -> MultiplicityReport:
     e^{i,k} for one submodule, the mixed e^{i,j,k} for a pair."""
     r, r_source = resolve_r(query.module, query.r)
     [(table, stops, lf)], estimate, enlarged = _fit(
-        [lambda gmax: pure_table(query, gmax)], r, query.window, query.grid
+        [lambda gmax: pure_table(query, gmax)], r, query.grid
     )
     return MultiplicityReport(table, lf, r, r_source, estimate, stops, enlarged)
 
@@ -328,7 +324,7 @@ def generalized_samuel_report(query: LocalQuery) -> LocalReport:
         lambda gmax, kk=kk: (local_table(query, kk, gmax), ())
         for kk in (k, k + 1)
     ]
-    fits, _, enlarged = _fit(builds, r, query.window, query.grid)
+    fits, _, enlarged = _fit(builds, r, query.grid)
     (table, _, lf), (_, _, lf_next) = fits
     e = lf.entries[0][1]
     e_next = lf_next.entries[0][1]

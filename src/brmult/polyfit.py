@@ -5,14 +5,14 @@ rectangular lattice grid. For a function that is eventually polynomial of
 total degree r, every iterated mixed difference of order (i, j, k) with
 i + j + k = r is eventually the constant e^{i,j,k} (the coefficient of
 p^i q^j n^k / i!j!k!), and every difference of total order r + 1 is
-eventually zero. The fitter looks for a window of w consecutive lattice
-points per axis on which both facts hold and reads the e-values off at
-the window's base point.
+eventually zero. The fitter looks for a window of WINDOW = 2
+consecutive lattice points per axis on which both facts hold and reads
+the e-values off at the window's base point.
 
 The window test is a heuristic certificate: a table that merely imitates
 a polynomial on the probed region will fool it. The remedy is a larger
-grid or window, and the multiplicity pipelines retry once with a grid
-enlarged by 2 per axis before giving up.
+grid, and the multiplicity pipelines retry once with a grid enlarged by
+2 per axis before giving up.
 
 No floating point is used anywhere; values are Python ints and the
 e-values are asserted to be integers (they are iterated differences of
@@ -35,10 +35,11 @@ __all__ = [
     "finite_difference",
     "leading_form",
     "total_degree_estimate",
-    "DEFAULT_WINDOW",
+    "WINDOW",
 ]
 
-DEFAULT_WINDOW = 2
+# Lattice points per axis on which the fit's differences must settle.
+WINDOW = 2
 
 
 class GridTooSmallError(ValueError):
@@ -50,7 +51,12 @@ class StabilizationError(RuntimeError):
 
 
 class DegreeExceedsError(RuntimeError):
-    pass
+    """A table whose degree exceeds r, raised on ``table`` at ``r``."""
+
+    def __init__(self, message: str, table: LengthTable, r: int):
+        super().__init__(message)
+        self.table = table
+        self.r = r
 
 
 class LengthTable(Value):
@@ -58,7 +64,9 @@ class LengthTable(Value):
 
     ``axes`` names the axes (one to three of them), ``origin`` is the
     lattice point of the first entry, ``extents`` the number of points per
-    axis, and ``values`` the row-major flat value tuple.
+    axis, and ``values`` the row-major flat value tuple. The table keeps
+    the mixed differences ``differences`` builds outside its fields, as
+    ``Value`` keeps its hash.
     """
 
     axes: tuple
@@ -123,6 +131,23 @@ class LengthTable(Value):
             return self.axes.index(axis)
         return int(axis)
 
+    def differences(self, max_order: int) -> dict:
+        """The table's mixed differences of every total order up to
+        ``max_order``, keyed by order alpha (the table itself at order
+        zero). Each order is built once per table."""
+        built = getattr(self, "_differences", None)
+        if built is None:
+            built = {}
+            object.__setattr__(self, "_differences", built)
+        for total in range(1, max_order + 1):
+            for alpha in _alphas(self.arity, total):
+                if alpha not in built:
+                    ax = next(i for i, a in enumerate(alpha) if a > 0)
+                    prev = tuple(a - 1 if i == ax else a for i, a in enumerate(alpha))
+                    source = self if total == 1 else built[prev]
+                    built[alpha] = finite_difference(source, ax)
+        return {(0,) * self.arity: self, **built}
+
 
 def finite_difference(t: LengthTable, axis) -> LengthTable:
     """Forward difference along one axis; the extent there shrinks by 1."""
@@ -158,7 +183,6 @@ class LeadingForm(Value):
     axes: tuple
     entries: tuple  # ((alpha, e), ...) sorted by descending alpha
     base_point: tuple
-    window: int
 
     def as_dict(self) -> dict:
         return dict(self.entries)
@@ -172,61 +196,43 @@ def _alphas(arity: int, total: int):
     return sorted((alpha for alpha in alphas if sum(alpha) == total), reverse=True)
 
 
-def _difference_tables(tables: dict, max_order: int) -> dict:
-    """Extend ``tables``, one table's mixed differences keyed by order (the
-    table itself at order zero), to every order up to ``max_order``."""
-    arity = len(next(iter(tables)))
-    for total in range(1, max_order + 1):
-        for alpha in _alphas(arity, total):
-            if alpha not in tables:
-                ax = next(i for i, a in enumerate(alpha) if a > 0)
-                prev = tuple(a - 1 if i == ax else a for i, a in enumerate(alpha))
-                tables[alpha] = finite_difference(tables[prev], ax)
-    return tables
+def _window_block(base):
+    return itertools.product(*(range(b, b + WINDOW) for b in base))
 
 
-def _window_block(base, window):
-    return itertools.product(*(range(b, b + window) for b in base))
-
-
-def _feasible_bases(t: LengthTable, order: int, window: int):
+def _feasible_bases(t: LengthTable, order: int):
     """Base points whose window fits every difference table up to order."""
     ranges = []
     for e in t.extents:
-        top = e - window - order + 1
+        top = e - WINDOW - order + 1
         if top <= 0:
             return None
         ranges.append(range(top))
     return itertools.product(*ranges)
 
 
-def leading_form(
-    t: LengthTable, r: int, window: int = DEFAULT_WINDOW, tables=None
-) -> LeadingForm:
+def leading_form(t: LengthTable, r: int) -> LeadingForm:
     """Extract all order-r e-values at the first stabilization window.
 
-    Scans base points in row-major order for a window of ``window`` points
+    Scans base points in row-major order for a window of WINDOW points
     per axis where every order-r mixed difference is constant and every
     order-(r+1) difference vanishes. Raises GridTooSmallError when no
     window fits, DegreeExceedsError when differences go constant but the
     order-(r+1) ones refuse to vanish, and StabilizationError otherwise.
-    ``tables`` holds t's difference tables by order, for a caller to share.
     """
     if r < 0:
         raise ValueError("negative degree")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    bases = _feasible_bases(t, r + 1, window)
+    bases = _feasible_bases(t, r + 1)
     if bases is None:
         raise GridTooSmallError(
-            f"extents {t.extents} too small for degree {r} with window {window}"
+            f"extents {t.extents} too small for degree {r} with window {WINDOW}"
         )
-    tables = _difference_tables(tables or {(0,) * t.arity: t}, r + 1)
+    tables = t.differences(r + 1)
     order_r = [tables[a] for a in _alphas(t.arity, r)]
     order_r1 = [tables[a] for a in _alphas(t.arity, r + 1)]
     constant_seen = False
     for base in bases:
-        block = list(_window_block(base, window))
+        block = list(_window_block(base))
         if all(
             len({tab.value(p) for p in block}) == 1 for tab in order_r
         ):
@@ -238,37 +244,34 @@ def leading_form(
                 for _, e in entries:
                     assert isinstance(e, int)
                 point = tuple(o + b for o, b in zip(t.origin, base))
-                return LeadingForm(r, t.axes, entries, point, window)
+                return LeadingForm(r, t.axes, entries, point)
             constant_seen = True
     if constant_seen:
         raise DegreeExceedsError(
             f"order-{r} differences stabilize but order-{r + 1} differences"
-            " do not vanish: the table's degree exceeds the requested r"
+            " do not vanish: the table's degree exceeds the requested r",
+            t,
+            r,
         )
     raise StabilizationError(
-        f"no stabilization window of size {window} for degree {r} within"
+        f"no stabilization window of size {WINDOW} for degree {r} within"
         f" extents {t.extents}: the table is not yet polynomial there"
     )
 
 
-def total_degree_estimate(
-    t: LengthTable, window: int = DEFAULT_WINDOW, tables=None
-) -> int:
-    """Smallest D whose order-(D+1) differences vanish on some window;
-    ``tables`` as in ``leading_form``."""
-    max_d = min(t.extents) - window - 1
+def total_degree_estimate(t: LengthTable) -> int:
+    """Smallest D whose order-(D+1) differences vanish on some window."""
+    max_d = min(t.extents) - WINDOW - 1
     if max_d < 0:
         raise GridTooSmallError(
             f"extents {t.extents} too small for any degree estimate with"
-            f" window {window}"
+            f" window {WINDOW}"
         )
-    tables = tables or {(0,) * t.arity: t}
     for degree in range(max_d + 1):
-        _difference_tables(tables, degree + 1)
+        tables = t.differences(degree + 1)
         order_d1 = [tables[a] for a in _alphas(t.arity, degree + 1)]
-        bases = _feasible_bases(t, degree + 1, window)
-        for base in bases:
-            block = list(_window_block(base, window))
+        for base in _feasible_bases(t, degree + 1):
+            block = list(_window_block(base))
             if all(tab.value(p) == 0 for tab in order_d1 for p in block):
                 return degree
     raise StabilizationError(

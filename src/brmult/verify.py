@@ -30,20 +30,8 @@ from typing import Optional
 from .fields import Value
 from .filtration import _mixed_factors, _power_factors
 from .modules import ModulePresentation, slice_dims_up_to
-from .multiplicity import (
-    MultiplicityReport,
-    ProductQuery,
-    br_multiplicities,
-    grid_bounds,
-    pure_table,
-    resolve_r,
-)
-from .polyfit import (
-    DegreeExceedsError,
-    _alphas,
-    _difference_tables,
-    total_degree_estimate,
-)
+from .multiplicity import MultiplicityReport, ProductQuery, br_multiplicities
+from .polyfit import DegreeExceedsError, _alphas, total_degree_estimate
 from .rings import SubmoduleSpec, product_generators
 
 __all__ = [
@@ -107,9 +95,7 @@ def _pair(query: ProductQuery) -> tuple:
 
 def _with_subs(query: ProductQuery, subs: tuple) -> ProductQuery:
     """``query`` with its fit settings on other submodules."""
-    return ProductQuery(
-        query.module, subs, query.r, query.grid, query.cutoff, query.window
-    )
+    return ProductQuery(query.module, subs, query.r, query.grid, query.cutoff)
 
 
 def check_mixed_operator_formula(query: ProductQuery) -> VerificationReport:
@@ -254,31 +240,34 @@ def check_degree_bound(report: MultiplicityReport) -> VerificationReport:
     i.e. one from the region where the table should already be
     polynomial.
     """
-    return _degree_bound(report.table, report.r, report.leading.window)
+    return _degree_bound(report.table, report.r)
 
 
 def check_br_degree_bound(query: ProductQuery) -> VerificationReport:
     """``check_degree_bound`` on the (mixed) Buchsbaum-Rim report of ``query``.
 
     When the fit itself fails with DegreeExceedsError there is no report,
-    so the check runs on the table at the fit's enlarged grid bound, and
-    fails with a difference witness rather than an error.
+    so the check runs on the table and r that error was raised on (the
+    table at the fit's enlarged grid bound), and fails with a difference
+    witness rather than an error.
     """
     try:
         return check_degree_bound(br_multiplicities(query))
-    except DegreeExceedsError:
-        r, _ = resolve_r(query.module, query.r)
-        _, gmax = grid_bounds(r, query.grid)
-        return _degree_bound(pure_table(query, gmax)[0], r, query.window)
+    except DegreeExceedsError as err:
+        return _degree_bound(err.table, err.r)
 
 
-def _degree_bound(table, r: int, window: int) -> VerificationReport:
-    estimate = total_degree_estimate(table, window)
+def _degree_bound(table, r: int) -> VerificationReport:
+    """The degree-bound report of ``table`` at r, read off the differences
+    the table keeps. An estimate above r means no order-(r+1) window
+    vanished, and every extent is at least WINDOW + r + 2, so some
+    order-(r+1) difference is nonzero."""
+    estimate = total_degree_estimate(table)
     passed = estimate <= r
     witness = None
     if not passed:
         deepest = None
-        diffs = _difference_tables({(0,) * table.arity: table}, r + 1)
+        diffs = table.differences(r + 1)
         for alpha in _alphas(table.arity, r + 1):
             diff = diffs[alpha]
             for idx in range(len(diff.values) - 1, -1, -1):
@@ -287,13 +276,8 @@ def _degree_bound(table, r: int, window: int) -> VerificationReport:
                 if deepest is None or idx > deepest[0]:
                     deepest = (idx, alpha, diff.point(idx), diff.values[idx])
                 break
-        if deepest is not None:
-            _, alpha, point, value = deepest
-            witness = (
-                f"difference of order {alpha} at {point} is {value}, not 0"
-            )
-        else:
-            witness = f"degree estimate {estimate} exceeds r = {r}"
+        _, alpha, point, value = deepest
+        witness = f"difference of order {alpha} at {point} is {value}, not 0"
     return VerificationReport(
         "degree-bound",
         f"table over axes {table.axes}, r = {r}",

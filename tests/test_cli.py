@@ -459,3 +459,197 @@ def test_quadric_cone_multiplicity_is_the_degree_of_f():
     assert table["axes"] == ["a", "n"] and table["extents"] == ["5", "5"]
     values = [int(v) for v in table["values"]]
     assert values == [2 * a + 1 for a in range(5) for n in range(5)]
+
+
+HEADER = "field Q\nring base x y fiber u v\n"
+MODULE = HEADER + "module free 1 shifts (0,0)\n"
+GENS = HEADER + "submodule H fiberdeg 1 gens "
+
+# (instance text, error kind, line, column, message fragment). Columns
+# point at the declaration, or at the shift or polynomial at fault.
+PARSE_ERRORS = [
+    (HEADER + "module free 1 shifts 0,0", "parse", 3, 22, "expected '(a,n)' shift"),
+    (HEADER + "module free 1 shifts (0,0", "parse", 3, 22, "unclosed shift"),
+    (HEADER + "module free 1 shifts (0,0,1)", "parse", 3, 22, "exactly (a,n)"),
+    (HEADER + "module free 1 shifts (a,0)", "parse", 3, 22, "bad shift integers 'a,0'"),
+    (HEADER + "module free 2 shifts (0,0)", "parse", 3, 1, "declared 2 generators"),
+    ("field R\n", "parse", 1, 1, "expected 'field Q' or 'field Fp <prime>'"),
+    ("field Q\nfield Q\n", "parse", 2, 1, "duplicate field line"),
+    ("ring base x fiber u\nfield Q\n", "parse", 2, 1, "field must precede ring"),
+    ("field Fp seven\n", "parse", 1, 1, "bad prime 'seven'"),
+    ("field Q\nring base x y\n", "parse", 2, 1, "expected 'ring base <names...>"),
+    ("field Q\nring fiber u base x\n", "parse", 2, 1, "base list before fiber list"),
+    (HEADER + "ring base x fiber u\n", "parse", 3, 1, "duplicate ring line"),
+    ("ring base x x fiber u\n", "parse", 1, 1, "duplicate variable names"),
+    ("ring base fiber\n", "parse", 1, 1, "ring needs at least one variable"),
+    ("module free 1 shifts (0,0)\n", "parse", 1, 1, "module needs a ring first"),
+    (MODULE + "module free 1 shifts (0,0)\n", "parse", 4, 1, "duplicate module line"),
+    (HEADER + "module free 1 (0,0)\n", "parse", 3, 1, "expected 'module free <count>"),
+    (HEADER + "module free one shifts (0,0)\n", "parse", 3, 1, "bad generator count"),
+    (HEADER + "rel x\n", "parse", 3, 1, "rel needs a module first"),
+    (MODULE + "rel x ; y\n", "parse", 4, 4, "relation needs 1 entries"),
+    (MODULE + "rel  x + z\n", "parse", 4, 10, "unknown variable 'z'"),
+    ("submodule H fiberdeg 1 gens x\n", "parse", 1, 1, "submodule needs a ring first"),
+    (HEADER + "submodule H gens x*u\n", "parse", 3, 1, "expected 'submodule <name>"),
+    (GENS + "x*u\n" + GENS[len(HEADER):] + "y*u\n", "parse", 4, 1, "duplicate submodule 'H'"),
+    (HEADER + "submodule H fiberdeg one gens x*u\n", "parse", 3, 1, "bad fiber degree"),
+    (GENS + "x*u +\n", "parse", 3, 34, "unexpected end of polynomial"),
+    (GENS + "(x + y*u\n", "parse", 3, 37, "expected ')'"),
+    (GENS + "x*u)\n", "parse", 3, 32, "unexpected ')'"),
+    (GENS + "x^\n", "parse", 3, 31, "expected exponent"),
+    (GENS + "x*u - u*x\n", "parse", 3, 28, "zero polynomial not allowed here"),
+    (GENS + "x @ u\n", "parse", 3, 31, "unexpected '@'"),
+    (HEADER + "set window 2\n", "parse", 3, 1, "expected 'set r|grid|cutoff <int>'"),
+    (HEADER + "set r two\n", "parse", 3, 1, "bad integer 'two'"),
+    (HEADER + "  frobnicate 3\n", "parse", 3, 3, "unknown declaration 'frobnicate'"),
+    ("field Q\n", "parse", 0, 0, "missing ring declaration"),
+    # a relation's grading is checked once the module is built, at no line
+    (MODULE + "rel x*u + y\n", "parse", 0, 0, "mixed bidegrees in one polynomial"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, kind, line, col, fragment",
+    PARSE_ERRORS,
+    ids=[f"{i}-{case[4][:24]}" for i, case in enumerate(PARSE_ERRORS)],
+)
+def test_parse_errors_name_kind_line_and_column(text, kind, line, col, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert cli._error_doc(err.value)["error"]["kind"] == kind
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).startswith(f"line {line}, column {col}: ")
+    assert fragment in str(err.value)
+
+
+def test_parse_signs_parentheses_and_coefficients():
+    inst = parse_instance(GENS + "-(x + 2*y)*u, +3*x^2*v - (y - x)^2*v, (u)\n")
+    x, y, u, v = inst.ring.gens()
+    assert inst.submodule(0).gens == (
+        (x + y * 2) * u * -1,
+        x * x * v * 3 - (y - x) * (y - x) * v,
+        u,
+    )
+
+
+def test_parse_zero_relation_entries():
+    inst = parse_instance(
+        HEADER + "module free 2 shifts (0,0) (0,1)\nrel x ; 0\nrel  0 ;-2*y^2\n"
+    )
+    x, y, _, _ = inst.ring.gens()
+    zero = inst.ring.zero
+    assert inst.module.relations == ((x, zero), (zero, y * y * -2))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mixed"], "mixed needs 2 submodule declaration(s), but the instance declares 1"),
+        (
+            ["verify", "inclusions"],
+            "verify inclusions needs 2 submodule declaration(s), but the instance"
+            " declares 1",
+        ),
+        (
+            ["verify", "symmetry"],
+            "verify symmetry needs 2 submodule declaration(s), but the instance"
+            " declares 1",
+        ),
+    ],
+)
+def test_a_command_short_of_submodules_is_a_value_error(tmp_path, argv, message):
+    # the file parsed, so no line is at fault: the error names the command
+    # and both counts rather than a parse position
+    code, out = run([*argv, write(tmp_path, BLOCK)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "value", "message": message}
+
+
+def test_the_fit_window_is_not_a_setting(tmp_path):
+    from brmult.multiplicity import ProductQuery
+    from brmult.polyfit import WINDOW
+
+    assert cli.SETTINGS == ("r", "grid", "cutoff")
+    path = write(tmp_path, BLOCK)
+    code, out = run(["br", path, "--window", "3"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "value",
+        "message": "unknown flag '--window'",
+    }
+    code, out = run(["br", write(tmp_path, BLOCK + "set window 2\n", "set.txt")])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "parse"
+    inst = parse_instance(BLOCK)
+    with pytest.raises(TypeError):
+        ProductQuery(inst.module, (inst.submodule(0),), window=2)
+    code, out = run(["br", path])
+    assert json.loads(out)["certificates"]["window"] == str(WINDOW) == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["br", str(INSTANCES / "min_deg_one_block.txt")],
+        ["mixed", str(INSTANCES / "quadric_cone.txt")],
+    ],
+    ids=["success", "error"],
+)
+@pytest.mark.parametrize("entry", ["-m brmult", "cli.main"])
+def test_entry_points_print_what_run_returns(argv, entry):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    if entry == "-m brmult":
+        command = [sys.executable, "-m", "brmult", *argv]
+    else:
+        command = [sys.executable, "-c", "from brmult.cli import main; main()", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == run(argv)
+
+
+@pytest.mark.parametrize(
+    "check, witness",
+    [
+        # e(m^2) = 4 against C(2,0) + C(2,1) + C(2,2) mixed e-values of 1
+        ("operator", "e[2,0](H1*H2): left 5 != right 4"),
+        ("symmetry", "e[0,2,0](H1,H2): left 1 != right 2"),
+    ],
+)
+def test_pair_check_failure_exits_two_with_a_witness(
+    tmp_path, monkeypatch, check, witness
+):
+    # the second report each check fits (the product's, or the swapped
+    # pair's) gets its first e-value raised by one, so the sides disagree
+    import brmult.verify as verify
+    from brmult.multiplicity import MultiplicityReport
+    from brmult.polyfit import LeadingForm
+
+    fits = []
+    real = verify.br_multiplicities
+
+    def tampered(query):
+        report = real(query)
+        fits.append(report)
+        if len(fits) < 2:
+            return report
+        lf = report.leading
+        (alpha, e), *rest = lf.entries
+        lf = LeadingForm(lf.r, lf.axes, ((alpha, e + 1), *rest), lf.base_point)
+        fields = report._values()[2:]
+        return MultiplicityReport(report.table, lf, *fields)
+
+    monkeypatch.setattr(verify, "br_multiplicities", tampered)
+    code, out = run(["verify", check, str(INSTANCES / "max_ideal_pair.txt")])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    [report] = doc["verification"]
+    assert report["passed"] is False
+    assert report["witness"] == witness

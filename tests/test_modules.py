@@ -652,3 +652,13 @@ def test_echelon_monomials_join_the_monomial_ideal():
     for a in range(1, 4):
         deg = (a, 1)
         assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+
+
+def test_slice_dims_refuse_a_top_span_that_misses_the_bottom():
+    # T = (x) does not contain B = (x, y): at base degree 1, dim F/T = 1
+    # (y) exceeds dim F/B = 0, which no quotient T/B can have
+    ring = RingSpec(QQ, ("x", "y"), ())
+    x, y = ring.gen("x"), ring.gen("y")
+    with pytest.raises(AssertionError, match=r"not nested at bidegree \(1, 0\)"):
+        slice_dims_up_to(free_module(ring), 0, (x,), (x, y), 3)
+    assert slice_dims_up_to(free_module(ring), 0, (x, y), (x,), 3) == (0, 1, 1, 1)

@@ -5,6 +5,7 @@ independently computed oracle value; nothing is copied back from the code
 under test.
 """
 
+import json
 import random
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import brmult.linalg as linalg
 import brmult.polyfit as polyfit
-from brmult.cli import parse_instance
+from brmult.cli import parse_instance, run
 from brmult.fields import QQ, PrimeField
 from brmult.modules import FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import (
@@ -26,7 +27,7 @@ from brmult.multiplicity import (
     lambda_product,
     resolve_r,
 )
-from brmult.polyfit import DegreeExceedsError
+from brmult.polyfit import DegreeExceedsError, LengthTable, StabilizationError
 from brmult.rings import GradingError, RingSpec, SubmoduleSpec, power_generators
 from brmult.verify import check_mixed_operator_formula, check_symmetry
 from corpus import curated_local, curated_mixed, curated_pure
@@ -621,3 +622,78 @@ def test_curated_instances_all_run():
             assert e == 0
         else:
             assert e >= 0
+
+
+def test_fit_reraises_a_stabilization_failure_at_the_enlarged_grid(monkeypatch):
+    # lambda(n) = 2^n: no difference of any order settles at either grid,
+    # and the degree estimate finds no vanishing window either, so the
+    # enlarged attempt's StabilizationError leaves the fit as it is
+    import brmult.multiplicity as multiplicity
+
+    grids = []
+
+    def exponential(query, k, gmax):
+        grids.append(gmax)
+        return LengthTable(("n",), (0,), (gmax + 1,), tuple(2**n for n in range(gmax + 1)))
+
+    monkeypatch.setattr(multiplicity, "local_table", exponential)
+    x, y = BASE.gen("x"), BASE.gen("y")
+    with pytest.raises(StabilizationError, match="no stabilization window of size 2"):
+        generalized_samuel_report(local_query((x, y), r=1))
+    # r + 4 first, then enlarged by 2; the k + 1 table is never built
+    assert grids == [5, 7]
+
+
+def test_k_instability_when_the_leading_coefficient_moves_with_k(monkeypatch, tmp_path):
+    # lambda(n) = k n at neighborhood order k: e is k at k and k + 1 at k + 1
+    import brmult.multiplicity as multiplicity
+
+    def linear_in_k(query, k, gmax):
+        return LengthTable(("n",), (0,), (gmax + 1,), tuple(k * n for n in range(gmax + 1)))
+
+    monkeypatch.setattr(multiplicity, "local_table", linear_in_k)
+    x, y = BASE.gen("x"), BASE.gen("y")
+    with pytest.raises(KInstabilityError, match=r"k = 3 \(3\) and k = 4 \(4\)"):
+        generalized_samuel_report(local_query((x, y), r=1))
+    path = tmp_path / "local.txt"
+    path.write_text("field Q\nring base x y fiber\nsubmodule I fiberdeg 0 gens x, y\n")
+    code, out = run(["samuel", str(path), "--r", "1"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "k-instability"
+
+
+def test_degree_exceeds_carries_the_table_and_r_it_was_raised_on(monkeypatch):
+    # both grids of the r = 2 block fit fail; the error keeps the enlarged
+    # table, whose differences the fit has already built
+    import brmult.multiplicity as multiplicity
+
+    tables = []
+    build = multiplicity.pure_table
+
+    def recorded(query, gmax):
+        tables.append(build(query, gmax)[0])
+        return tables[-1], ()
+
+    monkeypatch.setattr(multiplicity, "pure_table", recorded)
+    with pytest.raises(DegreeExceedsError) as err:
+        br_multiplicities(block_query(r=2))
+    assert [t.extents for t in tables] == [(7, 7), (9, 9)]
+    assert err.value.table is tables[1]
+    assert err.value.r == 2
+
+
+def test_verify_all_differences_each_fitted_table_once(monkeypatch):
+    # verify all on max_ideal_pair.txt (r = 2) fits the mixed table (3 axes,
+    # orders 1..3: 3 + 6 + 10 = 19 differences) and the product's pure one
+    # (2 axes: 2 + 3 + 4 = 9) for operator, H1's pure table (9) for
+    # degree-bound, which reads those 9 again, and the mixed table twice
+    # (19 + 19) for symmetry: 75
+    calls = []
+    difference = polyfit.finite_difference
+    monkeypatch.setattr(
+        polyfit, "finite_difference", lambda t, axis: calls.append(axis) or difference(t, axis)
+    )
+    clear_caches()
+    code, _ = run(["verify", "all", str(INSTANCES / "max_ideal_pair.txt")])
+    assert code == 0
+    assert len(calls) == 75

@@ -231,3 +231,34 @@ def test_table_validation():
         LengthTable(("p", "n"), (0, 0), (2, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         LengthTable(("p",), (0,), (0,), ())
+
+
+def test_a_table_builds_each_difference_once_outside_its_fields(monkeypatch):
+    import brmult.polyfit as polyfit
+
+    calls = []
+    monkeypatch.setattr(
+        polyfit,
+        "finite_difference",
+        lambda t, axis: calls.append(axis) or finite_difference(t, axis),
+    )
+    t = table_from(lambda p, n: p * p + 3 * p * n, ("p", "n"), (0, 0), (6, 6))
+    twin = table_from(lambda p, n: p * p + 3 * p * n, ("p", "n"), (0, 0), (6, 6))
+    assert leading_form(t, 2).as_dict() == {(2, 0): 2, (1, 1): 3, (0, 2): 0}
+    # orders 1..3 of two axes: 2 + 3 + 4 tables, read again by the estimate
+    assert len(calls) == 9
+    assert total_degree_estimate(t) == 2
+    assert len(calls) == 9
+    diffs = t.differences(1)
+    assert diffs[(0, 0)] is t and diffs[(1, 0)] == finite_difference(t, "p")
+    assert len(calls) == 9
+    # the kept differences are not part of the value
+    assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+
+
+def test_degree_exceeds_carries_the_table_and_r():
+    # the table of test_degree_overshoot_detected
+    t = LengthTable(("n",), (0,), (8,), (0, 1, 2, 4, 6, 9, 12, 16))
+    with pytest.raises(DegreeExceedsError) as err:
+        leading_form(t, 1)
+    assert err.value.table is t and err.value.r == 1

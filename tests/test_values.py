@@ -25,7 +25,7 @@ from brmult.multiplicity import (
     MultiplicityReport,
     ProductQuery,
 )
-from brmult.polyfit import DEFAULT_WINDOW, LeadingForm, LengthTable
+from brmult.polyfit import LeadingForm, LengthTable
 from brmult.rings import Polynomial, RingSpec, SubmoduleSpec, power_generators
 from brmult.verify import VerificationReport
 
@@ -60,7 +60,7 @@ def table():
 
 
 def leading():
-    return LeadingForm(1, ("p", "n"), (((1, 0), 2), ((0, 1), 1)), (0, 0), 2)
+    return LeadingForm(1, ("p", "n"), (((1, 0), 2), ((0, 1), 1)), (0, 0))
 
 
 # Each factory builds a fresh value, equal to the last one but not it.
@@ -142,12 +142,7 @@ def test_defaults_and_bad_arguments():
     assert InclusionWitness("a", 1, True) == InclusionWitness("a", 1, True, None, None)
     assert ModulePresentation(FreeModuleSpec(ring(), ((0, 0),))).relations == ()
     query = ProductQuery(subs=(submodule(),), module=module())
-    assert (query.r, query.grid, query.cutoff, query.window) == (
-        None,
-        None,
-        DEFAULT_CUTOFF,
-        DEFAULT_WINDOW,
-    )
+    assert (query.r, query.grid, query.cutoff) == (None, None, DEFAULT_CUTOFF)
     assert LocalQuery(module(base_ring()), ideal()).k is None
     assert VerificationReport("c", "i", (), (), True).witness is None
     with pytest.raises(TypeError):

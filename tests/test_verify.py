@@ -160,7 +160,6 @@ def test_degree_bound_fails_on_understated_r():
         honest.table.axes,
         (((2, 0), 0), ((1, 1), 0), ((0, 2), 0)),
         honest.leading.base_point,
-        honest.leading.window,
     )
     fake = MultiplicityReport(
         honest.table,
@@ -177,6 +176,26 @@ def test_degree_bound_fails_on_understated_r():
     assert "order" in outcome.witness
 
 
+def test_br_degree_bound_reads_its_witness_table_off_the_fit_error(monkeypatch):
+    # at r = 1 both grids of the block fit fail with DegreeExceedsError;
+    # the check reports on the enlarged table that error carries, with no
+    # third table build
+    import brmult.multiplicity as multiplicity
+
+    grids = []
+    build = multiplicity.pure_table
+    monkeypatch.setattr(
+        multiplicity, "pure_table", lambda q, gmax: grids.append(gmax) or build(q, gmax)
+    )
+    report = verify.check_br_degree_bound(
+        ProductQuery(free_module(R22), (block_h(),), r=1)
+    )
+    assert grids == [5, 7]
+    assert not report.passed
+    assert report.left == (("degree estimate", 3),)
+    assert report.witness == "difference of order (1, 1) at (6, 6) is 7, not 0"
+
+
 def test_degree_bound_tolerates_transients():
     # quadratic near the origin, linear in the tail: the estimate must
     # come from the tail, not from global difference vanishing
@@ -186,7 +205,7 @@ def test_degree_bound_tolerates_transients():
             values.append(p * p if p < 3 else 6 * p - 9)
     table = LengthTable(("p", "n"), (0, 0), (8, 8), tuple(values))
     leading = LeadingForm(
-        1, ("p", "n"), (((1, 0), 6), ((0, 1), 0)), (4, 0), 2
+        1, ("p", "n"), (((1, 0), 6), ((0, 1), 0)), (4, 0)
     )
     report = MultiplicityReport(table, leading, 1, "explicit", 1, (), False)
     assert check_degree_bound(report).passed
