@@ -205,8 +205,6 @@ def _parse_shifts(rest, line, col_base):
     while pos < len(rest):
         while pos < len(rest) and rest[pos] in " \t":
             pos += 1
-        if pos >= len(rest):
-            break
         if rest[pos] != "(":
             raise ParseError(line, col_base + pos + 1, "expected '(a,n)' shift")
         end = rest.find(")", pos)
@@ -231,9 +229,7 @@ def _parse_shifts(rest, line, col_base):
 def parse_instance(text: str, field_override=None) -> InstanceFile:
     field = None
     ring = None
-    rank = None
-    shifts = None
-    relations = []
+    module = None
     submodules = []
     settings = {}
     seen_names = set()
@@ -291,7 +287,7 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
         elif head == "module":
             if ring is None:
                 raise error("module needs a ring first")
-            if rank is not None:
+            if module is not None:
                 raise error("duplicate module line")
             if len(tokens) < 4 or tokens[1] != "free" or tokens[3] != "shifts":
                 raise error("expected 'module free <count> shifts (a,n) ...'")
@@ -300,16 +296,20 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
             shifts = _parse_shifts(line[rest_col:], line_no, rest_col)
             if len(shifts) != rank:
                 raise error(f"declared {rank} generators but {len(shifts)} shifts")
+            try:
+                module = ModulePresentation(FreeModuleSpec(ring, tuple(shifts)))
+            except GradingError as exc:
+                raise ParseError(line_no, rest_col + 1, str(exc))
         elif head == "rel":
-            if rank is None:
+            if module is None:
                 raise error("rel needs a module first")
             body_col = line.index("rel") + len("rel")
             body = line[body_col:]
             pieces = body.split(";")
-            if len(pieces) != rank:
+            if len(pieces) != module.free.rank:
                 raise ParseError(
                     line_no, body_col + 1,
-                    f"relation needs {rank} entries separated by ';'",
+                    f"relation needs {module.free.rank} entries separated by ';'",
                 )
             entries = []
             col = body_col
@@ -319,7 +319,11 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
                 else:
                     entries.append(_parse_poly(piece, line_no, col, ring))
                 col += len(piece) + 1
-            relations.append(tuple(entries))
+            try:
+                relations = module.relations + (tuple(entries),)
+                module = ModulePresentation(module.free, relations)
+            except GradingError as exc:
+                raise ParseError(line_no, body_col + 1, str(exc))
         elif head == "submodule":
             if ring is None:
                 raise error("submodule needs a ring first")
@@ -352,14 +356,8 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
 
     if ring is None:
         raise ParseError(0, 0, "missing ring declaration")
-    if rank is None:
-        rank, shifts = 1, [(0, 0)]
-    try:
-        module = ModulePresentation(
-            FreeModuleSpec(ring, tuple(shifts)), tuple(relations)
-        )
-    except GradingError as exc:
-        raise ParseError(0, 0, str(exc))
+    if module is None:
+        module = ModulePresentation(FreeModuleSpec(ring, ((0, 0),)))
     return InstanceFile(ring.field, ring, module, tuple(submodules), settings)
 
 

@@ -23,7 +23,6 @@ product length, cached by the generators of H_1^e_1 ... H_k^e_k.
 from __future__ import annotations
 
 import itertools
-from contextlib import suppress
 from functools import lru_cache
 from typing import Optional
 
@@ -207,16 +206,6 @@ def lambda_product(query: ProductQuery, *point: int) -> int:
 _REFIT = (StabilizationError, GridTooSmallError, DegreeExceedsError)
 
 
-def _check_degree(table: LengthTable, r: int, cause=None) -> int:
-    """The table's degree estimate, which must not exceed r."""
-    estimate = total_degree_estimate(table)
-    if estimate > r:
-        raise DegreeExceedsError(
-            f"table degree estimate {estimate} exceeds r = {r}", table, r
-        ) from cause
-    return estimate
-
-
 def grid_bounds(r: int, grid: Optional[int]) -> tuple:
     """The grid bound a fit tries first (``grid``, by default r + 4), and
     the enlarged bound it retries at."""
@@ -229,36 +218,26 @@ def _fit(builds, r: int, grid: Optional[int]) -> tuple:
 
     Each of ``builds`` maps a grid bound to (table, stops); its table is
     fitted before the next one is built. Any fit failure at the first of
-    the ``grid_bounds`` rebuilds every table at the enlarged one. A
-    stabilization failure there is rewritten as DegreeExceedsError
-    when the first table's degree estimate provably exceeds r, and that
-    estimate is checked against r after a successful fit too.
+    the ``grid_bounds`` rebuilds every table at the enlarged one, where a
+    failure is raised as ``leading_form`` classified it. A successful fit
+    keeps the first table's degree estimate at most r.
 
     Returns ([(table, stops, leading form), ...], estimate, enlarged).
     """
     gmax, enlarged_gmax = grid_bounds(r, grid)
-    built = []  # the tables of the current attempt
 
     def attempt(bound):
-        built.clear()
         fits = []
         for build in builds:
             table, stops = build(bound)
-            built.append(table)
             fits.append((table, stops, leading_form(table, r)))
         return fits
 
     try:
         fits, enlarged = attempt(gmax), False
     except _REFIT:
-        enlarged = True
-        try:
-            fits = attempt(enlarged_gmax)
-        except StabilizationError as err:
-            with suppress(StabilizationError, GridTooSmallError):
-                _check_degree(built[0], r, err)
-            raise
-    return fits, _check_degree(built[0], r), enlarged
+        fits, enlarged = attempt(enlarged_gmax), True
+    return fits, total_degree_estimate(fits[0][0]), enlarged
 
 
 def pure_table(query: ProductQuery, gmax: int) -> tuple:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from contextlib import suppress
 
 from .fields import Value
 
@@ -216,9 +217,11 @@ def leading_form(t: LengthTable, r: int) -> LeadingForm:
 
     Scans base points in row-major order for a window of WINDOW points
     per axis where every order-r mixed difference is constant and every
-    order-(r+1) difference vanishes. Raises GridTooSmallError when no
-    window fits, DegreeExceedsError when differences go constant but the
-    order-(r+1) ones refuse to vanish, and StabilizationError otherwise.
+    order-(r+1) difference vanishes. This one rule classifies every failed
+    fit: GridTooSmallError when no window fits, DegreeExceedsError when
+    the order-r differences go constant but the order-(r+1) ones refuse
+    to vanish, or when total_degree_estimate exceeds r, and
+    StabilizationError otherwise: the table is not yet polynomial there.
     """
     if r < 0:
         raise ValueError("negative degree")
@@ -241,8 +244,6 @@ def leading_form(t: LengthTable, r: int) -> LeadingForm:
                     (alpha, tables[alpha].value(base))
                     for alpha in _alphas(t.arity, r)
                 )
-                for _, e in entries:
-                    assert isinstance(e, int)
                 point = tuple(o + b for o, b in zip(t.origin, base))
                 return LeadingForm(r, t.axes, entries, point)
             constant_seen = True
@@ -253,6 +254,13 @@ def leading_form(t: LengthTable, r: int) -> LeadingForm:
             t,
             r,
         )
+    # The grid fits order r + 1, so the estimate raises only when no window vanishes.
+    with suppress(StabilizationError):
+        estimate = total_degree_estimate(t)
+        if estimate > r:
+            raise DegreeExceedsError(
+                f"table degree estimate {estimate} exceeds r = {r}", t, r
+            )
     raise StabilizationError(
         f"no stabilization window of size {WINDOW} for degree {r} within"
         f" extents {t.extents}: the table is not yet polynomial there"

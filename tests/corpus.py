@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from brmult.fields import QQ
+from brmult.fields import QQ, PrimeField
 from brmult.modules import FreeModuleSpec, ModulePresentation
 from brmult.rings import RingSpec, SubmoduleSpec, monomial_basis
 
@@ -27,6 +27,7 @@ __all__ = [
     "factor_sum_pairs",
     "random_pure_instances",
     "random_mixed_instances",
+    "parameter_matrices",
     "DEFAULT_SEED",
 ]
 
@@ -222,4 +223,26 @@ def random_mixed_instances(count=4, seed=DEFAULT_SEED + 1, field=QQ):
         h1 = _random_primary_ideal(rng, ring)
         h2 = _random_primary_ideal(rng, ring)
         out.append(MixedInstance(f"random-mixed-{idx:02d}", module, h1, h2))
+    return tuple(out)
+
+
+def parameter_matrices(count=4, seed=DEFAULT_SEED + 2, field=PrimeField(32003)):
+    """Seeded 2 x 3 matrices of linear forms in x, y with dense coefficients.
+
+    Column j is read as the generator a_1j * u + a_2j * v of a submodule H
+    of F = k[x,y]{u,v}, so H has e + d - 1 = 3 generators. A generic draw
+    has F/H of finite length; a degenerate one does not.
+    """
+    rng = random.Random(seed)
+    ring = RingSpec(field, ("x", "y"), ("u", "v"))
+    x, y, u, v = ring.gens()
+
+    def linear():
+        return x * rng.randrange(field.p) + y * rng.randrange(field.p)
+
+    out = []
+    for idx in range(count):
+        gens = tuple(linear() * u + linear() * v for _ in range(3))
+        h = SubmoduleSpec(ring, 1, gens)
+        out.append(PureInstance(f"parameter-matrix-{idx:02d}", _free(ring), h))
     return tuple(out)

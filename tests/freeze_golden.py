@@ -7,9 +7,9 @@ SHA-256 of its stdout, run in-process through ``brmult.cli.run``. The
 commands are every line of the benchmark's cli-sweep workload
 (``perfbench/workloads.py``), plus ``br``, ``mixed``, ``lambda --csv``,
 ``verify all`` and ``verify inclusions --grid 4`` on each instance file
-under ``demos/instances``, except ``block_3x3.txt`` and
-``minors_3var.txt``, whose ``br`` alone takes seconds. Rerun it only
-when an output is meant to change.
+under ``demos/instances``, or the forms ``FORMS`` lists in their place
+for a file whose full set takes seconds. Rerun it only when an output
+is meant to change.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_cli.json"
 INSTANCES = ROOT / "demos" / "instances"
-SLOW_INSTANCES = ("block_3x3.txt", "minors_3var.txt")
 PER_INSTANCE = (
     "br {}",
     "mixed {}",
@@ -30,6 +29,16 @@ PER_INSTANCE = (
     "verify all {}",
     "verify inclusions {} --grid 4",
 )
+# Files whose full PER_INSTANCE set takes seconds: the blocks, whose
+# ``br`` alone does, get no forms; the pairs with a rank-2 submodule trade
+# ``verify all`` and ``verify inclusions`` for ``verify operator``.
+PAIR_FORMS = PER_INSTANCE[:3] + ("verify operator {}",)
+FORMS = {
+    "block_3x3.txt": (),
+    "minors_3var.txt": (),
+    "module_pair.txt": PAIR_FORMS,
+    "ideal_module_pair.txt": PAIR_FORMS,
+}
 
 
 def golden_commands() -> list:
@@ -41,9 +50,9 @@ def golden_commands() -> list:
         sys.path.remove(str(ROOT / "perfbench"))
     lines = [" ".join(sweep_argv(line)) for line in CLI_SWEEP]
     for path in sorted(INSTANCES.glob("*.txt")):
-        if path.name not in SLOW_INSTANCES:
-            relative = path.relative_to(ROOT).as_posix()
-            lines += [form.format(relative) for form in PER_INSTANCE]
+        relative = path.relative_to(ROOT).as_posix()
+        forms = FORMS.get(path.name, PER_INSTANCE)
+        lines += [form.format(relative) for form in forms]
     return list(dict.fromkeys(lines))
 
 

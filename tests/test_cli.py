@@ -503,8 +503,10 @@ PARSE_ERRORS = [
     (HEADER + "set r two\n", "parse", 3, 1, "bad integer 'two'"),
     (HEADER + "  frobnicate 3\n", "parse", 3, 3, "unknown declaration 'frobnicate'"),
     ("field Q\n", "parse", 0, 0, "missing ring declaration"),
-    # a relation's grading is checked once the module is built, at no line
-    (MODULE + "rel x*u + y\n", "parse", 0, 0, "mixed bidegrees in one polynomial"),
+    # gradings are checked on the line that declares them
+    (MODULE + "rel x*u + y\n", "parse", 4, 4, "mixed bidegrees in one polynomial"),
+    (HEADER + "module free 2 shifts (0,0) (0,0)\nrel x ; u\n", "parse", 4, 4, "not bihomogeneous"),
+    (HEADER + "module free 1 shifts (-1,0)\n", "parse", 3, 21, "negative shift (-1, 0)"),
 ]
 
 

@@ -5,17 +5,19 @@ independently computed oracle value; nothing is copied back from the code
 under test.
 """
 
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brmult.linalg as linalg
 import brmult.polyfit as polyfit
 from brmult.cli import parse_instance, run
 from brmult.fields import QQ, PrimeField
-from brmult.modules import FreeModuleSpec, ModulePresentation
+from brmult.modules import CutoffExceeded, FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import (
     KInstabilityError,
     LocalQuery,
@@ -30,7 +32,7 @@ from brmult.multiplicity import (
 from brmult.polyfit import DegreeExceedsError, LengthTable, StabilizationError
 from brmult.rings import GradingError, RingSpec, SubmoduleSpec, power_generators
 from brmult.verify import check_mixed_operator_formula, check_symmetry
-from corpus import curated_local, curated_mixed, curated_pure
+from corpus import curated_local, curated_mixed, curated_pure, parameter_matrices
 from dense_oracle import Matrix, rank, samuel_function
 from freeze_golden import clear_caches
 
@@ -501,6 +503,72 @@ def test_buchsbaum_rim_theorem_on_a_dense_parameter_module():
     assert br_multiplicities(query).leading.as_dict()[(3, 0)] == 3
 
 
+def test_buchsbaum_rim_theorem_on_seeded_parameter_matrices():
+    # the theorem above on P1 = minors_block.txt over Q and on seeded dense
+    # draws over F_32003; a draw with F/H of infinite length is skipped
+    inst = parse_instance((INSTANCES / "minors_block.txt").read_text())
+    cases = [(inst.module, inst.submodule(0))]
+    cases += [(draw.module, draw.h) for draw in parameter_matrices()]
+    finite = 0
+    for module, h in cases:
+        try:
+            report = br_multiplicities(ProductQuery(module, (h,)))
+        except CutoffExceeded:
+            continue
+        finite += 1
+        assert report.leading[(3, 0)] == report.table.value((1, 0))
+    assert finite >= 4
+
+
+def kirby_rees_sides(i1, i2) -> tuple:
+    """Both sides of Kirby-Rees for monomial ideals I1, I2 of k[x,y], each
+    given by exponent pairs: br's e[3,0] of I1 u + I2 v in k[x,y;u,v], and
+    the mixed e[2,0,0], e[1,1,0], e[0,2,0] of (I1 u, I2 u) in k[x,y;u]."""
+    r4 = RingSpec(QQ, ("x", "y"), ("u", "v"))
+    h = SubmoduleSpec(
+        r4,
+        1,
+        tuple(r4.monomial((a, b, 1, 0)) for a, b in i1)
+        + tuple(r4.monomial((a, b, 0, 1)) for a, b in i2),
+    )
+    r3 = RingSpec(QQ, ("x", "y"), ("u",))
+    h1, h2 = (
+        SubmoduleSpec(r3, 1, tuple(r3.monomial((a, b, 1)) for a, b in ideal))
+        for ideal in (i1, i2)
+    )
+    direct = br_multiplicities(ProductQuery(free_module(r4), (h,))).leading
+    mixed = br_multiplicities(ProductQuery(free_module(r3), (h1, h2))).leading
+    return direct[(3, 0)], (mixed[(2, 0, 0)], mixed[(1, 1, 0)], mixed[(0, 2, 0)])
+
+
+@pytest.mark.parametrize(
+    "i1, i2, direct, mixed",
+    [
+        (((2, 0), (0, 1)), ((1, 0), (0, 2)), 5, (2, 1, 2)),
+        (((3, 0), (1, 1), (0, 4)), ((2, 0), (0, 3)), 18, (7, 5, 6)),
+    ],
+)
+def test_kirby_rees_direct_sums(i1, i2, direct, mixed):
+    # e(I1 + I2) of the direct sum is the sum of the mixed multiplicities
+    # e(I1^[a] | I2^[b]) over a + b = d (Kirby-Rees; Kleiman-Thorup 1994)
+    assert kirby_rees_sides(i1, i2) == (direct, mixed)
+
+
+primary_monomial_ideals = st.builds(
+    lambda a, b, mixed: ((a, 0), (0, b), *mixed),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=2),
+)
+
+
+@given(primary_monomial_ideals, primary_monomial_ideals)
+@settings(max_examples=20, deadline=None)
+def test_kirby_rees_on_random_monomial_pairs(i1, i2):
+    direct, mixed = kirby_rees_sides(i1, i2)
+    assert direct == sum(mixed)
+
+
 def test_three_variable_block_e_values():
     # H = (x,y,z)*(u,v,w): e^(5-j, j) = C(5-j, 2-j) for j <= 2, then 0.
     # H^p has C(p+2, 2)^2 generators, all of one degree.
@@ -642,6 +710,56 @@ def test_fit_reraises_a_stabilization_failure_at_the_enlarged_grid(monkeypatch):
         generalized_samuel_report(local_query((x, y), r=1))
     # r + 4 first, then enlarged by 2; the k + 1 table is never built
     assert grids == [5, 7]
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        # H1 = m F and its reduction H2 = P1: 3 in every e[i,3-i,0]
+        ("module_pair.txt", (3, 3, 3, 3)),
+        # H1 = m and H2 = P1: e[3-j,j,0] = C(j,1) e(m)
+        ("ideal_module_pair.txt", (0, 1, 2, 3)),
+    ],
+)
+def test_pairs_with_a_rank_two_submodule(name, top):
+    # top lists e[3-j,j,0] for j = 0..3; of the rest only e[2,0,1],
+    # e[1,1,1] and e[0,2,1] are nonzero, each 1
+    expected = {(3 - j, j, 0): e for j, e in enumerate(top)}
+    expected.update({(2, 0, 1): 1, (1, 1, 1): 1, (0, 2, 1): 1})
+    path = str(INSTANCES / name)
+    code, out = run(["mixed", path])
+    assert code == 0
+    assert json.loads(out)["leading_form"] == {
+        "e[" + ",".join(map(str, alpha)) + "]": str(expected.get(alpha, 0))
+        for alpha in itertools.product(range(4), repeat=3)
+        if sum(alpha) == 3
+    }
+    code, out = run(["verify", "operator", path])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_fit_classifies_the_table_that_failed_not_the_first_one():
+    # the first table is linear and fits at r = 1; the second is n^3 at
+    # both grids, with no flat window of first differences, so the failure
+    # is the second table's degree estimate exceeding r
+    from brmult.multiplicity import _fit
+
+    tables = []
+
+    def build(f):
+        def table(gmax):
+            values = tuple(f(n) for n in range(gmax + 1))
+            tables.append(LengthTable(("n",), (0,), (gmax + 1,), values))
+            return tables[-1], ()
+
+        return table
+
+    with pytest.raises(DegreeExceedsError, match="estimate 3 exceeds r = 1") as err:
+        _fit([build(lambda n: 2 * n), build(lambda n: n**3)], 1, None)
+    assert [t.extents for t in tables] == [(6,), (6,), (8,), (8,)]
+    assert err.value.table is tables[3]
+    assert err.value.r == 1
 
 
 def test_k_instability_when_the_leading_coefficient_moves_with_k(monkeypatch, tmp_path):

@@ -134,10 +134,12 @@ def test_window_heuristic_can_be_fooled_by_flat_transients():
 
 
 def test_unstabilized_cubic_asked_too_low():
-    # no flat window at all, so the fitter reports non-stabilization
+    # no flat window at all, but the fourth differences vanish: the table's
+    # degree estimate, 3, is what classifies the failure
     t = table_from(lambda n: n * n * n, ("n",), (0,), (9,))
-    with pytest.raises(StabilizationError):
+    with pytest.raises(DegreeExceedsError, match="estimate 3 exceeds r = 2") as err:
         leading_form(t, 2)
+    assert (err.value.table, err.value.r) == (t, 2)
 
 
 def test_grid_too_small():
