@@ -112,13 +112,7 @@ class RationalField(Value):
             return Fraction(value)
         raise FieldError(f"cannot coerce {value!r} into Q")
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero, one = Fraction(0), Fraction(1)  # shared: Fractions are immutable
 
     def add(self, a, b):
         return a + b
@@ -172,13 +166,7 @@ class PrimeField(Value):
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
         raise FieldError(f"cannot coerce {value!r} into F_{self.p}")
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero, one = 0, 1
 
     def add(self, a, b):
         return (a + b) % self.p

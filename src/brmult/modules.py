@@ -218,13 +218,17 @@ def _monomial_count(degree: int, nvars: int) -> int:
     return comb(degree + nvars - 1, nvars - 1)
 
 
-def _prune_dominated(monos) -> tuple:
-    """The divisibility-minimal monomials, sorted by (degree, exponents).
+def _order(m) -> tuple:
+    return sum(m), m
 
-    Distinct monomials of equal total degree cannot divide each other, so
-    each candidate is tested only against kept ones of lower degree.
+
+def _prune_dominated(monos) -> tuple:
+    """The divisibility-minimal monomials, sorted by ``_order``: (degree,
+    exponents). Distinct monomials of equal total degree cannot divide
+    each other, so each candidate is tested only against kept ones of
+    lower degree.
     """
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
+    monos = sorted(set(monos), key=_order)
     kept, lower, degree = [], (), None
     for m in monos:
         if sum(m) != degree:
@@ -259,6 +263,11 @@ def _hilbert_numerator(gens: tuple, nbase: int) -> tuple:
     x_j^e' with e' <= e would divide one of those, so P is not in J, and
     both J + P and J : P have a smaller total degree of generators that
     are not pure powers: the recursion ends.
+
+    Both come minimal from J's generators, with no prune: every generator
+    with x_j has m_j >= e, as P is not in J. J + P is the ones free of x_j
+    plus P. J : P shifts the others down by e, which keeps them minimal,
+    and drops the free ones a shifted generator free of x_j now divides.
     """
     nvars = len(gens[0]) if gens else 0
     occurs = [0] * nvars
@@ -277,14 +286,12 @@ def _hilbert_numerator(gens: tuple, nbase: int) -> tuple:
     j = max(range(nvars), key=mixed.__getitem__)
     e = min(m[j] for m in gens if m[j] and sum(map(bool, m)) > 1)
     pivot = tuple(e if v == j else 0 for v in range(nvars))
-    with_pivot = tuple(
-        sorted(
-            [m for m in gens if m[j] < e] + [pivot], key=lambda m: (sum(m), m)
-        )
-    )
-    colon = _prune_dominated(
-        m[:j] + (max(m[j] - e, 0),) + m[j + 1 :] for m in gens
-    )
+    free = [m for m in gens if not m[j]]
+    shifted = [m[:j] + (m[j] - e,) + m[j + 1 :] for m in gens if m[j]]
+    cut = [s for s in shifted if not s[j]]
+    free_left = [m for m in free if not any(all(map(ge, m, s)) for s in cut)]
+    with_pivot = tuple(sorted(free + [pivot], key=_order))
+    colon = tuple(sorted(shifted + free_left, key=_order))
     poly = _shifted_sum(
         {(b, f): c for b, f, c in _hilbert_numerator(with_pivot, nbase)},
         {(b, f): c for b, f, c in _hilbert_numerator(colon, nbase)},
@@ -340,18 +347,24 @@ def _span_plan(pres: ModulePresentation, items, cap: int) -> tuple:
     vectors as (nonzero (i, entry) pairs, target), the ``_interreduce``d
     items' before the relations', and the largest and smallest base degree
     of the acting items (None when none act). The split follows the one
-    rule of the module docstring.
+    rule of the module docstring; an all-monomial SubmoduleSpec, whose
+    generators are nonzero of one fiber degree, gives its exponents as is.
     """
-    gens = items.gens if isinstance(items, SubmoduleSpec) else items
-    acting = [g for g in gens if not g.is_zero() and g.bidegree()[1] <= cap]
+    if isinstance(items, SubmoduleSpec):
+        acting = items.gens if items.fiber_degree <= cap else ()
+    else:
+        acting = [g for g in items if not g.is_zero() and g.bidegree()[1] <= cap]
+    monos = getattr(items, "_monomials", None) if acting else ()
     shifts = list(enumerate(pres.free.shifts))
-    monos, vectors = [], []
-    for g in _interreduce(pres.ring, acting):
-        if g.is_monomial():
-            monos.append(g.terms[0][0])
-        else:
-            gb, gf = g.bidegree()
-            vectors += [(((i, g),), (gb + ai, gf + ni)) for i, (ai, ni) in shifts]
+    vectors = []
+    if monos is None:
+        monos = []
+        for g in _interreduce(pres.ring, acting):
+            if g.is_monomial():
+                monos.append(g.terms[0][0])
+            else:
+                gb, gf = g.bidegree()
+                vectors += [(((i, g),), (gb + ai, gf + ni)) for i, (ai, ni) in shifts]
     comp_monos = [list(monos) for _ in shifts]
     for nonzero, target in pres._vectors:
         (i, entry), *rest = nonzero

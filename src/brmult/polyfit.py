@@ -14,9 +14,9 @@ a polynomial on the probed region will fool it. The remedy is a larger
 grid, and the multiplicity pipelines retry once with a grid enlarged by
 2 per axis before giving up.
 
-No floating point is used anywhere; values are Python ints and the
-e-values are asserted to be integers (they are iterated differences of
-integers, so this is a consistency assertion, not a rounding step).
+No floating point is used anywhere: a LengthTable rejects any value that
+is not a Python int, so every difference and e-value is an exact integer
+and nothing is rounded.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class LengthTable(Value):
     ``axes`` names the axes (one to three of them), ``origin`` is the
     lattice point of the first entry, ``extents`` the number of points per
     axis, and ``values`` the row-major flat value tuple. The table keeps
-    the mixed differences ``differences`` builds outside its fields, as
-    ``Value`` keeps its hash.
+    its row-major strides and the mixed differences ``differences`` builds
+    outside its fields, as ``Value`` keeps its hash.
     """
 
     axes: tuple
@@ -85,8 +85,9 @@ class LengthTable(Value):
             raise GridTooSmallError("axes, origin and extents disagree in arity")
         if any(e < 1 for e in extents):
             raise GridTooSmallError(f"empty extent in {extents}")
-        size = 1
-        for e in extents:
+        strides, size = [], 1
+        for e in reversed(extents):
+            strides.insert(0, size)
             size *= e
         values = tuple(self.values)
         if len(values) != size:
@@ -100,20 +101,15 @@ class LengthTable(Value):
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_strides", tuple(strides))
 
     @property
     def arity(self) -> int:
         return len(self.axes)
 
-    def strides(self) -> tuple:
-        out = [1] * self.arity
-        for i in range(self.arity - 2, -1, -1):
-            out[i] = out[i + 1] * self.extents[i + 1]
-        return tuple(out)
-
     def value(self, idx) -> int:
         flat = 0
-        for i, (j, e, s) in enumerate(zip(idx, self.extents, self.strides())):
+        for j, e, s in zip(idx, self.extents, self._strides):
             if not 0 <= j < e:
                 raise IndexError(f"index {idx} outside extents {self.extents}")
             flat += j * s
@@ -122,7 +118,7 @@ class LengthTable(Value):
     def point(self, flat: int) -> tuple:
         """The lattice point of the flat value index ``flat``."""
         coords = []
-        for stride in self.strides():
+        for stride in self._strides:
             coords.append(flat // stride)
             flat %= stride
         return tuple(o + c for o, c in zip(self.origin, coords))
@@ -162,7 +158,7 @@ def finite_difference(t: LengthTable, axis) -> LengthTable:
     )
     # The values with one fixed index before the axis form a contiguous
     # block: difference it against itself shifted one step along the axis.
-    step = t.strides()[ax]
+    step = t._strides[ax]
     block = step * t.extents[ax]
     values = []
     for start in range(0, len(t.values), block):

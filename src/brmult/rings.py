@@ -296,7 +296,8 @@ class SubmoduleSpec(Value):
 
     Every generator is bihomogeneous with fiber degree exactly d. Base
     degrees may differ between generators, and the generator list is kept
-    as given (no minimalization) apart from dropping zero entries.
+    as given (no minimalization) apart from dropping zero entries. If all
+    are monomials, ``_monomials`` keeps their exponents (else None).
     """
 
     ring: RingSpec
@@ -306,9 +307,9 @@ class SubmoduleSpec(Value):
     def __post_init__(self):
         if self.fiber_degree < 0:
             raise GradingError("negative fiber degree")
-        kept = []
+        kept, monos = [], []
         for g in self.gens:
-            if g.ring != self.ring:
+            if g.ring is not self.ring and g.ring != self.ring:
                 raise GradingError("generator from a different ring")
             if g.is_zero():
                 continue
@@ -318,7 +319,10 @@ class SubmoduleSpec(Value):
                     f" declared {self.fiber_degree}"
                 )
             kept.append(g)
-        object.__setattr__(self, "gens", tuple(kept))
+            if len(g.terms) == 1:
+                monos.append(g.terms[0][0])
+        _setattr(self, "gens", tuple(kept))
+        _setattr(self, "_monomials", tuple(monos) if len(monos) == len(kept) else None)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.gens) or "0"
@@ -425,9 +429,8 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
     if h1.ring != h2.ring:
         raise GradingError("product of submodules over different rings")
     fiber_degree = h1.fiber_degree + h2.fiber_degree
-    if all(g.is_monomial() for g in h1.gens + h2.gens):
-        right = [g.terms[0][0] for g in h2.gens]
-        monos = {tuple(map(add, g.terms[0][0], m)) for g in h1.gens for m in right}
+    if h1._monomials is not None and h2._monomials is not None:
+        monos = {tuple(map(add, m1, m2)) for m1 in h1._monomials for m2 in h2._monomials}
         gens = (_monic_monomial(h1.ring, m) for m in sorted(monos, reverse=True))
         return SubmoduleSpec(h1.ring, fiber_degree, tuple(gens))
     products = _interreduce(h1.ring, (g1 * g2 for g1 in h1.gens for g2 in h2.gens))

@@ -29,12 +29,13 @@ PER_INSTANCE = (
     "verify all {}",
     "verify inclusions {} --grid 4",
 )
-# Files whose full PER_INSTANCE set takes seconds: the blocks, whose
-# ``br`` alone does, get no forms; the pairs with a rank-2 submodule trade
-# ``verify all`` and ``verify inclusions`` for ``verify operator``.
+# Files whose full PER_INSTANCE set takes seconds: the monomial r = 5
+# block keeps only its ``br``, the non-monomial block gets no forms, and
+# the pairs with a rank-2 submodule trade ``verify all`` and
+# ``verify inclusions`` for ``verify operator``.
 PAIR_FORMS = PER_INSTANCE[:3] + ("verify operator {}",)
 FORMS = {
-    "block_3x3.txt": (),
+    "block_3x3.txt": ("br {}",),
     "minors_3var.txt": (),
     "module_pair.txt": PAIR_FORMS,
     "ideal_module_pair.txt": PAIR_FORMS,

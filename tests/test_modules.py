@@ -1,6 +1,7 @@
 """Graded modules: piece dimensions, slice lengths, Krull dimension."""
 
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -326,6 +327,64 @@ def test_standard_count_matches_brute_force(ring, gens):
         assert _series_standard_counts(ring, gens, n, 7) == [
             _brute_standard_count(ring, gens, (a, n)) for a in range(7)
         ]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A ring and the minimal generators of a monomial ideal in it: mixed
+    supports, pure powers next to them, and now and then the unit."""
+    ring = draw(st.sampled_from((R22, R3)))
+    nvars = ring.nvars
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=6))
+    powers = st.tuples(st.integers(0, nvars - 1), st.integers(1, 4))
+    for v, k in draw(st.lists(powers, max_size=3)):
+        monos.append(tuple(k if i == v else 0 for i in range(nvars)))
+    if draw(st.integers(0, 9)) == 0:
+        monos.append((0,) * nvars)
+    return ring, _prune_dominated(monos)
+
+
+def _numerator_splits(gens, nbase) -> dict:
+    """Each ideal the numerator recursion of ``gens`` splits, mapped to the
+    (J + P, J : P) pair it recursed on, from an empty numerator cache."""
+    import brmult.modules as modules
+
+    real, stack, children = modules._hilbert_numerator, [gens], {}
+
+    def spy(child, nbase):
+        children.setdefault(stack[-1], []).append(child)
+        stack.append(child)
+        try:
+            return real(child, nbase)
+        finally:
+            stack.pop()
+
+    real.cache_clear()
+    with patch.object(modules, "_hilbert_numerator", spy):
+        real(gens, nbase)
+    return children
+
+
+@given(monomial_ideals())
+@example((R22, ((0, 0, 0, 0),)))
+@example((R22, ()))
+@example((R3, ((3, 0, 0), (1, 1, 0), (2, 0, 1))))
+@settings(max_examples=150, deadline=None)
+def test_colon_rule_keeps_the_numerator_and_its_splits(case):
+    ring, gens = case
+    for n in range(3):
+        assert _series_standard_counts(ring, gens, n, 6) == [
+            _brute_standard_count(ring, gens, (a, n)) for a in range(6)
+        ]
+    # each split is J + P and J : P pruned from the naive generator sets,
+    # in the same order; P is the pure power of J + P that J lacks
+    for ideal, (with_pivot, colon) in _numerator_splits(gens, len(ring.base)).items():
+        [pivot] = set(with_pivot) - set(ideal)
+        [(j, e)] = [(j, e) for j, e in enumerate(pivot) if e]
+        assert with_pivot == _prune_dominated(ideal + (pivot,))
+        assert colon == _prune_dominated(
+            m[:j] + (max(m[j] - e, 0),) + m[j + 1 :] for m in ideal
+        )
 
 
 SPAN_RINGS = (

@@ -8,6 +8,7 @@ under test.
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,32 @@ def test_block_vs_max_walks_one_series_per_span(monkeypatch):
     # one span plan per generator set and cap: the 36 sets H1^p H2^q, whose
     # cap is always p, and the free slice of krull_dimension
     assert modules._span_plan.cache_info().misses == 37
+
+
+def test_numerator_recursion_prunes_nothing(monkeypatch):
+    # J : x_j^e and J + (x_j^e) come minimal from J's generators, so only
+    # the span plans prune: 37 of them on the grid-5 block-vs-max query,
+    # with 105 numerators, and 11 on the r = 5 block, with 299
+    import brmult.modules as modules
+
+    callers = []
+    prune = modules._prune_dominated
+
+    def counted(monos):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return prune(monos)
+
+    monkeypatch.setattr(modules, "_prune_dominated", counted)
+    [inst] = [inst for inst in curated_mixed() if inst.name == "block-vs-max"]
+    clear_caches()
+    br_multiplicities(ProductQuery(inst.module, (inst.h1, inst.h2), grid=5))
+    assert modules._hilbert_numerator.cache_info().misses == 105
+    assert callers == ["_span_plan"] * 37
+    clear_caches()
+    callers.clear()
+    assert run(["br", str(INSTANCES / "block_3x3.txt")])[0] == 0
+    assert modules._hilbert_numerator.cache_info().misses == 299
+    assert callers == ["_span_plan"] * 11
 
 
 def count_walks(monkeypatch, *runs) -> list:

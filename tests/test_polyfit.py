@@ -70,6 +70,19 @@ def test_finite_difference_matches_the_per_index_definition(case):
     assert (d.axes, d.origin) == (t.axes, t.origin)
 
 
+@given(axis_tables())
+@settings(max_examples=100, deadline=None)
+def test_value_and_point_follow_the_row_major_order(case):
+    t, _ = case
+    points = list(itertools.product(*(range(e) for e in t.extents)))
+    assert [t.value(idx) for idx in points] == list(t.values)
+    assert [t.point(flat) for flat in range(len(points))] == [
+        tuple(o + j for o, j in zip(t.origin, idx)) for idx in points
+    ]
+    with pytest.raises(IndexError):
+        t.value(t.extents)
+
+
 def test_difference_of_tiny_extent_rejected():
     t = LengthTable(("n",), (0,), (1,), (7,))
     with pytest.raises(GridTooSmallError):
