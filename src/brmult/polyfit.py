@@ -2,17 +2,15 @@
 
 A LengthTable holds exact integer values of a length function on a
 rectangular lattice grid. For a function that is eventually polynomial of
-total degree r, every iterated mixed difference of order (i, j, k) with
-i + j + k = r is eventually the constant e^{i,j,k} (the coefficient of
-p^i q^j n^k / i!j!k!), and every difference of total order r + 1 is
-eventually zero. The fitter looks for a window of WINDOW = 2
-consecutive lattice points per axis on which both facts hold and reads
-the e-values off at the window's base point.
-
-The window test is a heuristic certificate: a table that merely imitates
-a polynomial on the probed region will fool it. The remedy is a larger
-grid, and the multiplicity pipelines retry once with a grid enlarged by
-2 per axis before giving up.
+total degree r, every difference of total order r + 1 is eventually zero,
+so every iterated mixed difference of order (i, j, k) with i + j + k = r
+is eventually the constant e^{i,j,k} (the coefficient of
+p^i q^j n^k / i!j!k!). The fitter takes the first base point from which
+every order-(r+1) difference vanishes on the whole tail up to the grid's
+far corner, at least WINDOW = 2 points per axis, and reads the e-values
+off there. The certificate reaches only as far as the grid: a table that
+leaves its polynomial beyond the grid fools it, so the multiplicity
+pipelines retry once on a grid enlarged by 2 per axis before giving up.
 
 No floating point is used anywhere: a LengthTable rejects any value that
 is not a Python int, so every difference and e-value is an exact integer
@@ -39,7 +37,7 @@ __all__ = [
     "WINDOW",
 ]
 
-# Lattice points per axis on which the fit's differences must settle.
+# The fewest lattice points per axis of a tail where the differences vanish.
 WINDOW = 2
 
 
@@ -173,7 +171,8 @@ class LeadingForm(Value):
     ``entries`` maps each exponent tuple alpha with |alpha| = r to the
     integer e-value, i.e. the coefficient of prod(axis^alpha) divided by
     prod(alpha!). ``base_point`` is the lattice point (original
-    coordinates) where the differences stabilized.
+    coordinates) from which the order-(r+1) differences vanish up to the
+    grid's far corner.
     """
 
     r: int
@@ -193,64 +192,50 @@ def _alphas(arity: int, total: int):
     return sorted((alpha for alpha in alphas if sum(alpha) == total), reverse=True)
 
 
-def _window_block(base):
-    return itertools.product(*(range(b, b + WINDOW) for b in base))
-
-
-def _feasible_bases(t: LengthTable, order: int):
-    """Base points whose window fits every difference table up to order."""
-    ranges = []
-    for e in t.extents:
-        top = e - WINDOW - order + 1
-        if top <= 0:
-            return None
-        ranges.append(range(top))
-    return itertools.product(*ranges)
+def _tail_base(t: LengthTable, order: int):
+    """The first base point, in row-major order, from which every
+    difference of total order ``order`` is zero on the whole box up to the
+    grid's far corner, or None. The box must have at least WINDOW points
+    per axis; GridTooSmallError when none fits."""
+    tops = [e - order - WINDOW + 1 for e in t.extents]
+    if min(tops) <= 0:
+        raise GridTooSmallError(
+            f"extents {t.extents} too small for degree {order - 1} with window {WINDOW}"
+        )
+    diffs = t.differences(order)
+    tables = [diffs[alpha] for alpha in _alphas(t.arity, order)]
+    # The far corner lies in every tail, so a nonzero there rules out all.
+    if any(tab.values[-1] for tab in tables):
+        return None
+    nonzero = [tab.point(i) for tab in tables for i, v in enumerate(tab.values) if v]
+    bases = itertools.product(*(range(o, o + n) for o, n in zip(t.origin, tops)))
+    for base in bases:
+        if not any(all(map(operator.ge, p, base)) for p in nonzero):
+            return base
+    return None
 
 
 def leading_form(t: LengthTable, r: int) -> LeadingForm:
-    """Extract all order-r e-values at the first stabilization window.
+    """Extract all order-r e-values at the first vanishing tail.
 
-    Scans base points in row-major order for a window of WINDOW points
-    per axis where every order-r mixed difference is constant and every
-    order-(r+1) difference vanishes. This one rule classifies every failed
-    fit: GridTooSmallError when no window fits, DegreeExceedsError when
-    the order-r differences go constant but the order-(r+1) ones refuse
-    to vanish, or when total_degree_estimate exceeds r, and
+    The tail is the box from ``_tail_base(t, r + 1)`` to the grid's far
+    corner, on which every order-(r+1) mixed difference vanishes, so every
+    order-r difference is constant there. One rule classifies every
+    failed fit: GridTooSmallError when no box of WINDOW points per axis
+    fits, DegreeExceedsError when total_degree_estimate exceeds r, and
     StabilizationError otherwise: the table is not yet polynomial there.
     """
     if r < 0:
         raise ValueError("negative degree")
-    bases = _feasible_bases(t, r + 1)
-    if bases is None:
-        raise GridTooSmallError(
-            f"extents {t.extents} too small for degree {r} with window {WINDOW}"
+    base = _tail_base(t, r + 1)
+    if base is not None:
+        tables = t.differences(r)
+        idx = tuple(map(operator.sub, base, t.origin))
+        entries = tuple(
+            (alpha, tables[alpha].value(idx)) for alpha in _alphas(t.arity, r)
         )
-    tables = t.differences(r + 1)
-    order_r = [tables[a] for a in _alphas(t.arity, r)]
-    order_r1 = [tables[a] for a in _alphas(t.arity, r + 1)]
-    constant_seen = False
-    for base in bases:
-        block = list(_window_block(base))
-        if all(
-            len({tab.value(p) for p in block}) == 1 for tab in order_r
-        ):
-            if all(tab.value(p) == 0 for tab in order_r1 for p in block):
-                entries = tuple(
-                    (alpha, tables[alpha].value(base))
-                    for alpha in _alphas(t.arity, r)
-                )
-                point = tuple(o + b for o, b in zip(t.origin, base))
-                return LeadingForm(r, t.axes, entries, point)
-            constant_seen = True
-    if constant_seen:
-        raise DegreeExceedsError(
-            f"order-{r} differences stabilize but order-{r + 1} differences"
-            " do not vanish: the table's degree exceeds the requested r",
-            t,
-            r,
-        )
-    # The grid fits order r + 1, so the estimate raises only when no window vanishes.
+        return LeadingForm(r, t.axes, entries, base)
+    # The grid fits order r + 1, so the estimate raises only when no tail vanishes.
     with suppress(StabilizationError):
         estimate = total_degree_estimate(t)
         if estimate > r:
@@ -258,13 +243,13 @@ def leading_form(t: LengthTable, r: int) -> LeadingForm:
                 f"table degree estimate {estimate} exceeds r = {r}", t, r
             )
     raise StabilizationError(
-        f"no stabilization window of size {WINDOW} for degree {r} within"
-        f" extents {t.extents}: the table is not yet polynomial there"
+        f"no stabilization window of size {WINDOW} or more reaches the far corner"
+        f" of extents {t.extents} for degree {r}: the table is not yet polynomial there"
     )
 
 
 def total_degree_estimate(t: LengthTable) -> int:
-    """Smallest D whose order-(D+1) differences vanish on some window."""
+    """Smallest D whose order-(D+1) differences vanish on a tail of the grid."""
     max_d = min(t.extents) - WINDOW - 1
     if max_d < 0:
         raise GridTooSmallError(
@@ -272,13 +257,9 @@ def total_degree_estimate(t: LengthTable) -> int:
             f" window {WINDOW}"
         )
     for degree in range(max_d + 1):
-        tables = t.differences(degree + 1)
-        order_d1 = [tables[a] for a in _alphas(t.arity, degree + 1)]
-        for base in _feasible_bases(t, degree + 1):
-            block = list(_window_block(base))
-            if all(tab.value(p) == 0 for tab in order_d1 for p in block):
-                return degree
+        if _tail_base(t, degree + 1) is not None:
+            return degree
     raise StabilizationError(
-        f"no vanishing difference window up to degree {max_d} within"
+        f"no vanishing difference tail up to degree {max_d} within"
         f" extents {t.extents}"
     )

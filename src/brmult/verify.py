@@ -259,7 +259,7 @@ def check_br_degree_bound(query: ProductQuery) -> VerificationReport:
 
 def _degree_bound(table, r: int) -> VerificationReport:
     """The degree-bound report of ``table`` at r, read off the differences
-    the table keeps. An estimate above r means no order-(r+1) window
+    the table keeps. An estimate above r means no order-(r+1) tail
     vanished, and every extent is at least WINDOW + r + 2, so some
     order-(r+1) difference is nonzero."""
     estimate = total_degree_estimate(table)

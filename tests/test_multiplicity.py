@@ -40,6 +40,7 @@ from freeze_golden import clear_caches
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 R22 = RingSpec(QQ, ("x", "y"), ("u", "v"))
+R3 = RingSpec(QQ, ("x", "y", "z"), ("u",))
 BASE = RingSpec(QQ, ("x", "y"), ())
 
 
@@ -547,6 +548,58 @@ def test_buchsbaum_rim_theorem_on_seeded_parameter_matrices():
     assert finite >= 4
 
 
+@pytest.mark.parametrize(
+    "f, degree",
+    [
+        (lambda x, y, z: x**3 + y**3 + z**3 + x * y * z, 3),
+        (lambda x, y, z: x**4 + y**4 + z**4 + x * x * y * z, 4),
+    ],
+    ids=("cubic", "quartic"),
+)
+def test_hypersurface_multiplicity_is_the_degree_of_f(f, degree):
+    # M = k[x,y,z;u]/(f) with H = m u: e[2,0] = e(m, k[x,y,z]/(f)) = deg f
+    x, y, z, u = R3.gens()
+    module = ModulePresentation(FreeModuleSpec(R3, ((0, 0),)), ((f(x, y, z),),))
+    h = SubmoduleSpec(R3, 1, (x * u, y * u, z * u))
+    leading = br_multiplicities(ProductQuery(module, (h,))).leading
+    assert leading.as_dict() == {(2, 0): degree, (1, 1): 0, (0, 2): 0}
+
+
+# two quadrics and a cubic of k[x,y], no two with a common factor
+QUADRICS = (
+    lambda x, y: x * x + x * y * 2 + y * y * 3,
+    lambda x, y: x * x * 2 - x * y + y * y,
+)
+CUBIC = lambda x, y: x**3 + x * y * y + y**3 * 2
+
+
+@pytest.mark.parametrize(
+    "forms, product",
+    [(QUADRICS, 4), ((QUADRICS[0], CUBIC), 6)],
+    ids=("two-quadrics", "quadric-and-cubic"),
+)
+def test_complete_intersection_multiplicity_is_the_product_of_degrees(
+    forms, product
+):
+    # forms of degrees d_i that form a regular sequence give e(I) = prod d_i
+    x, y, u = R2.gens()
+    h = SubmoduleSpec(R2, 1, tuple(form(x, y) * u for form in forms))
+    leading = br_multiplicities(ProductQuery(free_module(R2), (h,))).leading
+    assert leading.as_dict() == {(2, 0): product, (1, 1): 0, (0, 2): 0}
+
+
+def test_mixed_multiplicities_of_m_and_a_complete_intersection():
+    # I = two quadrics: e(m^[2-i] | I^[i]) = 2^i (Teissier, Cargese 1973;
+    # Trung-Verma, Trans. AMS 359, 2007), in either order of the pair
+    x, y, u = R2.gens()
+    m = SubmoduleSpec(R2, 1, (x * u, y * u))
+    i = SubmoduleSpec(R2, 1, tuple(form(x, y) * u for form in QUADRICS))
+    for subs, top in (((m, i), (1, 2, 4)), ((i, m), (4, 2, 1))):
+        leading = br_multiplicities(ProductQuery(free_module(R2), subs)).leading
+        assert [leading[(2 - j, j, 0)] for j in range(3)] == list(top)
+        assert all(e == 0 for alpha, e in leading.entries if alpha[2] > 0)
+
+
 def kirby_rees_sides(i1, i2) -> tuple:
     """Both sides of Kirby-Rees for monomial ideals I1, I2 of k[x,y], each
     given by exponent pairs: br's e[3,0] of I1 u + I2 v in k[x,y;u,v], and
@@ -721,7 +774,7 @@ def test_curated_instances_all_run():
 
 def test_fit_reraises_a_stabilization_failure_at_the_enlarged_grid(monkeypatch):
     # lambda(n) = 2^n: no difference of any order settles at either grid,
-    # and the degree estimate finds no vanishing window either, so the
+    # and the degree estimate finds no vanishing tail either, so the
     # enlarged attempt's StabilizationError leaves the fit as it is
     import brmult.multiplicity as multiplicity
 
@@ -768,7 +821,7 @@ def test_pairs_with_a_rank_two_submodule(name, top):
 
 def test_fit_classifies_the_table_that_failed_not_the_first_one():
     # the first table is linear and fits at r = 1; the second is n^3 at
-    # both grids, with no flat window of first differences, so the failure
+    # both grids, whose second differences vanish on no tail, so the failure
     # is the second table's degree estimate exceeding r
     from brmult.multiplicity import _fit
 

@@ -1,7 +1,8 @@
 """Finite differences and leading-form extraction on integer tables."""
 
 import itertools
-from math import factorial
+from math import comb, factorial, prod
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from brmult.polyfit import (
     GridTooSmallError,
     LengthTable,
     StabilizationError,
+    WINDOW,
     finite_difference,
     leading_form,
     total_degree_estimate,
@@ -131,24 +133,26 @@ def test_exponential_table_never_stabilizes():
 
 
 def test_degree_overshoot_detected():
-    # first differences (1,1,2,2,3,3,4) pause on every other window but the
-    # second differences never vanish alongside them
+    # floor((n+1)^2 / 4) is no polynomial: its second differences alternate
+    # 0, 1, 0, ... up to the far corner, so no difference of any order
+    # vanishes on a tail and no degree estimate exists
     t = LengthTable(("n",), (0,), (8,), (0, 1, 2, 4, 6, 9, 12, 16))
-    with pytest.raises(DegreeExceedsError):
+    with pytest.raises(StabilizationError):
         leading_form(t, 1)
 
 
-def test_window_heuristic_can_be_fooled_by_flat_transients():
-    # a long flat start passes the window test before the growth begins;
-    # this is the documented limit of the certificate, mitigated by the
-    # pipelines' larger default grids
+def test_flat_transients_do_not_fool_the_tail_certificate():
+    # a flat start no longer passes for a tail: the second differences are
+    # 1 from n = 3 to the far corner, so the table is quadratic there
     t = LengthTable(("n",), (0,), (8,), (0, 0, 0, 0, 1, 3, 6, 10))
-    assert leading_form(t, 1).as_dict() == {(1,): 0}
+    with pytest.raises(DegreeExceedsError, match="estimate 2 exceeds r = 1"):
+        leading_form(t, 1)
+    assert total_degree_estimate(t) == 2
 
 
 def test_unstabilized_cubic_asked_too_low():
-    # no flat window at all, but the fourth differences vanish: the table's
-    # degree estimate, 3, is what classifies the failure
+    # the third differences vanish on no tail, but the fourth ones do: the
+    # table's degree estimate, 3, is what classifies the failure
     t = table_from(lambda n: n * n * n, ("n",), (0,), (9,))
     with pytest.raises(DegreeExceedsError, match="estimate 3 exceeds r = 2") as err:
         leading_form(t, 2)
@@ -167,7 +171,7 @@ def test_transient_then_polynomial():
     t = LengthTable(("n",), (0,), (8,), vals)
     lf = leading_form(t, 1)
     assert lf.as_dict() == {(1,): 2}
-    # the window starts past the nonlinear entries at 0 and 1
+    # the tail starts past the nonlinear entries at 0 and 1
     assert lf.base_point[0] >= 2
     assert total_degree_estimate(t) == 1
 
@@ -241,6 +245,83 @@ def test_difference_lowers_degree(terms):
     )
 
 
+@st.composite
+def polynomials_with_a_dirty_corner(draw):
+    """A polynomial of degree at most r on 1 to 3 axes as (terms, r), and a
+    table of it whose cells below a lower corner are overwritten, with at
+    least WINDOW + r + 1 clean points per axis above that corner. The
+    corner holds arbitrary integers or, as a flat transient would, a second
+    polynomial of degree at most r."""
+    arity = draw(st.integers(1, 3))
+    r = draw(st.integers(0, 3 if arity < 3 else 2))
+
+    def polynomial():
+        return {
+            alpha: draw(coeff)
+            for alpha in itertools.product(range(r + 1), repeat=arity)
+            if sum(alpha) <= r
+        }
+
+    terms = polynomial()
+    mimic = polynomial() if draw(st.booleans()) else None
+    corner = tuple(draw(st.integers(0, r + 3)) for _ in range(arity))
+    extents = tuple(c + WINDOW + r + 1 + draw(st.integers(0, 1)) for c in corner)
+    origin = tuple(draw(st.integers(-2, 2)) for _ in range(arity))
+    values = []
+    for idx in itertools.product(*(range(e) for e in extents)):
+        point = [o + i for o, i in zip(origin, idx)]
+        source = terms
+        if all(map(int.__lt__, idx, corner)):
+            if mimic is None:
+                values.append(draw(st.integers(-50, 50)))
+                continue
+            source = mimic
+        values.append(
+            sum(
+                c * prod(x**a for x, a in zip(point, alpha))
+                for alpha, c in source.items()
+            )
+        )
+    table = LengthTable(("p", "q", "n")[:arity], origin, extents, values)
+    return terms, r, table
+
+
+def brute_difference(t, alpha, idx):
+    """The order-alpha mixed difference of t at index idx, summed from the
+    table's own values: sum over beta <= alpha of
+    (-1)^|alpha - beta| prod C(alpha_i, beta_i) t(idx + beta)."""
+    total = 0
+    for beta in itertools.product(*(range(a + 1) for a in alpha)):
+        sign = (-1) ** (sum(alpha) - sum(beta))
+        weight = prod(comb(a, b) for a, b in zip(alpha, beta))
+        total += sign * weight * t.value(tuple(map(add, idx, beta)))
+    return total
+
+
+@given(polynomials_with_a_dirty_corner())
+@settings(max_examples=60, deadline=None)
+def test_a_dirty_corner_leaves_the_tail_certificate_exact(case):
+    terms, r, t = case
+    # the cells from the corner on along the first axis are clean, so a tail
+    # always vanishes there and the fit never fails
+    lf = leading_form(t, r)
+    expected = {
+        alpha: terms.get(alpha, 0) * prod(map(factorial, alpha))
+        for alpha in itertools.product(range(r + 1), repeat=t.arity)
+        if sum(alpha) == r
+    }
+    assert lf.as_dict() == expected
+    # every order-(r+1) difference is zero from the base point to its far corner
+    base = tuple(map(sub, lf.base_point, t.origin))
+    for alpha in itertools.product(range(r + 2), repeat=t.arity):
+        if sum(alpha) != r + 1:
+            continue
+        tail = itertools.product(
+            *(range(b, e - a) for b, e, a in zip(base, t.extents, alpha))
+        )
+        assert all(brute_difference(t, alpha, idx) == 0 for idx in tail)
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         LengthTable(("p", "n"), (0, 0), (2, 2), (1, 2, 3))
@@ -272,8 +353,8 @@ def test_a_table_builds_each_difference_once_outside_its_fields(monkeypatch):
 
 
 def test_degree_exceeds_carries_the_table_and_r():
-    # the table of test_degree_overshoot_detected
-    t = LengthTable(("n",), (0,), (8,), (0, 1, 2, 4, 6, 9, 12, 16))
+    # the table of test_flat_transients_do_not_fool_the_tail_certificate
+    t = LengthTable(("n",), (0,), (8,), (0, 0, 0, 0, 1, 3, 6, 10))
     with pytest.raises(DegreeExceedsError) as err:
         leading_form(t, 1)
     assert err.value.table is t and err.value.r == 1
