@@ -43,6 +43,7 @@ from .rings import (
     Polynomial,
     SubmoduleSpec,
     _dedup_monic,
+    _monic_monomial,
     power_generators,
     product_generators,
 )
@@ -61,21 +62,26 @@ __all__ = [
 def mixed_level(
     h1: SubmoduleSpec, h2: SubmoduleSpec, p: int, q: int, nu: int
 ) -> tuple:
-    """Generators of the nu-th mixed level between H1^p H2^q and the unit."""
+    """Generators of the nu-th mixed level between H1^p H2^q and the unit.
+
+    When every product H1^i H2^j in it is monomial, the level is the union
+    of their exponent tuples, made shared ``_monic_monomial``s in
+    ``_dedup_monic``'s order, so the products' own ``gens`` are not built.
+    """
     if h1.ring != h2.ring:
         raise GradingError("mixed level of submodules over different rings")
     if p < 0 or q < 0 or nu < 0:
         raise GradingError("mixed level indices must be nonnegative")
-    gens = []
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if i + j >= p + q - nu:
-                gens.extend(
-                    product_generators(
-                        power_generators(h1, i), power_generators(h2, j)
-                    ).gens
-                )
-    return _dedup_monic(gens)
+    products = [
+        product_generators(power_generators(h1, i), power_generators(h2, j))
+        for i in range(p + 1)
+        for j in range(q + 1)
+        if i + j >= p + q - nu
+    ]
+    if all(h._monomials is not None for h in products):
+        monos = {m for h in products for m in h._monomials}
+        return tuple(_monic_monomial(h1.ring, m) for m in sorted(monos, reverse=True))
+    return _dedup_monic(g for h in products for g in h.gens)
 
 
 def _contains(ring_pres, span_gens, g: Polynomial, memo) -> bool:
@@ -140,15 +146,15 @@ def check_filtration_inclusions(
     """
     memo = {} if memo is None else memo
     ring_pres = ModulePresentation(FreeModuleSpec(h1.ring, ((0, 0),)))
-    h1h2 = product_generators(h1, h2).gens
-    left = _exponents(h1h2)
+    h1h2 = product_generators(h1, h2)
+    left = h1h2._monomials
     results = []
     for nu in range(1, p + q + 1):
         level_nu = mixed_level(h1, h2, p, q, nu)
         lower = mixed_level(h1, h2, p, q, nu - 1)
         right = _exponents(level_nu)
         if None in (left, right, _exponents(lower)):
-            products = _dedup_monic(a * b for a in h1h2 for b in level_nu)
+            products = _dedup_monic(a * b for a in h1h2.gens for b in level_nu)
         else:  # exponent tuples, in _dedup_monic's order
             sums = {tuple(i + j for i, j in zip(a, b)) for a in left for b in right}
             products = sorted(sums, reverse=True)

@@ -348,16 +348,20 @@ def _span_plan(pres: ModulePresentation, items, cap: int) -> tuple:
     items' before the relations', and the largest and smallest base degree
     of the acting items (None when none act). The split follows the one
     rule of the module docstring; an all-monomial SubmoduleSpec, whose
-    generators are nonzero of one fiber degree, gives its exponents as is.
+    generators are nonzero of one fiber degree, gives its exponents as is,
+    and its base degrees are read off them, with no generator built.
     """
-    if isinstance(items, SubmoduleSpec):
-        acting = items.gens if items.fiber_degree <= cap else ()
-    else:
-        acting = [g for g in items if not g.is_zero() and g.bidegree()[1] <= cap]
-    monos = getattr(items, "_monomials", None) if acting else ()
     shifts = list(enumerate(pres.free.shifts))
     vectors = []
-    if monos is None:
+    if isinstance(items, SubmoduleSpec) and items._monomials is not None:
+        monos = items._monomials if items.fiber_degree <= cap else ()
+        nbase = len(pres.ring.base)
+        bases = [sum(m[:nbase]) for m in monos]
+    else:
+        if isinstance(items, SubmoduleSpec):
+            acting = items.gens if items.fiber_degree <= cap else ()
+        else:
+            acting = [g for g in items if not g.is_zero() and g.bidegree()[1] <= cap]
         monos = []
         for g in _interreduce(pres.ring, acting):
             if g.is_monomial():
@@ -365,6 +369,7 @@ def _span_plan(pres: ModulePresentation, items, cap: int) -> tuple:
             else:
                 gb, gf = g.bidegree()
                 vectors += [(((i, g),), (gb + ai, gf + ni)) for i, (ai, ni) in shifts]
+        bases = [g.bidegree()[0] for g in acting]
     comp_monos = [list(monos) for _ in shifts]
     for nonzero, target in pres._vectors:
         (i, entry), *rest = nonzero
@@ -372,7 +377,6 @@ def _span_plan(pres: ModulePresentation, items, cap: int) -> tuple:
             comp_monos[i].append(entry.terms[0][0])
         else:
             vectors.append((nonzero, target))
-    bases = [g.bidegree()[0] for g in acting]
     ideals = tuple(map(_prune_dominated, comp_monos))
     return ideals, tuple(vectors), max(bases, default=None), min(bases, default=None)
 

@@ -298,31 +298,67 @@ class SubmoduleSpec(Value):
     degrees may differ between generators, and the generator list is kept
     as given (no minimalization) apart from dropping zero entries. If all
     are monomials, ``_monomials`` keeps their exponents (else None).
+
+    A spec whose generators are all monic monomials is its exponent tuple:
+    its equality and hash read the ring, d and ``_monomials``, never a
+    Polynomial, and one built from exponents (``_of_monomials``, as the
+    products and powers of such specs are) makes its ``gens``, the shared
+    ``_monic_monomial``s, only when they are read. Any other spec compares
+    by its generators, coefficients included, so two specs are equal
+    exactly when their rings, d and generator sequences are.
     """
 
     ring: RingSpec
     fiber_degree: int
     gens: tuple
 
-    def __post_init__(self):
-        if self.fiber_degree < 0:
+    def __init__(self, ring, fiber_degree, gens):
+        if fiber_degree < 0:
             raise GradingError("negative fiber degree")
         kept, monos = [], []
-        for g in self.gens:
-            if g.ring is not self.ring and g.ring != self.ring:
+        for g in gens:
+            if g.ring is not ring and g.ring != ring:
                 raise GradingError("generator from a different ring")
             if g.is_zero():
                 continue
-            if g.fiber_degree() != self.fiber_degree:  # also rejects mixed bidegrees
+            if g.fiber_degree() != fiber_degree:  # also rejects mixed bidegrees
                 raise GradingError(
                     f"generator {g} has fiber degree {g.fiber_degree()},"
-                    f" declared {self.fiber_degree}"
+                    f" declared {fiber_degree}"
                 )
             kept.append(g)
             if len(g.terms) == 1:
                 monos.append(g.terms[0][0])
-        _setattr(self, "gens", tuple(kept))
-        _setattr(self, "_monomials", tuple(monos) if len(monos) == len(kept) else None)
+        kept = tuple(kept)
+        monos = tuple(monos) if len(monos) == len(kept) else None
+        one = ring.field.one
+        monic = monos is not None and all(g.terms[0][1] == one for g in kept)
+        self._set(ring, fiber_degree, kept, monos, monos if monic else kept)
+
+    def _set(self, ring, fiber_degree, gens, monos, key) -> None:
+        _setattr(self, "ring", ring)
+        _setattr(self, "fiber_degree", fiber_degree)
+        _setattr(self, "_gens", gens)
+        _setattr(self, "_monomials", monos)
+        _setattr(self, "_key", key)
+
+    @classmethod
+    def _of_monomials(cls, ring, fiber_degree, monos: tuple) -> "SubmoduleSpec":
+        """The spec of the monic x^m for the exponent tuples ``monos``, in
+        their order; the caller vouches that each has fiber degree d."""
+        spec = object.__new__(cls)
+        spec._set(ring, fiber_degree, None, monos, monos)
+        return spec
+
+    @property
+    def gens(self) -> tuple:
+        if self._gens is None:
+            gens = tuple(_monic_monomial(self.ring, m) for m in self._monomials)
+            _setattr(self, "_gens", gens)
+        return self._gens
+
+    def _values(self) -> tuple:
+        return (self.ring, self.fiber_degree, self._key)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.gens) or "0"
@@ -407,12 +443,13 @@ def power_generators(h: SubmoduleSpec, p: int) -> SubmoduleSpec:
     canonical basis of each bidegree's span. Multiplying by H^1 rather than
     by H's raw generators therefore gives the same H^p, and an H whose
     pieces reduce to monomials takes the all-monomial branch from p = 2 on.
-    p = 0 gives the unit submodule <1> at fiber degree 0.
+    p = 0 gives the unit submodule <1> at fiber degree 0, as an exponent
+    tuple, so the powers of a monomial H build no Polynomial.
     """
     if p < 0:
         raise GradingError("negative power of a submodule")
     if p == 0:
-        return SubmoduleSpec(h.ring, 0, (_monic_monomial(h.ring, (0,) * h.ring.nvars),))
+        return SubmoduleSpec._of_monomials(h.ring, 0, ((0,) * h.ring.nvars,))
     factor = h if p == 1 else power_generators(h, 1)
     return product_generators(power_generators(h, p - 1), factor)
 
@@ -421,17 +458,21 @@ def power_generators(h: SubmoduleSpec, p: int) -> SubmoduleSpec:
 def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
     """Generators of H1*H2: the pairwise products, one basis per bidegree.
 
-    The products are ``_interreduce``d: a bidegree group of monomials is
-    kept as it is and only loses its scalar-multiple duplicates.
     When both factors are monomial, the products are sums of exponent
-    tuples, deduplicated first and then made ``_monic_monomial``s.
+    tuples, deduplicated and sorted descending, and the product is built
+    from them alone (``SubmoduleSpec._of_monomials``): no Polynomial, and
+    one check that the leading sum has fiber degree d1 + d2. Otherwise the
+    products are ``_interreduce``d: a bidegree group of monomials is kept
+    as it is and only loses its scalar-multiple duplicates.
     """
     if h1.ring != h2.ring:
         raise GradingError("product of submodules over different rings")
     fiber_degree = h1.fiber_degree + h2.fiber_degree
     if h1._monomials is not None and h2._monomials is not None:
-        monos = {tuple(map(add, m1, m2)) for m1 in h1._monomials for m2 in h2._monomials}
-        gens = (_monic_monomial(h1.ring, m) for m in sorted(monos, reverse=True))
-        return SubmoduleSpec(h1.ring, fiber_degree, tuple(gens))
+        sums = {tuple(map(add, m1, m2)) for m1 in h1._monomials for m2 in h2._monomials}
+        monos = tuple(sorted(sums, reverse=True))
+        if monos and h1.ring.bidegree_of_monomial(monos[0])[1] != fiber_degree:
+            raise GradingError(f"product {monos[0]} not of fiber degree {fiber_degree}")
+        return SubmoduleSpec._of_monomials(h1.ring, fiber_degree, monos)
     products = _interreduce(h1.ring, (g1 * g2 for g1 in h1.gens for g2 in h2.gens))
     return SubmoduleSpec(h1.ring, fiber_degree, _dedup_monic(products))

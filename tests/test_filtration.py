@@ -57,6 +57,24 @@ def test_mixed_level_enumeration():
     assert any(str(g) == "1" for g in full)
 
 
+def test_monomial_levels_are_the_products_generators():
+    # a level of monomial products is the union of their exponent tuples;
+    # it must be the tuple their generators give, object for object
+    x, y = R2.gen("x"), R2.gen("y")
+    h1 = SubmoduleSpec(R2, 0, (x, y * y))
+    h2 = SubmoduleSpec(R2, 0, (x * x * 3, y))
+    for p, q in ((1, 2), (2, 2)):
+        for nu in range(p + q + 1):
+            products = [
+                product_generators(power_generators(h1, i), power_generators(h2, j))
+                for i, j in itertools.product(range(p + 1), range(q + 1))
+                if i + j >= p + q - nu
+            ]
+            expected = _dedup_monic(g for h in products for g in h.gens)
+            level = mixed_level(h1, h2, p, q, nu)
+            assert all(a is b for a, b in zip(level, expected, strict=True))
+
+
 def test_mixed_level_contains_unit_at_top():
     m = max_ideal(R2)
     for p in range(3):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import brmult.linalg as linalg
 import brmult.polyfit as polyfit
 from brmult.cli import parse_instance, run
-from brmult.fields import QQ, PrimeField
+from brmult.fields import QQ, PrimeField, Value
 from brmult.modules import CutoffExceeded, FreeModuleSpec, ModulePresentation
 from brmult.multiplicity import (
     KInstabilityError,
@@ -31,7 +31,13 @@ from brmult.multiplicity import (
     resolve_r,
 )
 from brmult.polyfit import DegreeExceedsError, LengthTable, StabilizationError
-from brmult.rings import GradingError, RingSpec, SubmoduleSpec, power_generators
+from brmult.rings import (
+    GradingError,
+    Polynomial,
+    RingSpec,
+    SubmoduleSpec,
+    power_generators,
+)
 from brmult.verify import check_mixed_operator_formula, check_symmetry
 from corpus import curated_local, curated_mixed, curated_pure, parameter_matrices
 from dense_oracle import Matrix, rank, samuel_function
@@ -93,6 +99,32 @@ def test_block_vs_max_walks_one_series_per_span(monkeypatch):
     # one span plan per generator set and cap: the 36 sets H1^p H2^q, whose
     # cap is always p, and the free slice of krull_dimension
     assert modules._span_plan.cache_info().misses == 37
+
+
+def test_block_vs_max_builds_no_product_polynomial(monkeypatch):
+    # the powers and products of the grid-5 query are exponent tuples, so
+    # it builds no Polynomial, and its cache keys hash no generator: when
+    # each product built, validated and hashed its generator Polynomials,
+    # the query made 861 of them (881 with the CLI's parse) and 4,536
+    # Value.__hash__ calls
+    [inst] = [inst for inst in curated_mixed() if inst.name == "block-vs-max"]
+    query = ProductQuery(inst.module, (inst.h1, inst.h2), grid=5)
+    clear_caches()
+    counts = {"polynomials": 0, "hashes": 0}
+    build, value_hash = Polynomial.__init__, Value.__hash__
+
+    def counted_build(self, *args):
+        counts["polynomials"] += 1
+        build(self, *args)
+
+    def counted_hash(self):
+        counts["hashes"] += 1
+        return value_hash(self)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted_build)
+    monkeypatch.setattr(Value, "__hash__", counted_hash)
+    assert br_multiplicities(query).r == 3
+    assert counts == {"polynomials": 0, "hashes": 1831}
 
 
 def test_numerator_recursion_prunes_nothing(monkeypatch):

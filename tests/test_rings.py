@@ -12,6 +12,7 @@ from brmult.rings import (
     RingSpec,
     SubmoduleSpec,
     _echelon_basis,
+    _monic_monomial,
     monomial_basis,
     power_generators,
     product_generators,
@@ -195,6 +196,39 @@ def test_equal_monomial_generators_are_one_object():
     right = product_generators(product_generators(h2, t), h2).gens
     assert len(left) == 3
     assert all(a is b for a, b in zip(left, right, strict=True))
+
+
+@given(st.integers(0, 2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_specs_built_from_exponents_equal_specs_built_from_polynomials(d, data):
+    # H^1 and the products with the unit are built from exponent tuples;
+    # they must compare and hash as the spec of the same monic
+    # Polynomials in the same order, and read the shared monomials
+    basis = [m for a in range(3) for m in monomial_basis(R22, (a, d))]
+    monos = data.draw(st.lists(st.sampled_from(basis), max_size=6))
+    coeffs = data.draw(
+        st.lists(st.integers(1, 3), min_size=len(monos), max_size=len(monos))
+    )
+    h = SubmoduleSpec(R22, d, tuple(map(R22.monomial, monos, coeffs)))
+    expected = sorted(set(monos), reverse=True)
+    fresh = SubmoduleSpec(R22, d, tuple(map(R22.monomial, expected)))
+    unit = power_generators(h, 0)
+    for spec in (
+        power_generators(h, 1),
+        product_generators(h, unit),
+        product_generators(unit, h),
+    ):
+        assert spec == fresh and fresh == spec
+        assert hash(spec) == hash(fresh)
+        shared = [_monic_monomial(R22, m) for m in expected]
+        assert all(a is b for a, b in zip(spec.gens, shared, strict=True))
+    if expected:
+        # a coefficient other than 1 keeps a spec unequal, as does another order
+        scaled = SubmoduleSpec(R22, d, (R22.monomial(expected[0], 2),) + fresh.gens[1:])
+        assert scaled != fresh and fresh != scaled
+        assert scaled == SubmoduleSpec(R22, d, scaled.gens)
+    if len(expected) >= 2:
+        assert SubmoduleSpec(R22, d, fresh.gens[::-1]) != fresh
 
 
 def test_product_fiber_degrees_add():
