@@ -172,7 +172,7 @@ def assoc_graded_piece_dims(
     pres: ModulePresentation,
     modulus: SubmoduleSpec,
     i_index: int,
-    cutoff: int = DEFAULT_CUTOFF,
+    cutoff: Optional[int] = DEFAULT_CUTOFF,
 ) -> LengthResult:
     """Per-base-degree dims of I^i M / (I^(i+1) M + modulus * I^i M).
 
@@ -235,7 +235,7 @@ def filtration_factor_lengths(
     h: SubmoduleSpec,
     p: int,
     n: int,
-    cutoff: int = DEFAULT_CUTOFF,
+    cutoff: Optional[int] = DEFAULT_CUTOFF,
 ) -> tuple:
     """Lengths of the p+1 filtration factors of the slice at fiber pd+n.
 
@@ -258,7 +258,7 @@ def mixed_factor_lengths(
     p: int,
     q: int,
     n: int,
-    cutoff: int = DEFAULT_CUTOFF,
+    cutoff: Optional[int] = DEFAULT_CUTOFF,
 ) -> tuple:
     """Lengths of the mixed filtration factors of the slice at (p, q, n).
 

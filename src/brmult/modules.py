@@ -27,15 +27,15 @@ free component i, and the basis monomials they span are counted from the
 bigraded Hilbert numerator of S/J_i (Bayer-Stillman, "Computation of
 Hilbert functions", J. Symb. Comp. 1992; Bigatti, "Computation of
 Hilbert-Poincare series", JPAA 119, 1997), computed once per ideal. A
-walk over one fiber degree folds the components' numerators into one
-polynomial in X and expands it as a power series in the base degree, by
-running sums. Its coefficients count the monomials the span's monomial
-part leaves, and a walk reads dim F / (K + span) off that one series.
-Only the other vectors go through field elimination, as the sparse
-``{position: coefficient}`` rows that ``linalg.subspace_dim`` takes, and
-only where the monomial part leaves monomials: the rank of a union of
-distinct unit vectors U and other rows V is |U| plus the rank of V with
-the U coordinates cleared, so this is exact.
+walk of T / B over one fiber degree folds the components' numerators
+into P_B - P_T, a polynomial in X, and divides it by (1 - X)^s with s
+running sums. Every pass ends at 0 exactly when T / B is finite, and the
+quotient's coefficients are then its dims; otherwise the series is
+expanded degree by degree. Only the other vectors go through field
+elimination, degree by degree, as the sparse ``{position: coefficient}``
+rows that ``linalg.subspace_dim`` takes, and only where the monomial part
+leaves monomials: the rank of a union of distinct unit vectors U and
+other rows V is |U| plus the rank of V with the U coordinates cleared.
 
 Fiber-slice lengths carry a finiteness certificate: the quotient being
 measured is generated in base degrees <= D, so the first zero summand at
@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from operator import add, ge
+from operator import add, ge, sub
 from typing import Optional, Sequence
 
 from .fields import Value
@@ -75,7 +75,8 @@ __all__ = [
     "DEFAULT_CUTOFF",
 ]
 
-DEFAULT_CUTOFF = 64
+# A walk the division proves finite runs to its stop; others stop at 64.
+DEFAULT_CUTOFF = None
 
 
 class CutoffExceeded(RuntimeError):
@@ -209,6 +210,7 @@ def piece_basis(free: FreeModuleSpec, deg) -> tuple:
     return basis, {key: flat for flat, key in enumerate(basis)}
 
 
+@lru_cache(maxsize=1024)
 def _monomial_count(degree: int, nvars: int) -> int:
     """Number of monomials of ``degree`` in ``nvars`` variables."""
     if degree < 0:
@@ -302,24 +304,33 @@ def _hilbert_numerator(gens: tuple, nbase: int) -> tuple:
     return tuple((b, f, c) for (b, f), c in sorted(poly.items()))
 
 
-def _standard_dims(pres: ModulePresentation, fiber_deg: int, ideals):
-    """Dims of F / (J_1 e_1 + ... + J_r e_r) at base degrees 0, 1, ... of
-    ``fiber_deg`` = n, J_i minimally generated by ``ideals[i]`` (F for ()).
-
-    The dim at base degree a is the X^a coefficient of P(X) / (1 - X)^s,
-    P(X) = sum_i X^{a_i} sum_{(b, f, c) in N(J_i)} c m_t(n - n_i - f) X^b,
-    so s running sums of P's coefficients yield one degree at a time.
-    """
+def _standard_dims(pres: ModulePresentation, fiber_deg: int, ideals) -> list:
+    """The numerator of the dims of F / (J_1 e_1 + ... + J_r e_r) at fiber
+    degree n, J_i minimally generated by ``ideals[i]``: their series is
+    P(X) / (1 - X)^s, P(X) = sum_i X^{a_i} sum_{(b, f, c) in N(J_i)}
+    c m_t(n - n_i - f) X^b, and the list holds P's coefficients."""
     s, t = len(pres.ring.base), len(pres.ring.fiber)
-    numerator = {}
+    numerator = []
     for gens, (ai, ni) in zip(ideals, pres.free.shifts):
-        for b, f, c in _hilbert_numerator(gens, s):
-            count = c * _monomial_count(fiber_deg - ni - f, t)
-            numerator[ai + b] = numerator.get(ai + b, 0) + count
-    dims = map(numerator.get, itertools.count(), itertools.repeat(0))
+        terms = _hilbert_numerator(gens, s)  # sorted, so the last b is the largest
+        numerator += [0] * (ai + terms[-1][0] + 1 - len(numerator)) if terms else []
+        for b, f, c in terms:
+            numerator[ai + b] += c * _monomial_count(fiber_deg - ni - f, t)
+    return numerator
+
+
+def _series(numerator: list, s: int) -> tuple:
+    """``numerator`` / (1 - X)^s as a power series, and whether it is a
+    polynomial: a running sum divides by 1 - X exactly if it ends at 0."""
+    quotient = numerator
     for _ in range(s):
-        dims = itertools.accumulate(dims)
-    return dims
+        quotient = list(itertools.accumulate(quotient))
+        if quotient and quotient.pop():
+            dims = itertools.chain(numerator, itertools.repeat(0))
+            for _ in range(s):
+                dims = itertools.accumulate(dims)
+            return dims, False
+    return itertools.chain(quotient, itertools.repeat(0)), True
 
 
 def _plan(pres: ModulePresentation, items, fiber_deg: int) -> tuple:
@@ -423,7 +434,7 @@ def _quotient_dim(pres: ModulePresentation, deg, plan, standard: int) -> int:
 def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
     """``_quotient_dim`` at base degrees 0, 1, ... of ``fiber_deg``: the
     standard series itself when there are no polynomial rows."""
-    dims = _standard_dims(pres, fiber_deg, plan[0])
+    dims, _ = _series(_standard_dims(pres, fiber_deg, plan[0]), len(pres.ring.base))
     if not plan[1]:
         return dims
     return (_quotient_dim(pres, (a, fiber_deg), plan, s) for a, s in enumerate(dims))
@@ -436,8 +447,8 @@ def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) ->
     free = len(piece_basis(pres.free, deg)[0])
     if a < 0:
         return free
-    standard = next(itertools.islice(_standard_dims(pres, n, plan[0]), a, None))
-    return free - _quotient_dim(pres, deg, plan, standard)
+    dims, _ = _series(_standard_dims(pres, n, plan[0]), len(pres.ring.base))
+    return free - _quotient_dim(pres, deg, plan, next(itertools.islice(dims, a, None)))
 
 
 class LengthResult(Value):
@@ -453,19 +464,63 @@ class LengthResult(Value):
     stop_degree: int
 
 
-def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom):
+def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom) -> tuple:
     """Dims of (T / B) at base degrees 0, 1, 2, ... of one fiber degree,
-    for the span plans ``top`` and ``bottom``; T is F for ``top`` None.
-    T must contain B, so a negative dim F/B - dim F/T trips an assertion."""
-    bottoms = _quotient_dims(pres, fiber_deg, bottom)
-    tops = itertools.repeat(0) if top is None else _quotient_dims(pres, fiber_deg, top)
-    for a, (top_q, bottom_q) in enumerate(zip(tops, bottoms)):
-        if bottom_q < top_q:
-            raise AssertionError(
-                f"spanning sets not nested at bidegree {(a, fiber_deg)}:"
-                f" dim F/T {top_q} > dim F/B {bottom_q}"
+    for the span plans ``top`` and ``bottom`` (T is F for ``top`` None), and
+    whether the division proved all but finitely many of them 0."""
+    if bottom[1] or top is not None and top[1]:
+        bottoms = _quotient_dims(pres, fiber_deg, bottom)
+        tops = _quotient_dims(pres, fiber_deg, top) if top else itertools.repeat(0)
+        dims, finite = map(sub, bottoms, tops), False
+    else:
+        numerator = _standard_dims(pres, fiber_deg, bottom[0])
+        if top is not None:
+            tops = _standard_dims(pres, fiber_deg, top[0])
+            pairs = itertools.zip_longest(numerator, tops, fillvalue=0)
+            numerator = [b - t for b, t in pairs]
+        dims, finite = _series(numerator, len(pres.ring.base))
+    return _nested(pres, fiber_deg, top, bottom, dims), finite
+
+
+def _nested(pres: ModulePresentation, fiber_deg: int, top, bottom, dims):
+    """``dims``, refused at the first negative one: T does not contain B."""
+    for a, dim in enumerate(dims):
+        if dim < 0:
+            bottom_q, top_q = (
+                next(itertools.islice(_quotient_dims(pres, fiber_deg, plan), a, None))
+                for plan in (bottom, top)
             )
-        yield bottom_q - top_q
+            message = f"spanning sets not nested at bidegree {(a, fiber_deg)}:"
+            raise AssertionError(f"{message} dim F/T {top_q} > dim F/B {bottom_q}")
+        yield dim
+
+
+def _length(pres, fiber_deg: int, top, bottom, cutoff) -> LengthResult:
+    """``graded_slice_length`` on the span plans ``top`` and ``bottom``."""
+    shifts = [a for a, _ in pres.free.shifts]
+    high = 0 if top is None else top[2]  # the free slice acts from base degree 0
+    certificate = 0 if high is None else high + max(shifts, default=0)
+    dims, finite = _slice_dims(pres, fiber_deg, top, bottom)
+    if cutoff is None and not finite:
+        cutoff = 64  # None is left only where the division proved no cutoff needed
+    if cutoff is not None and cutoff < certificate:
+        raise CutoffTooSmall(
+            fiber_deg, cutoff, certificate, "where its finiteness certificate starts"
+        )
+    per_degree = []
+    for a, summand in enumerate(dims):
+        per_degree.append(summand)
+        if summand == 0 and a >= certificate:
+            return LengthResult(sum(per_degree), tuple(per_degree), a)
+        if cutoff is not None and a >= cutoff:
+            # Below this base degree no bottom item spans anything, so a walk
+            # cut off there has not tested the quotient by them at all.
+            reach = 0 if bottom[3] is None else bottom[3] + min(shifts, default=0)
+            if cutoff < reach:
+                raise CutoffTooSmall(
+                    fiber_deg, cutoff, reach, "where the spans it divides by first act"
+                )
+            raise CutoffExceeded(fiber_deg, cutoff)
 
 
 def graded_slice_length(
@@ -473,7 +528,7 @@ def graded_slice_length(
     fiber_deg: int,
     top_items: Optional[Sequence[Polynomial]] = None,
     bottom_items: Sequence[Polynomial] = (),
-    cutoff: int = DEFAULT_CUTOFF,
+    cutoff: Optional[int] = DEFAULT_CUTOFF,
 ) -> LengthResult:
     """Length of (T / B) summed over base degrees at one fiber degree.
 
@@ -486,32 +541,18 @@ def graded_slice_length(
 
     A walk that reaches ``cutoff`` raises CutoffExceeded, or CutoffTooSmall
     when the cutoff lies below the certificate degree (checked up front)
-    or below the base degree where the ``bottom_items`` first act.
+    or below the base degree where the ``bottom_items`` first act. For
+    ``cutoff`` None, see DEFAULT_CUTOFF.
     """
     top = None if top_items is None else _plan(pres, top_items, fiber_deg)
-    bottom = _plan(pres, bottom_items, fiber_deg)
-    shifts = [a for a, _ in pres.free.shifts]
-    high = 0 if top is None else top[2]  # the free slice acts from base degree 0
-    certificate = 0 if high is None else high + max(shifts, default=0)
-    if cutoff < certificate:
-        raise CutoffTooSmall(
-            fiber_deg, cutoff, certificate, "where its finiteness certificate starts"
-        )
-    # Below this base degree no bottom item spans anything, so a walk cut
-    # off there has not tested the quotient by them at all.
-    reach = 0 if bottom[3] is None else bottom[3] + min(shifts, default=0)
+    return _length(pres, fiber_deg, top, _plan(pres, bottom_items, fiber_deg), cutoff)
 
-    per_degree = []
-    for a, summand in enumerate(_slice_dims(pres, fiber_deg, top, bottom)):
-        per_degree.append(summand)
-        if summand == 0 and a >= certificate:
-            return LengthResult(sum(per_degree), tuple(per_degree), a)
-        if a >= cutoff:
-            if cutoff < reach:
-                raise CutoffTooSmall(
-                    fiber_deg, cutoff, reach, "where the spans it divides by first act"
-                )
-            raise CutoffExceeded(fiber_deg, cutoff)
+
+def generated_lengths(pres, gens: SubmoduleSpec, ns: range, cutoff=DEFAULT_CUTOFF):
+    """``graded_slice_length(pres, d + n, None, gens, cutoff)`` for n in ``ns``,
+    d the fiber degree of ``gens``: a table row, walked on one span plan."""
+    plan = _plan(pres, gens, gens.fiber_degree)
+    return tuple(_length(pres, gens.fiber_degree + n, None, plan, cutoff) for n in ns)
 
 
 def slice_dims_up_to(
@@ -530,8 +571,8 @@ def slice_dims_up_to(
     hold piece by piece compare these vectors.
     """
     top = None if top_items is None else _plan(pres, top_items, fiber_deg)
-    walk = _slice_dims(pres, fiber_deg, top, _plan(pres, bottom_items, fiber_deg))
-    return tuple(dim for _, dim in zip(range(max_degree + 1), walk))
+    dims, _ = _slice_dims(pres, fiber_deg, top, _plan(pres, bottom_items, fiber_deg))
+    return tuple(itertools.islice(dims, max_degree + 1))
 
 
 def krull_dimension(pres: ModulePresentation) -> int:

@@ -16,8 +16,8 @@ by 2 per axis if the fit fails, after which the failure is raised. All
 pipelines share one fit driver.
 
 A ProductQuery holds one or two submodules. lambda_product(p, n) is the
-q = 0 face of lambda_product(p, q, n) with H1 = H: both are cells of one
-product length, cached by the generators of H_1^e_1 ... H_k^e_k.
+q = 0 face of lambda_product(p, q, n) with H1 = H. Only n changes along a
+row, so a row builds H_1^e_1 ... H_k^e_k and its span plan once.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from .fields import Value
 from .filtration import assoc_graded_piece_dims
 from .modules import (
     DEFAULT_CUTOFF,
-    LengthResult,
     ModulePresentation,
-    graded_slice_length,
+    generated_lengths,
     krull_dimension,
     slice_dims_up_to,
 )
@@ -104,7 +103,7 @@ class ProductQuery(Value):
     subs: tuple
     r: Optional[int] = None
     grid: Optional[int] = None
-    cutoff: int = DEFAULT_CUTOFF
+    cutoff: Optional[int] = DEFAULT_CUTOFF
 
     def __post_init__(self):
         if not 1 <= len(self.subs) <= 2:
@@ -124,7 +123,7 @@ class LocalQuery(Value):
     k: Optional[int] = None
     r: Optional[int] = None
     grid: Optional[int] = None
-    cutoff: int = DEFAULT_CUTOFF
+    cutoff: Optional[int] = DEFAULT_CUTOFF
 
     def __post_init__(self):
         if self.module.ring.fiber:
@@ -162,11 +161,9 @@ class LocalReport(Value):
     enlarged: bool
 
 
-def _product_length(
-    module: ModulePresentation, subs: tuple, powers: tuple, n: int, cutoff: int
-) -> LengthResult:
-    """The length of M_{d_1 e_1 + ... + d_k e_k + n} / H_1^e_1 ... H_k^e_k M_n
-    for the submodules ``subs`` and the exponents ``powers``."""
+def _row(module: ModulePresentation, subs: tuple, powers: tuple, count: int, cutoff):
+    """The lengths of M_{d_1 e_1 + ... + d_k e_k + n} / H_1^e_1 ... H_k^e_k M_n
+    for the submodules ``subs``, the exponents ``powers`` and n < ``count``."""
     factors = tuple(zip(subs, powers, strict=True))
     starved = any(e >= 1 and not h.gens for h, e in factors)
     if starved and any(
@@ -180,15 +177,16 @@ def _product_length(
     gens = power_generators(*factors[0])
     for h, e in factors[1:]:
         gens = product_generators(gens, power_generators(h, e))
-    return _generated_length(module, gens, gens.fiber_degree + n, cutoff)
+    row = _generated_row(module, gens, cutoff)
+    if len(row) < count:
+        row += generated_lengths(module, gens, range(len(row), count), cutoff)
+    return row[:count]
 
 
 @lru_cache(maxsize=None)
-def _generated_length(module, gens: SubmoduleSpec, fiber: int, cutoff: int):
-    """The length of M_fiber / (the span of ``gens``) M, keyed by the
-    generators, not by the product naming them: H1^p H2^q and H2^q H1^p,
-    or (H1 H2)^p and H1^p H2^p, have one canonical generator set."""
-    return graded_slice_length(module, fiber, None, gens, cutoff)
+def _generated_row(module, gens: SubmoduleSpec, cutoff) -> list:
+    """The ``generated_lengths`` of the canonical ``gens`` walked so far."""
+    return []
 
 
 def lambda_product(query: ProductQuery, *point: int) -> int:
@@ -198,9 +196,8 @@ def lambda_product(query: ProductQuery, *point: int) -> int:
         raise ValueError(f"expected {len(query.subs) + 1} indices, got {len(point)}")
     if min(point) < 0:
         raise ValueError("indices must be nonnegative")
-    return _product_length(
-        query.module, query.subs, point[:-1], point[-1], query.cutoff
-    ).total
+    *powers, n = point
+    return _row(query.module, query.subs, tuple(powers), n + 1, query.cutoff)[n].total
 
 
 _REFIT = (StabilizationError, GridTooSmallError, DegreeExceedsError)
@@ -246,8 +243,9 @@ def pure_table(query: ProductQuery, gmax: int) -> tuple:
     module, subs, cutoff = query.module, query.subs, query.cutoff
     arity = len(subs) + 1
     results = [
-        _product_length(module, subs, point[:-1], point[-1], cutoff)
-        for point in itertools.product(range(gmax + 1), repeat=arity)
+        res
+        for powers in itertools.product(range(gmax + 1), repeat=len(subs))
+        for res in _row(module, subs, powers, gmax + 1, cutoff)
     ]
     totals = tuple(res.total for res in results)
     axes = ("p", "q")[: len(subs)] + ("n",)

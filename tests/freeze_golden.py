@@ -30,12 +30,14 @@ PER_INSTANCE = (
     "verify inclusions {} --grid 4",
 )
 # Files whose full PER_INSTANCE set takes seconds: the monomial r = 5
-# block keeps only its ``br``, the non-monomial block gets no forms, and
-# the pairs with a rank-2 submodule trade ``verify all`` and
-# ``verify inclusions`` for ``verify operator``.
-PAIR_FORMS = PER_INSTANCE[:3] + ("verify operator {}",)
+# block keeps its ``br``, ``lambda --csv`` and ``verify telescoping``,
+# the non-monomial block gets no forms, and the pairs with a rank-2
+# submodule trade ``verify all`` and ``verify inclusions`` for
+# ``verify operator`` and ``verify factor-sum``. Each kept form runs in
+# under 0.5 s in-process.
+PAIR_FORMS = PER_INSTANCE[:3] + ("verify operator {}", "verify factor-sum {}")
 FORMS = {
-    "block_3x3.txt": ("br {}",),
+    "block_3x3.txt": ("br {}", "lambda {} --csv", "verify telescoping {}"),
     "minors_3var.txt": (),
     "module_pair.txt": PAIR_FORMS,
     "ideal_module_pair.txt": PAIR_FORMS,

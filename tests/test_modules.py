@@ -16,6 +16,7 @@ from brmult.modules import (
     ModulePresentation,
     ZeroModuleError,
     _hilbert_numerator,
+    _series,
     _prune_dominated,
     _standard_dims,
     graded_slice_length,
@@ -34,6 +35,7 @@ from brmult.rings import (
 )
 from dense_oracle import (
     Matrix,
+    dense_piece_dim,
     dense_slice_dims,
     piece_subspace,
     quadratic_prune,
@@ -104,6 +106,29 @@ def test_infinite_quotient_hits_cutoff():
     # x spans from base degree 1 on, so a cutoff of 3 did test it
     with pytest.raises(CutoffExceeded):
         graded_slice_length(m, 0, None, [R2.gen("x")], cutoff=3)
+
+
+def test_no_cutoff_binds_only_walks_the_division_cannot_finish():
+    m = free_module(R2)
+    x, y = R2.gen("x"), R2.gen("y")
+    # k[x,y]/(x^40, y^40) is finite and ends at base degree 79: with no
+    # cutoff the division reads it whole, a cutoff of 64 still stops it
+    res = graded_slice_length(m, 0, None, [x**40, y**40])
+    assert (res.total, res.stop_degree) == (1600, 79)
+    with pytest.raises(CutoffExceeded) as err:
+        graded_slice_length(m, 0, None, [x**40, y**40], cutoff=64)
+    assert (err.value.fiber_degree, err.value.cutoff) == (0, 64)
+    # an infinite monomial quotient is still cut off at 64
+    with pytest.raises(CutoffExceeded) as err:
+        graded_slice_length(m, 0, None, [x**40])
+    assert err.value.cutoff == 64
+    # (x^70 + y^70, xy) is finite too, but a span with a polynomial is
+    # counted degree by degree, which stops at 64 with no cutoff given
+    with pytest.raises(CutoffExceeded) as err:
+        graded_slice_length(m, 0, None, [x**70 + y**70, x * y])
+    assert err.value.cutoff == 64
+    res = graded_slice_length(m, 0, None, [x**70 + y**70, x * y], cutoff=80)
+    assert res.total == 140
 
 
 def test_cutoff_below_what_the_walk_needs_is_too_small():
@@ -280,8 +305,9 @@ def _brute_standard_count(ring, gens, deg):
 
 def _series_standard_counts(ring, gens, n, count):
     """Standard monomials of (gens) at base degrees 0..count-1 of fiber
-    degree n, read off the Hilbert series walk."""
-    return list(islice(_standard_dims(free_module(ring), n, (gens,)), count))
+    degree n, read off the expanded Hilbert series."""
+    numerator = _standard_dims(free_module(ring), n, (gens,))
+    return list(islice(_series(numerator, len(ring.base))[0], count))
 
 
 def test_hilbert_numerator_of_a_bigraded_monomial_ideal():
@@ -508,23 +534,62 @@ def walk_cases(draw):
 
     The unit joins the items now and then. The bottom items are a subset
     of the top ones, so T contains B, as in the factor-sum checks; a top
-    of None is the free slice. Cutoffs are small enough to stop walks on
-    infinite quotients and to fall below certificate and reach degrees.
+    of None is the free slice. Now and then, over monomial relations, the
+    top and the bottom are two fresh lists of monomials instead, so T and
+    B need not nest and a walk must refuse them where a dim turns
+    negative. Cutoffs are small
+    enough to stop walks on infinite quotients and to fall below
+    certificate and reach degrees.
     """
-    pres, fiber, items = draw(span_cases(max_terms=draw(st.sampled_from((1, 2)))))
+    max_terms = draw(st.sampled_from((1, 2)))
+    pres, fiber, items = draw(span_cases(max_terms=max_terms))
     if draw(st.booleans()):
         items.append(pres.ring.one)
     chosen = [draw(st.booleans()) for _ in items]
     bottom = [g for g, keep in zip(items, chosen) if keep]
     top = None if draw(st.booleans()) else items
+    if max_terms == 1 and draw(st.booleans()):
+        ring = pres.ring
+        bidegrees = st.tuples(  # low enough to act on the walk's slice
+            st.integers(0, 2 if ring.base else 0), st.integers(0, fiber)
+        )
+        monomial = bidegrees.flatmap(lambda deg: polynomials(ring, deg, 1))
+        monomials = st.lists(monomial, min_size=1, max_size=3)
+        top, bottom = draw(monomials), draw(monomials)
     return pres, fiber, top, bottom, draw(st.integers(0, 5))
+
+
+def _not_nested(pres, fiber, top, bottom, a):
+    """The assertion a walk of T / B raises at base degree ``a``, with
+    dim F/T and dim F/B counted densely."""
+    deg = (a, fiber)
+    top_q, bottom_q = (dense_piece_dim(pres, deg, None, g) for g in (top, bottom))
+    message = f"spanning sets not nested at bidegree {deg}:"
+    return AssertionError, f"{message} dim F/T {top_q} > dim F/B {bottom_q}"
+
+
+def _expected_dims(pres, fiber, top, bottom, max_degree):
+    """``slice_dims_up_to`` from dense dims, or the assertion it raises at
+    the first negative one."""
+    dims = dense_slice_dims(pres, fiber, top, bottom, max_degree)
+    bad = [a for a, dim in enumerate(dims) if dim < 0]
+    return _not_nested(pres, fiber, top, bottom, bad[0]) if bad else dims
+
+
+def _dims_outcome(pres, fiber, top, bottom, max_degree):
+    """``slice_dims_up_to`` in the shape ``_expected_dims`` returns."""
+    try:
+        return slice_dims_up_to(pres, fiber, top, bottom, max_degree)
+    except AssertionError as err:
+        return AssertionError, str(err)
 
 
 def _expected_walk(pres, fiber, top, bottom, cutoff):
     """The outcome of a slice walk from dense per-degree dims and the stop
     rule: the first zero summand at or past the certificate degree stops
     it, and a cutoff below that degree, or reached before a zero summand,
-    raises."""
+    raises. A negative summand on the way raises that T does not contain
+    B."""
     shifts = [a for a, _ in pres.free.shifts]
     if top is None:
         certificate = max(shifts)
@@ -535,6 +600,8 @@ def _expected_walk(pres, fiber, top, bottom, cutoff):
         return CutoffTooSmall, certificate
     dims = dense_slice_dims(pres, fiber, top, bottom, cutoff)
     for a, dim in enumerate(dims):
+        if dim < 0:
+            return _not_nested(pres, fiber, top, bottom, a)
         if dim == 0 and a >= certificate:
             return dims[: a + 1], a
     bottom_degrees = [gb for _, _, gb in slice_generators(bottom, fiber)]
@@ -552,16 +619,30 @@ def _walk_outcome(pres, fiber, top, bottom, cutoff):
         return CutoffTooSmall, err.needed
     except CutoffExceeded as err:
         return CutoffExceeded, err.cutoff
+    except AssertionError as err:
+        return AssertionError, str(err)
 
 
+def _unnested_walks():
+    """Walks of T / B with B not in T: (x^2) over (x), by the division
+    reader, and (x^2 + y^2) over (x, y), by elimination."""
+    x, y, t = R2.gens()
+    return [
+        (free_module(R2), 0, [x * x], [x], 4),
+        (free_module(R2), 1, [(x * x + y * y) * t], [x * t, y], 4),
+    ]
+
+
+@example(_unnested_walks()[0])
+@example(_unnested_walks()[1])
 @given(walk_cases())
 @settings(max_examples=100, deadline=None)
 def test_slice_walks_match_the_dense_per_degree_count(case):
     pres, fiber, top, bottom, cutoff = case
     expected = _expected_walk(pres, fiber, top, bottom, cutoff)
     assert _walk_outcome(pres, fiber, top, bottom, cutoff) == expected
-    dims = slice_dims_up_to(pres, fiber, top, bottom, cutoff)
-    assert dims == dense_slice_dims(pres, fiber, top, bottom, cutoff)
+    expected = _expected_dims(pres, fiber, top, bottom, cutoff)
+    assert _dims_outcome(pres, fiber, top, bottom, cutoff) == expected
 
 
 def _mixed_level_walk():
@@ -593,8 +674,8 @@ def test_walks_reuse_each_span_plan_from_either_side(case):
         for fiber in fibers:
             expected = _expected_walk(pres, fiber, top, bottom, cutoff)
             assert _walk_outcome(pres, fiber, top, bottom, cutoff) == expected
-            dims = slice_dims_up_to(pres, fiber, top, bottom, cutoff)
-            assert dims == dense_slice_dims(pres, fiber, top, bottom, cutoff)
+            expected = _expected_dims(pres, fiber, top, bottom, cutoff)
+            assert _dims_outcome(pres, fiber, top, bottom, cutoff) == expected
 
 
 def test_polynomial_rows_are_cleared_by_their_own_component_ideal():
