@@ -47,8 +47,8 @@ def main():
     print("lambda(n) versus length(M / I^{n+1} M) for I = (x^2, y^2):")
     for n in range(5):
         via_graded = lambda_local(q, n, k=6)
-        power = power_generators(squares, n + 1).gens
-        via_quotient = graded_slice_length(module, 0, None, power).total
+        power = power_generators(squares, n + 1)
+        via_quotient = graded_slice_length(module, 0, None, (power,)).total
         marker = "==" if via_graded == via_quotient else "!="
         print(f"  n={n}: {via_graded} {marker} {via_quotient}")
     print()

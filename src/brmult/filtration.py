@@ -6,13 +6,15 @@ One submodule H of fiber degree d filters the slice M_{pd+n} through
 
 for nu = 0..p, with M_j = 0 for j < 0. The factor lengths telescope: their
 sum is the length of M_{pd+n} / H^(p+1) M_{n-d}. Each factor is given by
-the slice generators of its two powers, as ``modules`` takes them.
+the spans (H^nu,) and (H^(nu+1),) of its two powers, tuples of
+SubmoduleSpecs as ``modules`` takes them.
 
 Two submodules H1, H2 give the mixed filtration level
 
     level(p, q, nu) = sum of H1^i H2^j over i <= p, j <= q, i+j >= p+q-nu,
 
-which is H1^p H2^q at nu = 0 and the unit ideal once nu >= p+q. The levels
+which is H1^p H2^q at nu = 0 and the unit ideal once nu >= p+q. A level
+is that sum as a span: the tuple of its distinct products. The levels
 nest, multiplying by H1 H2 drops a level back down, and dropping both p
 and q by one absorbs a level. The factor lengths of the induced slice
 filtration sum to the mixed quotient length at (p+1, q+1, n-d1-d2).
@@ -38,15 +40,7 @@ from .modules import (
     graded_slice_length,
     span_dim,
 )
-from .rings import (
-    GradingError,
-    Polynomial,
-    SubmoduleSpec,
-    _dedup_monic,
-    _monic_monomial,
-    power_generators,
-    product_generators,
-)
+from .rings import GradingError, SubmoduleSpec, power_generators, product_generators
 
 __all__ = [
     "InclusionWitness",
@@ -62,42 +56,31 @@ __all__ = [
 def mixed_level(
     h1: SubmoduleSpec, h2: SubmoduleSpec, p: int, q: int, nu: int
 ) -> tuple:
-    """Generators of the nu-th mixed level between H1^p H2^q and the unit.
-
-    When every product H1^i H2^j in it is monomial, the level is the union
-    of their exponent tuples, made shared ``_monic_monomial``s in
-    ``_dedup_monic``'s order, so the products' own ``gens`` are not built.
-    """
+    """The nu-th mixed level between H1^p H2^q and the unit: the span of
+    the distinct products H1^i H2^j in it, a tuple of SubmoduleSpecs."""
     if h1.ring != h2.ring:
         raise GradingError("mixed level of submodules over different rings")
     if p < 0 or q < 0 or nu < 0:
         raise GradingError("mixed level indices must be nonnegative")
-    products = [
+    products = (
         product_generators(power_generators(h1, i), power_generators(h2, j))
         for i in range(p + 1)
         for j in range(q + 1)
         if i + j >= p + q - nu
-    ]
-    if all(h._monomials is not None for h in products):
-        monos = {m for h in products for m in h._monomials}
-        return tuple(_monic_monomial(h1.ring, m) for m in sorted(monos, reverse=True))
-    return _dedup_monic(g for h in products for g in h.gens)
+    )
+    return tuple(dict.fromkeys(products))
 
 
-def _contains(ring_pres, span_gens, g: Polynomial, memo) -> bool:
-    """Is g in the bidegree piece spanned by span_gens at g's bidegree?
-    ``memo`` keeps the span's dimension by (span_gens, bidegree)."""
+def _contains(ring_pres, span: tuple, g, memo) -> bool:
+    """Is g, a Polynomial or an exponent tuple, in the bidegree piece of
+    the span ``span`` at g's bidegree? ``memo`` keeps the span's dimension
+    by (span, bidegree)."""
+    g = ring_pres.ring.monomial(g) if isinstance(g, tuple) else g
     deg = g.bidegree()
-    if (spanned := memo.get((span_gens, deg))) is None:
-        spanned = memo[span_gens, deg] = span_dim(ring_pres, deg, span_gens)
-    return span_dim(ring_pres, deg, span_gens + (g,)) == spanned
-
-
-def _exponents(polys) -> Optional[tuple]:
-    """The exponent tuples of ``polys`` if all are monomials, else None."""
-    if all(g.is_monomial() for g in polys):
-        return tuple(g.terms[0][0] for g in polys)
-    return None
+    if (spanned := memo.get((span, deg))) is None:
+        spanned = memo[span, deg] = span_dim(ring_pres, deg, span)
+    part = SubmoduleSpec(g.ring, deg[1], (g,))
+    return span_dim(ring_pres, deg, span + (part,)) == spanned
 
 
 class InclusionWitness(Value):
@@ -110,18 +93,21 @@ class InclusionWitness(Value):
     bidegree: Optional[tuple] = None
 
 
-def _first_escape(part, nu, ring_pres, gens, span_gens, memo) -> InclusionWitness:
-    """Test ``gens`` (polynomials, or exponent tuples against monomials) in
-    order against the span of ``span_gens``; the first not in it is the
-    witness. ``memo`` holds rank-test outcomes by (span_gens, g)."""
-    spanned = _exponents(span_gens)
-    minimal = None if spanned is None else _prune_dominated(spanned)
-    for g in gens:
+def _first_escape(part, nu, ring_pres, gens, span, memo) -> InclusionWitness:
+    """Test the distinct generators of the parts ``gens`` in order (a
+    monomial part's as exponent tuples) against the span ``span``; the
+    first not in it is the witness. A monomial one goes by divisibility
+    when every part of ``span`` is monomial, any other by the rank test,
+    whose outcome ``memo`` holds by (span, generator)."""
+    minimal = None
+    if all(h._monomials is not None for h in span):
+        minimal = _prune_dominated(m for h in span for m in h._monomials)
+    for g in dict.fromkeys(g for h in gens for g in (h._monomials or h.gens)):
         mono = g if isinstance(g, tuple) else g.is_monomial() and g.terms[0][0]
         if minimal is not None and mono:
             inside = any(_divides(h, mono) for h in minimal)
-        elif (inside := memo.get((span_gens, g))) is None:
-            inside = memo[span_gens, g] = _contains(ring_pres, span_gens, g, memo)
+        elif (inside := memo.get((span, g))) is None:
+            inside = memo[span, g] = _contains(ring_pres, span, g, memo)
         if not inside:
             g = ring_pres.ring.monomial(g) if isinstance(g, tuple) else g
             return InclusionWitness(part, nu, False, str(g), g.bidegree())
@@ -133,11 +119,12 @@ def check_filtration_inclusions(
 ) -> list:
     """Check the nesting laws of the mixed filtration at (p, q).
 
-    For every nu in 1..p+q, (a) each generator of H1 H2 * level(nu) must
-    lie in level(nu-1), and (b) each generator of level(nu) must lie in
-    the (p-1, q-1) filtration's level nu-1; (b) is only meaningful when p
-    and q are both positive and is skipped otherwise. A monomial lies in
-    a span of monomials when one of their minimal generators divides it;
+    For every nu in 1..p+q, (a) each generator of H1 H2 * level(nu), that
+    is of the products of H1 H2 with the level's parts, must lie in
+    level(nu-1), and (b) each generator of level(nu) must lie in the
+    (p-1, q-1) filtration's level nu-1; (b) is only meaningful when p and
+    q are both positive and is skipped otherwise. A monomial lies in a
+    span of monomials when one of their minimal generators divides it;
     any other containment is an exact rank condition at the generator's
     bidegree, enough as the target spans are ideal pieces. A caller
     checking several (p, q) of the same H1, H2 passes one ``memo`` dict to
@@ -147,17 +134,11 @@ def check_filtration_inclusions(
     memo = {} if memo is None else memo
     ring_pres = ModulePresentation(FreeModuleSpec(h1.ring, ((0, 0),)))
     h1h2 = product_generators(h1, h2)
-    left = h1h2._monomials
     results = []
     for nu in range(1, p + q + 1):
         level_nu = mixed_level(h1, h2, p, q, nu)
+        products = tuple(product_generators(h1h2, h) for h in level_nu)
         lower = mixed_level(h1, h2, p, q, nu - 1)
-        right = _exponents(level_nu)
-        if None in (left, right, _exponents(lower)):
-            products = _dedup_monic(a * b for a in h1h2.gens for b in level_nu)
-        else:  # exponent tuples, in _dedup_monic's order
-            sums = {tuple(i + j for i, j in zip(a, b)) for a in left for b in right}
-            products = sorted(sums, reverse=True)
         results.append(_first_escape("a", nu, ring_pres, products, lower, memo))
         if p >= 1 and q >= 1:
             target = mixed_level(h1, h2, p - 1, q - 1, nu - 1)
@@ -192,21 +173,19 @@ def assoc_graded_piece_dims(
     power_i = power_generators(ideal, i_index)
     power_i1 = power_generators(ideal, i_index + 1)
     mixed = product_generators(modulus, power_i)
-    return graded_slice_length(
-        pres, 0, power_i.gens, power_i1.gens + mixed.gens, cutoff
-    )
+    return graded_slice_length(pres, 0, (power_i,), (power_i1, mixed), cutoff)
 
 
 def _power_factors(h: SubmoduleSpec, p: int, n: int) -> tuple:
     """The power filtration's factor chain in the slice at fiber pd+n.
 
     Returns (fiber, factors, quotient), with d the fiber degree of H:
-    ``factors`` holds the (top, bottom) powers of H, as SubmoduleSpecs,
-    of the p+1 factors, factor nu being H^nu M_{d(p-nu)+n} /
-    H^(nu+1) M_{d(p-nu-1)+n}, and ``quotient`` the bottom power of
+    ``factors`` holds the (top, bottom) spans (H^nu,) and (H^(nu+1),) of
+    the p+1 factors, factor nu being H^nu M_{d(p-nu)+n} /
+    H^(nu+1) M_{d(p-nu-1)+n}, and ``quotient`` the bottom span of
     M_{pd+n} / H^(p+1) M_{n-d}, the module the factors telescope to.
     """
-    powers = [power_generators(h, nu) for nu in range(p + 2)]
+    powers = [(power_generators(h, nu),) for nu in range(p + 2)]
     factors = tuple(zip(powers, powers[1:]))
     return h.fiber_degree * p + n, factors, factors[-1][1]
 
@@ -220,11 +199,12 @@ def _mixed_factors(
     fiber d1 p + d2 q + n. Factor 0 is level(0) M / H1^(p+1) H2^(q+1)
     M_{n-d1-d2} and factor nu >= 1 is level(nu) M / level(nu-1) M; the
     quotient is M_{d1 p + d2 q + n} / H1^(p+1) H2^(q+1) M_{n-d1-d2}.
-    The levels are generator tuples, H1^(p+1) H2^(q+1) a SubmoduleSpec.
+    Every span is a tuple of SubmoduleSpecs: a level its products, and
+    H1^(p+1) H2^(q+1) the one part of its own.
     """
     fiber = h1.fiber_degree * p + h2.fiber_degree * q + n
-    deep = product_generators(
-        power_generators(h1, p + 1), power_generators(h2, q + 1)
+    deep = (
+        product_generators(power_generators(h1, p + 1), power_generators(h2, q + 1)),
     )
     levels = [mixed_level(h1, h2, p, q, nu) for nu in range(p + q + 1)]
     return fiber, tuple(zip(levels, [deep] + levels[:-1])), deep

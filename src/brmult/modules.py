@@ -6,7 +6,9 @@ reduces to one primitive: dim F / (K + span) on a single bidegree piece
 of F, for the span of slice generators g. Each is a ring element applied
 to the whole slice M_j, with j the target fiber degree minus g's (nothing
 when j < 0, as M_j = 0), the shape every power H^p M_n and mixed product
-H1^p H2^q M_n takes.
+H1^p H2^q M_n takes. A span has one shape: a tuple of SubmoduleSpecs, its
+parts, such as (H^p,), (I^(i+1), J I^i), the products H1^i H2^j of a
+mixed level, or () for no span.
 
 K's relations and the slice generators are alike spanning vectors of F,
 and one rule splits them (``_span_plan``). Generators of one bidegree are
@@ -17,10 +19,10 @@ their span, as in the first step of Faugere's F4 (J. Pure Appl. Algebra
 linear in g. A monomial generator spans a monomial on every component,
 and a polynomial one g is the vector g e_i on each component i. A
 relation whose only nonzero entry is a monomial is a monomial of its
-component; any other relation is a vector as it stands. Only generators
-of fiber degree at most the walk's act, so the split is planned once per
-generator set and largest acting fiber degree (the cap), and shared by
-the walks with that cap.
+component; any other relation is a vector as it stands. Only parts of
+fiber degree at most the walk's act, so the split is planned once per
+span and largest acting fiber degree (the cap), read off the parts, and
+shared by the walks with that cap.
 
 Single-monomial spanning vectors generate a monomial ideal J_i on each
 free component i, and the basis monomials they span are counted from the
@@ -53,11 +55,11 @@ import itertools
 from functools import lru_cache
 from math import comb
 from operator import add, ge, sub
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fields import Value
 from .linalg import subspace_dim
-from .rings import GradingError, Polynomial, RingSpec, SubmoduleSpec, monomial_basis
+from .rings import GradingError, RingSpec, SubmoduleSpec, monomial_basis
 from .rings import _interreduce
 
 __all__ = [
@@ -333,54 +335,45 @@ def _series(numerator: list, s: int) -> tuple:
     return itertools.chain(quotient, itertools.repeat(0)), True
 
 
-def _plan(pres: ModulePresentation, items, fiber_deg: int) -> tuple:
-    """The ``_span_plan`` of the slice generators ``items`` at ``fiber_deg``:
-    only generators of fiber degree at most ``fiber_deg`` act, so the plan
-    is keyed on the largest such degree (the cap) and shared by walks at
-    fiber degrees with one cap. A SubmoduleSpec keys it itself, as its
-    hash is computed once; other items key it as a tuple."""
-    if isinstance(items, SubmoduleSpec):
-        fibers = (items.fiber_degree,)
-    else:
-        items = tuple(items)
-        fibers = (g.bidegree()[1] for g in items if not g.is_zero())
-    cap = max((f for f in fibers if f <= fiber_deg), default=-1)
-    return _span_plan(pres, items, cap)
+def _plan(pres: ModulePresentation, span: tuple, fiber_deg: int) -> tuple:
+    """The ``_span_plan`` of the parts of ``span`` at ``fiber_deg``: only
+    parts of fiber degree at most ``fiber_deg`` act, so the plan is keyed on
+    the largest such degree (the cap) and shared by walks at fiber degrees
+    with one cap."""
+    cap = max((h.fiber_degree for h in span if h.fiber_degree <= fiber_deg), default=-1)
+    return _span_plan(pres, span, cap)
 
 
 @lru_cache(maxsize=1024)
-def _span_plan(pres: ModulePresentation, items, cap: int) -> tuple:
-    """What ``_quotient_dims`` needs of K and the slice generators ``items``
-    of fiber degree at most ``cap``, at any bidegree.
+def _span_plan(pres: ModulePresentation, span: tuple, cap: int) -> tuple:
+    """What ``_quotient_dims`` needs of K and the parts of ``span`` of fiber
+    degree at most ``cap``, at any bidegree.
 
     Returns (ideals, vectors, high, low): the minimal generators of the
     monomial ideal J_i spanned on each component i, the other spanning
-    vectors as (nonzero (i, entry) pairs, target), the ``_interreduce``d
-    items' before the relations', and the largest and smallest base degree
-    of the acting items (None when none act). The split follows the one
-    rule of the module docstring; an all-monomial SubmoduleSpec, whose
-    generators are nonzero of one fiber degree, gives its exponents as is,
-    and its base degrees are read off them, with no generator built.
+    vectors as (nonzero (i, entry) pairs, target), the acting parts' before
+    the relations', and the largest and smallest base degree of the acting
+    generators (None when none act). The split follows the one rule of the
+    module docstring: all-monomial parts give their exponents as they are,
+    with no generator built; otherwise the generators of every acting part
+    are ``_interreduce``d together, so parts of one bidegree reduce as one.
     """
+    acting = [h for h in span if h.fiber_degree <= cap]
     shifts = list(enumerate(pres.free.shifts))
-    vectors = []
-    if isinstance(items, SubmoduleSpec) and items._monomials is not None:
-        monos = items._monomials if items.fiber_degree <= cap else ()
-        nbase = len(pres.ring.base)
-        bases = [sum(m[:nbase]) for m in monos]
+    vectors, bases = [], []
+    if all(h._monomials is not None for h in acting):
+        monos = [m for h in acting for m in h._monomials]
     else:
-        if isinstance(items, SubmoduleSpec):
-            acting = items.gens if items.fiber_degree <= cap else ()
-        else:
-            acting = [g for g in items if not g.is_zero() and g.bidegree()[1] <= cap]
         monos = []
-        for g in _interreduce(pres.ring, acting):
+        for g in _interreduce(pres.ring, [g for h in acting for g in h.gens]):
             if g.is_monomial():
                 monos.append(g.terms[0][0])
             else:
                 gb, gf = g.bidegree()
+                bases.append(gb)
                 vectors += [(((i, g),), (gb + ai, gf + ni)) for i, (ai, ni) in shifts]
-        bases = [g.bidegree()[0] for g in acting]
+    nbase = len(pres.ring.base)
+    bases += [sum(m[:nbase]) for m in monos]
     comp_monos = [list(monos) for _ in shifts]
     for nonzero, target in pres._vectors:
         (i, entry), *rest = nonzero
@@ -440,10 +433,11 @@ def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
     return (_quotient_dim(pres, (a, fiber_deg), plan, s) for a, s in enumerate(dims))
 
 
-def span_dim(pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()) -> int:
-    """Dimension of (K + span of the slice generators ``items``) at ``deg``."""
+def span_dim(pres: ModulePresentation, deg, span: tuple = ()) -> int:
+    """Dimension of (K + ``span``) at ``deg``, ``span`` a tuple of
+    SubmoduleSpecs whose generators are slice generators."""
     a, n = deg
-    plan = _plan(pres, items, n)
+    plan = _plan(pres, span, n)
     free = len(piece_basis(pres.free, deg)[0])
     if a < 0:
         return free
@@ -526,18 +520,18 @@ def _length(pres, fiber_deg: int, top, bottom, cutoff) -> LengthResult:
 def graded_slice_length(
     pres: ModulePresentation,
     fiber_deg: int,
-    top_items: Optional[Sequence[Polynomial]] = None,
-    bottom_items: Sequence[Polynomial] = (),
+    top_items: Optional[tuple] = None,
+    bottom_items: tuple = (),
     cutoff: Optional[int] = DEFAULT_CUTOFF,
 ) -> LengthResult:
     """Length of (T / B) summed over base degrees at one fiber degree.
 
-    B is K plus the span of the slice generators ``bottom_items``: each g
-    among them spans g M_j with j = ``fiber_deg`` minus g's fiber degree,
-    and nothing when j < 0. T is the full free slice when ``top_items`` is
-    None, otherwise K plus the span of the slice generators ``top_items``
-    (which must contain B). Either may be a SubmoduleSpec's generators, or
-    the SubmoduleSpec itself, whose hash keys the span plan more cheaply.
+    Spans are tuples of SubmoduleSpecs, such as ``(H^p,)`` or a mixed
+    level's products, and ``()`` spans nothing. B is K plus the span of
+    ``bottom_items``: each generator g of a part spans g M_j with j =
+    ``fiber_deg`` minus the part's fiber degree, and nothing when j < 0. T
+    is the full free slice when ``top_items`` is None, otherwise K plus the
+    span of ``top_items`` (which must contain B).
 
     A walk that reaches ``cutoff`` raises CutoffExceeded, or CutoffTooSmall
     when the cutoff lies below the certificate degree (checked up front)
@@ -549,21 +543,21 @@ def graded_slice_length(
 
 
 def generated_lengths(pres, gens: SubmoduleSpec, ns: range, cutoff=DEFAULT_CUTOFF):
-    """``graded_slice_length(pres, d + n, None, gens, cutoff)`` for n in ``ns``,
+    """``graded_slice_length(pres, d + n, None, (gens,), cutoff)`` for n in ``ns``,
     d the fiber degree of ``gens``: a table row, walked on one span plan."""
-    plan = _plan(pres, gens, gens.fiber_degree)
+    plan = _plan(pres, (gens,), gens.fiber_degree)
     return tuple(_length(pres, gens.fiber_degree + n, None, plan, cutoff) for n in ns)
 
 
 def slice_dims_up_to(
     pres: ModulePresentation,
     fiber_deg: int,
-    top_items: Optional[Sequence[Polynomial]],
-    bottom_items: Sequence[Polynomial],
+    top_items: Optional[tuple],
+    bottom_items: tuple,
     max_degree: int,
 ) -> tuple:
     """Per-base-degree dims of (T / B), as in ``graded_slice_length``, for
-    base degrees 0..max_degree.
+    base degrees 0..max_degree; both spans are tuples of SubmoduleSpecs.
 
     Unlike ``graded_slice_length`` this neither certifies finiteness nor
     raises on infinite quotients: it just reports the dimension of each

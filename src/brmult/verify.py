@@ -7,11 +7,11 @@ are not independent: each factor's dims and the direct quotient's come
 from the same per-span quotient series, which ``modules._slice_dims``
 subtracts, so the factor sum telescopes by construction. They catch
 only a chain whose spans do not line up, spans that do not nest (the
-assertion in ``_slice_dims``) and a unit span with a nonzero quotient;
-ROADMAP item 2 lists independent oracles. A slice walk is a pure
-function of (module, generators, fiber degree, cutoff), so sharing one
-between two sides changes no verdict: each check still builds its own
-generators and fits its own table.
+assertion in ``modules._nested``) and a unit span with a nonzero
+quotient; the ROADMAP item on independent oracles lists others. A slice
+walk is a pure function of (module, span, fiber degree, cutoff), so
+sharing one between two sides changes no verdict: each check still
+builds its own generators and fits its own table.
 
 The filtration identities are statements about bigraded pieces, so the
 factor-sum checks compare the full per-base-degree dimension vectors of

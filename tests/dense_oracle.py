@@ -17,6 +17,10 @@ with no echelon step; ``rref_by_bidegree`` compares generator sets by the
 spaces they span in each bidegree. ``samuel_function`` sums dense pieces
 against such multiplied-out powers, so it shares neither the slice walk
 nor the power generators with the local pipeline it checks.
+
+The oracles take slice generators as lists of polynomials; ``as_span``
+groups such a list into the span shape the library takes, a tuple of
+SubmoduleSpecs.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 from brmult.modules import ModulePresentation, piece_basis
-from brmult.rings import Polynomial, monomial_basis
+from brmult.rings import Polynomial, SubmoduleSpec, monomial_basis
 
 
 class ShapeError(ValueError):
@@ -107,6 +111,20 @@ class PieceSubspace:
     basis: tuple  # ordered (generator index, monomial) pairs
     matrix: Matrix  # RREF of the dense spanning matrix
     dim: int
+
+
+def as_span(polys, labels=None) -> tuple:
+    """The slice generators ``polys`` as a span: one SubmoduleSpec per
+    fiber degree, in order of first appearance, with zeros dropped.
+    ``labels``, one per poly, split a fiber degree into one part per label.
+    """
+    groups = {}
+    for g, label in zip(polys, labels or [0] * len(polys)):
+        if not g.is_zero():
+            groups.setdefault((g.fiber_degree(), label), []).append(g)
+    return tuple(
+        SubmoduleSpec(gens[0].ring, d, tuple(gens)) for (d, _), gens in groups.items()
+    )
 
 
 def slice_generators(items: Sequence[Polynomial], fiber: int):

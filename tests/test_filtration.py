@@ -10,7 +10,6 @@ import brmult.cli as cli
 import brmult.filtration as filtration
 from brmult.fields import QQ
 from brmult.filtration import (
-    InclusionWitness,
     assoc_graded_piece_dims,
     check_filtration_inclusions,
     filtration_factor_lengths,
@@ -23,13 +22,8 @@ from brmult.modules import (
     graded_slice_length,
     span_dim,
 )
-from brmult.rings import (
-    RingSpec,
-    SubmoduleSpec,
-    _dedup_monic,
-    power_generators,
-    product_generators,
-)
+from brmult.rings import RingSpec, SubmoduleSpec, power_generators, product_generators
+from dense_oracle import as_span, pairwise_product_generators
 
 INSTANCES = Path(__file__).resolve().parents[1] / "demos" / "instances"
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
@@ -48,31 +42,38 @@ def test_mixed_level_enumeration():
     x, y = R2.gen("x"), R2.gen("y")
     h1 = SubmoduleSpec(R2, 0, (x,))
     h2 = SubmoduleSpec(R2, 0, (y,))
-    # level nu collects x^i y^j with i <= p, j <= q, i + j >= p + q - nu
+    # level nu sums x^i y^j with i <= p, j <= q, i + j >= p + q - nu
     level = mixed_level(h1, h2, 1, 1, 1)
-    assert sorted(str(g) for g in level) == ["x", "x*y", "y"]
+    assert sorted(str(g) for h in level for g in h.gens) == ["x", "x*y", "y"]
     top = mixed_level(h1, h2, 1, 1, 0)
-    assert [str(g) for g in top] == ["x*y"]
+    assert [str(g) for h in top for g in h.gens] == ["x*y"]
     full = mixed_level(h1, h2, 1, 1, 2)
-    assert any(str(g) == "1" for g in full)
+    assert any(str(g) == "1" for h in full for g in h.gens)
 
 
-def test_monomial_levels_are_the_products_generators():
-    # a level of monomial products is the union of their exponent tuples;
-    # it must be the tuple their generators give, object for object
+def _products(h1, h2, p, q, nu):
+    """The products H1^i H2^j that level nu of (p, q) sums, one per (i, j)."""
+    return [
+        product_generators(power_generators(h1, i), power_generators(h2, j))
+        for i, j in itertools.product(range(p + 1), range(q + 1))
+        if i + j >= p + q - nu
+    ]
+
+
+def test_levels_are_their_distinct_products():
+    # a level is the span of the products it sums, each once and in order:
+    # H1 = H2 = m makes every H1^i H2^j with one i + j the same m^(i+j)
     x, y = R2.gen("x"), R2.gen("y")
     h1 = SubmoduleSpec(R2, 0, (x, y * y))
     h2 = SubmoduleSpec(R2, 0, (x * x * 3, y))
+    m = max_ideal(R2)
     for p, q in ((1, 2), (2, 2)):
         for nu in range(p + q + 1):
-            products = [
-                product_generators(power_generators(h1, i), power_generators(h2, j))
-                for i, j in itertools.product(range(p + 1), range(q + 1))
-                if i + j >= p + q - nu
-            ]
-            expected = _dedup_monic(g for h in products for g in h.gens)
-            level = mixed_level(h1, h2, p, q, nu)
-            assert all(a is b for a, b in zip(level, expected, strict=True))
+            products = _products(h1, h2, p, q, nu)
+            assert mixed_level(h1, h2, p, q, nu) == tuple(dict.fromkeys(products))
+            level = mixed_level(m, m, p, q, nu)
+            assert level == tuple(dict.fromkeys(_products(m, m, p, q, nu)))
+            assert len(level) == min(nu, p + q) + 1
 
 
 def test_mixed_level_contains_unit_at_top():
@@ -80,7 +81,7 @@ def test_mixed_level_contains_unit_at_top():
     for p in range(3):
         for q in range(3):
             lvl = mixed_level(m, m, p, q, p + q)
-            assert any(g.monic() == R2.one for g in lvl)
+            assert any(g.monic() == R2.one for h in lvl for g in h.gens)
 
 
 def test_inclusions_pass_for_honest_levels():
@@ -105,7 +106,7 @@ def test_inclusions_catch_a_broken_level_rule(monkeypatch):
 
     def inflated(h1, h2, p, q, nu):
         if nu == 1:
-            return (h1.ring.one,)
+            return (SubmoduleSpec(h1.ring, 0, (h1.ring.one,)),)
         return real(h1, h2, p, q, nu)
 
     monkeypatch.setattr(filtration, "mixed_level", inflated)
@@ -119,26 +120,33 @@ def test_inclusions_catch_a_broken_level_rule(monkeypatch):
 
 
 def test_monomial_inclusions_by_divisibility_match_the_rank_test():
-    # a monomial generator, as a polynomial or as its exponent tuple,
-    # against a span of monomials goes by divisibility
+    # a monomial generator against a span of monomials goes by
+    # divisibility, whether its part is monomial (an exponent tuple) or
+    # holds a binomial too (a polynomial); the binomial goes by rank
     pres = free_module(R2)
     exponents = [(1, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 1), (2, 0, 1), (0, 0, 0)]
     monos = [R2.monomial(e) for e in exponents]
     candidates = [
         R2.monomial((a, b, c)) for a in range(3) for b in range(3) for c in range(2)
     ]
+
+    def escapes(span, g):
+        deg = g.bidegree()
+        return span_dim(pres, deg, span + as_span([g])) != span_dim(pres, deg, span)
+
     for k in range(4):
         for gens in itertools.combinations(monos, k):
+            span = as_span(gens)
             for g in candidates:
-                deg = g.bidegree()
-                by_rank = span_dim(pres, deg, gens + (g,)) == span_dim(
-                    pres, deg, gens
-                )
-                for item in (g, g.terms[0][0]):
-                    found = filtration._first_escape("a", 1, pres, (item,), gens, {})
-                    assert found.passed == by_rank
-                    if not by_rank:
-                        assert (found.generator, found.bidegree) == (str(g), deg)
+                partners = [h for h in candidates if h.bidegree() == g.bidegree()]
+                for part in [(g,)] + [(g, g + h) for h in partners if h != g][:1]:
+                    parts = as_span(part)
+                    found = filtration._first_escape("a", 1, pres, parts, span, {})
+                    escaping = [h for h in part if escapes(span, h)]
+                    assert found.passed == (not escaping)
+                    if escaping:
+                        witness = (str(escaping[0]), escaping[0].bidegree())
+                        assert (found.generator, found.bidegree) == witness
 
 
 def test_assoc_graded_dims_for_maximal_ideal():
@@ -166,7 +174,7 @@ def test_factor_lengths_telescope_to_direct_quotient():
         factors = filtration_factor_lengths(pres, h, p - 1, n + 1)
         total = sum(f.total for f in factors)
         top_fiber = 1 * (p - 1) + (n + 1)
-        bottom = power_generators(h, p).gens
+        bottom = (power_generators(h, p),)
         direct = graded_slice_length(pres, top_fiber, None, bottom)
         assert total == direct.total
 
@@ -196,7 +204,7 @@ def test_mixed_factor_lengths_telescope():
                 for g2 in power_generators(m, q + 1).gens
             ),
         )
-        direct = graded_slice_length(pres, n, None, deep.gens)
+        direct = graded_slice_length(pres, n, None, (deep,))
         assert sum(f.total for f in factors) == direct.total
 
 
@@ -247,7 +255,7 @@ def test_nonmonomial_inclusion_report_makes_each_rank_test_once(monkeypatch):
     monkeypatch.setattr(filtration, "_contains", counting)
     memoized = cli._inclusion_report(inst, 2)
     assert memoized.passed
-    assert len(calls) == len(set(calls)) == 885
+    assert len(calls) == len(set(calls)) == 741
 
     calls.clear()
     monkeypatch.setattr(
@@ -258,12 +266,12 @@ def test_nonmonomial_inclusion_report_makes_each_rank_test_once(monkeypatch):
         ),
     )
     assert cli._inclusion_report(inst, 2) == memoized
-    assert len(calls) == 1026
+    assert len(calls) == 886
 
 
 def test_nonmonomial_inclusion_report_makes_each_span_dim_once(monkeypatch):
     # the memo keeps each span's dimension by bidegree as well, so of the
-    # 1,770 span_dim calls the report makes without it only the 954
+    # 1,482 span_dim calls the report makes without it only the 806
     # distinct ones remain
     text = (INSTANCES / "minors_block.txt").read_text()
     inst = cli.parse_instance(text + "submodule M fiberdeg 0 gens x, y\n")
@@ -276,31 +284,36 @@ def test_nonmonomial_inclusion_report_makes_each_span_dim_once(monkeypatch):
 
     monkeypatch.setattr(filtration, "span_dim", counting)
     assert cli._inclusion_report(inst, 2).passed
-    assert len(calls) == len(set(calls)) == 954
+    assert len(calls) == len(set(calls)) == 806
 
 
 def _rank_inclusions(h1, h2, p, q):
-    """``check_filtration_inclusions`` with every containment decided by
-    the rank test on products formed by polynomial multiplication."""
+    """The (part, nu, bidegrees where a generator escapes) of each test
+    ``check_filtration_inclusions`` makes at (p, q), with products formed
+    by multiplying every pair of generators and every containment decided
+    by the rank test."""
     pres = free_module(h1.ring)
-    level = filtration.mixed_level  # looked up here, so sabotage shows
-    h1h2 = product_generators(h1, h2).gens
 
-    def first_escape(part, nu, gens, span):
-        for g in gens:
+    def level(p, q, nu):  # looked up here, so sabotage shows
+        return [g for h in filtration.mixed_level(h1, h2, p, q, nu) for g in h.gens]
+
+    def escaping(part, nu, gens, span):
+        span = as_span(span)
+        bad = set()
+        for g in dict.fromkeys(gens):
             deg = g.bidegree()
-            if span_dim(pres, deg, span + (g,)) != span_dim(pres, deg, span):
-                return InclusionWitness(part, nu, False, str(g), deg)
-        return InclusionWitness(part, nu, True)
+            if span_dim(pres, deg, span + as_span([g])) != span_dim(pres, deg, span):
+                bad.add(deg)
+        return part, nu, bad
 
+    h1h2 = pairwise_product_generators(h1, h2)
     out = []
     for nu in range(1, p + q + 1):
-        level_nu = level(h1, h2, p, q, nu)
-        products = _dedup_monic(a * b for a in h1h2 for b in level_nu)
-        out.append(first_escape("a", nu, products, level(h1, h2, p, q, nu - 1)))
+        level_nu = level(p, q, nu)
+        products = [a * b for a in h1h2 for b in level_nu]
+        out.append(escaping("a", nu, products, level(p, q, nu - 1)))
         if p >= 1 and q >= 1:
-            target = level(h1, h2, p - 1, q - 1, nu - 1)
-            out.append(first_escape("b", nu, level_nu, target))
+            out.append(escaping("b", nu, level_nu, level(p - 1, q - 1, nu - 1)))
     return out
 
 
@@ -316,14 +329,18 @@ def monomial_ideals(draw):
 
 @st.composite
 def sabotaged_levels(draw):
-    """A level index and the generators that replace that level: monomials
-    (the unit among them) and at times a binomial."""
+    """A level index and the span that replaces that level: monomial parts
+    (the unit among their generators now and then) and at times a binomial
+    part."""
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
     gens = [R2.monomial(e) for e in draw(st.lists(exps, min_size=1, max_size=3))]
     if draw(st.booleans()):
+        gens.append(R2.one)
+    span = as_span(gens)
+    if draw(st.booleans()):
         x, y, T = R2.gen("x"), R2.gen("y"), R2.gen("T")
-        gens.append(draw(st.sampled_from((x + y, x * T + y * T, x * x + x * y))))
-    return draw(st.integers(0, 3)), tuple(gens)
+        span += as_span([draw(st.sampled_from((x + y, x * T + y * T, x * x + x * y)))])
+    return draw(st.integers(0, 3)), span
 
 
 @given(
@@ -335,8 +352,10 @@ def sabotaged_levels(draw):
 )
 @settings(max_examples=100, deadline=None)
 def test_inclusions_by_divisibility_match_the_rank_test(h1, h2, p, q, sabotage):
-    # the witnesses, the first escaping generator's string and bidegree
-    # included, equal those of deciding every containment by rank; a
+    # every witness passes exactly when no multiplied-out generator escapes
+    # by rank, and a failed one names a bidegree where one does: the
+    # check's generators are interreduced, so they span the same pieces
+    # but need not escape first where the multiplied-out ones do. A
     # sabotaged level makes some tests fail
     with pytest.MonkeyPatch.context() as patch:
         if sabotage is not None:
@@ -348,4 +367,8 @@ def test_inclusions_by_divisibility_match_the_rank_test(h1, h2, p, q, sabotage):
 
             patch.setattr(filtration, "mixed_level", sabotaged)
         expected = _rank_inclusions(h1, h2, p, q)
-        assert check_filtration_inclusions(h1, h2, p, q) == expected
+        found = check_filtration_inclusions(h1, h2, p, q)
+        outcomes = [(w.part, w.nu, w.passed) for w in found]
+        assert outcomes == [(part, nu, not bad) for part, nu, bad in expected]
+        for w, (_, _, bad) in zip(found, expected):
+            assert w.passed or w.bidegree in bad

@@ -35,6 +35,7 @@ from brmult.rings import (
 )
 from dense_oracle import (
     Matrix,
+    as_span,
     dense_piece_dim,
     dense_slice_dims,
     piece_subspace,
@@ -83,8 +84,7 @@ def test_shifted_free_piece_dims():
 def test_quotient_by_maximal_ideal():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    extra = [x, y]
-    res = graded_slice_length(m, 0, None, extra)
+    res = graded_slice_length(m, 0, None, as_span([x, y]))
     assert res.total == 1
     assert res.per_degree[0] == 1
     assert all(v == 0 for v in res.per_degree[1:])
@@ -93,8 +93,7 @@ def test_quotient_by_maximal_ideal():
 def test_quotient_by_square_of_maximal_ideal():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    extra = [x * x, x * y, y * y]
-    res = graded_slice_length(m, 0, None, extra)
+    res = graded_slice_length(m, 0, None, as_span([x * x, x * y, y * y]))
     assert res.total == 3
     assert res.per_degree[:2] == (1, 2)
 
@@ -102,39 +101,40 @@ def test_quotient_by_square_of_maximal_ideal():
 def test_infinite_quotient_hits_cutoff():
     m = free_module(R2)
     with pytest.raises(CutoffExceeded):
-        graded_slice_length(m, 0, None, [], cutoff=12)
+        graded_slice_length(m, 0, None, (), cutoff=12)
     # x spans from base degree 1 on, so a cutoff of 3 did test it
     with pytest.raises(CutoffExceeded):
-        graded_slice_length(m, 0, None, [R2.gen("x")], cutoff=3)
+        graded_slice_length(m, 0, None, as_span([R2.gen("x")]), cutoff=3)
 
 
 def test_no_cutoff_binds_only_walks_the_division_cannot_finish():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
+    powers, binomial = as_span([x**40, y**40]), as_span([x**70 + y**70, x * y])
     # k[x,y]/(x^40, y^40) is finite and ends at base degree 79: with no
     # cutoff the division reads it whole, a cutoff of 64 still stops it
-    res = graded_slice_length(m, 0, None, [x**40, y**40])
+    res = graded_slice_length(m, 0, None, powers)
     assert (res.total, res.stop_degree) == (1600, 79)
     with pytest.raises(CutoffExceeded) as err:
-        graded_slice_length(m, 0, None, [x**40, y**40], cutoff=64)
+        graded_slice_length(m, 0, None, powers, cutoff=64)
     assert (err.value.fiber_degree, err.value.cutoff) == (0, 64)
     # an infinite monomial quotient is still cut off at 64
     with pytest.raises(CutoffExceeded) as err:
-        graded_slice_length(m, 0, None, [x**40])
+        graded_slice_length(m, 0, None, as_span([x**40]))
     assert err.value.cutoff == 64
     # (x^70 + y^70, xy) is finite too, but a span with a polynomial is
     # counted degree by degree, which stops at 64 with no cutoff given
     with pytest.raises(CutoffExceeded) as err:
-        graded_slice_length(m, 0, None, [x**70 + y**70, x * y])
+        graded_slice_length(m, 0, None, binomial)
     assert err.value.cutoff == 64
-    res = graded_slice_length(m, 0, None, [x**70 + y**70, x * y], cutoff=80)
+    res = graded_slice_length(m, 0, None, binomial, cutoff=80)
     assert res.total == 140
 
 
 def test_cutoff_below_what_the_walk_needs_is_too_small():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    squares = [x * x, y * y]
+    squares = as_span([x * x, y * y])
     # the finite quotient k[x,y]/(x^2, y^2) needs base degrees 0..3
     assert graded_slice_length(m, 0, None, squares, cutoff=3).total == 4
     # cutoff 1 ends the walk before the squares span anything
@@ -143,14 +143,14 @@ def test_cutoff_below_what_the_walk_needs_is_too_small():
     assert err.value.needed == 2
     # a top generated in base degree 2 has certificate degree 2
     with pytest.raises(CutoffTooSmall) as err:
-        graded_slice_length(m, 0, squares, [], cutoff=1)
+        graded_slice_length(m, 0, squares, (), cutoff=1)
     assert err.value.needed == 2
 
 
 def test_length_certificate_really_stops():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    extra = [x * x * x, x * y, y * y]
+    extra = as_span([x * x * x, x * y, y * y])
     res = graded_slice_length(m, 0, None, extra)
     # continue past stop_degree by hand: every later summand is zero
     for a in range(res.stop_degree + 1, res.stop_degree + 5):
@@ -226,7 +226,7 @@ def test_generators_above_the_fiber_act_on_the_zero_slice():
     # and its base degree does not raise the certificate degree
     ring = RingSpec(QQ, ("x",), ("u",))
     x, u = ring.gen("x"), ring.gen("u")
-    res = graded_slice_length(free_module(ring), 0, [x**5 * u], ())
+    res = graded_slice_length(free_module(ring), 0, as_span([x**5 * u]), ())
     assert (res.total, res.stop_degree) == (0, 0)
 
 
@@ -275,14 +275,14 @@ def monomial_spans(draw):
 def test_span_dim_matches_subspace_basis(items, a):
     m = free_module(R2)
     sub = piece_subspace(m, (a, 0), items)
-    assert span_dim(m, (a, 0), items) == sub.dim
+    assert span_dim(m, (a, 0), as_span(items)) == sub.dim
 
 
 def test_span_dim_monotone_in_items():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
-    one_item = [x]
-    two_items = [x, y]
+    one_item = as_span([x])
+    two_items = as_span([x, y])
     for a in range(5):
         assert span_dim(m, (a, 0), one_item) <= span_dim(m, (a, 0), two_items)
 
@@ -291,7 +291,7 @@ def test_cross_fiber_spans():
     # multiplication by a fiber-degree-1 element maps the n=0 slice into n=1
     m = free_module(R22)
     xu = R22.gen("x") * R22.gen("u")
-    dims = slice_dims_up_to(m, 1, None, [xu], 4)
+    dims = slice_dims_up_to(m, 1, None, as_span([xu]), 4)
     # free dims are 2(a+1); the image of xu contributes a dims in degree a+1
     assert dims == (2, 3, 4, 5, 6)
 
@@ -514,7 +514,7 @@ def test_monomial_span_dim_matches_the_divisibility_scan(case):
     pres, fiber, items = case
     for a in range(6):
         deg = (a, fiber)
-        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+        assert span_dim(pres, deg, as_span(items)) == scan_span_dim(pres, deg, items)
         assert span_dim(pres, deg) == scan_span_dim(pres, deg)
 
 
@@ -524,20 +524,21 @@ def test_mixed_span_dim_matches_the_divisibility_scan(case):
     pres, fiber, items = case
     for a in range(5):
         deg = (a, fiber)
-        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+        assert span_dim(pres, deg, as_span(items)) == scan_span_dim(pres, deg, items)
 
 
 @st.composite
 def walk_cases(draw):
     """A ``span_cases`` presentation and fiber degree with a top and a
-    bottom item list for one slice walk, and a cutoff.
+    bottom span for one slice walk, and a cutoff.
 
     The unit joins the items now and then. The bottom items are a subset
     of the top ones, so T contains B, as in the factor-sum checks; a top
     of None is the free slice. Now and then, over monomial relations, the
     top and the bottom are two fresh lists of monomials instead, so T and
     B need not nest and a walk must refuse them where a dim turns
-    negative. Cutoffs are small
+    negative. Each side's items are split into up to three parts per fiber
+    degree, so two parts may share one. Cutoffs are small
     enough to stop walks on infinite quotients and to fall below
     certificate and reach degrees.
     """
@@ -556,14 +557,28 @@ def walk_cases(draw):
         monomial = bidegrees.flatmap(lambda deg: polynomials(ring, deg, 1))
         monomials = st.lists(monomial, min_size=1, max_size=3)
         top, bottom = draw(monomials), draw(monomials)
-    return pres, fiber, top, bottom, draw(st.integers(0, 5))
+
+    def split(polys):
+        labels = st.lists(st.integers(0, 2), min_size=len(polys), max_size=len(polys))
+        return as_span(polys, draw(labels))
+
+    top = None if top is None else split(top)
+    return pres, fiber, top, split(bottom), draw(st.integers(0, 5))
+
+
+def _gens(span):
+    """The generators of the parts of ``span``, as the dense oracles take
+    them, or None for the free slice."""
+    return None if span is None else [g for h in span for g in h.gens]
 
 
 def _not_nested(pres, fiber, top, bottom, a):
     """The assertion a walk of T / B raises at base degree ``a``, with
     dim F/T and dim F/B counted densely."""
     deg = (a, fiber)
-    top_q, bottom_q = (dense_piece_dim(pres, deg, None, g) for g in (top, bottom))
+    top_q, bottom_q = (
+        dense_piece_dim(pres, deg, None, _gens(s)) for s in (top, bottom)
+    )
     message = f"spanning sets not nested at bidegree {deg}:"
     return AssertionError, f"{message} dim F/T {top_q} > dim F/B {bottom_q}"
 
@@ -571,7 +586,7 @@ def _not_nested(pres, fiber, top, bottom, a):
 def _expected_dims(pres, fiber, top, bottom, max_degree):
     """``slice_dims_up_to`` from dense dims, or the assertion it raises at
     the first negative one."""
-    dims = dense_slice_dims(pres, fiber, top, bottom, max_degree)
+    dims = dense_slice_dims(pres, fiber, _gens(top), _gens(bottom), max_degree)
     bad = [a for a, dim in enumerate(dims) if dim < 0]
     return _not_nested(pres, fiber, top, bottom, bad[0]) if bad else dims
 
@@ -594,17 +609,17 @@ def _expected_walk(pres, fiber, top, bottom, cutoff):
     if top is None:
         certificate = max(shifts)
     else:
-        degrees = [gb for _, _, gb in slice_generators(top, fiber)]
+        degrees = [gb for _, _, gb in slice_generators(_gens(top), fiber)]
         certificate = max(degrees) + max(shifts) if degrees else 0
     if cutoff < certificate:
         return CutoffTooSmall, certificate
-    dims = dense_slice_dims(pres, fiber, top, bottom, cutoff)
+    dims = dense_slice_dims(pres, fiber, _gens(top), _gens(bottom), cutoff)
     for a, dim in enumerate(dims):
         if dim < 0:
             return _not_nested(pres, fiber, top, bottom, a)
         if dim == 0 and a >= certificate:
             return dims[: a + 1], a
-    bottom_degrees = [gb for _, _, gb in slice_generators(bottom, fiber)]
+    bottom_degrees = [gb for _, _, gb in slice_generators(_gens(bottom), fiber)]
     reach = min(bottom_degrees) + min(shifts) if bottom_degrees else 0
     return (CutoffTooSmall, reach) if cutoff < reach else (CutoffExceeded, cutoff)
 
@@ -628,8 +643,8 @@ def _unnested_walks():
     reader, and (x^2 + y^2) over (x, y), by elimination."""
     x, y, t = R2.gens()
     return [
-        (free_module(R2), 0, [x * x], [x], 4),
-        (free_module(R2), 1, [(x * x + y * y) * t], [x * t, y], 4),
+        (free_module(R2), 0, as_span([x * x]), as_span([x]), 4),
+        (free_module(R2), 1, as_span([(x * x + y * y) * t]), as_span([x * t, y]), 4),
     ]
 
 
@@ -648,7 +663,7 @@ def test_slice_walks_match_the_dense_per_degree_count(case):
 def _mixed_level_walk():
     """A ``walk_cases`` draw from ``mixed_level``: level 2 over level 1 of
     the (2, 1) filtration of H1 = (xu, yu + xv, yv) and H2 = (x, y), whose
-    generators have fiber degrees 0, 1 and 2, and some are polynomials."""
+    products have fiber degrees 0, 1 and 2, and some are polynomials."""
     x, y, u, v = R22.gens()
     h1 = SubmoduleSpec(R22, 1, (x * u, y * u + x * v, y * v))
     h2 = SubmoduleSpec(R22, 0, (x, y))
@@ -660,15 +675,13 @@ def _mixed_level_walk():
 @given(walk_cases())
 @settings(max_examples=50, deadline=None)
 def test_walks_reuse_each_span_plan_from_either_side(case):
-    # Only generators of fiber degree at most the walk's act, so walks at
-    # fiber degrees with the same largest acting degree share one cached
-    # span plan. Walking fiber degrees 0..3 upward builds each plan at the
+    # Only parts of fiber degree at most the walk's act, so walks at fiber
+    # degrees with the same largest acting degree share one cached span
+    # plan. Walking fiber degrees 0..3 upward builds each plan at the
     # lowest fiber degree that uses it, downward at the highest.
     import brmult.modules as modules
 
     pres, _, top, bottom, cutoff = case
-    top = None if top is None else tuple(top)
-    bottom = tuple(bottom)
     for fibers in (range(4), range(3, -1, -1)):
         modules._span_plan.cache_clear()
         for fiber in fibers:
@@ -676,6 +689,27 @@ def test_walks_reuse_each_span_plan_from_either_side(case):
             assert _walk_outcome(pres, fiber, top, bottom, cutoff) == expected
             expected = _expected_dims(pres, fiber, top, bottom, cutoff)
             assert _dims_outcome(pres, fiber, top, bottom, cutoff) == expected
+
+
+def test_parts_of_one_bidegree_reduce_together(monkeypatch):
+    # the parts (x) and (x + y) are interreduced together, as the one part
+    # (x, x + y) is: both spans plan the monomials x and y and no
+    # polynomial vector, so a walk dividing by them ranks nothing
+    import brmult.modules as modules
+
+    ring = RingSpec(QQ, ("x", "y"), ("u",))
+    x, y = ring.gen("x"), ring.gen("y")
+    pres = free_module(ring)
+    split = (SubmoduleSpec(ring, 0, (x,)), SubmoduleSpec(ring, 0, (x + y,)))
+    joined = (SubmoduleSpec(ring, 0, (x, x + y)),)
+    plan = modules._span_plan(pres, split, 0)
+    assert plan == modules._span_plan(pres, joined, 0)
+    assert plan[:2] == ((((0, 1, 0), (1, 0, 0)),), ())
+    calls = []
+    monkeypatch.setattr(modules, "subspace_dim", lambda rows, f: calls.append(rows))
+    for fiber in range(3):
+        assert graded_slice_length(pres, fiber, None, split).total == 1  # u^fiber
+    assert calls == []
 
 
 def test_polynomial_rows_are_cleared_by_their_own_component_ideal():
@@ -686,8 +720,8 @@ def test_polynomial_rows_are_cleared_by_their_own_component_ideal():
     items = [x + y, 2 * x + y]
     for a in range(4):
         deg = (a, 0)
-        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
-    assert span_dim(pres, (1, 0), items) == 4
+        assert span_dim(pres, deg, as_span(items)) == scan_span_dim(pres, deg, items)
+    assert span_dim(pres, (1, 0), as_span(items)) == 4
 
 
 def test_pieces_the_monomials_fill_make_no_elimination(monkeypatch):
@@ -704,9 +738,9 @@ def test_pieces_the_monomials_fill_make_no_elimination(monkeypatch):
     pres = free_module(R2)
     items = [x, y, x * x + x * y]
     for deg in [(2, 0), (3, 0), (2, 1)]:
-        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+        assert span_dim(pres, deg, as_span(items)) == scan_span_dim(pres, deg, items)
     assert calls == []
-    assert span_dim(pres, (2, 0), items[2:]) == 1
+    assert span_dim(pres, (2, 0), as_span(items[2:])) == 1
     assert len(calls) == 1
 
 
@@ -716,8 +750,9 @@ def test_monomial_walks_still_rank_the_polynomial_relations():
     x, y = R2.gen("x"), R2.gen("y")
     pres = ModulePresentation(FreeModuleSpec(R2, ((0, 0), (0, 0))), ((x, -y),))
     for top, bottom in [(None, ()), (None, (x * x,)), ((x, y), (x * x, x * y))]:
+        spans = (None if top is None else as_span(top)), as_span(bottom)
         for fiber in (0, 1):
-            dims = slice_dims_up_to(pres, fiber, top, bottom, 4)
+            dims = slice_dims_up_to(pres, fiber, *spans, 4)
             assert dims == dense_slice_dims(pres, fiber, top, bottom, 4)
 
 
@@ -778,7 +813,7 @@ def test_monomial_plans_skip_the_echelon_step(monkeypatch):
 
     monkeypatch.setattr(rings, "_echelon_basis", fail)
     x, y = R2.gen("x"), R2.gen("y")
-    items = [x * x, x * y, y]
+    items = as_span([x * x, x * y, y])
     assert span_dim(free_module(R2), (2, 0), items) == 3
 
 
@@ -787,11 +822,10 @@ def test_echelon_monomials_join_the_monomial_ideal():
     x, y, u, v = (R22.gen(s) for s in "xyuv")
     gens = (x * u + y * v, x * v, x * u - y * v)
     assert all(g.is_monomial() for g in _echelon_basis(R22, gens))
-    items = list(gens)
     pres = free_module(R22)
     for a in range(1, 4):
         deg = (a, 1)
-        assert span_dim(pres, deg, items) == scan_span_dim(pres, deg, items)
+        assert span_dim(pres, deg, as_span(gens)) == scan_span_dim(pres, deg, gens)
 
 
 def test_slice_dims_refuse_a_top_span_that_misses_the_bottom():
@@ -799,6 +833,7 @@ def test_slice_dims_refuse_a_top_span_that_misses_the_bottom():
     # (y) exceeds dim F/B = 0, which no quotient T/B can have
     ring = RingSpec(QQ, ("x", "y"), ())
     x, y = ring.gen("x"), ring.gen("y")
+    one, two = as_span([x]), as_span([x, y])
     with pytest.raises(AssertionError, match=r"not nested at bidegree \(1, 0\)"):
-        slice_dims_up_to(free_module(ring), 0, (x,), (x, y), 3)
-    assert slice_dims_up_to(free_module(ring), 0, (x, y), (x,), 3) == (0, 1, 1, 1)
+        slice_dims_up_to(free_module(ring), 0, one, two, 3)
+    assert slice_dims_up_to(free_module(ring), 0, two, one, 3) == (0, 1, 1, 1)
