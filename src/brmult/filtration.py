@@ -72,10 +72,8 @@ def mixed_level(
 
 
 def _contains(ring_pres, span: tuple, g, memo) -> bool:
-    """Is g, a Polynomial or an exponent tuple, in the bidegree piece of
-    the span ``span`` at g's bidegree? ``memo`` keeps the span's dimension
-    by (span, bidegree)."""
-    g = ring_pres.ring.monomial(g) if isinstance(g, tuple) else g
+    """Is the Polynomial g in the bidegree piece of the span ``span`` at
+    g's bidegree? ``memo`` keeps the span's dimension by (span, bidegree)."""
     deg = g.bidegree()
     if (spanned := memo.get((span, deg))) is None:
         spanned = memo[span, deg] = span_dim(ring_pres, deg, span)
@@ -94,22 +92,21 @@ class InclusionWitness(Value):
 
 
 def _first_escape(part, nu, ring_pres, gens, span, memo) -> InclusionWitness:
-    """Test the distinct generators of the parts ``gens`` in order (a
-    monomial part's as exponent tuples) against the span ``span``; the
-    first not in it is the witness. A monomial one goes by divisibility
-    when every part of ``span`` is monomial, any other by the rank test,
-    whose outcome ``memo`` holds by (span, generator)."""
+    """Test the distinct generators of the parts ``gens`` in order against
+    the span ``span``; the first not in it is the witness. A monomial one
+    goes by divisibility when every part of ``span`` is monomial, any
+    other by the rank test, whose outcome ``memo`` holds by (span,
+    generator). A generator is a Polynomial there, never a tuple, so that
+    key cannot meet the (span, bidegree) key of a span's dimension."""
     minimal = None
     if all(h._monomials is not None for h in span):
         minimal = _prune_dominated(m for h in span for m in h._monomials)
-    for g in dict.fromkeys(g for h in gens for g in (h._monomials or h.gens)):
-        mono = g if isinstance(g, tuple) else g.is_monomial() and g.terms[0][0]
-        if minimal is not None and mono:
-            inside = any(_divides(h, mono) for h in minimal)
+    for g in dict.fromkeys(g for h in gens for g in h.gens):
+        if minimal is not None and g.is_monomial():
+            inside = any(_divides(h, g.terms[0][0]) for h in minimal)
         elif (inside := memo.get((span, g))) is None:
             inside = memo[span, g] = _contains(ring_pres, span, g, memo)
         if not inside:
-            g = ring_pres.ring.monomial(g) if isinstance(g, tuple) else g
             return InclusionWitness(part, nu, False, str(g), g.bidegree())
     return InclusionWitness(part, nu, True)
 

@@ -121,8 +121,8 @@ def test_inclusions_catch_a_broken_level_rule(monkeypatch):
 
 def test_monomial_inclusions_by_divisibility_match_the_rank_test():
     # a monomial generator against a span of monomials goes by
-    # divisibility, whether its part is monomial (an exponent tuple) or
-    # holds a binomial too (a polynomial); the binomial goes by rank
+    # divisibility, whether its part is monomial or holds a binomial too;
+    # the binomial goes by rank
     pres = free_module(R2)
     exponents = [(1, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 1), (2, 0, 1), (0, 0, 0)]
     monos = [R2.monomial(e) for e in exponents]
@@ -288,7 +288,8 @@ def test_nonmonomial_inclusion_report_makes_each_span_dim_once(monkeypatch):
 
 
 def _rank_inclusions(h1, h2, p, q):
-    """The (part, nu, bidegrees where a generator escapes) of each test
+    """The (part, nu, bidegrees where a generator escapes, tested
+    generators, target generators) of each test
     ``check_filtration_inclusions`` makes at (p, q), with products formed
     by multiplying every pair of generators and every containment decided
     by the rank test."""
@@ -298,13 +299,8 @@ def _rank_inclusions(h1, h2, p, q):
         return [g for h in filtration.mixed_level(h1, h2, p, q, nu) for g in h.gens]
 
     def escaping(part, nu, gens, span):
-        span = as_span(span)
-        bad = set()
-        for g in dict.fromkeys(gens):
-            deg = g.bidegree()
-            if span_dim(pres, deg, span + as_span([g])) != span_dim(pres, deg, span):
-                bad.add(deg)
-        return part, nu, bad
+        bad = {g.bidegree() for g in dict.fromkeys(gens) if _escapes(pres, g, span)}
+        return part, nu, bad, gens, span
 
     h1h2 = pairwise_product_generators(h1, h2)
     out = []
@@ -317,46 +313,87 @@ def _rank_inclusions(h1, h2, p, q):
     return out
 
 
-base_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+def _escapes(pres, g, gens) -> bool:
+    """Does g raise the rank of the polynomials ``gens`` at its bidegree?"""
+    deg, span = g.bidegree(), as_span(gens)
+    return span_dim(pres, deg, span + as_span([g])) != span_dim(pres, deg, span)
+
+
+def _tested_generators(h1, h2, p, q) -> dict:
+    """{str(g): g} over every generator ``check_filtration_inclusions``
+    may name at (p, q): those of the levels and of their products with
+    H1 H2."""
+    h1h2 = product_generators(h1, h2)
+    named = {}
+    for nu in range(p + q + 1):
+        for h in filtration.mixed_level(h1, h2, p, q, nu):
+            for g in h.gens + product_generators(h1h2, h).gens:
+                named[str(g)] = g
+    return named
+
+
+RINGS = (R2, BASE)
+
+
+def _binomials(ring) -> tuple:
+    x, y = ring.gen("x"), ring.gen("y")
+    if ring.fiber:
+        T = ring.gen("T")
+        return (x + y, x * T + y * T, x * x + x * y)
+    return (x + y, x * x + x * y, x * x + y * y)
 
 
 @st.composite
-def monomial_ideals(draw):
-    d = draw(st.integers(0, 1))
-    exps = draw(st.lists(base_exponents, min_size=1, max_size=3))
-    return SubmoduleSpec(R2, d, tuple(R2.monomial((a, b, d)) for a, b in exps))
+def ideals(draw, ring):
+    """A submodule of monomials, now and then with a binomial of its
+    fiber degree among its generators."""
+    d = draw(st.integers(0, len(ring.fiber)))
+    base = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    exps = draw(st.lists(base, min_size=1, max_size=3))
+    fiber = (d,) * len(ring.fiber)
+    gens = [ring.monomial(e + fiber) for e in exps]
+    binomials = [g for g in _binomials(ring) if g.fiber_degree() == d]
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(binomials)))
+    return SubmoduleSpec(ring, d, tuple(gens))
 
 
 @st.composite
-def sabotaged_levels(draw):
+def sabotaged_levels(draw, ring):
     """A level index and the span that replaces that level: monomial parts
     (the unit among their generators now and then) and at times a binomial
     part."""
-    exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-    gens = [R2.monomial(e) for e in draw(st.lists(exps, min_size=1, max_size=3))]
+    exps = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    gens = [ring.monomial(e) for e in draw(st.lists(exps, min_size=1, max_size=3))]
     if draw(st.booleans()):
-        gens.append(R2.one)
+        gens.append(ring.one)
     span = as_span(gens)
     if draw(st.booleans()):
-        x, y, T = R2.gen("x"), R2.gen("y"), R2.gen("T")
-        span += as_span([draw(st.sampled_from((x + y, x * T + y * T, x * x + x * y)))])
+        span += as_span([draw(st.sampled_from(_binomials(ring)))])
     return draw(st.integers(0, 3)), span
 
 
-@given(
-    monomial_ideals(),
-    monomial_ideals(),
-    st.integers(0, 2),
-    st.integers(0, 2),
-    st.none() | sabotaged_levels(),
-)
+@st.composite
+def inclusion_cases(draw):
+    """H1, H2, p, q and a sabotaged level or None, over R2 or over the
+    two-variable ring BASE, where an exponent tuple has a bidegree's
+    shape."""
+    ring = draw(st.sampled_from(RINGS))
+    h1, h2 = draw(ideals(ring)), draw(ideals(ring))
+    p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return h1, h2, p, q, draw(st.none() | sabotaged_levels(ring))
+
+
+@given(inclusion_cases())
 @settings(max_examples=100, deadline=None)
-def test_inclusions_by_divisibility_match_the_rank_test(h1, h2, p, q, sabotage):
+def test_inclusions_by_divisibility_match_the_rank_test(case):
     # every witness passes exactly when no multiplied-out generator escapes
-    # by rank, and a failed one names a bidegree where one does: the
-    # check's generators are interreduced, so they span the same pieces
-    # but need not escape first where the multiplied-out ones do. A
-    # sabotaged level makes some tests fail
+    # by rank. A failed one names a generator that escapes by rank and lies
+    # in the multiplied-out span; the check's generators are interreduced,
+    # so they span the same pieces but need not escape first where the
+    # multiplied-out ones do. A sabotaged level makes some tests fail
+    h1, h2, p, q, sabotage = case
+    pres = free_module(h1.ring)
     with pytest.MonkeyPatch.context() as patch:
         if sabotage is not None:
             real = filtration.mixed_level
@@ -368,7 +405,26 @@ def test_inclusions_by_divisibility_match_the_rank_test(h1, h2, p, q, sabotage):
             patch.setattr(filtration, "mixed_level", sabotaged)
         expected = _rank_inclusions(h1, h2, p, q)
         found = check_filtration_inclusions(h1, h2, p, q)
-        outcomes = [(w.part, w.nu, w.passed) for w in found]
-        assert outcomes == [(part, nu, not bad) for part, nu, bad in expected]
-        for w, (_, _, bad) in zip(found, expected):
-            assert w.passed or w.bidegree in bad
+        named = _tested_generators(h1, h2, p, q)
+    outcomes = [(w.part, w.nu, w.passed) for w in found]
+    assert outcomes == [(part, nu, not bad) for part, nu, bad, _, _ in expected]
+    for w, (_, _, bad, gens, span) in zip(found, expected):
+        if not w.passed:
+            g = named[w.generator]
+            assert g.bidegree() == w.bidegree and w.bidegree in bad
+            assert _escapes(pres, g, span) and not _escapes(pres, g, gens)
+
+
+def test_inclusions_on_a_two_variable_ring_share_one_memo():
+    # over k[x, y] an exponent tuple has a bidegree's shape; the rank
+    # test's memo must keep a generator's outcome apart from a span's
+    # dimension, or a monomial generator tested after its bidegree's
+    # dimension was stored reads that dimension as its outcome
+    x, y = BASE.gen("x"), BASE.gen("y")
+    h1, h2 = SubmoduleSpec(BASE, 0, (x + y,)), max_ideal(BASE)
+    memo = {}
+    for p in range(3):
+        for q in range(3):
+            found = check_filtration_inclusions(h1, h2, p, q, memo)
+            assert found == check_filtration_inclusions(h1, h2, p, q)
+            assert all(w.passed for w in found)
