@@ -29,13 +29,12 @@ PER_INSTANCE = (
     "verify all {}",
     "verify inclusions {} --grid 4",
 )
-# Files whose full PER_INSTANCE set takes seconds: the monomial r = 5
-# block keeps its ``br``, ``lambda --csv`` and ``verify telescoping``,
-# the non-monomial block gets no forms, and the pairs with a rank-2
-# submodule trade ``verify all`` and ``verify inclusions`` for
-# ``verify operator`` and ``verify factor-sum``. Each kept form runs in
-# under 0.5 s in-process.
-PAIR_FORMS = PER_INSTANCE[:3] + ("verify operator {}", "verify factor-sum {}")
+# Files whose full PER_INSTANCE set takes seconds or more: the monomial
+# r = 5 block keeps its ``br``, ``lambda --csv`` and ``verify
+# telescoping``, and the non-monomial block gets no forms. The pairs
+# with a rank-2 submodule keep every form and add ``verify operator``
+# and ``verify factor-sum``.
+PAIR_FORMS = PER_INSTANCE + ("verify operator {}", "verify factor-sum {}")
 FORMS = {
     "block_3x3.txt": ("br {}", "lambda {} --csv", "verify telescoping {}"),
     "minors_3var.txt": (),
