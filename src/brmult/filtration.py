@@ -27,20 +27,20 @@ base degree, where J is the modulus ideal (typically I + m^(k+1)).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Optional
 
 from .fields import Value
 from .modules import (
     DEFAULT_CUTOFF,
-    FreeModuleSpec,
     LengthResult,
     ModulePresentation,
     _divides,
     _prune_dominated,
     graded_slice_length,
-    span_dim,
 )
-from .rings import GradingError, SubmoduleSpec, power_generators, product_generators
+from .rings import GradingError, SubmoduleSpec, _echelon, _reduce, monomial_basis
+from .rings import power_generators, product_generators
 
 __all__ = [
     "InclusionWitness",
@@ -71,14 +71,18 @@ def mixed_level(
     return tuple(dict.fromkeys(products))
 
 
-def _contains(ring_pres, span: tuple, g, memo) -> bool:
-    """Is the Polynomial g in the bidegree piece of the span ``span`` at
-    g's bidegree? ``memo`` keeps the span's dimension by (span, bidegree)."""
-    deg = g.bidegree()
-    if (spanned := memo.get((span, deg))) is None:
-        spanned = memo[span, deg] = span_dim(ring_pres, deg, span)
-    part = SubmoduleSpec(g.ring, deg[1], (g,))
-    return span_dim(ring_pres, deg, span + (part,)) == spanned
+def _span_basis(span: tuple, deg) -> dict:
+    """The reduced echelon basis of the span ``span``'s piece at bidegree
+    ``deg``: each generator times the ring's monomials of the bidegree it
+    lacks, multiplied by shifting exponent tuples."""
+    ring, (a, n) = span[0].ring, deg
+    rows = (
+        {tuple(map(add, m, mu)): c for m, c in g.terms}
+        for h in span
+        for g in h.gens
+        for mu in monomial_basis(ring, (a - g.bidegree()[0], n - h.fiber_degree))
+    )
+    return _echelon(ring.field, rows)
 
 
 class InclusionWitness(Value):
@@ -91,21 +95,23 @@ class InclusionWitness(Value):
     bidegree: Optional[tuple] = None
 
 
-def _first_escape(part, nu, ring_pres, gens, span, memo) -> InclusionWitness:
+def _first_escape(part, nu, gens, span, memo) -> InclusionWitness:
     """Test the distinct generators of the parts ``gens`` in order against
     the span ``span``; the first not in it is the witness. A monomial one
-    goes by divisibility when every part of ``span`` is monomial, any
-    other by the rank test, whose outcome ``memo`` holds by (span,
-    generator). A generator is a Polynomial there, never a tuple, so that
-    key cannot meet the (span, bidegree) key of a span's dimension."""
+    goes by divisibility when every part of ``span`` is monomial. Any
+    other lies in the span exactly when it reduces to 0 by the
+    ``_span_basis`` at its bidegree, which ``memo`` keeps by (span,
+    bidegree)."""
     minimal = None
     if all(h._monomials is not None for h in span):
         minimal = _prune_dominated(m for h in span for m in h._monomials)
     for g in dict.fromkeys(g for h in gens for g in h.gens):
         if minimal is not None and g.is_monomial():
             inside = any(_divides(h, g.terms[0][0]) for h in minimal)
-        elif (inside := memo.get((span, g))) is None:
-            inside = memo[span, g] = _contains(ring_pres, span, g, memo)
+        else:
+            if (basis := memo.get(key := (span, g.bidegree()))) is None:
+                basis = memo[key] = _span_basis(*key)
+            inside = not _reduce(g.ring.field, dict(g.terms), basis)
         if not inside:
             return InclusionWitness(part, nu, False, str(g), g.bidegree())
     return InclusionWitness(part, nu, True)
@@ -121,27 +127,24 @@ def check_filtration_inclusions(
     level(nu-1), and (b) each generator of level(nu) must lie in the
     (p-1, q-1) filtration's level nu-1; (b) is only meaningful when p and
     q are both positive and is skipped otherwise. A monomial lies in a
-    span of monomials when one of their minimal generators divides it;
-    any other containment is an exact rank condition at the generator's
-    bidegree, enough as the target spans are ideal pieces. A caller
-    checking several (p, q) of the same H1, H2 passes one ``memo`` dict to
-    all of them, so that a rank test or span dimension that recurs is
-    made once.
+    span of monomials when one of their minimal generators divides it.
+    Any other generator lies in the target exactly when it reduces to 0 by
+    the target piece's echelon basis at its bidegree, enough as the target
+    spans are ideal pieces. A caller checking several (p, q) of the same
+    H1, H2 passes one ``memo`` dict to all of them, so that a basis that
+    recurs is built once.
     """
     memo = {} if memo is None else memo
-    ring_pres = ModulePresentation(FreeModuleSpec(h1.ring, ((0, 0),)))
     h1h2 = product_generators(h1, h2)
     results = []
     for nu in range(1, p + q + 1):
         level_nu = mixed_level(h1, h2, p, q, nu)
         products = tuple(product_generators(h1h2, h) for h in level_nu)
         lower = mixed_level(h1, h2, p, q, nu - 1)
-        results.append(_first_escape("a", nu, ring_pres, products, lower, memo))
+        results.append(_first_escape("a", nu, products, lower, memo))
         if p >= 1 and q >= 1:
             target = mixed_level(h1, h2, p - 1, q - 1, nu - 1)
-            results.append(
-                _first_escape("b", nu, ring_pres, level_nu, target, memo)
-            )
+            results.append(_first_escape("b", nu, level_nu, target, memo))
     return results
 
 

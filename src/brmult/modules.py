@@ -435,7 +435,9 @@ def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
 
 def span_dim(pres: ModulePresentation, deg, span: tuple = ()) -> int:
     """Dimension of (K + ``span``) at ``deg``, ``span`` a tuple of
-    SubmoduleSpecs whose generators are slice generators."""
+    SubmoduleSpecs whose generators are slice generators. No library code
+    calls it: it stays as the tests' rank reference, through the same span
+    plans as a slice walk, and as a layer the benchmark's tracer names."""
     a, n = deg
     plan = _plan(pres, span, n)
     free = len(piece_basis(pres.free, deg)[0])

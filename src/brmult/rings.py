@@ -375,40 +375,46 @@ def _dedup_monic(polys) -> tuple:
     return tuple(sorted(seen.values(), key=lambda g: g.terms, reverse=True))
 
 
-def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
-    """Reduced row-echelon basis of the span of same-bidegree ``polys``.
-
-    The rows are monic, no row contains another's leading monomial, and
-    they come sorted by descending leading monomial, so the basis is the
-    unique one of the span and does not depend on the order of ``polys``.
-    """
-    f = ring.field
-    tails = {}  # leading monomial -> the rest of its row, {monomial: coeff}
-
-    def subtract(row, c, tail):
-        for m, v in tail.items():
+def _reduce(f, row: dict, basis: dict) -> dict:
+    """Reduce ``row``, {monomial: coeff in the field f}, in place by the
+    reduced echelon ``basis``, {leading monomial: rest of its monic row}.
+    The row it returns is empty exactly when it lay in the basis's span."""
+    for lead in row.keys() & basis.keys():
+        c = row.pop(lead)
+        for m, v in basis[lead].items():
             x = f.sub(row.get(m, f.zero), f.mul(c, v))
             if f.is_zero(x):
                 row.pop(m, None)
             else:
                 row[m] = x
+    return row
 
-    for g in polys:
-        row = dict(g.terms)
-        for lead in [m for m in row if m in tails]:
-            subtract(row, row.pop(lead), tails[lead])
-        if not row:
+
+def _echelon(f, rows) -> dict:
+    """The unique reduced echelon basis, as ``_reduce`` takes it, of the
+    span of ``rows``, dicts {monomial: coeff} of one bidegree it may change."""
+    basis = {}
+    for row in rows:
+        if not _reduce(f, row, basis):
             continue
         lead = max(row)
         inv = f.div(f.one, row.pop(lead))
         row = {m: f.mul(inv, c) for m, c in row.items()}
-        for tail in tails.values():
+        for tail in basis.values():
             if lead in tail:
-                subtract(tail, tail.pop(lead), row)
-        tails[lead] = row
+                _reduce(f, tail, {lead: row})
+        basis[lead] = row
+    return basis
+
+
+def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
+    """Reduced row-echelon basis of the span of same-bidegree ``polys``:
+    ``_echelon``'s rows, monic and by descending leading monomial."""
+    f = ring.field
+    basis = _echelon(f, (dict(g.terms) for g in polys))
     return tuple(
         Polynomial(ring, ((lead, f.one),) + tuple(sorted(tail.items(), reverse=True)))
-        for lead, tail in sorted(tails.items(), reverse=True)
+        for lead, tail in sorted(basis.items(), reverse=True)
     )
 
 

@@ -33,7 +33,9 @@ PER_INSTANCE = (
 # r = 5 block keeps its ``br``, ``lambda --csv`` and ``verify
 # telescoping``, and the non-monomial block gets no forms. The pairs
 # with a rank-2 submodule keep every form and add ``verify operator``
-# and ``verify factor-sum``.
+# and ``verify factor-sum``. In-process, their ``verify inclusions --grid
+# 4`` forms take 1-2 s each and their ``verify all`` forms under 2 s;
+# every other kept form runs in under 0.5 s.
 PAIR_FORMS = PER_INSTANCE + ("verify operator {}", "verify factor-sum {}")
 FORMS = {
     "block_3x3.txt": ("br {}", "lambda {} --csv", "verify telescoping {}"),

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import brmult.cli as cli
 import brmult.filtration as filtration
-from brmult.fields import QQ
+import brmult.modules as modules
+from brmult.fields import QQ, PrimeField
 from brmult.filtration import (
     assoc_graded_piece_dims,
     check_filtration_inclusions,
@@ -28,6 +29,7 @@ from dense_oracle import as_span, pairwise_product_generators
 INSTANCES = Path(__file__).resolve().parents[1] / "demos" / "instances"
 R2 = RingSpec(QQ, ("x", "y"), ("T",))
 BASE = RingSpec(QQ, ("x", "y"), ())
+BASE2 = RingSpec(PrimeField(2), ("x", "y"), ())
 
 
 def free_module(ring):
@@ -122,7 +124,7 @@ def test_inclusions_catch_a_broken_level_rule(monkeypatch):
 def test_monomial_inclusions_by_divisibility_match_the_rank_test():
     # a monomial generator against a span of monomials goes by
     # divisibility, whether its part is monomial or holds a binomial too;
-    # the binomial goes by rank
+    # the binomial goes by reduction
     pres = free_module(R2)
     exponents = [(1, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 1), (2, 0, 1), (0, 0, 0)]
     monos = [R2.monomial(e) for e in exponents]
@@ -141,7 +143,7 @@ def test_monomial_inclusions_by_divisibility_match_the_rank_test():
                 partners = [h for h in candidates if h.bidegree() == g.bidegree()]
                 for part in [(g,)] + [(g, g + h) for h in partners if h != g][:1]:
                     parts = as_span(part)
-                    found = filtration._first_escape("a", 1, pres, parts, span, {})
+                    found = filtration._first_escape("a", 1, parts, span, {})
                     escaping = [h for h in part if escapes(span, h)]
                     assert found.passed == (not escaping)
                     if escaping:
@@ -215,76 +217,44 @@ def test_mixed_factor_count():
     assert len(factors) == 4  # nu = 0..p+q
 
 
-class _Forgetful(dict):
-    """An inclusion memo that keeps nothing, so every test is made."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 @pytest.mark.parametrize("name", ["max_ideal_pair.txt", "newton_pair.txt"])
 def test_monomial_inclusion_report_makes_no_rank_test(monkeypatch, name):
     # every level of a monomial pair is monomial, so verify inclusions
-    # decides each containment by divisibility, with no elimination
+    # decides each containment by divisibility and builds no echelon basis
     inst = cli.parse_instance((INSTANCES / name).read_text())
     calls = []
-    real = filtration.span_dim
+    real = filtration._span_basis
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(filtration, "span_dim", counting)
+    monkeypatch.setattr(filtration, "_span_basis", counting)
     assert cli._inclusion_report(inst, 3).passed
     assert calls == []
 
 
-def test_nonmonomial_inclusion_report_makes_each_rank_test_once(monkeypatch):
+def test_nonmonomial_inclusion_report_builds_each_basis_once(monkeypatch):
     # H of minors_block.txt keeps polynomial generators in its powers, so
-    # the pair (H, (x, y)) goes through the rank test. With one memo over
-    # (p, q) <= 2, each (level, generator) test that recurs is made once.
+    # the pair (H, (x, y)) goes by reduction. With one memo over
+    # (p, q) <= 2, each (level, bidegree) basis is built once, and no
+    # span plan is made for it
     text = (INSTANCES / "minors_block.txt").read_text()
     inst = cli.parse_instance(text + "submodule M fiberdeg 0 gens x, y\n")
-    calls = []
-    real = filtration._contains
+    bases, ranks = [], []
+    real = filtration._span_basis
 
     def counting(*args):
-        calls.append(args[1:3])
+        bases.append(args)
         return real(*args)
 
-    monkeypatch.setattr(filtration, "_contains", counting)
-    memoized = cli._inclusion_report(inst, 2)
-    assert memoized.passed
-    assert len(calls) == len(set(calls)) == 741
-
-    calls.clear()
-    monkeypatch.setattr(
-        cli,
-        "check_filtration_inclusions",
-        lambda h1, h2, p, q, memo: check_filtration_inclusions(
-            h1, h2, p, q, _Forgetful()
-        ),
-    )
-    assert cli._inclusion_report(inst, 2) == memoized
-    assert len(calls) == 886
-
-
-def test_nonmonomial_inclusion_report_makes_each_span_dim_once(monkeypatch):
-    # the memo keeps each span's dimension by bidegree as well, so of the
-    # 1,482 span_dim calls the report makes without it only the 806
-    # distinct ones remain
-    text = (INSTANCES / "minors_block.txt").read_text()
-    inst = cli.parse_instance(text + "submodule M fiberdeg 0 gens x, y\n")
-    calls = []
-    real = filtration.span_dim
-
-    def counting(pres, deg, items):
-        calls.append((deg, items))
-        return real(pres, deg, items)
-
-    monkeypatch.setattr(filtration, "span_dim", counting)
+    monkeypatch.setattr(filtration, "_span_basis", counting)
+    monkeypatch.setattr(modules, "span_dim", lambda *args: ranks.append(args))
+    modules._span_plan.cache_clear()
     assert cli._inclusion_report(inst, 2).passed
-    assert len(calls) == len(set(calls)) == 806
+    assert len(bases) == len(set(bases)) == 65
+    assert ranks == []
+    assert modules._span_plan.cache_info().misses == 0
 
 
 def _rank_inclusions(h1, h2, p, q):
@@ -332,7 +302,7 @@ def _tested_generators(h1, h2, p, q) -> dict:
     return named
 
 
-RINGS = (R2, BASE)
+RINGS = (R2, BASE, BASE2)
 
 
 def _binomials(ring) -> tuple:
@@ -375,9 +345,10 @@ def sabotaged_levels(draw, ring):
 
 @st.composite
 def inclusion_cases(draw):
-    """H1, H2, p, q and a sabotaged level or None, over R2 or over the
-    two-variable ring BASE, where an exponent tuple has a bidegree's
-    shape."""
+    """H1, H2, p, q and a sabotaged level or None, over R2 or over a
+    two-variable ring, where an exponent tuple has a bidegree's shape:
+    BASE, or BASE2 over F_2, where (x+y)^2 = x^2 + y^2 makes other terms
+    cancel than over Q."""
     ring = draw(st.sampled_from(RINGS))
     h1, h2 = draw(ideals(ring)), draw(ideals(ring))
     p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
@@ -416,10 +387,9 @@ def test_inclusions_by_divisibility_match_the_rank_test(case):
 
 
 def test_inclusions_on_a_two_variable_ring_share_one_memo():
-    # over k[x, y] an exponent tuple has a bidegree's shape; the rank
-    # test's memo must keep a generator's outcome apart from a span's
-    # dimension, or a monomial generator tested after its bidegree's
-    # dimension was stored reads that dimension as its outcome
+    # over k[x, y] an exponent tuple has a bidegree's shape. The memo
+    # holds only echelon bases by (span, bidegree), so a basis built for
+    # one (p, q) serves every later test of that span and bidegree
     x, y = BASE.gen("x"), BASE.gen("y")
     h1, h2 = SubmoduleSpec(BASE, 0, (x + y,)), max_ideal(BASE)
     memo = {}
