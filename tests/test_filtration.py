@@ -234,14 +234,19 @@ def test_monomial_inclusion_report_makes_no_rank_test(monkeypatch, name):
     assert calls == []
 
 
-def test_nonmonomial_inclusion_report_builds_each_basis_once(monkeypatch):
+def _minors_block_pair():
     # H of minors_block.txt keeps polynomial generators in its powers, so
-    # the pair (H, (x, y)) goes by reduction. With one memo over
-    # (p, q) <= 2, each (level, bidegree) basis is built once, and no
-    # span plan is made for it
+    # the pair (H, (x, y)) goes by reduction, not by divisibility
     text = (INSTANCES / "minors_block.txt").read_text()
-    inst = cli.parse_instance(text + "submodule M fiberdeg 0 gens x, y\n")
-    bases, ranks = [], []
+    return cli.parse_instance(text + "submodule M fiberdeg 0 gens x, y\n")
+
+
+def test_nonmonomial_inclusion_report_makes_each_rank_test_once(monkeypatch):
+    # with one memo over (p, q) <= 2, each (level, bidegree) echelon basis
+    # is built once; a fresh memo per (p, q) builds some again, and the
+    # two reports are equal
+    inst = _minors_block_pair()
+    bases = []
     real = filtration._span_basis
 
     def counting(*args):
@@ -249,10 +254,28 @@ def test_nonmonomial_inclusion_report_builds_each_basis_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(filtration, "_span_basis", counting)
+    memoized = cli._inclusion_report(inst, 2)
+    assert memoized.passed
+    assert len(bases) == len(set(bases)) == 65
+
+    bases.clear()
+    monkeypatch.setattr(
+        cli,
+        "check_filtration_inclusions",
+        lambda h1, h2, p, q, memo: check_filtration_inclusions(h1, h2, p, q),
+    )
+    assert cli._inclusion_report(inst, 2) == memoized
+    assert len(bases) == 71
+
+
+def test_nonmonomial_inclusion_report_makes_each_span_dim_once(monkeypatch):
+    # reduction ranks no span: the report makes no span_dim call, so each
+    # is made at most once, and no span plan is made for a basis
+    inst = _minors_block_pair()
+    ranks = []
     monkeypatch.setattr(modules, "span_dim", lambda *args: ranks.append(args))
     modules._span_plan.cache_clear()
     assert cli._inclusion_report(inst, 2).passed
-    assert len(bases) == len(set(bases)) == 65
     assert ranks == []
     assert modules._span_plan.cache_info().misses == 0
 
