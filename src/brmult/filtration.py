@@ -74,7 +74,7 @@ def mixed_level(
 def _span_basis(span: tuple, deg) -> dict:
     """The reduced echelon basis of the span ``span``'s piece at bidegree
     ``deg``: each generator times the ring's monomials of the bidegree it
-    lacks, multiplied by shifting exponent tuples."""
+    lacks, by shifting exponent tuples, until they fill the ring's piece."""
     ring, (a, n) = span[0].ring, deg
     rows = (
         {tuple(map(add, m, mu)): c for m, c in g.terms}
@@ -82,7 +82,7 @@ def _span_basis(span: tuple, deg) -> dict:
         for g in h.gens
         for mu in monomial_basis(ring, (a - g.bidegree()[0], n - h.fiber_degree))
     )
-    return _echelon(ring.field, rows)
+    return _echelon(ring.field, rows, len(monomial_basis(ring, deg)))
 
 
 class InclusionWitness(Value):

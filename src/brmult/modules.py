@@ -32,12 +32,12 @@ Hilbert-Poincare series", JPAA 119, 1997), computed once per ideal. A
 walk of T / B over one fiber degree folds the components' numerators
 into P_B - P_T, a polynomial in X, and divides it by (1 - X)^s with s
 running sums. Every pass ends at 0 exactly when T / B is finite, and the
-quotient's coefficients are then its dims; otherwise the series is
-expanded degree by degree. Only the other vectors go through field
-elimination, degree by degree, as the sparse ``{position: coefficient}``
-rows that ``linalg.subspace_dim`` takes, and only where the monomial part
-leaves monomials: the rank of a union of distinct unit vectors U and
-other rows V is |U| plus the rank of V with the U coordinates cleared.
+walk reads its dims and stop off the quotient; an infinite series is
+expanded degree by degree. Other vectors go through field elimination,
+degree by degree, as the sparse ``{position: coefficient}`` rows that
+``linalg.subspace_dim`` takes, and only where the monomial part leaves
+monomials: the rank of a union of distinct unit vectors U and other
+rows V is |U| plus the rank of V with the U coordinates cleared.
 
 Fiber-slice lengths carry a finiteness certificate: the quotient being
 measured is generated in base degrees <= D, so the first zero summand at
@@ -252,11 +252,11 @@ def _shifted_sum(p: dict, q: dict, b: int, f: int, sign: int) -> dict:
 
 
 @lru_cache(maxsize=2048)
-def _hilbert_numerator(gens: tuple, nbase: int) -> tuple:
+def _hilbert_numerator(gens: tuple, nbase: int) -> dict:
     """Bigraded Hilbert numerator of S/J, J minimally generated by ``gens``.
 
     ``gens`` is a ``_prune_dominated`` result; the first ``nbase``
-    exponents belong to base variables. Returns terms (b, f, c) with
+    exponents belong to base variables. Returns {(b, f): c}, read only, with
     sum_{a, n} dim (S/J)_{a, n} X^a Y^n = sum c X^b Y^f / ((1-X)^s (1-Y)^t).
 
     Pairwise coprime generators give the product of the factors
@@ -266,64 +266,64 @@ def _hilbert_numerator(gens: tuple, nbase: int) -> tuple:
     and e its least positive exponent among them. A minimal generator
     x_j^e' with e' <= e would divide one of those, so P is not in J, and
     both J + P and J : P have a smaller total degree of generators that
-    are not pure powers: the recursion ends.
+    are not pure powers: the recursion ends. e is the least positive
+    exponent in x_j's column, as x_j's pure power, if any, has the largest.
 
     Both come minimal from J's generators, with no prune: every generator
     with x_j has m_j >= e, as P is not in J. J + P is the ones free of x_j
     plus P. J : P shifts the others down by e, which keeps them minimal,
     and drops the free ones a shifted generator free of x_j now divides.
     """
-    nvars = len(gens[0]) if gens else 0
-    occurs = [0] * nvars
-    mixed = [0] * nvars
-    for m in gens:
-        support = [j for j, e in enumerate(m) if e]
-        for j in support:
-            occurs[j] += 1
-            mixed[j] += len(support) > 1
+    columns = tuple(zip(*gens))
+    occurs = [len(gens) - column.count(0) for column in columns]
     if max(occurs, default=0) <= 1:
         poly = {(0, 0): 1}
         for m in gens:
             poly = _shifted_sum(poly, poly, sum(m[:nbase]), sum(m[nbase:]), -1)
-        return tuple((b, f, c) for (b, f), c in sorted(poly.items()))
+        return poly
 
+    nvars = len(columns)
+    pure_vars = [m.index(max(m)) for m in gens if m.count(0) == nvars - 1]
+    mixed = [n - pure_vars.count(v) for v, n in enumerate(occurs)]
     j = max(range(nvars), key=mixed.__getitem__)
-    e = min(m[j] for m in gens if m[j] and sum(map(bool, m)) > 1)
+    e = min(filter(None, columns[j]))
     pivot = tuple(e if v == j else 0 for v in range(nvars))
     free = [m for m in gens if not m[j]]
     shifted = [m[:j] + (m[j] - e,) + m[j + 1 :] for m in gens if m[j]]
     cut = [s for s in shifted if not s[j]]
-    free_left = [m for m in free if not any(all(map(ge, m, s)) for s in cut)]
+    left = free
+    if cut:
+        left = [m for m in free if not any(all(map(ge, m, s)) for s in cut)]
     with_pivot = tuple(sorted(free + [pivot], key=_order))
-    colon = tuple(sorted(shifted + free_left, key=_order))
-    poly = _shifted_sum(
-        {(b, f): c for b, f, c in _hilbert_numerator(with_pivot, nbase)},
-        {(b, f): c for b, f, c in _hilbert_numerator(colon, nbase)},
+    colon = tuple(sorted(shifted + left, key=_order))
+    return _shifted_sum(
+        _hilbert_numerator(with_pivot, nbase),
+        _hilbert_numerator(colon, nbase),
         e if j < nbase else 0,
         0 if j < nbase else e,
         1,
     )
-    return tuple((b, f, c) for (b, f), c in sorted(poly.items()))
 
 
 def _standard_dims(pres: ModulePresentation, fiber_deg: int, ideals) -> list:
     """The numerator of the dims of F / (J_1 e_1 + ... + J_r e_r) at fiber
     degree n, J_i minimally generated by ``ideals[i]``: their series is
-    P(X) / (1 - X)^s, P(X) = sum_i X^{a_i} sum_{(b, f, c) in N(J_i)}
+    P(X) / (1 - X)^s, P(X) = sum_i X^{a_i} sum_{c X^b Y^f in N(J_i)}
     c m_t(n - n_i - f) X^b, and the list holds P's coefficients."""
     s, t = len(pres.ring.base), len(pres.ring.fiber)
     numerator = []
     for gens, (ai, ni) in zip(ideals, pres.free.shifts):
-        terms = _hilbert_numerator(gens, s)  # sorted, so the last b is the largest
-        numerator += [0] * (ai + terms[-1][0] + 1 - len(numerator)) if terms else []
-        for b, f, c in terms:
+        terms = _hilbert_numerator(gens, s)
+        if terms:
+            numerator += [0] * (ai + max(terms)[0] + 1 - len(numerator))
+        for (b, f), c in terms.items():
             numerator[ai + b] += c * _monomial_count(fiber_deg - ni - f, t)
     return numerator
 
 
 def _series(numerator: list, s: int) -> tuple:
-    """``numerator`` / (1 - X)^s as a power series, and whether it is a
-    polynomial: a running sum divides by 1 - X exactly if it ends at 0."""
+    """``numerator`` / (1 - X)^s as a power series, and as a list if it is a
+    polynomial, else None: a running sum divides by 1 - X iff it ends at 0."""
     quotient = numerator
     for _ in range(s):
         quotient = list(itertools.accumulate(quotient))
@@ -331,8 +331,8 @@ def _series(numerator: list, s: int) -> tuple:
             dims = itertools.chain(numerator, itertools.repeat(0))
             for _ in range(s):
                 dims = itertools.accumulate(dims)
-            return dims, False
-    return itertools.chain(quotient, itertools.repeat(0)), True
+            return dims, None
+    return itertools.chain(quotient, itertools.repeat(0)), quotient
 
 
 def _plan(pres: ModulePresentation, span: tuple, fiber_deg: int) -> tuple:
@@ -463,19 +463,19 @@ class LengthResult(Value):
 def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom) -> tuple:
     """Dims of (T / B) at base degrees 0, 1, 2, ... of one fiber degree,
     for the span plans ``top`` and ``bottom`` (T is F for ``top`` None), and
-    whether the division proved all but finitely many of them 0."""
+    their ``_series`` polynomial if the division proved one, else None."""
     if bottom[1] or top is not None and top[1]:
         bottoms = _quotient_dims(pres, fiber_deg, bottom)
         tops = _quotient_dims(pres, fiber_deg, top) if top else itertools.repeat(0)
-        dims, finite = map(sub, bottoms, tops), False
+        dims, quotient = map(sub, bottoms, tops), None
     else:
         numerator = _standard_dims(pres, fiber_deg, bottom[0])
         if top is not None:
             tops = _standard_dims(pres, fiber_deg, top[0])
             pairs = itertools.zip_longest(numerator, tops, fillvalue=0)
             numerator = [b - t for b, t in pairs]
-        dims, finite = _series(numerator, len(pres.ring.base))
-    return _nested(pres, fiber_deg, top, bottom, dims), finite
+        dims, quotient = _series(numerator, len(pres.ring.base))
+    return _nested(pres, fiber_deg, top, bottom, dims), quotient
 
 
 def _nested(pres: ModulePresentation, fiber_deg: int, top, bottom, dims):
@@ -492,12 +492,18 @@ def _nested(pres: ModulePresentation, fiber_deg: int, top, bottom, dims):
 
 
 def _length(pres, fiber_deg: int, top, bottom, cutoff) -> LengthResult:
-    """``graded_slice_length`` on the span plans ``top`` and ``bottom``."""
+    """``graded_slice_length`` on the span plans ``top`` and ``bottom``: with
+    no cutoff, dims off the division's polynomial quotient if it has one."""
     shifts = [a for a, _ in pres.free.shifts]
     high = 0 if top is None else top[2]  # the free slice acts from base degree 0
     certificate = 0 if high is None else high + max(shifts, default=0)
-    dims, finite = _slice_dims(pres, fiber_deg, top, bottom)
-    if cutoff is None and not finite:
+    dims, quotient = _slice_dims(pres, fiber_deg, top, bottom)
+    if cutoff is None and quotient is not None:
+        padded = quotient + [0] * (certificate + 1)
+        per_degree = tuple(padded[: padded.index(0, certificate) + 1])
+        if min(per_degree) >= 0:
+            return LengthResult(sum(per_degree), per_degree, len(per_degree) - 1)
+    elif cutoff is None:
         cutoff = 64  # None is left only where the division proved no cutoff needed
     if cutoff is not None and cutoff < certificate:
         raise CutoffTooSmall(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 from contextlib import suppress
+from math import prod
 
 from .fields import Value
 
@@ -83,23 +84,28 @@ class LengthTable(Value):
             raise GridTooSmallError("axes, origin and extents disagree in arity")
         if any(e < 1 for e in extents):
             raise GridTooSmallError(f"empty extent in {extents}")
-        strides, size = [], 1
-        for e in reversed(extents):
-            strides.insert(0, size)
-            size *= e
         values = tuple(self.values)
-        if len(values) != size:
+        if len(values) != prod(extents):
             raise GridTooSmallError(
-                f"got {len(values)} values for a grid of {size} points"
+                f"got {len(values)} values for a grid of {prod(extents)} points"
             )
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise GridTooSmallError(f"non-integer table value {v!r}")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "extents", extents)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_strides", tuple(strides))
+        LengthTable._unchecked(axes, origin, extents, values, self)
+
+    @classmethod
+    def _unchecked(cls, axes, origin, extents, values, table=None) -> LengthTable:
+        """The table of these fields, as ``__post_init__`` leaves them, and
+        their row-major strides, with no check: a new table or ``table``."""
+        table = object.__new__(cls) if table is None else table
+        strides = [1]
+        for e in reversed(extents[1:]):
+            strides.insert(0, strides[0] * e)
+        fields = (axes, origin, extents, values, tuple(strides))
+        for name, value in zip(cls._fields + ("_strides",), fields):
+            object.__setattr__(table, name, value)
+        return table
 
     @property
     def arity(self) -> int:
@@ -145,7 +151,8 @@ class LengthTable(Value):
 
 
 def finite_difference(t: LengthTable, axis) -> LengthTable:
-    """Forward difference along one axis; the extent there shrinks by 1."""
+    """Forward difference along one axis; the extent there shrinks by 1.
+    Differences of ints are ints, so the result skips the table's checks."""
     ax = t.axis_index(axis)
     if t.extents[ax] < 2:
         raise GridTooSmallError(
@@ -162,7 +169,7 @@ def finite_difference(t: LengthTable, axis) -> LengthTable:
     for start in range(0, len(t.values), block):
         chunk = t.values[start : start + block]
         values += map(operator.sub, chunk[step:], chunk[:-step])
-    return LengthTable(t.axes, t.origin, new_extents, tuple(values))
+    return LengthTable._unchecked(t.axes, t.origin, new_extents, tuple(values))
 
 
 class LeadingForm(Value):

@@ -375,24 +375,28 @@ def _dedup_monic(polys) -> tuple:
     return tuple(sorted(seen.values(), key=lambda g: g.terms, reverse=True))
 
 
+def _subtract(f, row: dict, c, tail: dict) -> None:
+    """row -= c * tail in place, for rows {monomial: coeff in the field f}."""
+    for m, v in tail.items():
+        x = f.sub(row.get(m, f.zero), f.mul(c, v))
+        if f.is_zero(x):
+            row.pop(m, None)
+        else:
+            row[m] = x
+
+
 def _reduce(f, row: dict, basis: dict) -> dict:
     """Reduce ``row``, {monomial: coeff in the field f}, in place by the
     reduced echelon ``basis``, {leading monomial: rest of its monic row}.
     The row it returns is empty exactly when it lay in the basis's span."""
     for lead in row.keys() & basis.keys():
-        c = row.pop(lead)
-        for m, v in basis[lead].items():
-            x = f.sub(row.get(m, f.zero), f.mul(c, v))
-            if f.is_zero(x):
-                row.pop(m, None)
-            else:
-                row[m] = x
+        _subtract(f, row, row.pop(lead), basis[lead])
     return row
 
 
-def _echelon(f, rows) -> dict:
-    """The unique reduced echelon basis, as ``_reduce`` takes it, of the
-    span of ``rows``, dicts {monomial: coeff} of one bidegree it may change."""
+def _echelon(f, rows, full: int | None = None) -> dict:
+    """The unique reduced echelon basis, as ``_reduce`` takes it, of the span
+    of ``rows``, {monomial: coeff} of one bidegree it may change, to ``full`` rows."""
     basis = {}
     for row in rows:
         if not _reduce(f, row, basis):
@@ -402,8 +406,10 @@ def _echelon(f, rows) -> dict:
         row = {m: f.mul(inv, c) for m, c in row.items()}
         for tail in basis.values():
             if lead in tail:
-                _reduce(f, tail, {lead: row})
+                _subtract(f, tail, tail.pop(lead), row)
         basis[lead] = row
+        if len(basis) == full:
+            break
     return basis
 
 

@@ -70,6 +70,11 @@ def test_finite_difference_matches_the_per_index_definition(case):
     )
     assert d.values == expected
     assert (d.axes, d.origin) == (t.axes, t.origin)
+    # built without the checks, it is the table the checked constructor builds
+    checked = LengthTable(d.axes, d.origin, d.extents, d.values)
+    assert d == checked
+    assert hash(d) == hash(checked)
+    assert d._strides == checked._strides
 
 
 @given(axis_tables())
@@ -83,6 +88,12 @@ def test_value_and_point_follow_the_row_major_order(case):
     ]
     with pytest.raises(IndexError):
         t.value(t.extents)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_length_table_rejects_a_value_that_is_not_an_int(bad):
+    with pytest.raises(GridTooSmallError, match="non-integer table value"):
+        LengthTable(("n",), (0,), (3,), (0, bad, 2))
 
 
 def test_difference_of_tiny_extent_rejected():
