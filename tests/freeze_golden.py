@@ -31,15 +31,16 @@ PER_INSTANCE = (
 )
 # Files whose full PER_INSTANCE set takes seconds or more: the monomial
 # r = 5 block keeps its ``br``, ``lambda --csv`` and ``verify
-# telescoping``, and the non-monomial block gets no forms. The pairs
-# with a rank-2 submodule keep every form and add ``verify operator``
-# and ``verify factor-sum``. In-process, their ``verify inclusions --grid
-# 4`` forms take 1-2 s each and their ``verify all`` forms under 2 s;
-# every other kept form runs in under 0.5 s.
+# telescoping``, and the non-monomial block its ``br`` and ``lambda
+# --csv``, which reach its polynomial span plans in about 0.6 s each.
+# The pairs with a rank-2 submodule keep every form and add ``verify
+# operator`` and ``verify factor-sum``. In-process, their ``verify
+# inclusions --grid 4`` forms take 1-2 s each and their ``verify all``
+# forms under 2 s; every other kept form runs in under 0.5 s.
 PAIR_FORMS = PER_INSTANCE + ("verify operator {}", "verify factor-sum {}")
 FORMS = {
     "block_3x3.txt": ("br {}", "lambda {} --csv", "verify telescoping {}"),
-    "minors_3var.txt": (),
+    "minors_3var.txt": ("br {}", "lambda {} --csv"),
     "module_pair.txt": PAIR_FORMS,
     "ideal_module_pair.txt": PAIR_FORMS,
 }
