@@ -222,33 +222,52 @@ def _monomial_count(degree: int, nvars: int) -> int:
     return comb(degree + nvars - 1, nvars - 1)
 
 
-def _order(m) -> tuple:
-    return sum(m), m
+def _by_degree(monos) -> tuple:
+    """``monos`` by (degree, exponents), with no key written in Python."""
+    return tuple(sorted(sorted(monos), key=sum))
 
 
 def _prune_dominated(monos) -> tuple:
-    """The divisibility-minimal monomials, sorted by ``_order``: (degree,
-    exponents). Distinct monomials of equal total degree cannot divide
-    each other, so each candidate is tested only against kept ones of
-    lower degree.
-    """
-    monos = sorted(set(monos), key=_order)
-    kept, lower, degree = [], (), None
-    for m in monos:
-        if sum(m) != degree:
-            degree, lower = sum(m), tuple(kept)
-        if not any(all(map(ge, m, k)) for k in lower):
-            kept.append(m)
+    """The divisibility-minimal monomials, ``_by_degree``. Only kept ones of
+    lower degree can divide one, so the least degree's are kept untested."""
+    kept = []
+    for _, group in itertools.groupby(_by_degree(set(monos)), key=sum):
+        if kept:
+            lower = tuple(kept)
+            group = [m for m in group if not any(all(map(ge, m, k)) for k in lower)]
+        kept += group
     return tuple(kept)
 
 
+def _undivided(monos: list, divisors: list) -> list:
+    """The ``monos`` none of ``divisors`` divides, testing each only against
+    the divisors bucketed under a support inside its own, as one must be."""
+    bits = [1 << v for v in range(len(divisors[0]))]
+    buckets = {}
+    for g in divisors:
+        buckets.setdefault(sum(itertools.compress(bits, g)), []).append(g)
+    kept = []
+    for m in monos:
+        support = sum(itertools.compress(bits, m))
+        for mask, group in buckets.items():
+            if mask | support == support and any(all(map(ge, m, g)) for g in group):
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
 def _shifted_sum(p: dict, q: dict, b: int, f: int, sign: int) -> dict:
-    """p + sign * X^b Y^f * q for polynomials stored as {(b, f): c}."""
+    """p + sign * X^b Y^f * q for polynomials stored as {(b, f): c != 0}."""
     out = dict(p)
     for (qb, qf), c in q.items():
         key = (qb + b, qf + f)
-        out[key] = out.get(key, 0) + sign * c
-    return {key: c for key, c in out.items() if c}
+        c = out.get(key, 0) + sign * c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
 
 
 @lru_cache(maxsize=2048)
@@ -272,52 +291,49 @@ def _hilbert_numerator(gens: tuple, nbase: int) -> dict:
     Both come minimal from J's generators, with no prune: every generator
     with x_j has m_j >= e, as P is not in J. J + P is the ones free of x_j
     plus P. J : P shifts the others down by e, which keeps them minimal,
-    and drops the free ones a shifted generator free of x_j now divides.
+    and drops the free ones a shifted generator free of x_j now divides
+    (``_undivided``). Both are sorted as ``_prune_dominated`` sorts.
     """
     columns = tuple(zip(*gens))
-    occurs = [len(gens) - column.count(0) for column in columns]
-    if max(occurs, default=0) <= 1:
+    if max([len(gens) - column.count(0) for column in columns], default=0) <= 1:
         poly = {(0, 0): 1}
         for m in gens:
             poly = _shifted_sum(poly, poly, sum(m[:nbase]), sum(m[nbase:]), -1)
         return poly
 
     nvars = len(columns)
-    pure_vars = [m.index(max(m)) for m in gens if m.count(0) == nvars - 1]
-    mixed = [n - pure_vars.count(v) for v, n in enumerate(occurs)]
-    j = max(range(nvars), key=mixed.__getitem__)
+    mixed = [m for m in gens if m.count(0) < nvars - 1]  # not pure powers
+    mixed = [len(mixed) - column.count(0) for column in zip(*mixed)]
+    j = mixed.index(max(mixed))
     e = min(filter(None, columns[j]))
-    pivot = tuple(e if v == j else 0 for v in range(nvars))
+    pivot = (0,) * j + (e,) + (0,) * (nvars - j - 1)
     free = [m for m in gens if not m[j]]
     shifted = [m[:j] + (m[j] - e,) + m[j + 1 :] for m in gens if m[j]]
     cut = [s for s in shifted if not s[j]]
-    left = free
-    if cut:
-        left = [m for m in free if not any(all(map(ge, m, s)) for s in cut)]
-    with_pivot = tuple(sorted(free + [pivot], key=_order))
-    colon = tuple(sorted(shifted + left, key=_order))
-    return _shifted_sum(
-        _hilbert_numerator(with_pivot, nbase),
-        _hilbert_numerator(colon, nbase),
-        e if j < nbase else 0,
-        0 if j < nbase else e,
-        1,
+    left = _undivided(free, cut) if cut else free
+    with_pivot = _hilbert_numerator(_by_degree(free + [pivot]), nbase)
+    colon = _hilbert_numerator(_by_degree(shifted + left), nbase)
+    b, f = (e, 0) if j < nbase else (0, e)
+    return _shifted_sum(with_pivot, colon, b, f, 1)
+
+
+def _numerator_terms(pres: ModulePresentation, ideals) -> list:
+    """The terms (b, f, c), by ascending b, of sum_i X^{a_i} Y^{n_i} N(J_i),
+    the numerator of F / (J_1 e_1 + ... + J_r e_r), J_i minimal ``ideals[i]``."""
+    s = len(pres.ring.base)
+    return sorted(
+        (ai + b, ni + f, c)
+        for gens, (ai, ni) in zip(ideals, pres.free.shifts)
+        for (b, f), c in _hilbert_numerator(gens, s).items()
     )
 
 
-def _standard_dims(pres: ModulePresentation, fiber_deg: int, ideals) -> list:
-    """The numerator of the dims of F / (J_1 e_1 + ... + J_r e_r) at fiber
-    degree n, J_i minimally generated by ``ideals[i]``: their series is
-    P(X) / (1 - X)^s, P(X) = sum_i X^{a_i} sum_{c X^b Y^f in N(J_i)}
-    c m_t(n - n_i - f) X^b, and the list holds P's coefficients."""
-    s, t = len(pres.ring.base), len(pres.ring.fiber)
-    numerator = []
-    for gens, (ai, ni) in zip(ideals, pres.free.shifts):
-        terms = _hilbert_numerator(gens, s)
-        if terms:
-            numerator += [0] * (ai + max(terms)[0] + 1 - len(numerator))
-        for (b, f), c in terms.items():
-            numerator[ai + b] += c * _monomial_count(fiber_deg - ni - f, t)
+def _fold(terms: list, fiber_deg: int, t: int) -> list:
+    """P(X) = sum c m_t(n - f) X^b over ``terms``, at fiber degree n: the dims
+    at n have the series P(X) / (1 - X)^s. The list holds P's coefficients."""
+    numerator = [0] * (terms[-1][0] + 1) if terms else []
+    for b, f, c in terms:
+        numerator[b] += c * _monomial_count(fiber_deg - f, t)
     return numerator
 
 
@@ -427,7 +443,8 @@ def _quotient_dim(pres: ModulePresentation, deg, plan, standard: int) -> int:
 def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
     """``_quotient_dim`` at base degrees 0, 1, ... of ``fiber_deg``: the
     standard series itself when there are no polynomial rows."""
-    dims, _ = _series(_standard_dims(pres, fiber_deg, plan[0]), len(pres.ring.base))
+    numerator = _fold(_numerator_terms(pres, plan[0]), fiber_deg, len(pres.ring.fiber))
+    dims, _ = _series(numerator, len(pres.ring.base))
     if not plan[1]:
         return dims
     return (_quotient_dim(pres, (a, fiber_deg), plan, s) for a, s in enumerate(dims))
@@ -443,7 +460,8 @@ def span_dim(pres: ModulePresentation, deg, span: tuple = ()) -> int:
     free = len(piece_basis(pres.free, deg)[0])
     if a < 0:
         return free
-    dims, _ = _series(_standard_dims(pres, n, plan[0]), len(pres.ring.base))
+    numerator = _fold(_numerator_terms(pres, plan[0]), n, len(pres.ring.fiber))
+    dims, _ = _series(numerator, len(pres.ring.base))
     return free - _quotient_dim(pres, deg, plan, next(itertools.islice(dims, a, None)))
 
 
@@ -469,11 +487,11 @@ def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom) -> tuple:
         tops = _quotient_dims(pres, fiber_deg, top) if top else itertools.repeat(0)
         dims, quotient = map(sub, bottoms, tops), None
     else:
-        numerator = _standard_dims(pres, fiber_deg, bottom[0])
+        terms = _numerator_terms(pres, bottom[0])
         if top is not None:
-            tops = _standard_dims(pres, fiber_deg, top[0])
-            pairs = itertools.zip_longest(numerator, tops, fillvalue=0)
-            numerator = [b - t for b, t in pairs]
+            tops = _numerator_terms(pres, top[0])
+            terms = sorted(terms + [(b, f, -c) for b, f, c in tops])
+        numerator = _fold(terms, fiber_deg, len(pres.ring.fiber))
         dims, quotient = _series(numerator, len(pres.ring.base))
     return _nested(pres, fiber_deg, top, bottom, dims), quotient
 
@@ -491,18 +509,32 @@ def _nested(pres: ModulePresentation, fiber_deg: int, top, bottom, dims):
         yield dim
 
 
+def _certificate(pres: ModulePresentation, top) -> int:
+    """The base degree D from which a zero dim of T / B ends it: D bounds
+    the base degrees T, and so T / B, is generated in."""
+    high = 0 if top is None else top[2]  # the free slice acts from base degree 0
+    shifts = [a for a, _ in pres.free.shifts]
+    return 0 if high is None else high + max(shifts, default=0)
+
+
+def _read_off(quotient: list, certificate: int):
+    """The LengthResult of the dims in ``quotient`` up to the first zero at or
+    past ``certificate``; None if one is negative (T does not contain B)."""
+    padded = quotient + [0] * (certificate + 1)
+    per_degree = tuple(padded[: padded.index(0, certificate) + 1])
+    if min(per_degree) >= 0:
+        return LengthResult(sum(per_degree), per_degree, len(per_degree) - 1)
+
+
 def _length(pres, fiber_deg: int, top, bottom, cutoff) -> LengthResult:
     """``graded_slice_length`` on the span plans ``top`` and ``bottom``: with
     no cutoff, dims off the division's polynomial quotient if it has one."""
-    shifts = [a for a, _ in pres.free.shifts]
-    high = 0 if top is None else top[2]  # the free slice acts from base degree 0
-    certificate = 0 if high is None else high + max(shifts, default=0)
+    certificate = _certificate(pres, top)
     dims, quotient = _slice_dims(pres, fiber_deg, top, bottom)
     if cutoff is None and quotient is not None:
-        padded = quotient + [0] * (certificate + 1)
-        per_degree = tuple(padded[: padded.index(0, certificate) + 1])
-        if min(per_degree) >= 0:
-            return LengthResult(sum(per_degree), per_degree, len(per_degree) - 1)
+        result = _read_off(quotient, certificate)
+        if result:
+            return result
     elif cutoff is None:
         cutoff = 64  # None is left only where the division proved no cutoff needed
     if cutoff is not None and cutoff < certificate:
@@ -517,6 +549,7 @@ def _length(pres, fiber_deg: int, top, bottom, cutoff) -> LengthResult:
         if cutoff is not None and a >= cutoff:
             # Below this base degree no bottom item spans anything, so a walk
             # cut off there has not tested the quotient by them at all.
+            shifts = [a for a, _ in pres.free.shifts]
             reach = 0 if bottom[3] is None else bottom[3] + min(shifts, default=0)
             if cutoff < reach:
                 raise CutoffTooSmall(
@@ -552,9 +585,20 @@ def graded_slice_length(
 
 def generated_lengths(pres, gens: SubmoduleSpec, ns: range, cutoff=DEFAULT_CUTOFF):
     """``graded_slice_length(pres, d + n, None, (gens,), cutoff)`` for n in ``ns``,
-    d the fiber degree of ``gens``: a table row, walked on one span plan."""
-    plan = _plan(pres, (gens,), gens.fiber_degree)
-    return tuple(_length(pres, gens.fiber_degree + n, None, plan, cutoff) for n in ns)
+    d the fiber degree of ``gens``, on one span plan. A monomial plan with no
+    cutoff reads its numerators once; other rows and open cells take ``_length``."""
+    d = gens.fiber_degree
+    plan = _plan(pres, (gens,), d)
+    if cutoff is not None or plan[1]:
+        return tuple(_length(pres, d + n, None, plan, cutoff) for n in ns)
+    terms, certificate = _numerator_terms(pres, plan[0]), _certificate(pres, None)
+    s, t = len(pres.ring.base), len(pres.ring.fiber)
+    row = []
+    for n in ns:
+        _, quotient = _series(_fold(terms, d + n, t), s)
+        cell = quotient is not None and _read_off(quotient, certificate)
+        row.append(cell or _length(pres, d + n, None, plan, None))
+    return tuple(row)
 
 
 def slice_dims_up_to(
@@ -580,19 +624,26 @@ def slice_dims_up_to(
 def krull_dimension(pres: ModulePresentation) -> int:
     """Krull dimension of M over the total grading.
 
-    Computed as 1 + (degree of the eventual polynomial of the total-degree
-    Hilbert function), with an eventually zero function meaning dimension
-    0. The probe range is a heuristic: generation and relation degrees
-    plus headroom. A function that has not settled by then, on its last
-    four values, to zero or to a polynomial with a positive leading
-    coefficient raises.
-    """
-    free = pres.free
+    With no polynomial relation, M is the sum of the S/J_i shifted to
+    (a_i, n_i): s + t - k, k the order to which sum_i T^{a_i + n_i} N(J_i)(T,
+    T) vanishes at 1, that of its first nonzero derivative there (at most
+    s + t, as M's series has no negative coefficient). Otherwise 1 + the
+    degree of the eventual total-degree Hilbert polynomial (0 if the
+    function ends at 0), probed to a heuristic degree: a function not
+    settled by then, on its last four values, raises."""
+    free, nvars = pres.free, pres.ring.nvars
     if free.rank == 0:
         raise ZeroModuleError("zero module has no Krull dimension here")
+    ideals, vectors, _, _ = _span_plan(pres, (), -1)
+    if not vectors:
+        terms = [(b + f, c) for b, f, c in _numerator_terms(pres, ideals)]
+        taylor = [sum(c * comb(d, k) for d, c in terms) for k in range(nvars + 1)]
+        if not any(taylor):
+            raise ZeroModuleError("presentation defines the zero module")
+        return nvars - next(k for k, value in enumerate(taylor) if value)
     shift_totals = [a + n for a, n in free.shifts]
     relation_totals = [tb + tf for tb, tf in pres.relation_targets()]
-    probe = max(shift_totals) + max(relation_totals, default=0) + pres.ring.nvars + 8
+    probe = max(shift_totals) + max(relation_totals, default=0) + nvars + 8
     h = [0] * (probe + 1)
     for n in range(probe + 1):
         for a, dim in enumerate(slice_dims_up_to(pres, n, None, (), probe - n)):

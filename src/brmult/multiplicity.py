@@ -174,13 +174,22 @@ def _row(module: ModulePresentation, subs: tuple, powers: tuple, count: int, cut
             if len(factors) == 1
             else "a power of a generatorless H acts on a nonzero M"
         )
-    gens = power_generators(*factors[0])
-    for h, e in factors[1:]:
-        gens = product_generators(gens, power_generators(h, e))
+    gens = _generators(factors)
     row = _generated_row(module, gens, cutoff)
     if len(row) < count:
         row += generated_lengths(module, gens, range(len(row), count), cutoff)
     return row[:count]
+
+
+def _generators(factors: tuple) -> SubmoduleSpec:
+    """The generators of H_1^e_1 ... H_k^e_k for the (H_i, e_i) ``factors``,
+    by one factor at a time: the product with e_i lowered by 1 times H_i^1,
+    as a row's neighbor times one H_i. H_i^0 = <1> changes no product."""
+    gens = power_generators(*factors[0])
+    for h, e in factors[1:]:
+        for _ in range(e):
+            gens = product_generators(gens, power_generators(h, 1))
+    return gens
 
 
 @lru_cache(maxsize=None)

@@ -289,16 +289,37 @@ def test_cutoff_too_small_error_kind(tmp_path):
     ids=("samuel", "br"),
 )
 def test_hilbert_probe_error_kind(tmp_path, command, ring, sub):
-    # k[x,y]/(x^12, y^12) is Artinian; its Hilbert function still falls at
-    # the probe bound, so no r is resolved and no e-value is printed.
+    # k[x,y]/((x+y)^12, y^12) is Artinian; a module with a polynomial
+    # relation still probes its Hilbert function, which falls at the probe
+    # bound, so no r is resolved and no e-value is printed.
     path = write(
         tmp_path,
-        f"field Q\n{ring}\nmodule free 1 shifts (0,0)\nrel x^12\nrel y^12\n"
+        f"field Q\n{ring}\nmodule free 1 shifts (0,0)\nrel (x+y)^12\nrel y^12\n"
         f"submodule {sub}\n",
     )
     code, out = run([command, path])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "hilbert-probe"
+
+
+def test_monomial_artinian_module_resolves_r_by_its_pole(tmp_path):
+    # k[x,y;u]/(x^12, y^12) with H = (xu, yu): the series' pole at T = 1
+    # has order 1, so r = 0 with no probe. The table settles only at large
+    # p, so the default grid fails the fit, and grid 28 gives e[0,0] = 144,
+    # the length of k[x,y]/(x^12, y^12).
+    path = write(
+        tmp_path,
+        "field Q\nring base x y fiber u\nmodule free 1 shifts (0,0)\n"
+        "rel x^12\nrel y^12\nsubmodule H fiberdeg 1 gens x*u, y*u\n",
+    )
+    code, out = run(["br", path])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "degree-exceeds"
+    code, out = run(["br", path, "--grid", "28"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["r"], doc["r_source"]) == ("0", "krull-1")
+    assert doc["leading_form"] == {"e[0,0]": "144"}
 
 
 def test_parse_error_kind(tmp_path):
@@ -359,14 +380,13 @@ def test_negative_grid_is_a_value_error(tmp_path, argv, source):
 def test_csv_is_rejected_before_the_query_runs(tmp_path, monkeypatch, argv):
     # spread and verify print no table. Rejecting --csv only after the
     # query had run made ``verify all ... --csv`` run every check first.
-    # Every slice walk folds one Hilbert series, so none may be folded.
+    # Every slice walk and table row folds Hilbert series, so none may be
+    # folded.
     import brmult.modules as modules
 
     folds = []
-    fold = modules._standard_dims
-    monkeypatch.setattr(
-        modules, "_standard_dims", lambda *args: folds.append(args) or fold(*args)
-    )
+    fold = modules._fold
+    monkeypatch.setattr(modules, "_fold", lambda *a: folds.append(a) or fold(*a))
     pair = BLOCK + "submodule m fiberdeg 0 gens x, y\n"
     text = LOCAL_SQUARES if argv == ["spread"] else pair
     code, out = run([*argv, write(tmp_path, text), "--csv"])
@@ -384,10 +404,8 @@ def test_dims_walks_one_series_per_fiber_degree(monkeypatch):
     import brmult.modules as modules
 
     folds = []
-    fold = modules._standard_dims
-    monkeypatch.setattr(
-        modules, "_standard_dims", lambda *args: folds.append(args) or fold(*args)
-    )
+    fold = modules._fold
+    monkeypatch.setattr(modules, "_fold", lambda *a: folds.append(a) or fold(*a))
     code, _ = run(["dims", str(INSTANCES / "min_deg_one_block.txt")])
     assert code == 0
     assert len(folds) == 7

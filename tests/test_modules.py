@@ -15,10 +15,12 @@ from brmult.modules import (
     HilbertProbeError,
     ModulePresentation,
     ZeroModuleError,
+    _fold,
     _hilbert_numerator,
+    _numerator_terms,
     _series,
     _prune_dominated,
-    _standard_dims,
+    generated_lengths,
     graded_slice_length,
     krull_dimension,
     piece_basis,
@@ -202,25 +204,33 @@ def test_krull_dimension_error_outcomes():
         krull_dimension(ModulePresentation(FreeModuleSpec(base_only, ())))
     artinian = ModulePresentation(free, ((x * x,), (x * y,), (y * y,)))
     assert krull_dimension(artinian) == 0
-    # k[x,y]/(x^9, y^9) has not reached its zero tail by the probe bound
-    nine = ModulePresentation(free, ((x**9,), (y**9,)))
+    # k[x,y]/(x^9, y^9) has not reached its zero tail by the probe bound,
+    # but its numerator (1 - T^9)^2 cancels the pole of 1/(1 - T)^2 whole;
+    # the same ideal in the coordinates x + y, y keeps the probe and fails
+    assert krull_dimension(ModulePresentation(free, ((x**9,), (y**9,)))) == 0
     with pytest.raises(HilbertProbeError):
-        krull_dimension(nine)
+        krull_dimension(ModulePresentation(free, (((x + y) ** 9,), (y**9,))))
 
 
 def test_krull_dimension_rejects_a_falling_tail():
-    # k[x,y]/(x^12, y^12) is Artinian, but at the probe bound its Hilbert
-    # function still falls by 1 per degree. A negative slope is no Hilbert
-    # polynomial, so this raises instead of reporting dimension 2 (3 with
-    # a fiber variable, whose cumulative sums then end on a concave tail).
+    # k[x,y]/(x^12, y^12) is Artinian: its dimension is the pole order of
+    # (1 - T^12)^2 / (1 - T)^(2 + t), 0, or 1 with a fiber variable. At the
+    # probe bound its Hilbert function still falls by 1 per degree, and a
+    # negative slope is no Hilbert polynomial, so the probe, which a module
+    # with a polynomial relation still takes, raises instead of reporting
+    # dimension 2 (3 with the fiber variable).
     for ring in (RingSpec(QQ, ("x", "y"), ()), RingSpec(QQ, ("x", "y"), ("u",))):
         x, y = ring.gen("x"), ring.gen("y")
         free = FreeModuleSpec(ring, ((0, 0),))
+        artinian = 1 if ring.fiber else 0
+        twelve = krull_dimension(ModulePresentation(free, ((x**12,), (y**12,))))
+        assert twelve == artinian
         with pytest.raises(HilbertProbeError):
-            krull_dimension(ModulePresentation(free, ((x**12,), (y**12,))))
-        # (x^8, y^8) reaches its tail inside the probe range
-        eight = krull_dimension(ModulePresentation(free, ((x**8,), (y**8,))))
-        assert eight == (1 if ring.fiber else 0)
+            krull_dimension(ModulePresentation(free, (((x + y) ** 12,), (y**12,))))
+        # (x^8, y^8) reaches its tail inside the probe range either way
+        for rel in (x**8, (x + y) ** 8):
+            eight = krull_dimension(ModulePresentation(free, ((rel,), (y**8,))))
+            assert eight == artinian
 
 
 def test_generators_above_the_fiber_act_on_the_zero_slice():
@@ -308,7 +318,7 @@ def _brute_standard_count(ring, gens, deg):
 def _series_standard_counts(ring, gens, n, count):
     """Standard monomials of (gens) at base degrees 0..count-1 of fiber
     degree n, read off the expanded Hilbert series."""
-    numerator = _standard_dims(free_module(ring), n, (gens,))
+    numerator = _fold(_numerator_terms(free_module(ring), (gens,)), n, len(ring.fiber))
     return list(islice(_series(numerator, len(ring.base))[0], count))
 
 
@@ -401,6 +411,10 @@ def _numerator_splits(gens, nbase) -> dict:
 @example((R22, ((0, 0, 0, 0),)))
 @example((R22, ()))
 @example((R3, ((3, 0, 0), (1, 1, 0), (2, 0, 1))))
+# J : y shifts xy to the cut generator x, whose support lies inside that
+# of the free x^2 and which divides it; the free u^2's support misses x
+@example((R22, ((1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 1, 0))))
+@example((R22, ((0, 0, 2, 0), (1, 1, 0, 0), (0, 2, 0, 1))))
 @settings(max_examples=150, deadline=None)
 def test_colon_rule_keeps_the_numerator_and_its_splits(case):
     ring, gens = case
@@ -531,6 +545,38 @@ def test_mixed_span_dim_matches_the_divisibility_scan(case):
     for a in range(5):
         deg = (a, fiber)
         assert span_dim(pres, deg, as_span(items)) == scan_span_dim(pres, deg, items)
+
+
+def _cells(pres, gens, count, cutoff) -> list:
+    """``graded_slice_length`` of each cell of a row up to the first error,
+    which ends the list as its (kind, message)."""
+    cells = []
+    for n in range(count):
+        try:
+            cells.append(
+                graded_slice_length(pres, gens.fiber_degree + n, None, (gens,), cutoff)
+            )
+        except (CutoffExceeded, CutoffTooSmall) as err:
+            return cells + [(type(err), str(err))]
+    return cells
+
+
+@given(span_cases(max_terms=1), st.one_of(st.none(), st.integers(0, 6)))
+@settings(max_examples=150, deadline=None)
+def test_row_fold_matches_the_cell_walks(case, cutoff):
+    # a row folds, divides and reads off each cell from numerators read
+    # once; every cell, or the error that ends the row, is the cell walk's.
+    # Modules of rank 1-3 with shifts and monomial relations, on rings
+    # with empty fiber and base blocks too
+    pres, fiber, items = case
+    gens = [g for g in items if g.bidegree()[1] == fiber]
+    gens = SubmoduleSpec(pres.ring, fiber, gens)
+    cells = _cells(pres, gens, 4, cutoff)
+    try:
+        row = list(generated_lengths(pres, gens, range(4), cutoff))
+    except (CutoffExceeded, CutoffTooSmall) as err:
+        row = [*cells[:-1], (type(err), str(err))]
+    assert row == cells
 
 
 @st.composite

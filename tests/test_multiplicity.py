@@ -29,6 +29,7 @@ from brmult.multiplicity import (
     LocalQuery,
     ProductQuery,
     SupportConditionError,
+    _generators,
     br_multiplicities,
     generalized_samuel_report,
     lambda_local,
@@ -42,7 +43,9 @@ from brmult.rings import (
     Polynomial,
     RingSpec,
     SubmoduleSpec,
+    _echelon_basis,
     power_generators,
+    product_generators,
 )
 from brmult.verify import check_mixed_operator_formula, check_symmetry
 from corpus import curated_local, curated_mixed, curated_pure, parameter_matrices
@@ -93,23 +96,24 @@ def test_block_vs_max_fit_differences_each_table_once(monkeypatch):
 
 
 def test_block_vs_max_walks_one_series_per_span(monkeypatch):
-    # each of the 216 cells of the grid-5 query and each of the 13 fiber
-    # degrees krull_dimension walks reads one series, and no free one
+    # each of the 216 cells of the grid-5 query folds one series, and no
+    # free one: krull_dimension reads the pole order off the numerators and
+    # folds none (229 folds when it walked 13 fiber degrees)
     import brmult.modules as modules
 
     clear_caches()
     calls = []
-    standard = modules._standard_dims
+    fold = modules._fold
 
-    def counted(pres, fiber_deg, ideals):
-        calls.append(ideals)
-        return standard(pres, fiber_deg, ideals)
+    def counted(terms, fiber_deg, t):
+        calls.append(fiber_deg)
+        return fold(terms, fiber_deg, t)
 
-    monkeypatch.setattr(modules, "_standard_dims", counted)
+    monkeypatch.setattr(modules, "_fold", counted)
     [inst] = [inst for inst in curated_mixed() if inst.name == "block-vs-max"]
     report = br_multiplicities(ProductQuery(inst.module, (inst.h1, inst.h2), grid=5))
     assert report.r == 3
-    assert len(calls) == 229
+    assert len(calls) == 216
     # one span plan per generator set and cap: the 36 sets H1^p H2^q, whose
     # cap is always p, and the free slice of krull_dimension
     assert modules._span_plan.cache_info().misses == 37
@@ -122,7 +126,8 @@ def test_block_vs_max_builds_no_product_polynomial(monkeypatch):
     # the query made 861 of them (881 with the CLI's parse) and 4,536
     # Value.__hash__ calls. Each of the 36 rows, not each of the 216
     # cells, looks up its powers, product, lengths and span plan: 1,831
-    # calls when every cell did
+    # calls when every cell did, 391 when a row multiplied H1^p by H2^q,
+    # and more now that it multiplies row q - 1 by H2 through the cache
     [inst] = [inst for inst in curated_mixed() if inst.name == "block-vs-max"]
     query = ProductQuery(inst.module, (inst.h1, inst.h2), grid=5)
     clear_caches()
@@ -140,7 +145,23 @@ def test_block_vs_max_builds_no_product_polynomial(monkeypatch):
     monkeypatch.setattr(Polynomial, "__init__", counted_build)
     monkeypatch.setattr(Value, "__hash__", counted_hash)
     assert br_multiplicities(query).r == 3
-    assert counts == {"polynomials": 0, "hashes": 391}
+    assert counts == {"polynomials": 0, "hashes": 515}
+
+
+def test_block_vs_max_rows_multiply_by_one_factor(monkeypatch):
+    # row (p, q) adds the exponents of H2 = (x, y) to those of row q - 1:
+    # 2 (p + q)(p + 1) sums, and the powers H1^p add 4 p^2, 1,550 in all on
+    # the grid-5 query. Multiplying H1^p by H2^q formed 2,159
+    import brmult.rings as rings
+
+    sums = []
+    add = rings.add
+    monkeypatch.setattr(rings, "add", lambda a, b: sums.append(a) or add(a, b))
+    [inst] = [inst for inst in curated_mixed() if inst.name == "block-vs-max"]
+    clear_caches()
+    br_multiplicities(ProductQuery(inst.module, (inst.h1, inst.h2), grid=5))
+    nvars = len(inst.module.ring.base + inst.module.ring.fiber)
+    assert len(sums) == 1550 * nvars
 
 
 def test_numerator_recursion_prunes_nothing(monkeypatch):
@@ -229,10 +250,8 @@ def test_cleared_caches_leave_no_work_behind(monkeypatch):
     from brmult.cli import run
 
     folds, prunes = [], []
-    fold, prune = modules._standard_dims, modules._prune_dominated
-    monkeypatch.setattr(
-        modules, "_standard_dims", lambda *a: folds.append(a) or fold(*a)
-    )
+    fold, prune = modules._fold, modules._prune_dominated
+    monkeypatch.setattr(modules, "_fold", lambda *a: folds.append(a) or fold(*a))
     monkeypatch.setattr(
         modules, "_prune_dominated", lambda m: prunes.append(m) or prune(m)
     )
@@ -282,6 +301,52 @@ def row_queries(draw):
         subs.append(SubmoduleSpec(ROWS, d, gens))
     cutoff = draw(st.one_of(st.none(), st.integers(0, 6)))
     return ProductQuery(module, tuple(subs), cutoff=cutoff)
+
+
+@st.composite
+def generator_pairs(draw):
+    """Two submodules of k[x,y;T], k = Q or F_3, of fiber degree 0 or 1,
+    with up to three generators x^i y^j T^d (i, j <= 2), and now and then
+    binomials instead, whose products cancel more often over F_3."""
+    ring = draw(st.sampled_from((R2, RingSpec(PrimeField(3), ("x", "y"), ("T",)))))
+    x, y, t = ring.gens()
+    monomial = st.builds(lambda i, j: x**i * y**j, st.integers(0, 2), st.integers(0, 2))
+    binomial = st.builds(
+        lambda a, b, c: x**a * y ** (2 - a) + c * x**b * y ** (2 - b),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(-2, 2),
+    )
+    term = st.one_of(monomial, binomial) if draw(st.booleans()) else monomial
+    subs = []
+    for _ in range(2):
+        d = draw(st.integers(0, 1))
+        gens = [g * t**d for g in draw(st.lists(term, min_size=1, max_size=3))]
+        subs.append(SubmoduleSpec(ring, d, gens))
+    return tuple(subs)
+
+
+def _pieces(spec) -> dict:
+    """The reduced echelon basis of each bidegree piece ``spec`` spans."""
+    groups = {}
+    for g in spec.gens:
+        groups.setdefault(g.bidegree(), []).append(g)
+    return {deg: _echelon_basis(spec.ring, tuple(gs)) for deg, gs in groups.items()}
+
+
+@given(generator_pairs(), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_rows_multiply_by_one_factor(subs, p, q):
+    # row (p, q) multiplies row (p, q - 1) by H2: the same generators as
+    # H1^p H2^q for monomial pairs, the same pieces for polynomial ones
+    h1, h2 = subs
+    clear_caches()
+    ours = _generators(((h1, p), (h2, q)))
+    whole = product_generators(power_generators(h1, p), power_generators(h2, q))
+    assert ours.fiber_degree == whole.fiber_degree
+    if h1._monomials is not None and h2._monomials is not None:
+        assert ours == whole
+    assert _pieces(ours) == _pieces(whole)
 
 
 def expected_cell(pres, fiber, gens, cutoff):
