@@ -510,8 +510,8 @@ def _nested(pres: ModulePresentation, fiber_deg: int, top, bottom, dims):
 
 
 def _certificate(pres: ModulePresentation, top) -> int:
-    """The base degree D from which a zero dim of T / B ends it: D bounds
-    the base degrees T, and so T / B, is generated in."""
+    """The base degree D from which a zero dim of T / B ends it: T, and so
+    T / B, is generated in base degrees <= D."""
     high = 0 if top is None else top[2]  # the free slice acts from base degree 0
     shifts = [a for a, _ in pres.free.shifts]
     return 0 if high is None else high + max(shifts, default=0)
@@ -625,9 +625,9 @@ def krull_dimension(pres: ModulePresentation) -> int:
     """Krull dimension of M over the total grading.
 
     With no polynomial relation, M is the sum of the S/J_i shifted to
-    (a_i, n_i): s + t - k, k the order to which sum_i T^{a_i + n_i} N(J_i)(T,
-    T) vanishes at 1, that of its first nonzero derivative there (at most
-    s + t, as M's series has no negative coefficient). Otherwise 1 + the
+    (a_i, n_i), and this is s + t - k, k the order of the zero at T = 1 of
+    sum_i T^{a_i + n_i} N(J_i)(T, T), read off its derivatives there; k <=
+    s + t, as M's series has no negative coefficient. Otherwise 1 + the
     degree of the eventual total-degree Hilbert polynomial (0 if the
     function ends at 0), probed to a heuristic degree: a function not
     settled by then, on its last four values, raises."""
@@ -637,10 +637,10 @@ def krull_dimension(pres: ModulePresentation) -> int:
     ideals, vectors, _, _ = _span_plan(pres, (), -1)
     if not vectors:
         terms = [(b + f, c) for b, f, c in _numerator_terms(pres, ideals)]
-        taylor = [sum(c * comb(d, k) for d, c in terms) for k in range(nvars + 1)]
-        if not any(taylor):
-            raise ZeroModuleError("presentation defines the zero module")
-        return nvars - next(k for k, value in enumerate(taylor) if value)
+        for k in range(nvars + 1):
+            if sum(c * comb(d, k) for d, c in terms):
+                return nvars - k
+        raise ZeroModuleError("presentation defines the zero module")
     shift_totals = [a + n for a, n in free.shifts]
     relation_totals = [tb + tf for tb, tf in pres.relation_targets()]
     probe = max(shift_totals) + max(relation_totals, default=0) + nvars + 8
