@@ -8,7 +8,8 @@ commands are every line of the benchmark's cli-sweep workload
 (``perfbench/workloads.py``), plus ``br``, ``mixed``, ``lambda --csv``,
 ``verify all`` and ``verify inclusions --grid 4`` on each instance file
 under ``demos/instances``, or the forms ``FORMS`` lists in their place
-for a file whose full set takes seconds. Rerun it only when an output
+for a file whose full set takes seconds, and the explicit-cutoff forms
+``CUTOFF_FORMS``. Rerun it only when an output
 is meant to change.
 """
 
@@ -44,6 +45,19 @@ FORMS = {
     "module_pair.txt": PAIR_FORMS,
     "ideal_module_pair.txt": PAIR_FORMS,
 }
+# Explicit cutoffs, which no form above sets: monomial and polynomial
+# walks that stop inside theirs, and each error a cutoff can end a walk
+# with (a polynomial and a two-sided walk past it, a walk cut off before
+# its spans act, and one before its certificate degree).
+CUTOFF_FORMS = (
+    "mixed demos/instances/squares_vs_max.txt --cutoff 30",
+    "br demos/instances/min_deg_one_block.txt --cutoff 20",
+    "br demos/instances/minors_3var.txt --cutoff 20",
+    "br demos/instances/minors_3var.txt --cutoff 2",
+    "samuel demos/instances/local_squares.txt --cutoff 12",
+    "mixed demos/instances/squares_vs_max.txt --cutoff 8",
+    "samuel demos/instances/local_max_ideal.txt --cutoff 0",
+)
 
 
 def golden_commands() -> list:
@@ -58,7 +72,7 @@ def golden_commands() -> list:
         relative = path.relative_to(ROOT).as_posix()
         forms = FORMS.get(path.name, PER_INSTANCE)
         lines += [form.format(relative) for form in forms]
-    return list(dict.fromkeys(lines))
+    return list(dict.fromkeys(lines + list(CUTOFF_FORMS)))
 
 
 def clear_caches() -> None:
