@@ -31,13 +31,14 @@ Hilbert functions", J. Symb. Comp. 1992; Bigatti, "Computation of
 Hilbert-Poincare series", JPAA 119, 1997), computed once per ideal. A
 walk of T / B over one fiber degree folds the components' numerators
 into P_B - P_T, a polynomial in X, and divides it by (1 - X)^s with s
-running sums. Every pass ends at 0 exactly when T / B is finite, and the
-walk reads its dims and stop off the quotient; an infinite series is
-expanded degree by degree. Other vectors go through field elimination,
-degree by degree, as the sparse ``{position: coefficient}`` rows that
-``linalg.subspace_dim`` takes, and only where the monomial part leaves
-monomials: the rank of a union of distinct unit vectors U and other
-rows V is |U| plus the rank of V with the U coordinates cleared.
+running sums. Every pass ends at 0 exactly when T / B is finite, and a
+walk whose stop lies within its cutoff is read off the quotient; any
+other series is expanded degree by degree. Other vectors go through
+field elimination, degree by degree, as the sparse
+``{position: coefficient}`` rows that ``linalg.subspace_dim`` takes, and
+only where the monomial part leaves monomials: the rank of a union of
+distinct unit vectors U and other rows V is |U| plus the rank of V with
+the U coordinates cleared.
 
 Fiber-slice lengths carry a finiteness certificate: the quotient being
 measured is generated in base degrees <= D, so the first zero summand at
@@ -46,7 +47,8 @@ below the cutoff, the support condition fails and we raise instead of
 silently truncating. A cutoff below D, or below the base degree where
 the spans divided by first act, cannot tell and is reported as too small.
 Series coefficients are exact dims, and the stop rule reads only them, D
-and the cutoff: a walk stops or fails where a per-degree count would.
+and the cutoff: a read-off stops where the walk degree by degree would,
+and only that walk raises.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ __all__ = [
     "DEFAULT_CUTOFF",
 ]
 
-# A walk the division proves finite runs to its stop; others stop at 64.
+# None reads a quotient the division proves finite to its stop; others stop at 64.
 DEFAULT_CUTOFF = None
 
 
@@ -362,18 +364,18 @@ def _plan(pres: ModulePresentation, span: tuple, fiber_deg: int) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _span_plan(pres: ModulePresentation, span: tuple, cap: int) -> tuple:
-    """What ``_quotient_dims`` needs of K and the parts of ``span`` of fiber
-    degree at most ``cap``, at any bidegree.
-
-    Returns (ideals, vectors, high, low): the minimal generators of the
-    monomial ideal J_i spanned on each component i, the other spanning
-    vectors as (nonzero (i, entry) pairs, target), the acting parts' before
-    the relations', and the largest and smallest base degree of the acting
-    generators (None when none act). The split follows the one rule of the
-    module docstring: all-monomial parts give their exponents as they are,
-    with no generator built; otherwise the generators of every acting part
-    are ``_interreduce``d together, so parts of one bidegree reduce as one.
-    """
+    """What a walk needs of K and the parts of ``span`` of fiber degree at
+    most ``cap``, at any bidegree: (ideals, vectors, certificate, reach,
+    terms). These are the minimal generators of the monomial ideal J_i
+    spanned on each component i; the other spanning vectors as (nonzero
+    (i, entry) pairs, target), the acting parts' before the relations'; the
+    largest and smallest base degree of the vectors g e_i of the acting
+    generators g (0 when none act), from which a walk to the span can stop
+    and one by it is divided; and the ideals' ``_numerator_terms``. The
+    split follows the one rule of the module docstring: all-monomial parts
+    give their exponents as they are, with no generator built; otherwise
+    the generators of every acting part are ``_interreduce``d together, so
+    parts of one bidegree reduce as one."""
     acting = [h for h in span if h.fiber_degree <= cap]
     shifts = list(enumerate(pres.free.shifts))
     vectors, bases = [], []
@@ -398,7 +400,9 @@ def _span_plan(pres: ModulePresentation, span: tuple, cap: int) -> tuple:
         else:
             vectors.append((nonzero, target))
     ideals = tuple(map(_prune_dominated, comp_monos))
-    return ideals, tuple(vectors), max(bases, default=None), min(bases, default=None)
+    shift = [a for a, _ in pres.free.shifts] or [0]
+    high, low = (max(bases) + max(shift), min(bases) + min(shift)) if bases else (0, 0)
+    return ideals, tuple(vectors), high, low, tuple(_numerator_terms(pres, ideals))
 
 
 def _polynomial_rows(pres: ModulePresentation, deg, vectors) -> list:
@@ -426,7 +430,7 @@ def _quotient_dim(pres: ModulePresentation, deg, plan, standard: int) -> int:
     """dim F / (K + span) at ``deg`` for a ``_span_plan``: ``standard``,
     the monomials its monomial part leaves, less the rank of the polynomial
     rows on those columns, 0 when ``standard`` is (no column is left)."""
-    ideals, vectors, _, _ = plan
+    ideals, vectors = plan[:2]
     rows = standard and _polynomial_rows(pres, deg, vectors)
     if not rows:
         return standard
@@ -443,7 +447,7 @@ def _quotient_dim(pres: ModulePresentation, deg, plan, standard: int) -> int:
 def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
     """``_quotient_dim`` at base degrees 0, 1, ... of ``fiber_deg``: the
     standard series itself when there are no polynomial rows."""
-    numerator = _fold(_numerator_terms(pres, plan[0]), fiber_deg, len(pres.ring.fiber))
+    numerator = _fold(plan[4], fiber_deg, len(pres.ring.fiber))
     dims, _ = _series(numerator, len(pres.ring.base))
     if not plan[1]:
         return dims
@@ -460,9 +464,7 @@ def span_dim(pres: ModulePresentation, deg, span: tuple = ()) -> int:
     free = len(piece_basis(pres.free, deg)[0])
     if a < 0:
         return free
-    numerator = _fold(_numerator_terms(pres, plan[0]), n, len(pres.ring.fiber))
-    dims, _ = _series(numerator, len(pres.ring.base))
-    return free - _quotient_dim(pres, deg, plan, next(itertools.islice(dims, a, None)))
+    return free - next(itertools.islice(_quotient_dims(pres, n, plan), a, None))
 
 
 class LengthResult(Value):
@@ -487,12 +489,13 @@ def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom) -> tuple:
         tops = _quotient_dims(pres, fiber_deg, top) if top else itertools.repeat(0)
         dims, quotient = map(sub, bottoms, tops), None
     else:
-        terms = _numerator_terms(pres, bottom[0])
+        terms = bottom[4]
         if top is not None:
-            tops = _numerator_terms(pres, top[0])
-            terms = sorted(terms + [(b, f, -c) for b, f, c in tops])
+            terms = sorted([*terms, *((b, f, -c) for b, f, c in top[4])])
         numerator = _fold(terms, fiber_deg, len(pres.ring.fiber))
         dims, quotient = _series(numerator, len(pres.ring.base))
+    if top is None:  # F contains every B
+        return dims, quotient
     return _nested(pres, fiber_deg, top, bottom, dims), quotient
 
 
@@ -509,52 +512,42 @@ def _nested(pres: ModulePresentation, fiber_deg: int, top, bottom, dims):
         yield dim
 
 
-def _certificate(pres: ModulePresentation, top) -> int:
-    """The base degree D from which a zero dim of T / B ends it: T, and so
-    T / B, is generated in base degrees <= D."""
-    high = 0 if top is None else top[2]  # the free slice acts from base degree 0
-    shifts = [a for a, _ in pres.free.shifts]
-    return 0 if high is None else high + max(shifts, default=0)
-
-
-def _read_off(quotient: list, certificate: int):
+def _read_off(quotient: list, certificate: int) -> LengthResult:
     """The LengthResult of the dims in ``quotient`` up to the first zero at or
-    past ``certificate``; None if one is negative (T does not contain B)."""
+    past ``certificate``, a negative one included (T does not contain B)."""
     padded = quotient + [0] * (certificate + 1)
     per_degree = tuple(padded[: padded.index(0, certificate) + 1])
-    if min(per_degree) >= 0:
-        return LengthResult(sum(per_degree), per_degree, len(per_degree) - 1)
+    return LengthResult(sum(per_degree), per_degree, len(per_degree) - 1)
 
 
 def _length(pres, fiber_deg: int, top, bottom, cutoff) -> LengthResult:
-    """``graded_slice_length`` on the span plans ``top`` and ``bottom``: with
-    no cutoff, dims off the division's polynomial quotient if it has one."""
-    certificate = _certificate(pres, top)
+    """``graded_slice_length`` on the span plans ``top`` and ``bottom``. A
+    finite quotient is read off up to its stop when that lies within the
+    cutoff and no dim is negative; any other walk goes degree by degree to
+    its stop or its error. With no cutoff, a finite quotient's stop is the
+    cutoff, and 64 that of any other walk."""
+    certificate = top[2] if top else max(pres.free.shifts, default=(0,))[0]
     dims, quotient = _slice_dims(pres, fiber_deg, top, bottom)
-    if cutoff is None and quotient is not None:
+    if quotient is not None:
         result = _read_off(quotient, certificate)
-        if result:
+        cutoff = result.stop_degree if cutoff is None else cutoff
+        if result.stop_degree <= cutoff and min(result.per_degree) >= 0:
             return result
-    elif cutoff is None:
-        cutoff = 64  # None is left only where the division proved no cutoff needed
-    if cutoff is not None and cutoff < certificate:
-        raise CutoffTooSmall(
-            fiber_deg, cutoff, certificate, "where its finiteness certificate starts"
-        )
+    cutoff = 64 if cutoff is None else cutoff
+    if cutoff < certificate:
+        where = "where its finiteness certificate starts"
+        raise CutoffTooSmall(fiber_deg, cutoff, certificate, where)
     per_degree = []
     for a, summand in enumerate(dims):
         per_degree.append(summand)
         if summand == 0 and a >= certificate:
             return LengthResult(sum(per_degree), tuple(per_degree), a)
-        if cutoff is not None and a >= cutoff:
+        if a >= cutoff:
             # Below this base degree no bottom item spans anything, so a walk
             # cut off there has not tested the quotient by them at all.
-            shifts = [a for a, _ in pres.free.shifts]
-            reach = 0 if bottom[3] is None else bottom[3] + min(shifts, default=0)
-            if cutoff < reach:
-                raise CutoffTooSmall(
-                    fiber_deg, cutoff, reach, "where the spans it divides by first act"
-                )
+            if cutoff < bottom[3]:
+                where = "where the spans it divides by first act"
+                raise CutoffTooSmall(fiber_deg, cutoff, bottom[3], where)
             raise CutoffExceeded(fiber_deg, cutoff)
 
 
@@ -585,20 +578,10 @@ def graded_slice_length(
 
 def generated_lengths(pres, gens: SubmoduleSpec, ns: range, cutoff=DEFAULT_CUTOFF):
     """``graded_slice_length(pres, d + n, None, (gens,), cutoff)`` for n in ``ns``,
-    d the fiber degree of ``gens``, on one span plan. A monomial plan with no
-    cutoff reads its numerators once; other rows and open cells take ``_length``."""
+    d the fiber degree of ``gens``, on one span plan."""
     d = gens.fiber_degree
     plan = _plan(pres, (gens,), d)
-    if cutoff is not None or plan[1]:
-        return tuple(_length(pres, d + n, None, plan, cutoff) for n in ns)
-    terms, certificate = _numerator_terms(pres, plan[0]), _certificate(pres, None)
-    s, t = len(pres.ring.base), len(pres.ring.fiber)
-    row = []
-    for n in ns:
-        _, quotient = _series(_fold(terms, d + n, t), s)
-        cell = quotient is not None and _read_off(quotient, certificate)
-        row.append(cell or _length(pres, d + n, None, plan, None))
-    return tuple(row)
+    return tuple(_length(pres, d + n, None, plan, cutoff) for n in ns)
 
 
 def slice_dims_up_to(
@@ -634,9 +617,9 @@ def krull_dimension(pres: ModulePresentation) -> int:
     free, nvars = pres.free, pres.ring.nvars
     if free.rank == 0:
         raise ZeroModuleError("zero module has no Krull dimension here")
-    ideals, vectors, _, _ = _span_plan(pres, (), -1)
-    if not vectors:
-        terms = [(b + f, c) for b, f, c in _numerator_terms(pres, ideals)]
+    plan = _span_plan(pres, (), -1)
+    if not plan[1]:
+        terms = [(b + f, c) for b, f, c in plan[4]]
         for k in range(nvars + 1):
             if sum(c * comb(d, k) for d, c in terms):
                 return nvars - k
