@@ -492,8 +492,9 @@ def _slice_dims(pres: ModulePresentation, fiber_deg: int, top, bottom) -> tuple:
         terms = bottom[4]
         if top is not None:
             terms = sorted([*terms, *((b, f, -c) for b, f, c in top[4])])
-        numerator = _fold(terms, fiber_deg, len(pres.ring.fiber))
-        dims, quotient = _series(numerator, len(pres.ring.base))
+        ring = pres.free.ring
+        numerator = _fold(terms, fiber_deg, len(ring.fiber))
+        dims, quotient = _series(numerator, len(ring.base))
     if top is None:  # F contains every B
         return dims, quotient
     return _nested(pres, fiber_deg, top, bottom, dims), quotient
@@ -526,7 +527,7 @@ def _length(pres, fiber_deg: int, top, bottom, cutoff) -> LengthResult:
     cutoff and no dim is negative; any other walk goes degree by degree to
     its stop or its error. With no cutoff, a finite quotient's stop is the
     cutoff, and 64 that of any other walk."""
-    certificate = top[2] if top else max(pres.free.shifts, default=(0,))[0]
+    certificate = top[2] if top else max(pres.free.shifts or [(0,)])[0]
     dims, quotient = _slice_dims(pres, fiber_deg, top, bottom)
     if quotient is not None:
         result = _read_off(quotient, certificate)
@@ -581,7 +582,7 @@ def generated_lengths(pres, gens: SubmoduleSpec, ns: range, cutoff=DEFAULT_CUTOF
     d the fiber degree of ``gens``, on one span plan."""
     d = gens.fiber_degree
     plan = _plan(pres, (gens,), d)
-    return tuple(_length(pres, d + n, None, plan, cutoff) for n in ns)
+    return tuple([_length(pres, d + n, None, plan, cutoff) for n in ns])
 
 
 def slice_dims_up_to(
