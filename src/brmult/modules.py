@@ -523,10 +523,10 @@ def _read_off(quotient: list, certificate: int) -> LengthResult:
 
 def _length(pres, fiber_deg: int, top, bottom, cutoff) -> LengthResult:
     """``graded_slice_length`` on the span plans ``top`` and ``bottom``. A
-    finite quotient is read off up to its stop when that lies within the
-    cutoff and no dim is negative; any other walk goes degree by degree to
-    its stop or its error. With no cutoff, a finite quotient's stop is the
-    cutoff, and 64 that of any other walk."""
+    finite quotient is read off up to its stop if that is within the cutoff
+    (None: any stop) and no dim is negative; any other walk goes degree by
+    degree to its stop or its error, cut off at 64 for None."""
+    # a top of None is F, generated in the base degrees of its shifts
     certificate = top[2] if top else max(pres.free.shifts or [(0,)])[0]
     dims, quotient = _slice_dims(pres, fiber_deg, top, bottom)
     if quotient is not None:

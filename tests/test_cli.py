@@ -376,6 +376,26 @@ def test_negative_grid_is_a_value_error(tmp_path, argv, source):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["br"], BLOCK), (["verify", "all"], BLOCK), (["samuel"], LOCAL_SQUARES)],
+    ids=("br", "verify", "samuel"),
+)
+@pytest.mark.parametrize("source", ["flag", "setting"])
+def test_negative_cutoff_is_a_value_error(tmp_path, argv, text, source):
+    # Unchecked, a negative cutoff was reported as cutoff-too-small, as if
+    # a larger one were a remedy rather than the input being out of range.
+    if source == "flag":
+        code, out = run([*argv, write(tmp_path, text), "--cutoff", "-1"])
+    else:
+        code, out = run([*argv, write(tmp_path, text + "set cutoff -1\n")])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "value",
+        "message": "cutoff must be nonnegative",
+    }
+
+
 @pytest.mark.parametrize("argv", [["verify", "all"], ["spread"]])
 def test_csv_is_rejected_before_the_query_runs(tmp_path, monkeypatch, argv):
     # spread and verify print no table. Rejecting --csv only after the

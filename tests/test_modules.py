@@ -151,6 +151,40 @@ def test_cutoff_below_what_the_walk_needs_is_too_small():
     assert err.value.needed == 2
 
 
+def test_explicit_cutoffs_read_finite_walks_off_the_division(monkeypatch):
+    # a finite monomial walk whose stop lies within an explicit cutoff is
+    # read off the division's quotient, as with no cutoff; one short of
+    # the stop, the walk degree by degree raises what it raised before
+    import brmult.modules as modules
+
+    m, shifted = free_module(R2), free_module(R2, ((1, 0),))
+    x, y = R2.gen("x"), R2.gen("y")
+    squares, linear = as_span([x * x, y * y]), as_span([x, y])
+    reads = []
+    read_off = modules._read_off
+    monkeypatch.setattr(
+        modules, "_read_off", lambda *args: reads.append(args) or read_off(*args)
+    )
+    first_act = "where the spans it divides by first act"
+    cases = [
+        (m, None, as_span([x**40, y**40]), 79, CutoffExceeded(0, 78)),
+        (m, None, linear, 1, CutoffTooSmall(0, 0, 1, first_act)),
+        (m, squares, as_span([x**3, y**3]), 5, CutoffExceeded(0, 4)),
+        # the shift raises the certificate and the reach by 1
+        (shifted, None, linear, 2, CutoffTooSmall(0, 1, 2, first_act)),
+    ]
+    for pres, top, bottom, stop, error in cases:
+        whole = graded_slice_length(pres, 0, top, bottom)
+        assert whole.stop_degree == stop
+        reads.clear()
+        for cutoff in (stop, stop + 5):
+            assert graded_slice_length(pres, 0, top, bottom, cutoff) == whole
+        assert len(reads) == 2
+        with pytest.raises(type(error)) as err:
+            graded_slice_length(pres, 0, top, bottom, stop - 1)
+        assert str(err.value) == str(error)
+
+
 def test_length_certificate_really_stops():
     m = free_module(R2)
     x, y = R2.gen("x"), R2.gen("y")
