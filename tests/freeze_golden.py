@@ -37,11 +37,17 @@ PER_INSTANCE = (
 # The pairs with a rank-2 submodule keep every form and add ``verify
 # operator`` and ``verify factor-sum``. In-process, their ``verify
 # inclusions --grid 4`` forms take 1-2 s each and their ``verify all``
-# forms under 2 s; every other kept form runs in under 0.5 s.
+# forms under 2 s; every other kept form runs in under 0.5 s. The two
+# blocks whose every power is ranked keep ``br`` over Q and over F_32003
+# (0.4-0.8 s each): the Q ranks of the fallback block fail their mod-p
+# certificate and are redone in Fractions.
 PAIR_FORMS = PER_INSTANCE + ("verify operator {}", "verify factor-sum {}")
+RANKED_FORMS = ("br {}", "br {} --modp 32003")
 FORMS = {
     "block_3x3.txt": ("br {}", "lambda {} --csv", "verify telescoping {}"),
     "minors_3var.txt": ("br {}", "lambda {} --csv"),
+    "fallback_block.txt": RANKED_FORMS,
+    "generic_linear_block.txt": RANKED_FORMS,
     "module_pair.txt": PAIR_FORMS,
     "ideal_module_pair.txt": PAIR_FORMS,
 }
