@@ -2,7 +2,8 @@
 
 ``rref`` is plain Gauss-Jordan elimination on dense rows in exact field
 arithmetic, and ``piece_subspace`` materializes every spanning vector of
-a bidegree piece as a dense row. Both are slow and independent of the
+a bidegree piece as a dense row, on the free module's basis that
+``free_basis`` lists from the ring's monomial bases. Both are slow and independent of the
 sparse rank kernel in ``brmult.linalg``. ``scan_span_dim`` measures the
 same span as ``brmult.modules.span_dim`` by testing every basis monomial
 of the piece for divisibility and ranking the rest with ``rank``,
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from brmult.modules import ModulePresentation, piece_basis
+from brmult.modules import ModulePresentation
 from brmult.rings import Polynomial, SubmoduleSpec, monomial_basis
 
 
@@ -142,6 +143,18 @@ def slice_generators(items: Sequence[Polynomial], fiber: int):
             yield g, fiber - gf, gb
 
 
+def free_basis(free, deg) -> tuple:
+    """The ordered basis ((i, monomial), ...) of the free module ``free`` at
+    ``deg``, component by component, and its {(i, monomial): position}."""
+    a, n = deg
+    basis = tuple(
+        (i, mono)
+        for i, (ai, ni) in enumerate(free.shifts)
+        for mono in monomial_basis(free.ring, (a - ai, n - ni))
+    )
+    return basis, {key: flat for flat, key in enumerate(basis)}
+
+
 def piece_subspace(
     pres: ModulePresentation, deg, items: Sequence[Polynomial] = ()
 ) -> PieceSubspace:
@@ -155,7 +168,7 @@ def piece_subspace(
     a, nn = deg
     free = pres.free
     ring = free.ring
-    basis, index = piece_basis(free, deg)
+    basis, index = free_basis(free, deg)
     field = ring.field
     rows = []
 
@@ -192,7 +205,7 @@ def dense_piece_dim(pres: ModulePresentation, deg, top_items, bottom_items) -> i
     ``top_items`` is None, else K plus the span of ``top_items``; B is K
     plus the span of ``bottom_items``."""
     if top_items is None:
-        top = len(piece_basis(pres.free, deg)[0])
+        top = len(free_basis(pres.free, deg)[0])
     else:
         top = piece_subspace(pres, deg, top_items).dim
     return top - piece_subspace(pres, deg, bottom_items).dim
@@ -231,7 +244,7 @@ def scan_span_dim(
     monomial of the piece against every such generator; the remaining
     vectors, with those coordinates cleared, go through the dense ``rank``.
     """
-    basis, index = piece_basis(pres.free, deg)
+    basis, index = free_basis(pres.free, deg)
     if not basis:
         return 0
     a, nn = deg

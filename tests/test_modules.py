@@ -42,6 +42,7 @@ from dense_oracle import (
     as_span,
     dense_piece_dim,
     dense_slice_dims,
+    free_basis,
     piece_subspace,
     quadratic_prune,
     rref,
@@ -700,7 +701,7 @@ FINITE_STOP = 12
 def _scan_piece_dim(pres, deg, top_items, bottom_items) -> int:
     """``dense_piece_dim`` by the divisibility scan, quick over monomials."""
     if top_items is None:
-        top = len(piece_basis(pres.free, deg)[0])
+        top = len(free_basis(pres.free, deg)[0])
     else:
         top = scan_span_dim(pres, deg, top_items)
     return top - scan_span_dim(pres, deg, bottom_items)
