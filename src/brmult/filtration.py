@@ -27,7 +27,7 @@ base degree, where J is the modulus ideal (typically I + m^(k+1)).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, ge
 from typing import Optional
 
 from .fields import Value
@@ -35,7 +35,6 @@ from .modules import (
     DEFAULT_CUTOFF,
     LengthResult,
     ModulePresentation,
-    _divides,
     _prune_dominated,
     graded_slice_length,
 )
@@ -107,7 +106,7 @@ def _first_escape(part, nu, gens, span, memo) -> InclusionWitness:
         minimal = _prune_dominated(m for h in span for m in h._monomials)
     for g in dict.fromkeys(g for h in gens for g in h.gens):
         if minimal is not None and g.is_monomial():
-            inside = any(_divides(h, g.terms[0][0]) for h in minimal)
+            inside = any(all(map(ge, g.terms[0][0], h)) for h in minimal)
         else:
             if (basis := memo.get(key := (span, g.bidegree()))) is None:
                 basis = memo[key] = _span_basis(*key)

@@ -35,10 +35,10 @@ running sums. Every pass ends at 0 exactly when T / B is finite, and a
 walk whose stop lies within its cutoff is read off the quotient; any
 other series is expanded degree by degree. Other vectors go through
 field elimination, degree by degree, as the sparse
-``{position: coefficient}`` rows that ``linalg.subspace_dim`` takes, and
-only where the monomial part leaves monomials: the rank of a union of
-distinct unit vectors U and other rows V is |U| plus the rank of V with
-the U coordinates cleared.
+``{position: coefficient}`` rows that ``linalg.subspace_dim`` takes, with
+a position for each standard monomial (one the monomial part leaves)
+alone: modulo the monomials it spans, a row is its part on the standard
+ones, so the piece has their count less the rank of those parts.
 
 Fiber-slice lengths carry a finiteness certificate: the quotient being
 measured is generated in base degrees <= D, so the first zero summand at
@@ -197,21 +197,6 @@ class ModulePresentation(Value):
 
     def relation_targets(self) -> tuple:
         return tuple(target for _, target in self._vectors)
-
-
-@lru_cache(maxsize=None)
-def piece_basis(free: FreeModuleSpec, deg) -> tuple:
-    """Ordered basis ((i, monomial), ...) of F at ``deg`` and its index.
-
-    The index maps each (i, monomial) to its flat position in the basis.
-    """
-    a, nn = deg
-    basis = tuple(
-        (i, mono)
-        for i, (ai, ni) in enumerate(free.shifts)
-        for mono in monomial_basis(free.ring, (a - ai, nn - ni))
-    )
-    return basis, {key: flat for flat, key in enumerate(basis)}
 
 
 @lru_cache(maxsize=1024)
@@ -405,43 +390,37 @@ def _span_plan(pres: ModulePresentation, span: tuple, cap: int) -> tuple:
     return ideals, tuple(vectors), high, low, tuple(_numerator_terms(pres, ideals))
 
 
-def _polynomial_rows(pres: ModulePresentation, deg, vectors) -> list:
-    """The rows at ``deg`` of a ``_span_plan``'s ``vectors``: for each vector
-    and each monomial mu of the ring at (deg - its target), the
-    {flat position: coefficient} dictionary of mu times the vector."""
-    a, nn = deg
-    _, index = piece_basis(pres.free, deg)
-    rows = []
-    for nonzero, (tb, tf) in vectors:
-        for mu in monomial_basis(pres.ring, (a - tb, nn - tf)):
-            row = {}
-            for i, entry in nonzero:
-                for pm, c in entry.terms:
-                    row[index[(i, tuple(map(add, pm, mu)))]] = c
-            rows.append(row)
-    return rows
-
-
-def _divides(g, m) -> bool:
-    return all(map(ge, m, g))
-
-
 def _quotient_dim(pres: ModulePresentation, deg, plan, standard: int) -> int:
     """dim F / (K + span) at ``deg`` for a ``_span_plan``: ``standard``,
     the monomials its monomial part leaves, less the rank of the polynomial
-    rows on those columns, 0 when ``standard`` is (no column is left)."""
+    rows on them, 0 when ``standard`` is (no column is left). The standard
+    monomials are numbered in basis order, and each row, mu times a vector,
+    is written onto them: the monomial part spans the rest."""
     ideals, vectors = plan[:2]
-    rows = standard and _polynomial_rows(pres, deg, vectors)
-    if not rows:
+    a, n = deg
+    ring = pres.ring
+    multiples = standard and [
+        (nonzero, mu)
+        for nonzero, (tb, tf) in vectors
+        for mu in monomial_basis(ring, (a - tb, n - tf))
+    ]
+    if not multiples:
         return standard
-    basis, _ = piece_basis(pres.free, deg)
-    cleared = set()
-    for p in {p for row in rows for p in row}:
-        i, mono = basis[p]
-        if any(_divides(g, mono) for g in ideals[i]):
-            cleared.add(p)
-    stripped = ({p: c for p, c in row.items() if p not in cleared} for row in rows)
-    return standard - subspace_dim([row for row in stripped if row], pres.ring.field)
+    index = {}
+    for i, (ai, ni) in enumerate(pres.free.shifts):
+        monos = monomial_basis(ring, (a - ai, n - ni))
+        for mono in _undivided(monos, ideals[i]) if ideals[i] else monos:
+            index[i, mono] = len(index)
+    rows = []
+    for nonzero, mu in multiples:
+        row = {}
+        for i, entry in nonzero:
+            for pm, c in entry.terms:
+                if (column := index.get((i, tuple(map(add, pm, mu))))) is not None:
+                    row[column] = c
+        if row:
+            rows.append(row)
+    return standard - subspace_dim(rows, ring.field)
 
 
 def _quotient_dims(pres: ModulePresentation, fiber_deg: int, plan):
@@ -459,9 +438,9 @@ def span_dim(pres: ModulePresentation, deg, span: tuple = ()) -> int:
     SubmoduleSpecs whose generators are slice generators. No library code
     calls it: it stays as the tests' rank reference, through the same span
     plans as a slice walk, and as a layer the benchmark's tracer names."""
-    a, n = deg
+    (a, n), shifts = deg, pres.free.shifts
     plan = _plan(pres, span, n)
-    free = len(piece_basis(pres.free, deg)[0])
+    free = sum(len(monomial_basis(pres.ring, (a - b, n - f))) for b, f in shifts)
     if a < 0:
         return free
     return free - next(itertools.islice(_quotient_dims(pres, n, plan), a, None))

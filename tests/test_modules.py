@@ -23,7 +23,6 @@ from brmult.modules import (
     generated_lengths,
     graded_slice_length,
     krull_dimension,
-    piece_basis,
     slice_dims_up_to,
     span_dim,
 )
@@ -292,19 +291,6 @@ def test_slice_dims_up_to_matches_piece_dims():
         dims = slice_dims_up_to(quadric, n, None, (), 5)
         assert dims == tuple(piece_dimension(quadric, (a, n)) for a in range(6))
         assert dims == tuple(2 * a + 1 for a in range(6))
-
-
-def test_piece_basis_index_is_flat():
-    free = FreeModuleSpec(R2, ((0, 0), (1, 0)))
-    basis, index = piece_basis(free, (2, 0))
-    seen = set()
-    for slot, mono in basis:
-        assert slot in (0, 1)
-        seen.add((slot, mono))
-    assert len(seen) == len(basis) == 3 + 2
-    # the index inverts the basis: each key maps to its flat position
-    assert len(index) == len(basis)
-    assert all(index[key] == k for k, key in enumerate(basis))
 
 
 @st.composite
