@@ -199,7 +199,6 @@ class ModulePresentation(Value):
         return tuple(target for _, target in self._vectors)
 
 
-@lru_cache(maxsize=1024)
 def _monomial_count(degree: int, nvars: int) -> int:
     """Number of monomials of ``degree`` in ``nvars`` variables."""
     if degree < 0:
