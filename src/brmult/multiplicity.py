@@ -113,6 +113,8 @@ class ProductQuery(Value):
                 raise GradingError("H lives in a different ring than M")
         if self.r is not None and self.r < 0:
             raise ValueError("r must be nonnegative")
+        if self.grid is not None and self.grid < 0:
+            raise ValueError("grid must be nonnegative")
         if self.cutoff is not None and self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
 
@@ -136,6 +138,8 @@ class LocalQuery(Value):
             raise GradingError("local queries need an ideal of fiber degree 0")
         if self.k is not None and self.k < 0:
             raise ValueError("k must be nonnegative")
+        if self.grid is not None and self.grid < 0:
+            raise ValueError("grid must be nonnegative")
         if self.cutoff is not None and self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
 

@@ -138,6 +138,8 @@ def _factor_sum_report(check, module, subs, axes, grid, chain) -> VerificationRe
     each slice is walked once, to the longest bound a point needs, and
     truncated for the others.
     """
+    if grid < 0:
+        raise ValueError("grid must be nonnegative")
     points = {}
     walks = {}  # (fiber, top, bottom) -> the longest bound a point needs
     for point in itertools.product(range(grid + 1), repeat=len(axes)):

@@ -516,6 +516,15 @@ def test_product_query_takes_one_or_two_submodules_of_its_ring():
         ProductQuery(free_module(R2), (m, other))
 
 
+@pytest.mark.parametrize("query", [ProductQuery, LocalQuery])
+def test_queries_refuse_a_negative_grid(query):
+    # the CLI's own message, not a grid-too-small error on the wrong cause
+    m = SubmoduleSpec(BASE, 0, (BASE.gen("x"), BASE.gen("y")))
+    subs = (m,) if query is ProductQuery else m
+    with pytest.raises(ValueError, match="grid must be nonnegative"):
+        query(free_module(BASE), subs, grid=-1)
+
+
 def test_lambda_product_checks_its_indices():
     m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
     pure = ProductQuery(free_module(R2), (m,))

@@ -143,6 +143,15 @@ def test_pair_checks_refuse_a_single_submodule(check):
         check(ProductQuery(free_module(R2), (m,)))
 
 
+@pytest.mark.parametrize("check", [check_telescoping, check_mixed_factor_sum])
+def test_factor_sum_checks_refuse_a_negative_grid(check):
+    # an empty grid would pass with nothing compared
+    m = max_ideal(R2)
+    subs = (m,) if check is check_telescoping else (m, m)
+    with pytest.raises(ValueError, match="grid must be nonnegative"):
+        check(free_module(R2), *subs, grid=-1)
+
+
 def test_degree_bound_passes_on_honest_report():
     report = br_multiplicities(ProductQuery(free_module(R22), (block_h(),)))
     outcome = check_degree_bound(report)
