@@ -752,17 +752,52 @@ def _unnested_walks():
     ]
 
 
-@example(_unnested_walks()[0])
-@example(_unnested_walks()[1])
-@given(walk_cases())
-@settings(max_examples=100, deadline=None)
-def test_slice_walks_match_the_dense_per_degree_count(case):
+def _check_walk(case):
+    """A slice walk and its dims against the dense per-degree count."""
     pres, fiber, top, bottom, cutoff = case
     expected = _expected_walk(pres, fiber, top, bottom, cutoff)
     assert _walk_outcome(pres, fiber, top, bottom, cutoff) == expected
     degrees = 5 if cutoff is None else cutoff
     expected = _expected_dims(pres, fiber, top, bottom, degrees)
     assert _dims_outcome(pres, fiber, top, bottom, degrees) == expected
+
+
+@example(_unnested_walks()[0])
+@example(_unnested_walks()[1])
+@given(walk_cases())
+@settings(max_examples=100, deadline=None)
+def test_slice_walks_match_the_dense_per_degree_count(case):
+    _check_walk(case)
+
+
+def _standard_index_walks(field):
+    """Walks at the edges of the standard monomials a polynomial piece is
+    ranked on, over ``field``: with shifts (0,0) and (1,0) and x killing
+    component 0 only, x + y and x^2 + y^2 are ranked on component 1's whole
+    basis and on component 0's cut one; with shifts (0,0) and (0,1),
+    component 1's piece has negative bidegree next to component 0's at
+    fiber degree 0, and both are ranked at fiber degree 1; and x and y fill every piece of base degree >= 1, which
+    x^2 + xy has multiples in from base degree 2."""
+    ring = RingSpec(field, ("x", "y"), ("T",))
+    x, y, _ = ring.gens()
+    killed = ModulePresentation(
+        FreeModuleSpec(ring, ((0, 0), (1, 0))), ((x, ring.zero),)
+    )
+    lifted = free_module(ring, ((0, 0), (0, 1)))
+    forms = as_span([x + y, x * x + y * y])
+    return [
+        (killed, 0, None, forms, 4),
+        (killed, 1, None, forms, 4),
+        (lifted, 0, None, forms, 4),
+        (lifted, 1, None, forms, 4),
+        (free_module(ring), 0, None, as_span([x, y, x * x + x * y]), 4),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_standard_index_edges_match_the_dense_per_degree_count(field):
+    for case in _standard_index_walks(field):
+        _check_walk(case)
 
 
 def _mixed_level_walk():
@@ -845,6 +880,9 @@ def test_pieces_the_monomials_fill_make_no_elimination(monkeypatch):
     items = [x, y, x * x + x * y]
     for deg in [(2, 0), (3, 0), (2, 1)]:
         assert span_dim(pres, deg, as_span(items)) == scan_span_dim(pres, deg, items)
+    assert calls == []
+    # a walk of F / (x, y, x^2 + xy) reaches the filled pieces too
+    assert slice_dims_up_to(pres, 0, None, as_span(items), 4) == (1, 0, 0, 0, 0)
     assert calls == []
     assert span_dim(pres, (2, 0), as_span(items[2:])) == 1
     assert len(calls) == 1

@@ -716,6 +716,32 @@ def test_nonmonomial_block_ranks_over_q_are_all_certified(
     assert report.table.values[n : 2 * n] == p1_row
 
 
+def test_minors_3var_eliminations_are_pinned(monkeypatch):
+    # Each polynomial piece is ranked on its standard monomials alone, in
+    # basis order: `br minors_3var.txt` hands the rank kernel 88 matrices
+    # with these summed rows, distinct columns and ranks. Any change to how
+    # pieces are indexed or rows are built must keep them.
+    import brmult.modules as modules
+
+    kernel = modules.subspace_dim
+    shapes = []
+
+    def counting(rows, field):
+        rank = kernel(rows, field)
+        shapes.append((len(rows), len({j for row in rows for j in row}), rank))
+        return rank
+
+    monkeypatch.setattr(modules, "subspace_dim", counting)
+    clear_caches()
+    try:
+        code, _ = run(["br", str(INSTANCES / "minors_3var.txt")])
+    finally:
+        clear_caches()
+    assert code == 0
+    assert len(shapes) == 88
+    assert [sum(column) for column in zip(*shapes)] == [24156, 17130, 16140]
+
+
 def test_buchsbaum_rim_theorem_on_a_dense_parameter_module():
     # H has e + d - 1 = 3 generators in F = k[x,y]{u,v}, and F/H has finite
     # length, so e(H) = l(F/H) = lambda(1, 0) (Buchsbaum-Rim, Trans. AMS
