@@ -3,12 +3,12 @@
 ``rref`` is plain Gauss-Jordan elimination on dense rows in exact field
 arithmetic, and ``piece_subspace`` materializes every spanning vector of
 a bidegree piece as a dense row, on the free module's basis that
-``free_basis`` lists from the ring's monomial bases. Both are slow and independent of the
-sparse rank kernel in ``brmult.linalg``. ``scan_span_dim`` measures the
-same span as ``brmult.modules.span_dim`` by testing every basis monomial
-of the piece for divisibility and ranking the rest with ``rank``,
-independent of the Hilbert numerators and the rank kernel the library
-counts with. ``piece_subspace`` and ``scan_span_dim`` derive each slice
+``free_basis`` lists from the ring's monomial bases. Both are slow and
+independent of the sparse rank kernel in ``brmult.linalg``.
+``scan_span_dim`` measures the same span as ``brmult.modules.span_dim``
+by testing every basis monomial of the piece for divisibility and
+ranking the rest with ``rank``, independent of the Hilbert numerators
+and the rank kernel the library counts with. ``piece_subspace`` and ``scan_span_dim`` derive each slice
 generator's source fiber on their own (``slice_generators``), and
 ``dense_slice_dims`` counts a slice quotient piece by piece with
 ``piece_subspace``.

@@ -776,8 +776,9 @@ def _standard_index_walks(field):
     component 0 only, x + y and x^2 + y^2 are ranked on component 1's whole
     basis and on component 0's cut one; with shifts (0,0) and (0,1),
     component 1's piece has negative bidegree next to component 0's at
-    fiber degree 0, and both are ranked at fiber degree 1; and x and y fill every piece of base degree >= 1, which
-    x^2 + xy has multiples in from base degree 2."""
+    fiber degree 0, and both are ranked at fiber degree 1; and x and y
+    fill every piece of base degree >= 1, which x^2 + xy has multiples in
+    from base degree 2."""
     ring = RingSpec(field, ("x", "y"), ("T",))
     x, y, _ = ring.gens()
     killed = ModulePresentation(
@@ -866,8 +867,8 @@ def test_polynomial_rows_are_cleared_by_their_own_component_ideal():
 
 
 def test_pieces_the_monomials_fill_make_no_elimination(monkeypatch):
-    # x and y span every piece of base degree >= 1, so the rows of
-    # x^2 + x*y are all cleared there before any rank test
+    # x and y span every piece of base degree >= 1, which leaves no
+    # standard monomial there, so x^2 + x*y's multiples are never ranked
     import brmult.modules as modules
 
     calls = []
