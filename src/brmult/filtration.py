@@ -31,6 +31,7 @@ from operator import add, ge
 from typing import Optional
 
 from .fields import Value
+from .linalg import _echelon, _modulus, _reduce
 from .modules import (
     DEFAULT_CUTOFF,
     LengthResult,
@@ -38,7 +39,7 @@ from .modules import (
     _prune_dominated,
     graded_slice_length,
 )
-from .rings import GradingError, SubmoduleSpec, _echelon, _reduce, monomial_basis
+from .rings import GradingError, SubmoduleSpec, monomial_basis
 from .rings import power_generators, product_generators
 
 __all__ = [
@@ -70,18 +71,20 @@ def mixed_level(
     return tuple(dict.fromkeys(products))
 
 
-def _span_basis(span: tuple, deg) -> dict:
-    """The reduced echelon basis of the span ``span``'s piece at bidegree
-    ``deg``: each generator times the ring's monomials of the bidegree it
-    lacks, by shifting exponent tuples, until they fill the ring's piece."""
+def _span_basis(span: tuple, deg) -> tuple:
+    """(pivots, index): ``linalg._echelon``'s pivots of the span ``span``'s
+    piece at bidegree ``deg`` on ``index``, the ring's basis monomials of
+    ``deg`` numbered in basis order. Its rows are each generator times the
+    ring's monomials of the bidegree it lacks, by shifting exponent tuples."""
     ring, (a, n) = span[0].ring, deg
+    index = {m: j for j, m in enumerate(monomial_basis(ring, deg))}
     rows = (
-        {tuple(map(add, m, mu)): c for m, c in g.terms}
+        {index[tuple(map(add, m, mu))]: c for m, c in g.terms}
         for h in span
         for g in h.gens
         for mu in monomial_basis(ring, (a - g.bidegree()[0], n - h.fiber_degree))
     )
-    return _echelon(ring.field, rows, len(monomial_basis(ring, deg)))
+    return _echelon(rows, len(index), _modulus(ring.field)), index
 
 
 class InclusionWitness(Value):
@@ -98,9 +101,9 @@ def _first_escape(part, nu, gens, span, memo) -> InclusionWitness:
     """Test the distinct generators of the parts ``gens`` in order against
     the span ``span``; the first not in it is the witness. A monomial one
     goes by divisibility when every part of ``span`` is monomial. Any
-    other lies in the span exactly when it reduces to 0 by the
-    ``_span_basis`` at its bidegree, which ``memo`` keeps by (span,
-    bidegree)."""
+    other lies in the span exactly when its row on the ``_span_basis`` at
+    its bidegree, which ``memo`` keeps by (span, bidegree), reduces to
+    empty by ``linalg._reduce``."""
     minimal = None
     if all(h._monomials is not None for h in span):
         minimal = _prune_dominated(m for h in span for m in h._monomials)
@@ -110,7 +113,9 @@ def _first_escape(part, nu, gens, span, memo) -> InclusionWitness:
         else:
             if (basis := memo.get(key := (span, g.bidegree()))) is None:
                 basis = memo[key] = _span_basis(*key)
-            inside = not _reduce(g.ring.field, dict(g.terms), basis)
+            pivots, index = basis
+            row = {index[m]: c for m, c in g.terms}
+            inside = _reduce(row, pivots, _modulus(g.ring.field)) is None
         if not inside:
             return InclusionWitness(part, nu, False, str(g), g.bidegree())
     return InclusionWitness(part, nu, True)
@@ -127,12 +132,14 @@ def check_filtration_inclusions(
     (p-1, q-1) filtration's level nu-1; (b) is only meaningful when p and
     q are both positive and is skipped otherwise. A monomial lies in a
     span of monomials when one of their minimal generators divides it.
-    Any other generator lies in the target exactly when it reduces to 0 by
-    the target piece's echelon basis at its bidegree, enough as the target
-    spans are ideal pieces. A caller checking several (p, q) of the same
-    H1, H2 passes one ``memo`` dict to all of them, so that a basis that
-    recurs is built once.
+    Any other generator lies in the target exactly when its row reduces
+    to empty by ``linalg``'s pivots of the target's piece at its bidegree,
+    enough as the target spans are ideal pieces. A caller checking several
+    (p, q) of the same H1, H2 passes one ``memo`` dict to all of them, so
+    that a basis that recurs is built once.
     """
+    if p < 0 or q < 0:
+        raise GradingError("mixed level indices must be nonnegative")
     memo = {} if memo is None else memo
     h1h2 = product_generators(h1, h2)
     results = []
@@ -184,6 +191,8 @@ def _power_factors(h: SubmoduleSpec, p: int, n: int) -> tuple:
     H^(nu+1) M_{d(p-nu-1)+n}, and ``quotient`` the bottom span of
     M_{pd+n} / H^(p+1) M_{n-d}, the module the factors telescope to.
     """
+    if p < 0:
+        raise GradingError("filtration indices must be nonnegative")
     powers = [(power_generators(h, nu),) for nu in range(p + 2)]
     factors = tuple(zip(powers, powers[1:]))
     return h.fiber_degree * p + n, factors, factors[-1][1]
@@ -201,6 +210,8 @@ def _mixed_factors(
     Every span is a tuple of SubmoduleSpecs: a level its products, and
     H1^(p+1) H2^(q+1) the one part of its own.
     """
+    if p < 0 or q < 0:
+        raise GradingError("mixed level indices must be nonnegative")
     fiber = h1.fiber_degree * p + h2.fiber_degree * q + n
     deep = (
         product_generators(power_generators(h1, p + 1), power_generators(h2, q + 1)),

@@ -138,6 +138,8 @@ class LocalQuery(Value):
             raise GradingError("local queries need an ideal of fiber degree 0")
         if self.k is not None and self.k < 0:
             raise ValueError("k must be nonnegative")
+        if self.r is not None and self.r < 0:
+            raise ValueError("r must be nonnegative")
         if self.grid is not None and self.grid < 0:
             raise ValueError("grid must be nonnegative")
         if self.cutoff is not None and self.cutoff < 0:
@@ -301,6 +303,8 @@ def lambda_local(query: LocalQuery, n: int, k: int) -> int:
 
 def local_table(query: LocalQuery, k: int, gmax: int) -> LengthTable:
     """The lambda(n) table on [0, gmax] at neighborhood order k."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     module, ideal, cutoff = query.module, query.ideal, query.cutoff
     modulus = _modulus(ideal, k)
     factors = (

@@ -22,6 +22,7 @@ from functools import lru_cache
 from operator import add
 
 from .fields import QQ, Value, _setattr  # QQ: the doctest above uses it
+from .linalg import _echelon, _modulus, _reduce
 
 __all__ = [
     "GradingError",
@@ -168,17 +169,6 @@ class Polynomial(Value):
 
     def fiber_degree(self) -> int:
         return self.bidegree()[1]
-
-    def monic(self) -> "Polynomial":
-        """Scale so the leading coefficient is 1 (canonical up to scalars)."""
-        if not self.terms:
-            return self
-        f = self.ring.field
-        lead = self.terms[0][1]
-        if lead == f.one:
-            return self
-        inv = f.div(f.one, lead)
-        return Polynomial(self.ring, tuple((m, f.mul(inv, c)) for m, c in self.terms))
 
     def _check_ring(self, other) -> None:
         if self.ring != other.ring:
@@ -365,78 +355,36 @@ class SubmoduleSpec(Value):
         return f"SubmoduleSpec(d={self.fiber_degree}, <{inner}>)"
 
 
-def _dedup_monic(polys) -> tuple:
-    """Nonzero polys made monic, without repeats, by descending terms."""
-    seen = {}
-    for g in polys:
-        if not g.is_zero():
-            gm = g.monic()
-            seen[gm.terms] = gm
-    return tuple(sorted(seen.values(), key=lambda g: g.terms, reverse=True))
-
-
-def _subtract(f, row: dict, c, tail: dict) -> None:
-    """row -= c * tail in place, for rows {monomial: coeff in the field f}."""
-    for m, v in tail.items():
-        x = f.sub(row.get(m, f.zero), f.mul(c, v))
-        if f.is_zero(x):
-            row.pop(m, None)
-        else:
-            row[m] = x
-
-
-def _reduce(f, row: dict, basis: dict) -> dict:
-    """Reduce ``row``, {monomial: coeff in the field f}, in place by the
-    reduced echelon ``basis``, {leading monomial: rest of its monic row}.
-    The row it returns is empty exactly when it lay in the basis's span."""
-    for lead in row.keys() & basis.keys():
-        _subtract(f, row, row.pop(lead), basis[lead])
-    return row
-
-
-def _echelon(f, rows, full: int | None = None) -> dict:
-    """The unique reduced echelon basis, as ``_reduce`` takes it, of the span
-    of ``rows``, {monomial: coeff} of one bidegree it may change, to ``full`` rows."""
-    basis = {}
-    for row in rows:
-        if not _reduce(f, row, basis):
-            continue
-        lead = max(row)
-        inv = f.div(f.one, row.pop(lead))
-        row = {m: f.mul(inv, c) for m, c in row.items()}
-        for tail in basis.values():
-            if lead in tail:
-                _subtract(f, tail, tail.pop(lead), row)
-        basis[lead] = row
-        if len(basis) == full:
-            break
-    return basis
-
-
 def _echelon_basis(ring: RingSpec, polys: tuple) -> tuple:
-    """Reduced row-echelon basis of the span of same-bidegree ``polys``:
-    ``_echelon``'s rows, monic and by descending leading monomial."""
-    f = ring.field
-    basis = _echelon(f, (dict(g.terms) for g in polys))
+    """Reduced row-echelon basis of the span of same-bidegree ``polys``,
+    monic, by descending leading monomial: ``linalg._echelon`` with the
+    monomials numbered in descending order, so the greatest leads, then
+    each pivot's rest, last lead first, cleared by the later pivots."""
+    modulus = _modulus(ring.field)
+    monos = sorted({m for g in polys for m, _ in g.terms}, reverse=True)
+    index = {m: j for j, m in enumerate(monos)}
+    rows = ({index[m]: c for m, c in g.terms} for g in polys)
+    reduced = {}
+    for lead, rest in sorted(_echelon(rows, len(monos), modulus).items(), reverse=True):
+        rest, row = dict(rest), []
+        while (j := _reduce(rest, reduced, modulus)) is not None:
+            row.append((j, rest.pop(j)))
+        reduced[lead] = row
+    one = ring.field.one
     return tuple(
-        Polynomial(ring, ((lead, f.one),) + tuple(sorted(tail.items(), reverse=True)))
-        for lead, tail in sorted(basis.items(), reverse=True)
+        Polynomial(ring, ((monos[lead], one),) + tuple((monos[j], c) for j, c in row))
+        for lead, row in sorted(reduced.items())
     )
 
 
 def _interreduce(ring: RingSpec, polys) -> list:
     """Nonzero bihomogeneous ``polys`` grouped by bidegree, in order of
-    first appearance, with each group that holds a polynomial replaced by
-    its ``_echelon_basis``: the same span at every bidegree."""
+    first appearance, with each group replaced by its ``_echelon_basis``:
+    the same span at every bidegree, monic and without repeats."""
     groups = {}
     for g in polys:
         groups.setdefault(g.bidegree(), []).append(g)
-    reduced = []
-    for group in groups.values():
-        if not all(g.is_monomial() for g in group):
-            group = _echelon_basis(ring, tuple(group))
-        reduced.extend(group)
-    return reduced
+    return [g for group in groups.values() for g in _echelon_basis(ring, tuple(group))]
 
 
 @lru_cache(maxsize=4096)
@@ -474,8 +422,8 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
     tuples, deduplicated and sorted descending, and the product is built
     from them alone (``SubmoduleSpec._of_monomials``): no Polynomial, and
     one check that the leading sum has fiber degree d1 + d2. Otherwise the
-    products are ``_interreduce``d: a bidegree group of monomials is kept
-    as it is and only loses its scalar-multiple duplicates.
+    products are ``_interreduce``d, each bidegree to its echelon basis,
+    and sorted by descending terms.
     """
     if h1.ring != h2.ring:
         raise GradingError("product of submodules over different rings")
@@ -487,4 +435,5 @@ def product_generators(h1: SubmoduleSpec, h2: SubmoduleSpec) -> SubmoduleSpec:
             raise GradingError(f"product {monos[0]} not of fiber degree {fiber_degree}")
         return SubmoduleSpec._of_monomials(h1.ring, fiber_degree, monos)
     products = _interreduce(h1.ring, (g1 * g2 for g1 in h1.gens for g2 in h2.gens))
-    return SubmoduleSpec(h1.ring, fiber_degree, _dedup_monic(products))
+    products.sort(key=lambda g: g.terms, reverse=True)
+    return SubmoduleSpec(h1.ring, fiber_degree, tuple(products))

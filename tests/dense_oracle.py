@@ -300,7 +300,12 @@ def scan_span_dim(
 
 def _monic_set(polys) -> tuple:
     """Nonzero polys made monic, without repeats, by descending terms."""
-    seen = {g.monic().terms: g.monic() for g in polys if not g.is_zero()}
+    seen = {}
+    for g in polys:
+        if not g.is_zero():
+            f = g.ring.field
+            g = g * f.div(f.one, g.terms[0][1])
+            seen[g.terms] = g
     return tuple(seen[terms] for terms in sorted(seen, reverse=True))
 
 

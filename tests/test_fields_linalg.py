@@ -208,6 +208,52 @@ def test_rank_agrees_between_q_and_big_prime(rows):
     )
 
 
+KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(32003), BIG_P)
+
+
+@st.composite
+def membership_cases(draw):
+    """A field, rows over it and probe rows of the same width.
+
+    Entries over F_p lie near 0 or near p - 1; over Q they are kernel
+    entries. The rows are often of low rank, and the probes mix the rows
+    themselves, combinations of them and fresh rows.
+    """
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    if field == QQ:
+        entries = draw(st.sampled_from([small_entries, rational_entries]))
+    else:
+        p = field.p
+        entries = st.integers(0, min(3, p - 1)) | st.integers(max(0, p - 4), p - 1)
+    rows = [[field.coerce(x) for x in row] for row in low_rank_rows(draw, entries)]
+    cols = range(len(rows[0]))
+    probes = list(rows)
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = [draw(entries) for _ in rows]
+        combination = (sum(c * row[j] for c, row in zip(coeffs, rows)) for j in cols)
+        probes.append(list(map(field.coerce, combination)))
+    for _ in range(draw(st.integers(0, 3))):
+        probes.append([field.coerce(draw(entries)) for _ in cols])
+    return field, rows, probes
+
+
+@given(membership_cases())
+@settings(max_examples=300, deadline=None)
+def test_reduction_by_the_echelon_pivots_decides_membership(case):
+    # a probe reduces to empty by the pivots of the rows exactly when
+    # appending it to the rows leaves the oracle's rank where it was
+    field, rows, probes = case
+    modulus = linalg._modulus(field)
+    pivots = linalg._echelon(sparse(rows), len(rows[0]), modulus)
+    base = rank(Matrix.from_rows(field, rows))
+    assert len(pivots) == base
+    for probe in probes:
+        grows = rank(Matrix.from_rows(field, rows + [probe])) > base
+        row = sparse([probe])[0]
+        assert (linalg._reduce(row, pivots, modulus) is not None) == grows
+        assert bool(row) == grows
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ShapeError):
         Matrix(QQ, 2, 2, ((QQ.one,),))

@@ -23,7 +23,8 @@ from brmult.modules import (
     graded_slice_length,
     span_dim,
 )
-from brmult.rings import RingSpec, SubmoduleSpec, power_generators, product_generators
+from brmult.rings import GradingError, RingSpec, SubmoduleSpec
+from brmult.rings import power_generators, product_generators
 from dense_oracle import as_span, pairwise_product_generators
 
 INSTANCES = Path(__file__).resolve().parents[1] / "demos" / "instances"
@@ -83,7 +84,7 @@ def test_mixed_level_contains_unit_at_top():
     for p in range(3):
         for q in range(3):
             lvl = mixed_level(m, m, p, q, p + q)
-            assert any(g.monic() == R2.one for h in lvl for g in h.gens)
+            assert any(g == R2.one for h in lvl for g in h.gens)
 
 
 def test_inclusions_pass_for_honest_levels():
@@ -215,6 +216,23 @@ def test_mixed_factor_count():
     m = max_ideal(R2)
     factors = mixed_factor_lengths(pres, m, m, 2, 1, 0)
     assert len(factors) == 4  # nu = 0..p+q
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: filtration_factor_lengths(free_module(R2), m, -1, 0),
+        lambda m: mixed_factor_lengths(free_module(R2), m, m, -1, 0, 0),
+        lambda m: mixed_factor_lengths(free_module(R2), m, m, 0, -1, 0),
+        lambda m: check_filtration_inclusions(m, m, -1, 0),
+        lambda m: check_filtration_inclusions(m, m, 0, -1),
+    ],
+    ids=["power-p", "mixed-p", "mixed-q", "inclusions-p", "inclusions-q"],
+)
+def test_negative_filtration_indices_are_refused(call):
+    # not an IndexError, an empty tuple of factors or no inclusion checks
+    with pytest.raises(GradingError, match="indices must be nonnegative"):
+        call(max_ideal(R2))
 
 
 @pytest.mark.parametrize("name", ["max_ideal_pair.txt", "newton_pair.txt"])

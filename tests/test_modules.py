@@ -31,9 +31,7 @@ from brmult.rings import (
     Polynomial,
     RingSpec,
     SubmoduleSpec,
-    _echelon,
     _echelon_basis,
-    _reduce,
     monomial_basis,
 )
 from dense_oracle import (
@@ -948,26 +946,6 @@ def test_echelon_basis_is_the_reduced_row_echelon_form(case, rng):
     shuffled = list(polys)
     rng.shuffle(shuffled)
     assert _echelon_basis(ring, tuple(shuffled)) == basis
-
-
-@given(same_bidegree_polys(), st.randoms(use_true_random=False))
-@settings(max_examples=200, deadline=None)
-def test_reduction_by_the_echelon_basis_decides_membership(case, rng):
-    # every input reduces to 0. A monomial that leads no basis row, plus
-    # any combination of the inputs, reduces to that monomial alone. The
-    # basis, so every remainder, does not depend on the order of the inputs
-    ring, bidegree, polys = case
-    f = ring.field
-    basis = _echelon(f, [dict(g.terms) for g in polys])
-    assert all(_reduce(f, dict(g.terms), basis) == {} for g in polys)
-    shuffled = list(polys)
-    rng.shuffle(shuffled)
-    assert _echelon(f, [dict(g.terms) for g in shuffled]) == basis
-    combination = sum((g * rng.randint(-3, 3) for g in polys), ring.zero)
-    for m in monomial_basis(ring, bidegree):
-        if m not in basis:
-            row = dict((combination + ring.monomial(m)).terms)
-            assert _reduce(f, row, basis) == {m: f.one}
 
 
 def test_monomial_plans_skip_the_echelon_step(monkeypatch):

@@ -34,6 +34,7 @@ from brmult.multiplicity import (
     generalized_samuel_report,
     lambda_local,
     lambda_product,
+    local_table,
     pure_table,
     resolve_r,
 )
@@ -525,6 +526,14 @@ def test_queries_refuse_a_negative_grid(query):
         query(free_module(BASE), subs, grid=-1)
 
 
+@pytest.mark.parametrize("query", [ProductQuery, LocalQuery])
+def test_queries_refuse_a_negative_r(query):
+    m = SubmoduleSpec(BASE, 0, (BASE.gen("x"), BASE.gen("y")))
+    subs = (m,) if query is ProductQuery else m
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        query(free_module(BASE), subs, r=-1)
+
+
 def test_lambda_product_checks_its_indices():
     m = SubmoduleSpec(R2, 0, (R2.gen("x"), R2.gen("y")))
     pure = ProductQuery(free_module(R2), (m,))
@@ -613,6 +622,17 @@ def test_lambda_local_one_axis():
 def test_lambda_local_unit_ideal():
     q = local_query((BASE.one,))
     assert lambda_local(q, 3, k=2) == 0
+
+
+@pytest.mark.parametrize("k", [-1, -2])
+def test_local_tables_refuse_a_negative_k(k):
+    # k = -1 gave all zeros and k = -2 the Samuel function with no cut
+    x, y = BASE.gen("x"), BASE.gen("y")
+    q = local_query((x, y))
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        local_table(q, k, 3)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        lambda_local(q, 3, k)
 
 
 def samuel_e(gens, **kw):
@@ -1004,7 +1024,7 @@ def test_curated_instances_all_run():
         assert all(e >= 0 for e in report.leading.as_dict().values())
     for inst in curated_local():
         e = generalized_samuel_report(LocalQuery(inst.module, inst.ideal)).e
-        if any(g.monic() == inst.ideal.ring.one for g in inst.ideal.gens):
+        if any(g.bidegree() == (0, 0) for g in inst.ideal.gens):
             assert e == 0
         else:
             assert e >= 0

@@ -179,10 +179,27 @@ def test_product_generators_match_power_of_product():
     h2 = SubmoduleSpec(R2, 0, (x * x, y))
     prod = product_generators(h1, h2)
     expected = sorted(
-        set((g1 * g2).monic().terms for g1 in h1.gens for g2 in h2.gens),
+        set((g1 * g2).terms for g1 in h1.gens for g2 in h2.gens),
         reverse=True,
     )
     assert [g.terms for g in prod.gens] == expected
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(32003)])
+def test_product_with_a_repeated_monomial_group_is_pinned(field):
+    # (xu + yv, x^2 u)(x, 3x): bidegree (3, 1) holds only x^3 u and 3 x^3 u,
+    # a monomial group with a scalar multiple; it comes out as one monic x^3 u
+    ring = RingSpec(field, ("x", "y"), ("u", "v"))
+    x, y, u, v = ring.gens()
+    h1 = SubmoduleSpec(ring, 1, (x * u + y * v, x * x * u))
+    h2 = SubmoduleSpec(ring, 0, (x, 3 * x))
+    one = field.one
+    expected = (
+        (((3, 0, 1, 0), one),),
+        (((2, 0, 1, 0), one), ((1, 1, 0, 1), one)),
+    )
+    assert tuple(g.terms for g in product_generators(h1, h2).gens) == expected
+    assert tuple(g.terms for g in product_generators(h2, h1).gens) == expected
 
 
 def test_equal_monomial_generators_are_one_object():
