@@ -693,3 +693,43 @@ def test_pair_check_failure_exits_two_with_a_witness(
     [report] = doc["verification"]
     assert report["passed"] is False
     assert report["witness"] == witness
+
+
+@pytest.mark.parametrize("modp", ["0", "1", "4", "-7"])
+def test_modp_that_is_not_prime_is_a_field_error(tmp_path, modp):
+    code, out = run(["br", write(tmp_path, BLOCK), "--modp", modp])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "field",
+        "message": f"{modp} is not prime",
+    }
+
+
+def test_failing_inclusion_document(monkeypatch):
+    # one generator escapes at (p, q) = (1, 0); every other test passes
+    from brmult.filtration import InclusionWitness
+
+    def one_escape(h1, h2, p, q, memo):
+        if (p, q) == (1, 0):
+            return [InclusionWitness("a", 0, False, "x*y", (2, 0))]
+        return [InclusionWitness("a", 0, True)]
+
+    monkeypatch.setattr(cli, "check_filtration_inclusions", one_escape)
+    path = str(INSTANCES / "max_ideal_pair.txt")
+    code, out = run(["verify", "inclusions", path, "--grid", "1"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    [report] = doc["verification"]
+    assert report["passed"] is False
+    label = "(p,q)=(1,0) a nu=0"
+    assert report["witness"] == (
+        f"{label}: generator x*y of bidegree (2, 0) escapes the larger level"
+    )
+    assert report["left"] == [
+        ["(p,q)=(0,0) a nu=0", "1"],
+        ["(p,q)=(0,1) a nu=0", "1"],
+        [label, "0"],
+        ["(p,q)=(1,1) a nu=0", "1"],
+    ]
+    assert {value for _, value in report["right"]} == {"1"}
