@@ -361,77 +361,55 @@ def parse_instance(text: str, field_override=None) -> InstanceFile:
     return InstanceFile(ring.field, ring, module, tuple(submodules), settings)
 
 
-def _s(value) -> str:
-    return str(int(value))
-
-
-def _field_tag(field) -> str:
-    if isinstance(field, RationalField):
-        return "Q"
-    return f"Fp {field.p}"
-
-
-def _query_block(command, inst: InstanceFile, used) -> dict:
-    subs = {}
-    for name, sub in inst.submodules:
-        subs[name] = {
-            "fiberdeg": _s(sub.fiber_degree),
-            "gens": [str(g) for g in sub.gens],
-        }
+def _query_block(command, inst: InstanceFile) -> dict:
+    """What ``command`` ran on: the declarations, the submodules it reads
+    and the instance file's ``set`` lines."""
+    field = inst.field
     return {
         "command": command,
-        "field": _field_tag(inst.field),
-        "ring": {"base": list(inst.ring.base), "fiber": list(inst.ring.fiber)},
+        "field": "Q" if isinstance(field, RationalField) else f"Fp {field.p}",
+        "ring": {"base": inst.ring.base, "fiber": inst.ring.fiber},
         "module": {
-            "rank": _s(inst.module.free.rank),
-            "shifts": [[_s(a), _s(n)] for a, n in inst.module.free.shifts],
-            "relations": [
-                [str(entry) for entry in rel] for rel in inst.module.relations
-            ],
+            "rank": inst.module.free.rank,
+            "shifts": inst.module.free.shifts,
+            "relations": [list(map(str, rel)) for rel in inst.module.relations],
         },
-        "submodules": subs,
-        "used": list(used),
-        "settings": {key: _s(val) for key, val in sorted(inst.settings.items())},
-    }
-
-
-def _table_block(table: LengthTable) -> dict:
-    return {
-        "axes": list(table.axes),
-        "origin": [_s(v) for v in table.origin],
-        "extents": [_s(v) for v in table.extents],
-        "values": [_s(v) for v in table.values],
+        "submodules": {
+            name: {"fiberdeg": sub.fiber_degree, "gens": list(map(str, sub.gens))}
+            for name, sub in inst.submodules
+        },
+        "used": [name for name, _ in inst.submodules[: _SUBMODULES[command]]],
+        "settings": inst.settings,
     }
 
 
 def _leading_block(leading) -> dict:
-    out = {}
-    for alpha, value in leading.entries:
-        key = "e[" + ",".join(str(a) for a in alpha) + "]"
-        out[key] = _s(value)
-    return out
+    return {"e[" + ",".join(map(str, alpha)) + "]": e for alpha, e in leading.entries}
 
 
-def _verification_block(report: VerificationReport) -> dict:
-    return {
-        "check": report.check,
-        "instance": report.instance,
-        "passed": report.passed,
-        "left": [[label, _s(v)] for label, v in report.left],
-        "right": [[label, _s(v)] for label, v in report.right],
-        "witness": report.witness,
-    }
+def _plain(value):
+    """``value`` as the JSON document holds it: a ``Value`` (a length
+    table, a verification report) as the dict of its fields, a tuple as a
+    list, and every int but a bool as its decimal string."""
+    if isinstance(value, Value):
+        value = dict(zip(value._fields, value._values()))
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
 
 
 def _emit(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n"
 
 
 def _csv(table: LengthTable) -> str:
     lines = [",".join(table.axes) + ",value"]
     for flat, value in enumerate(table.values):
-        coords = table.point(flat)
-        lines.append(",".join(_s(c) for c in coords) + "," + _s(value))
+        lines.append(",".join(map(str, (*table.point(flat), value))))
     return "\n".join(lines) + "\n"
 
 
@@ -454,11 +432,8 @@ _ERROR_KINDS = (
 
 
 def _error_doc(exc) -> dict:
-    kind = "internal"
-    for klass, tag in _ERROR_KINDS:
-        if isinstance(exc, klass):
-            kind = tag
-            break
+    kinds = (tag for klass, tag in _ERROR_KINDS if isinstance(exc, klass))
+    kind = next(kinds, "internal")
     return {"error": {"kind": kind, "message": str(exc)}}
 
 
@@ -473,14 +448,10 @@ def _query(inst, settings, count, command) -> ProductQuery:
     return ProductQuery(inst.module, subs, **_query_kwargs(settings))
 
 
-def _used(inst, count) -> tuple:
-    return tuple(name for name, _ in inst.submodules[:count])
-
-
 def _certificates(leading, enlarged, **extra) -> dict:
     return {
-        "stabilization_base": [_s(v) for v in leading.base_point],
-        "window": _s(WINDOW),
+        "stabilization_base": leading.base_point,
+        "window": WINDOW,
         "grid_enlarged": enlarged,
         **extra,
     }
@@ -494,11 +465,7 @@ def _cmd_dims(command, inst, settings, check_name):
     ]
     values = tuple(v for row in zip(*columns) for v in row)
     table = LengthTable(("a", "n"), (0, 0), (gmax + 1, gmax + 1), values)
-    doc = {
-        "query": _query_block(command, inst, ()),
-        "table": _table_block(table),
-    }
-    return 0, doc, table
+    return 0, {"table": table}, table
 
 
 def _cmd_lambda(command, inst, settings, check_name):
@@ -506,30 +473,26 @@ def _cmd_lambda(command, inst, settings, check_name):
     r, r_source = resolve_r(query.module, query.r)
     table, stops = pure_table(query, grid_bounds(r, query.grid)[0])
     doc = {
-        "query": _query_block(command, inst, _used(inst, 1)),
-        "r": _s(r),
+        "r": r,
         "r_source": r_source,
-        "table": _table_block(table),
-        "certificates": {"finiteness_stops": [_s(v) for v in stops]},
+        "table": table,
+        "certificates": {"finiteness_stops": stops},
     }
     return 0, doc, table
 
 
 def _cmd_fit(command, inst, settings, check_name):
     """``br`` on the first submodule, ``mixed`` on the first two."""
-    count = 2 if command == "mixed" else 1
-    report = br_multiplicities(_query(inst, settings, count, command))
+    query = _query(inst, settings, _SUBMODULES[command], command)
+    report = br_multiplicities(query)
     doc = {
-        "query": _query_block(command, inst, _used(inst, count)),
-        "r": _s(report.r),
+        "r": report.r,
         "r_source": report.r_source,
-        "table": _table_block(report.table),
+        "table": report.table,
         "leading_form": _leading_block(report.leading),
-        "degree_estimate": _s(report.degree_estimate),
+        "degree_estimate": report.degree_estimate,
         "certificates": _certificates(
-            report.leading,
-            report.enlarged,
-            finiteness_stops=[_s(v) for v in report.stops],
+            report.leading, report.enlarged, finiteness_stops=report.stops
         ),
     }
     return 0, doc, report.table
@@ -541,23 +504,16 @@ def _cmd_samuel(command, inst, settings, check_name):
         inst.module, inst.submodule(0, command), **_query_kwargs(settings)
     )
     report = generalized_samuel_report(query)
-    doc = {
-        "query": _query_block(command, inst, _used(inst, 1)),
-        "e": _s(report.e),
-        "r": _s(report.r),
-        "k": _s(report.k),
-    }
+    doc = {"e": report.e, "r": report.r, "k": report.k}
     if command == "spread":
         doc["spread_positive"] = report.e > 0
         return 0, doc, None
     doc.update(
         r_source=report.r_source,
-        table=_table_block(report.table),
+        table=report.table,
         leading_form=_leading_block(report.leading),
         certificates=_certificates(
-            report.leading,
-            report.enlarged,
-            k_agreement=[_s(report.e), _s(report.e_next_k)],
+            report.leading, report.enlarged, k_agreement=(report.e, report.e_next_k)
         ),
     )
     return 0, doc, report.table
@@ -574,20 +530,19 @@ def _inclusion_report(inst, grid) -> VerificationReport:
         for q in range(grid + 1):
             for item in check_filtration_inclusions(h1, h2, p, q, memo):
                 label = f"(p,q)=({p},{q}) {item.part} nu={item.nu}"
-                left.append((label, 1 if item.passed else 0))
+                left.append((label, int(item.passed)))
                 right.append((label + " expected", 1))
                 if not item.passed and witness is None:
                     witness = (
                         f"{label}: generator {item.generator} of bidegree"
                         f" {item.bidegree} escapes the larger level"
                     )
-    passed = all(a[1] == b[1] for a, b in zip(left, right))
     return VerificationReport(
         "filtration-inclusions",
         f"pairs up to p,q <= {grid}",
         tuple(left),
         tuple(right),
-        passed,
+        witness is None,
         witness,
     )
 
@@ -629,16 +584,13 @@ def _cmd_verify(command, inst, settings, check_name):
     reports = [
         _CHECKS[name](inst, settings, grid, f"verify {name}") for name in names
     ]
-    doc = {
-        "query": _query_block(command, inst, _used(inst, 2)),
-        "verification": [_verification_block(rep) for rep in reports],
-        "passed": all(rep.passed for rep in reports),
-    }
-    return (0 if doc["passed"] else 2), doc, None
+    passed = all(rep.passed for rep in reports)
+    return (0 if passed else 2), {"verification": reports, "passed": passed}, None
 
 
 # Command name -> handler(command, inst, settings, check_name), which returns
-# (exit code, JSON document, table for --csv, or None for spread and verify).
+# (exit code, JSON document without its query block, table for --csv, or
+# None for spread and verify).
 _HANDLERS = {
     "dims": _cmd_dims,
     "lambda": _cmd_lambda,
@@ -649,77 +601,70 @@ _HANDLERS = {
     "verify": _cmd_verify,
 }
 COMMANDS = tuple(_HANDLERS)
+# Command name -> how many submodules it reads, the first ones declared.
+_SUBMODULES = {
+    "dims": 0,
+    "lambda": 1,
+    "br": 1,
+    "mixed": 2,
+    "samuel": 1,
+    "spread": 1,
+    "verify": 2,
+}
 
 
 def run(argv):
     """Execute one CLI command; returns (exit_code, output_text)."""
     try:
-        args = list(argv)
-        flags = {"csv": False}
-        positional = []
-        overrides = {}
-        i = 0
-        while i < len(args):
-            arg = args[i]
+        args = iter(argv)
+        csv, positional, overrides = False, [], {}
+        for arg in args:
             if arg == "--csv":
-                flags["csv"] = True
-            elif arg.startswith("--") and arg[2:] in SETTINGS + ("modp",):
-                if i + 1 >= len(args):
-                    raise ValueError(f"{arg} needs a value")
-                try:
-                    overrides[arg[2:]] = int(args[i + 1])
-                except ValueError:
-                    raise ValueError(f"{arg} needs an integer value")
-                i += 1
-            elif arg.startswith("--"):
+                csv = True
+            elif not arg.startswith("--"):
+                positional.append(arg)
+            elif arg[2:] not in SETTINGS + ("modp",):
                 raise ValueError(f"unknown flag {arg!r}")
             else:
-                positional.append(arg)
-            i += 1
+                try:
+                    overrides[arg[2:]] = int(next(args))
+                except StopIteration:
+                    raise ValueError(f"{arg} needs a value")
+                except ValueError:
+                    raise ValueError(f"{arg} needs an integer value")
 
+        names = ", ".join(COMMANDS)
         if not positional:
             raise ValueError(
                 "usage: brmult <command> [check] <instance-file> [flags];"
-                f" commands: {', '.join(COMMANDS)}"
+                f" commands: {names}"
             )
-        command = positional[0]
+        command, *rest = positional
         if command not in COMMANDS:
+            raise ValueError(f"unknown command {command!r}; choose from {names}")
+        verify = command == "verify"
+        if len(rest) != 1 + verify:
             raise ValueError(
-                f"unknown command {command!r}; choose from {', '.join(COMMANDS)}"
+                "usage: brmult verify <check-name>|all <instance-file>"
+                if verify
+                else f"usage: brmult {command} <instance-file> [flags]"
             )
-        check_name = None
-        if command == "verify":
-            if len(positional) != 3:
-                raise ValueError(
-                    "usage: brmult verify <check-name>|all <instance-file>"
-                )
-            check_name = positional[1]
-            path = positional[2]
-        else:
-            if len(positional) != 2:
-                raise ValueError(
-                    f"usage: brmult {command} <instance-file> [flags]"
-                )
-            path = positional[1]
+        check_name = rest[0] if verify else None
 
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(rest[-1], "r", encoding="utf-8") as handle:
             text = handle.read()
-        field_override = None
-        if "modp" in overrides:
-            field_override = PrimeField(overrides.pop("modp"))
-        inst = parse_instance(text, field_override)
-        settings = dict(inst.settings)
-        settings.update(overrides)
+        modp = overrides.pop("modp", None)
+        inst = parse_instance(text, None if modp is None else PrimeField(modp))
+        settings = {**inst.settings, **overrides}
         if settings.get("grid", 0) < 0:
             raise ValueError("grid must be nonnegative")
-        if flags["csv"] and command in ("spread", "verify"):
+        if csv and command in ("spread", "verify"):
             raise ValueError(f"--csv not available for {command!r}")
 
-        handler = _HANDLERS[command]
-        code, doc, table = handler(command, inst, settings, check_name)
-
-        if flags["csv"]:
+        code, doc, table = _HANDLERS[command](command, inst, settings, check_name)
+        if csv:
             return code, _csv(table)
+        doc["query"] = _query_block(command, inst)
         return code, _emit(doc)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all
         return 1, _emit(_error_doc(exc))
