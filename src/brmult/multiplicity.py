@@ -171,10 +171,10 @@ class LocalReport(Value):
     enlarged: bool
 
 
-def _row(module: ModulePresentation, subs: tuple, powers: tuple, count: int, cutoff):
+def _row(module: ModulePresentation, factors: tuple, gens, count: int, cutoff):
     """The lengths of M_{d_1 e_1 + ... + d_k e_k + n} / H_1^e_1 ... H_k^e_k M_n
-    for the submodules ``subs``, the exponents ``powers`` and n < ``count``."""
-    factors = tuple(zip(subs, powers, strict=True))
+    for the (H_i, e_i) ``factors``, whose product has the generators
+    ``gens``, and n < ``count``."""
     starved = any(e >= 1 and not h.gens for h, e in factors)
     if starved and any(
         slice_dims_up_to(module, n, None, (), a)[a] for a, n in module.free.shifts
@@ -184,7 +184,6 @@ def _row(module: ModulePresentation, subs: tuple, powers: tuple, count: int, cut
             if len(factors) == 1
             else "a power of a generatorless H acts on a nonzero M"
         )
-    gens = _generators(factors)
     row = _generated_row(module, gens, cutoff)
     if len(row) < count:
         row += generated_lengths(module, gens, range(len(row), count), cutoff)
@@ -216,7 +215,9 @@ def lambda_product(query: ProductQuery, *point: int) -> int:
     if min(point) < 0:
         raise ValueError("indices must be nonnegative")
     *powers, n = point
-    return _row(query.module, query.subs, tuple(powers), n + 1, query.cutoff)[n].total
+    factors = tuple(zip(query.subs, powers))
+    row = _row(query.module, factors, _generators(factors), n + 1, query.cutoff)
+    return row[n].total
 
 
 _REFIT = (StabilizationError, GridTooSmallError, DegreeExceedsError)
@@ -258,14 +259,18 @@ def _fit(builds, r: int, grid: Optional[int]) -> tuple:
 
 def pure_table(query: ProductQuery, gmax: int) -> tuple:
     """The lambda(p, n) or lambda(p, q, n) table of ``query`` on
-    [0, gmax]^axes with its finiteness stops."""
+    [0, gmax]^axes with its finiteness stops. For a pair, row (p, q > 0)
+    is row (p, q - 1) times H2, one product lookup."""
     module, subs, cutoff = query.module, query.subs, query.cutoff
     arity = len(subs) + 1
-    results = [
-        res
-        for powers in itertools.product(range(gmax + 1), repeat=len(subs))
-        for res in _row(module, subs, powers, gmax + 1, cutoff)
-    ]
+    results = []
+    for powers in itertools.product(range(gmax + 1), repeat=len(subs)):
+        factors = tuple(zip(subs, powers))
+        if len(subs) == 2 and powers[1]:
+            gens = product_generators(gens, power_generators(subs[1], 1))
+        else:
+            gens = _generators(factors)
+        results += _row(module, factors, gens, gmax + 1, cutoff)
     totals = tuple(res.total for res in results)
     axes = ("p", "q")[: len(subs)] + ("n",)
     table = LengthTable(axes, (0,) * arity, (gmax + 1,) * arity, totals)

@@ -128,7 +128,9 @@ def test_block_vs_max_builds_no_product_polynomial(monkeypatch):
     # Value.__hash__ calls. Each of the 36 rows, not each of the 216
     # cells, looks up its powers, product, lengths and span plan: 1,831
     # calls when every cell did, 391 when a row multiplied H1^p by H2^q,
-    # and more now that it multiplies row q - 1 by H2 through the cache
+    # and 515 when row (p, q) re-walked its chain of q products through
+    # the cache. Row (p, q) now multiplies the generators of row (p, q - 1)
+    # by H2, one product lookup
     [inst] = [inst for inst in curated_mixed() if inst.name == "block-vs-max"]
     query = ProductQuery(inst.module, (inst.h1, inst.h2), grid=5)
     clear_caches()
@@ -146,7 +148,7 @@ def test_block_vs_max_builds_no_product_polynomial(monkeypatch):
     monkeypatch.setattr(Polynomial, "__init__", counted_build)
     monkeypatch.setattr(Value, "__hash__", counted_hash)
     assert br_multiplicities(query).r == 3
-    assert counts == {"polynomials": 0, "hashes": 515}
+    assert counts == {"polynomials": 0, "hashes": 305}
 
 
 def test_block_vs_max_rows_multiply_by_one_factor(monkeypatch):
