@@ -643,7 +643,7 @@ def run(argv):
         if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}; choose from {names}")
         verify = command == "verify"
-        if len(rest) != 1 + verify:
+        if len(rest) != (2 if verify else 1):
             raise ValueError(
                 "usage: brmult verify <check-name>|all <instance-file>"
                 if verify
